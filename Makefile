@@ -31,8 +31,10 @@ staticcheck:
 	fi
 
 # diodelint = the repo-specific structural linter (cmd/diodelint): checks the
-# dispatch cache-key flip tables cover every Options/Job field and the
-# threaded interpreter's exec switch handles every op* constant.
+# dispatch cache-key flip tables cover every field of the job options record
+# (declared once, as core.Settings in internal/core/options.go) and of
+# dispatch.Job, and the threaded interpreter's exec switch handles every op*
+# constant.
 diodelint:
 	$(GO) run ./cmd/diodelint ./internal/dispatch ./internal/interp
 

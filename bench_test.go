@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,27 +91,44 @@ func BenchmarkTable2Discovery(b *testing.B) {
 	}
 }
 
-// successRates runs the §5.5 / §5.6 experiment for every exposed site of one
-// application and reports the aggregate hit rates.
-func successRates(b *testing.B, short string, n int) {
-	app, err := apps.ByName(short)
-	if err != nil {
-		b.Fatal(err)
+// sweep runs one harness evaluation and fails the benchmark on any
+// application error.
+func sweep(b *testing.B, cfg harness.Config, list []*apps.App) []harness.AppOutcome {
+	b.Helper()
+	outcomes := harness.Evaluate(cfg, list)
+	for _, o := range outcomes {
+		if o.Err != nil {
+			b.Fatal(o.Err)
+		}
 	}
-	for i := 0; i < b.N; i++ {
-		eng := core.New(app, core.Options{Seed: int64(i + 1)})
-		res, err := eng.RunAll()
+	return outcomes
+}
+
+// appList resolves registry short names.
+func appList(b *testing.B, shorts ...string) []*apps.App {
+	b.Helper()
+	list := make([]*apps.App, len(shorts))
+	for i, short := range shorts {
+		a, err := apps.ByName(short)
 		if err != nil {
 			b.Fatal(err)
 		}
+		list[i] = a
+	}
+	return list
+}
+
+// successRates runs the §5.5 experiment for every exposed site of one
+// application and reports the aggregate target-only hit rate.
+func successRates(b *testing.B, short string, n int) {
+	list := appList(b, short)
+	for i := 0; i < b.N; i++ {
 		var hits, total int
-		for _, sr := range res.Sites {
-			if sr.Verdict != core.VerdictExposed {
-				continue
+		for _, rec := range harness.Records(sweep(b, harness.Config{Seed: int64(i + 1), SampleN: n}, list)) {
+			for _, s := range rec.Sites {
+				hits += s.TargetOnly.Hits
+				total += s.TargetOnly.Total
 			}
-			h, t := eng.SuccessRate(sr.Target, sr.Target.Beta, n)
-			hits += h
-			total += t
 		}
 		if total > 0 {
 			b.ReportMetric(float64(hits)/float64(total)*100, "target-only-%")
@@ -125,25 +143,14 @@ func BenchmarkSuccessRateTargetOnly(b *testing.B) {
 }
 
 func BenchmarkSuccessRateEnforced(b *testing.B) {
-	// Only the enforcement-requiring sites have a §5.6 column.
+	// Only the enforcement-requiring sites whose target-only rate is low have
+	// a §5.6 column; the harness plans exactly those experiments.
+	list := appList(b, "dillo", "vlc")
 	for i := 0; i < b.N; i++ {
-		for _, short := range []string{"dillo", "vlc"} {
-			app, err := apps.ByName(short)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			res, err := eng.RunAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, sr := range res.Sites {
-				if sr.Verdict != core.VerdictExposed || sr.EnforcedCount() == 0 {
-					continue
-				}
-				h, t := eng.SuccessRate(sr.Target, core.EnforcedConstraint(sr), 200)
-				if t > 0 {
-					b.ReportMetric(float64(h)/float64(t)*100, short+"-enforced-%")
+		for _, rec := range harness.Records(sweep(b, harness.Config{Seed: int64(i + 1), SampleN: 200}, list)) {
+			for _, s := range rec.Sites {
+				if t := s.TargetEnforced.Total; t > 0 {
+					b.ReportMetric(float64(s.TargetEnforced.Hits)/float64(t)*100, rec.App+"-enforced-%")
 				}
 			}
 		}
@@ -190,25 +197,24 @@ func BenchmarkTableExtended(b *testing.B) {
 	}
 }
 
-func BenchmarkSamePath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sat := 0
-		for _, app := range apps.All() {
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			targets, err := eng.Analyze()
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, t := range targets {
-				ps, ok := app.PaperFor(t.Site)
-				if !ok || ps.Class != apps.ClassExposed {
-					continue
-				}
-				if eng.SamePathSatisfiable(t) == solver.Sat {
-					sat++
-				}
+// samePathSat runs the §5.4 experiment over every application and counts
+// the paper-exposed sites whose same-path constraint is satisfiable.
+func samePathSat(b *testing.B, seed int64) int {
+	sat := 0
+	for _, o := range sweep(b, harness.Config{Seed: seed, SamePath: true}, apps.All()) {
+		for _, s := range o.Record.Sites {
+			ps, ok := o.App.PaperFor(s.Site)
+			if ok && ps.Class == apps.ClassExposed && s.SamePathSat == solver.Sat.String() {
+				sat++
 			}
 		}
+	}
+	return sat
+}
+
+func BenchmarkSamePath(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sat := samePathSat(b, int64(i+1))
 		b.ReportMetric(float64(sat), "samepath-sat")
 		if sat != 2 {
 			b.Fatalf("same-path satisfiable for %d sites, paper: 2", sat)
@@ -221,39 +227,17 @@ func BenchmarkSamePath(b *testing.B) {
 // how many of the 14 exposed sites remain findable.
 func BenchmarkAblationFullPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		findable := 0
-		for _, app := range apps.All() {
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			targets, err := eng.Analyze()
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, t := range targets {
-				ps, ok := app.PaperFor(t.Site)
-				if !ok || ps.Class != apps.ClassExposed {
-					continue
-				}
-				if eng.SamePathSatisfiable(t) == solver.Sat {
-					findable++
-				}
-			}
-		}
-		b.ReportMetric(float64(findable), "fullpath-findable")
+		b.ReportMetric(float64(samePathSat(b, int64(i+1))), "fullpath-findable")
 		b.ReportMetric(14, "goal-directed-findable")
 	}
 }
 
 // ablationSweep runs the paper suite (the ablations quantify the paper's
 // design claims, whose baselines are the 14 exposed sites of Table 1).
-func ablationSweep(b *testing.B, opts core.Options) {
+func ablationSweep(b *testing.B, seed int64, settings dispatch.Options) {
 	exposed := 0
-	for _, app := range apps.Paper() {
-		eng := core.New(app, opts)
-		res, err := eng.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+	for _, o := range sweep(b, harness.Config{Seed: seed, Engine: settings}, apps.Paper()) {
+		for _, sr := range o.Result.Sites {
 			if sr.Verdict == core.VerdictExposed {
 				exposed++
 			}
@@ -264,13 +248,13 @@ func ablationSweep(b *testing.B, opts core.Options) {
 
 func BenchmarkAblationNoCompress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ablationSweep(b, core.Options{Seed: int64(i + 1), DisableCompression: true})
+		ablationSweep(b, int64(i+1), dispatch.Options{DisableCompression: true})
 	}
 }
 
 func BenchmarkAblationNoRelevance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ablationSweep(b, core.Options{Seed: int64(i + 1), DisableRelevanceFilter: true})
+		ablationSweep(b, int64(i+1), dispatch.Options{DisableRelevanceFilter: true})
 	}
 }
 
@@ -285,7 +269,7 @@ func BenchmarkAblationSolverMode(b *testing.B) {
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ablationSweep(b, core.Options{Seed: int64(i + 1), SolverMode: m.mode})
+				ablationSweep(b, int64(i+1), dispatch.Options{SolverMode: m.mode})
 			}
 		})
 	}
@@ -297,8 +281,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 	for _, app := range apps.All() {
 		b.Run(app.Short, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := core.New(app, core.Options{Seed: 1})
-				if _, err := eng.Analyze(); err != nil {
+				if _, err := core.NewAnalyzer(app, core.Options{Seed: 1}).Analyze(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,10 +324,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 // so it is where the session machinery works hardest. Verdicts are checked
 // equal between the two paths before the speedup is reported.
 func BenchmarkHuntIncremental(b *testing.B) {
-	app, err := apps.ByName("dillo")
-	if err != nil {
-		b.Fatal(err)
-	}
+	list := appList(b, "dillo")
 	modes := []struct {
 		name string
 		mode solver.Mode
@@ -362,29 +342,32 @@ func BenchmarkHuntIncremental(b *testing.B) {
 				seed := int64(i + 1)
 
 				t0 := time.Now()
-				oneShot, err := core.New(app, core.Options{
-					Seed: seed, SolverMode: m.mode, OneShotSolver: true,
-				}).RunAll()
-				if err != nil {
-					b.Fatal(err)
-				}
+				oneShot := sweep(b, harness.Config{Seed: seed,
+					Engine: dispatch.Options{SolverMode: m.mode, OneShotSolver: true}}, list)
 				oneShotTime := time.Since(t0)
 
+				// The incremental sweep's solver counters, summed over its
+				// hunt jobs' results.
+				var mu sync.Mutex
+				var st solver.Stats
 				t0 = time.Now()
-				eng := core.New(app, core.Options{Seed: seed, SolverMode: m.mode})
-				incremental, err := eng.RunAll()
-				if err != nil {
-					b.Fatal(err)
-				}
+				incremental := sweep(b, harness.Config{Seed: seed,
+					Engine: dispatch.Options{SolverMode: m.mode},
+					Sink: func(ev dispatch.Event) {
+						if ev.Type == dispatch.EventFinished {
+							mu.Lock()
+							st.Add(ev.Result.Stats)
+							mu.Unlock()
+						}
+					}}, list)
 				incrementalTime := time.Since(t0)
 
-				for j, sr := range oneShot.Sites {
-					if ir := incremental.Sites[j]; sr.Verdict != ir.Verdict {
+				for j, sr := range oneShot[0].Result.Sites {
+					if ir := incremental[0].Result.Sites[j]; sr.Verdict != ir.Verdict {
 						b.Fatalf("%s: session verdict %v != one-shot %v",
 							sr.Target.Site, ir.Verdict, sr.Verdict)
 					}
 				}
-				st := eng.SolverStats()
 				b.ReportMetric(oneShotTime.Seconds()/incrementalTime.Seconds(), "speedup")
 				b.ReportMetric(float64(st.ClausesReused), "clauses-reused")
 				b.ReportMetric(float64(st.ModelCacheHits), "model-cache-hits")
@@ -428,17 +411,11 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 		e2eOne, e2eB time.Duration
 		hits         int
 	)
-	for _, short := range []string{"dillo", "vlc", "gifview", "tifthumb"} {
-		app, err := apps.ByName(short)
-		if err != nil {
-			b.Fatal(err)
-		}
+	list := appList(b, "dillo", "vlc", "gifview", "tifthumb")
+	for _, o := range sweep(b, harness.Config{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}, list) {
+		app := o.App
 		machines[app] = interp.NewMachine(app.Compiled())
-		res, err := core.NewScheduler(app, core.Options{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}).RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+		for _, sr := range o.Result.Sites {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}
@@ -520,15 +497,17 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 
 // BenchmarkDispatchLocal measures what the job-based dispatch layer costs
 // over driving the same machinery directly: the full dillo site sweep hunted
-// by a Scheduler on pre-analyzed targets versus the identical batch planned
-// as hunt jobs and run through the Local backend. The backend's JobCache is
-// pinned to NoResults so every iteration really executes the hunts — with
-// result caching on, the steady state would measure cache lookups instead
-// (that speedup is BenchmarkSweepWarmVsCold's subject). Analysis memoization
-// stays: the first iteration derives the analysis once, the steady state
-// streams results over a channel with a memoized-analysis lookup per job, as
-// in the harness path. Verdict parity is asserted each iteration. Reported
-// metrics:
+// by a sequential loop of per-site Hunters on pre-analyzed targets versus the
+// identical batch planned as hunt jobs and run through a one-worker Local
+// backend, so both sides hunt at the same concurrency. The backend's
+// JobCache is pinned to NoResults so every iteration really executes the
+// hunts — with result caching on, the steady state would measure cache
+// lookups instead (that speedup is BenchmarkSweepWarmVsCold's subject).
+// Analysis memoization stays: the targets both sides hunt are analyzed
+// through that cache before the timer starts, as the harness planner does,
+// so every iteration — the first included — streams results over a channel
+// with a memoized-analysis lookup per job. Verdict parity is asserted each
+// iteration. Reported metrics:
 //
 //	dispatch-vs-direct — wall-clock ratio (≈1 means the job layer is free)
 //	delta-us/job       — signed per-job wall-clock delta, dispatch minus
@@ -542,27 +521,23 @@ func BenchmarkDispatchLocal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	opts := core.Options{Seed: 1, Parallelism: workers}
-	targets, err := core.NewAnalyzer(app, opts).Analyze()
+	opts := core.Options{Seed: 1}
+	backend := &dispatch.Local{
+		Workers: 1,
+		Cache:   dispatch.NewJobCache(dispatch.CacheConfig{NoResults: true}),
+	}
+	targets, err := backend.Cache.Targets(context.Background(), app, opts.Settings)
 	if err != nil {
 		b.Fatal(err)
 	}
-	jobs := make([]dispatch.Job, len(targets))
-	for i, t := range targets {
-		jobs[i] = dispatch.Job{
-			ID: i, Kind: dispatch.KindHunt, App: app.Short, Site: t.Site,
-			Seed: core.SiteSeed(opts.Seed, t.Site),
-		}
-	}
-	backend := &dispatch.Local{
-		Workers: workers,
-		Cache:   dispatch.NewJobCache(dispatch.CacheConfig{NoResults: true}),
-	}
+	jobs := HuntJobsFor(app, opts, targets)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		direct := core.NewScheduler(app, opts).HuntAll(targets)
+		direct := make([]*core.SiteResult, len(targets))
+		for j, t := range targets {
+			direct[j] = core.NewHunter(app, opts.ForSite(t.Site)).Hunt(t)
+		}
 		directTime := time.Since(t0)
 
 		t0 = time.Now()
@@ -665,14 +640,14 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAllParallel measures the scheduler's wall-clock speedup: the
-// full five-application sweep hunted sequentially (one worker, sequential
-// site hunts) versus fully fanned out (apps × sites concurrent). Per-site
-// seed derivation guarantees both schedules produce identical verdicts, so
-// the speedup metric compares equal work.
-func BenchmarkRunAllParallel(b *testing.B) {
-	// Floor the pool at 2 so the concurrent scheduler path runs even on a
-	// single-core machine (where the speedup metric will sit near 1).
+// BenchmarkSweepParallel measures the sweep's wall-clock speedup: the full
+// application suite hunted sequentially (one worker, sequential site hunts)
+// versus fully fanned out (apps × sites concurrent). Per-site seed
+// derivation guarantees both schedules produce identical verdicts, so the
+// speedup metric compares equal work.
+func BenchmarkSweepParallel(b *testing.B) {
+	// Floor the pool at 2 so the concurrent path runs even on a single-core
+	// machine (where the speedup metric will sit near 1).
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
 		workers = 2
@@ -720,16 +695,9 @@ func BenchmarkSampleModels(b *testing.B) {
 		seed int64
 	}
 	var jobs []job
-	for _, short := range []string{"dillo", "vlc", "gifview"} {
-		app, err := apps.ByName(short)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.NewScheduler(app, core.Options{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}).RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+	list := appList(b, "dillo", "vlc", "gifview")
+	for _, o := range sweep(b, harness.Config{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}, list) {
+		for _, sr := range o.Result.Sites {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}
@@ -917,21 +885,14 @@ func BenchmarkGuestExec(b *testing.B) {
 // solver minutes to certify, which is exactly the cost profile the triage
 // exists to avoid, but too slow for a smoke benchmark.
 func BenchmarkTriagePrune(b *testing.B) {
-	var appList []*apps.App
-	for _, short := range []string{"gifview", "tifthumb"} {
-		a, err := apps.ByName(short)
-		if err != nil {
-			b.Fatal(err)
-		}
-		appList = append(appList, a)
-	}
+	list := appList(b, "gifview", "tifthumb")
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		on := harness.Evaluate(harness.Config{Seed: 21, Arith: true}, appList)
+		on := harness.Evaluate(harness.Config{Seed: 21, Arith: true}, list)
 		triagedDur := time.Since(start)
 		start = time.Now()
 		off := harness.Evaluate(harness.Config{Seed: 21, Arith: true,
-			Engine: core.Options{NoTriage: true}}, appList)
+			Engine: dispatch.Options{NoTriage: true}}, list)
 		ablationDur := time.Since(start)
 		pruned := 0
 		for _, o := range on {

@@ -106,7 +106,7 @@ func run() (code int) {
 	// so a repeated sweep is served without re-running any hunt.
 	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	cfg := harness.Config{Seed: *seed, Parallelism: *parallel, Workers: *workers, Cache: jc, Arith: *arithWave,
-		Engine: diode.Options{Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}}
+		Engine: diode.JobOptions{Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}}
 	var appList []*diode.App
 	switch *table {
 	case "1":

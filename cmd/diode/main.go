@@ -117,11 +117,11 @@ func run() (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := diode.Options{Seed: *seed, Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}
+	settings := diode.JobOptions{Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}
 	// The job cache memoizes the analysis and, with -cache-dir, serves whole
 	// job results from disk so repeated runs skip the hunts entirely.
 	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
-	targets, err := jc.Targets(ctx, app, diode.JobOptionsFrom(opts))
+	targets, err := jc.Targets(ctx, app, settings)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analysis failed:", err)
 		return 1
@@ -138,10 +138,9 @@ func run() (code int) {
 		}
 		discoveryOrder(discovered, targets)
 	}
-	// One hunt job per analyzed site, seeded exactly as a Scheduler would
-	// seed its per-site Hunters; the targets are kept for the verbose
-	// per-site introspection below.
-	jobs := diode.HuntJobsFor(app, opts, targets)
+	// One hunt job per analyzed site, seeded per site from -seed; the
+	// targets are kept for the verbose per-site introspection below.
+	jobs := diode.HuntJobsFor(app, diode.Options{Seed: *seed, Settings: settings}, targets)
 
 	var sink diode.JobSink
 	if *progress {

@@ -2,13 +2,16 @@
 // exhaustiveness invariants that ordinary Go tooling cannot see, using only
 // go/parser and go/ast (no third-party analysis framework):
 //
-//  1. Cache-key review (internal/dispatch): every field of dispatch.Options
-//     and dispatch.Job must be accounted for in the cache_test.go flip
-//     tables — optionsKeyFlips for Options, jobKeyFlips or jobKeyExcluded
-//     for Job. Adding a field without deciding whether it changes JobKey is
-//     the bug class that silently serves stale cached results; the runtime
-//     test checks the tables against reflect, and this linter catches the
-//     same drift statically, before tests run.
+//  1. Cache-key review (internal/dispatch): every field of the job options
+//     record and of dispatch.Job must be accounted for in the cache_test.go
+//     flip tables — optionsKeyFlips for the options, jobKeyFlips or
+//     jobKeyExcluded for Job. The options record is declared once, as
+//     core.Settings in the sibling package's options.go (dispatch.Options
+//     names it), so that is where its fields are read. Adding a field
+//     without deciding whether it changes JobKey is the bug class that
+//     silently serves stale cached results; the runtime test checks the
+//     tables against reflect, and this linter catches the same drift
+//     statically, before tests run.
 //
 //  2. Opcode dispatch (internal/interp): every op* opcode constant declared
 //     in threaded.go must appear as a case in Machine.exec's `switch in.op`
@@ -23,7 +26,8 @@
 //
 // With no arguments it checks ./internal/dispatch and ./internal/interp.
 // For each directory it applies whichever checks its files support, prints
-// one line per violation, and exits non-zero if any check fails.
+// one line per violation, and exits non-zero if any check fails. The
+// cache-key check of a dispatch directory also reads ../core/options.go.
 package main
 
 import (
@@ -77,24 +81,29 @@ func parse(path string) (*ast.File, error) {
 	return parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 }
 
-// checkFlipTables enforces invariant 1: struct fields of Options and Job in
-// dispatch.go versus the string keys of the flip-table map literals in
-// cache_test.go.
+// checkFlipTables enforces invariant 1: struct fields of Settings in
+// ../core/options.go and of Job in dispatch.go versus the string keys of the
+// flip-table map literals in cache_test.go.
 func checkFlipTables(dir string) []string {
 	src := filepath.Join(dir, "dispatch.go")
+	opt := filepath.Join(dir, "..", "core", "options.go")
 	tst := filepath.Join(dir, "cache_test.go")
-	srcF, err := parse(src)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", src, err)}
+	files := make([]*ast.File, 3)
+	for i, path := range []string{src, opt, tst} {
+		f, err := parse(path)
+		if err != nil {
+			return []string{fmt.Sprintf("%s: %v", path, err)}
+		}
+		files[i] = f
 	}
-	tstF, err := parse(tst)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", tst, err)}
+	srcF, optF, tstF := files[0], files[1], files[2]
+	options := structFields(optF, "Settings")
+	if options == nil {
+		return []string{fmt.Sprintf("%s: Settings struct not found", opt)}
 	}
-	options := structFields(srcF, "Options")
 	job := structFields(srcF, "Job")
-	if options == nil || job == nil {
-		return []string{fmt.Sprintf("%s: Options or Job struct not found", src)}
+	if job == nil {
+		return []string{fmt.Sprintf("%s: Job struct not found", src)}
 	}
 	optFlips := mapKeys(tstF, "optionsKeyFlips")
 	jobFlips := mapKeys(tstF, "jobKeyFlips")
@@ -106,7 +115,7 @@ func checkFlipTables(dir string) []string {
 	var out []string
 	for _, f := range sorted(options) {
 		if !optFlips[f] {
-			out = append(out, fmt.Sprintf("%s: Options.%s has no optionsKeyFlips entry in %s (new Options fields need a cache-key flip decision)", src, f, tst))
+			out = append(out, fmt.Sprintf("%s: Settings.%s has no optionsKeyFlips entry in %s (new options fields need a cache-key flip decision)", opt, f, tst))
 		}
 	}
 	for _, f := range sorted(job) {
@@ -121,7 +130,7 @@ func checkFlipTables(dir string) []string {
 	// runtime reflect walk would no longer visit.
 	for _, k := range sorted(optFlips) {
 		if !options[k] {
-			out = append(out, fmt.Sprintf("%s: optionsKeyFlips[%q] names no Options field", tst, k))
+			out = append(out, fmt.Sprintf("%s: optionsKeyFlips[%q] names no Settings field", tst, k))
 		}
 	}
 	for _, k := range sorted(jobFlips) {

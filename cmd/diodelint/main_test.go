@@ -15,14 +15,42 @@ func write(t *testing.T, dir, name, src string) {
 	}
 }
 
-const dispatchSrc = `package dispatch
-type Options struct {
-	Seed int
-	Fuel int
+// dispatchTree lays out a fake internal/ tree: dir/dispatch holds the
+// dispatch sources, dir/core/options.go the options declaration. It returns
+// the dispatch directory, the one checkFlipTables is pointed at.
+func dispatchTree(t *testing.T, dispatchSrc, optionsSrc, cacheTestSrc string) string {
+	t.Helper()
+	root := t.TempDir()
+	dir := filepath.Join(root, "dispatch")
+	for _, d := range []string{dir, filepath.Join(root, "core")} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, dir, "dispatch.go", dispatchSrc)
+	write(t, dir, "cache_test.go", cacheTestSrc)
+	write(t, filepath.Join(root, "core"), "options.go", optionsSrc)
+	return dir
 }
+
+const dispatchSrc = `package dispatch
+import "example/core"
+type Options = core.Settings
 type Job struct {
 	ID   int
 	Site string
+}
+`
+
+const optionsSrc = `package core
+type Settings struct {
+	Seed int
+	Fuel int
+}
+type Options struct {
+	Seed int
+	Settings
+	Progress func(int)
 }
 `
 
@@ -39,31 +67,25 @@ var jobKeyExcluded = map[string]func(*Job){
 }
 `
 
-// TestFlipTableCheckClean pins that a consistent field/table pair passes.
+// TestFlipTableCheckClean pins that a consistent field/table pair passes,
+// with the options fields read from the core declaration.
 func TestFlipTableCheckClean(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "dispatch.go", dispatchSrc)
-	write(t, dir, "cache_test.go", cacheTestSrc)
+	dir := dispatchTree(t, dispatchSrc, optionsSrc, cacheTestSrc)
 	if problems := checkFlipTables(dir); len(problems) != 0 {
 		t.Fatalf("clean package flagged: %v", problems)
 	}
 }
 
-// TestFlipTableCheckViolations pins the three failure modes: a struct field
-// with no table entry, a stale table key, and a Job field in both tables.
+// TestFlipTableCheckViolations pins the three failure modes: an options
+// field with no table entry, a stale table key, and a Job field in both
+// tables.
 func TestFlipTableCheckViolations(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "dispatch.go", `package dispatch
-type Options struct {
+	dir := dispatchTree(t, dispatchSrc, `package core
+type Settings struct {
 	Seed    int
 	Orphan  int
 }
-type Job struct {
-	ID   int
-	Site string
-}
-`)
-	write(t, dir, "cache_test.go", `package dispatch
+`, `package dispatch
 var optionsKeyFlips = map[string]func(*Options){
 	"Seed":    func(o *Options) { o.Seed++ },
 	"Renamed": func(o *Options) {},
@@ -78,8 +100,8 @@ var jobKeyExcluded = map[string]func(*Job){
 `)
 	problems := strings.Join(checkFlipTables(dir), "\n")
 	for _, want := range []string{
-		"Options.Orphan has no optionsKeyFlips entry",
-		`optionsKeyFlips["Renamed"] names no Options field`,
+		"Settings.Orphan has no optionsKeyFlips entry",
+		`optionsKeyFlips["Renamed"] names no Settings field`,
 		"Job.ID is in both jobKeyFlips and jobKeyExcluded",
 	} {
 		if !strings.Contains(problems, want) {

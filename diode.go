@@ -17,17 +17,18 @@
 // language (the Valgrind substitute), the field-dictionary and
 // input-reconstruction layers (the Hachoir/Peach substitutes), and the five
 // re-authored benchmark applications. See DESIGN.md for the package
-// inventory and the Analyzer/Hunter/Scheduler layer diagram.
+// inventory and the layer diagram.
 //
-// The pipeline itself is three layers: an Analyzer (stages 1–3, once per
-// application), per-site Hunters (the Figure 7 enforcement loop, each with a
-// private solver), and a Scheduler that fans site hunts across a bounded
-// worker pool. Per-site seed derivation makes parallel and sequential runs
+// The pipeline itself is two layers: an Analyzer (stages 1–3, once per
+// application) and per-site Hunters (the Figure 7 enforcement loop, each
+// with a private solver seeded per site via Options.ForSite). A site's
+// verdict is what that one Hunter finds, so parallel and sequential sweeps
 // produce identical verdicts.
 //
 // The execution surface is job-based (the paper's §4 distributed work-queue
-// role): a sweep decomposes into serializable Jobs — per-site hunts,
-// same-path experiments, success-rate experiments — executed by a Backend.
+// role) and is the only fan-out: a sweep decomposes into serializable Jobs —
+// per-site hunts, same-path experiments, success-rate experiments — executed
+// by a Backend.
 // LocalBackend runs jobs on an in-process goroutine pool; ExecBackend shards
 // them across spawned diode-worker processes. Every job carries its fully
 // derived seed, so verdicts are byte-identical on any backend at any worker
@@ -43,11 +44,6 @@
 //	for _, r := range results {
 //	    fmt.Println(r.Site, r.Verdict)
 //	}
-//
-// The batch-synchronous Scheduler API (NewScheduler + RunAll, with
-// context-aware variants) remains first-class for single-application use,
-// and the pre-scheduler Engine API (NewEngine + RunAll) remains available as
-// a thin compatibility wrapper with identical results.
 package diode
 
 import (
@@ -128,8 +124,9 @@ func Triaged(app *App) ([]DiscoveredSite, error) { return app.Triaged() }
 // `diode -triage` prints (pure rows, safe to diff against goldens).
 func FormatTriage(sites []DiscoveredSite) string { return discover.FormatTriage(sites) }
 
-// Options configure the pipeline. The zero value uses sensible defaults; set
-// Seed for reproducible hunts and Parallelism for concurrent site hunts.
+// Options configure the pipeline: the run Seed, the serializable Settings
+// (JobOptions) every job carries, and an optional live Progress hook. The
+// zero value uses sensible defaults; set Seed for reproducible hunts.
 type Options = core.Options
 
 // Analyzer runs stages 1–3 once per application, producing immutable
@@ -140,16 +137,9 @@ type Analyzer = core.Analyzer
 // solver and input generator.
 type Hunter = core.Hunter
 
-// Scheduler fans per-site hunts across a bounded worker pool with
-// deterministic per-site seeding.
-type Scheduler = core.Scheduler
-
-// SolverStats is a snapshot of solver work counters, aggregated by the
-// Scheduler across hunter-local solvers.
+// SolverStats is a snapshot of solver work counters: one Hunter's, as a
+// JobResult carries them, or a sum of those.
 type SolverStats = solver.Stats
-
-// Engine is the pre-scheduler façade, kept as a compatibility wrapper.
-type Engine = core.Engine
 
 // Target is an analyzed target site: relevant input bytes, symbolic target
 // expression, target constraint, and the seed's branch condition sequence.
@@ -205,20 +195,13 @@ func ApplicationNames(list []*App) []string { return apps.Shorts(list) }
 func NewAnalyzer(app *App, opts Options) *Analyzer { return core.NewAnalyzer(app, opts) }
 
 // NewHunter returns a single-site hunter; opts.Seed seeds its private
-// solver directly (use Options.ForSite for the scheduler's derivation).
+// solver directly (use Options.ForSite for the per-site derivation every
+// sweep uses).
 func NewHunter(app *App, opts Options) *Hunter { return core.NewHunter(app, opts) }
-
-// NewScheduler returns a scheduler that analyzes the application once and
-// hunts its sites on a worker pool bounded by opts.Parallelism.
-func NewScheduler(app *App, opts Options) *Scheduler { return core.NewScheduler(app, opts) }
 
 // SiteSeed derives the deterministic per-site hunt seed from the run seed
 // and the site name.
 func SiteSeed(seed int64, site string) int64 { return core.SiteSeed(seed, site) }
-
-// NewEngine returns a DIODE engine for the application (compatibility
-// wrapper over NewScheduler; identical results).
-func NewEngine(app *App, opts Options) *Engine { return core.New(app, opts) }
 
 // Record converts an engine result into a persistable record for the table
 // renderers.
@@ -292,11 +275,17 @@ type CacheStats = cache.Stats
 // unusable cache directory degrades to memory-only behavior.
 func NewJobCache(cfg JobCacheConfig) *JobCache { return dispatch.NewJobCache(cfg) }
 
-// JobOptions is the serializable engine-options subset a Job carries.
+// JobOptions are the serializable pipeline settings a Job carries — the
+// Settings embedded in Options.
 type JobOptions = dispatch.Options
 
-// JobOptionsFrom extracts the serializable subset from engine options.
-func JobOptionsFrom(o Options) JobOptions { return dispatch.OptionsFrom(o) }
+// SiteJob builds the job of the given kind for one discovered site (a
+// Target's Info) of the named application, seeded per site from seed. Every
+// planner builds its jobs this way, so the same site, seed and options
+// always yield the same job record and job-cache key.
+func SiteJob(kind JobKind, app string, site DiscoveredSite, seed int64, opts JobOptions) Job {
+	return dispatch.SiteJob(kind, app, site, seed, opts)
+}
 
 // RunJobs runs the jobs on the backend and collects the streamed results
 // (completion order; resolve by JobID). On cancellation it returns the
@@ -306,9 +295,8 @@ func RunJobs(ctx context.Context, b Backend, jobs []Job) ([]JobResult, error) {
 }
 
 // HuntJobs analyzes the application and plans one hunt job per target site,
-// with per-site seeds derived from opts.Seed exactly as a Scheduler would
-// derive them — running the jobs on any Backend reproduces RunAll's
-// verdicts.
+// with per-site seeds derived from opts.Seed — running the jobs on any
+// Backend reproduces a sequential hunt of every site.
 func HuntJobs(app *App, opts Options) ([]Job, error) {
 	targets, err := core.NewAnalyzer(app, opts).Analyze()
 	if err != nil {
@@ -320,21 +308,12 @@ func HuntJobs(app *App, opts Options) ([]Job, error) {
 // HuntJobsFor plans one hunt job per already-analyzed target — the planner
 // HuntJobs wraps, for callers that hold the Targets themselves (per-site
 // introspection alongside the sweep, as cmd/diode does). Job i corresponds
-// to targets[i]; the serializable subset of opts travels on every job.
+// to targets[i] and carries opts.Settings.
 func HuntJobsFor(app *App, opts Options, targets []*Target) []Job {
-	subset := dispatch.OptionsFrom(opts)
 	jobs := make([]Job, len(targets))
 	for i, t := range targets {
-		jobs[i] = Job{
-			ID:       i,
-			Kind:     dispatch.KindHunt,
-			App:      app.Short,
-			Site:     t.Site,
-			SiteKind: string(t.Info.Kind),
-			SitePath: t.Info.Path,
-			Seed:     core.SiteSeed(opts.Seed, t.Site),
-			Opts:     subset,
-		}
+		jobs[i] = SiteJob(JobHunt, app.Short, t.Info, opts.Seed, opts.Settings)
+		jobs[i].ID = i
 	}
 	return jobs
 }

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"diode"
 	"diode/internal/apps"
@@ -87,25 +89,38 @@ func main() {
 		Program: buildProgram(),
 		Format:  buildFormat(),
 	}
-	engine := diode.NewEngine(app, diode.Options{Seed: 3})
-	result, err := engine.RunAll()
+	ctx := context.Background()
+	opts := diode.Options{Seed: 3}
+	// Analyzing through a job cache registers the application with it, so
+	// the hunt jobs below can name an application the registry never heard
+	// of — the same pattern cmd/diode uses for the built-in ones.
+	jc := diode.NewJobCache(diode.JobCacheConfig{})
+	targets, err := jc.Targets(ctx, app, opts.Settings)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, sr := range result.Sites {
-		fmt.Printf("%s: %v\n", sr.Target.Site, sr.Verdict)
-		if sr.Verdict != diode.VerdictExposed {
+	results, err := diode.RunJobs(ctx, &diode.LocalBackend{Cache: jc}, diode.HuntJobsFor(app, opts, targets))
+	if err != nil {
+		log.Fatal(err)
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
+	for _, r := range results {
+		if r.Err != "" {
+			log.Fatalf("%s: %s", r.Site, r.Err)
+		}
+		fmt.Printf("%s: %s\n", r.Site, r.Verdict)
+		if r.Verdict != diode.VerdictExposed.String() {
 			continue
 		}
-		fmt.Printf("  error: %s after enforcing %v\n", sr.ErrorType, sr.Enforced)
+		fmt.Printf("  error: %s after enforcing %v\n", r.ErrorType, r.Enforced)
 		for _, spec := range app.Format.Fields.Specs() {
-			oldV, newV := spec.Read(app.Format.Seed), spec.Read(sr.Input)
+			oldV, newV := spec.Read(app.Format.Seed), spec.Read(r.Input)
 			if oldV != newV {
 				fmt.Printf("  %-14s %d -> %d\n", spec.Name, oldV, newV)
 			}
 		}
-		w := app.Format.Fields.Specs()[0].Read(sr.Input)
-		h := app.Format.Fields.Specs()[1].Read(sr.Input)
+		w := app.Format.Fields.Specs()[0].Read(r.Input)
+		h := app.Format.Fields.Specs()[1].Read(r.Input)
 		fmt.Printf("  ideal size w*h*3 = %d (wraps 32 bits), wrapped check passed\n", w*h*3)
 	}
 }

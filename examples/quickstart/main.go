@@ -58,13 +58,11 @@ func main() {
 
 	// Goal-directed conditional branch enforcement (Figure 7), dispatched as
 	// a job: the record carries everything a worker needs — application,
-	// site, the seed derived exactly as a Scheduler would derive it — so the
-	// same job produces the same verdict on any backend. The sink narrates
-	// the enforcement loop as it runs.
-	job := diode.Job{
-		ID: 1, Kind: diode.JobHunt, App: app.Short, Site: png203.Site,
-		Seed: diode.SiteSeed(opts.Seed, png203.Site),
-	}
+	// the site's discovered identity, the per-site seed derived from the run
+	// seed — so the same job produces the same verdict on any backend (and
+	// shares its cache entry with every sweep that hunts this site). The
+	// sink narrates the enforcement loop as it runs.
+	job := diode.SiteJob(diode.JobHunt, app.Short, png203.Info, opts.Seed, opts.Settings)
 	backend := &diode.LocalBackend{Sink: func(ev diode.JobEvent) {
 		if ev.Type == diode.JobIteration {
 			fmt.Printf("  enforcement iteration %d...\n", ev.Iteration)

@@ -6,9 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
+	"sort"
 
 	"diode"
 )
@@ -18,23 +20,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := diode.Options{Seed: 7, Parallelism: runtime.GOMAXPROCS(0)}
-	sched := diode.NewScheduler(app, opts)
-	result, err := sched.RunAll()
+	ctx := context.Background()
+	opts := diode.Options{Seed: 7}
+	jc := diode.NewJobCache(diode.JobCacheConfig{})
+	targets, err := jc.Targets(ctx, app, opts.Settings)
 	if err != nil {
 		log.Fatal(err)
 	}
+	backend := &diode.LocalBackend{Workers: runtime.GOMAXPROCS(0), Cache: jc}
+	results, err := diode.RunJobs(ctx, backend, diode.HuntJobsFor(app, opts, targets))
+	if err != nil {
+		log.Fatal(err)
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
 
-	fmt.Printf("%s: hunting %d WAV-path allocation sites\n\n", app.Name, len(result.Sites))
-	for _, sr := range result.Sites {
-		paper, _ := app.PaperFor(sr.Target.Site)
-		fmt.Printf("%-24s %-12s (paper: %s)\n", sr.Target.Site, sr.Verdict, paper.CVE)
-		if sr.Verdict != diode.VerdictExposed {
+	fmt.Printf("%s: hunting %d WAV-path allocation sites\n\n", app.Name, len(results))
+	for _, r := range results {
+		if r.Err != "" {
+			log.Fatalf("%s: %s", r.Site, r.Err)
+		}
+		paper, _ := app.PaperFor(r.Site)
+		fmt.Printf("%-24s %-12s (paper: %s)\n", r.Site, r.Verdict, paper.CVE)
+		if r.Verdict != diode.VerdictExposed.String() {
 			continue
 		}
-		fmt.Printf("  error: %s, enforced %d branch(es)\n", sr.ErrorType, sr.EnforcedCount())
+		fmt.Printf("  error: %s, enforced %d branch(es)\n", r.ErrorType, len(r.Enforced))
 		for _, spec := range app.Format.Fields.Specs() {
-			oldV, newV := spec.Read(app.Format.Seed), spec.Read(sr.Input)
+			oldV, newV := spec.Read(app.Format.Seed), spec.Read(r.Input)
 			if oldV != newV {
 				fmt.Printf("  %-16s %d -> %d\n", spec.Name, oldV, newV)
 			}
@@ -44,11 +56,13 @@ func main() {
 	// The CVE-2008-2430 story: count the distinct solutions of the target
 	// constraint. x+2 over a 32-bit field overflows for exactly two values.
 	var wav *diode.Target
-	targets, _ := diode.NewAnalyzer(app, opts).Analyze()
 	for _, t := range targets {
 		if t.Site == "vlc:wav.c@147" {
 			wav = t
 		}
+	}
+	if wav == nil {
+		log.Fatal("vlc:wav.c@147 not identified as a target site")
 	}
 	hits, total := diode.NewHunter(app, opts.ForSite(wav.Site)).SuccessRate(wav, wav.Beta, 200)
 	fmt.Printf("\nwav.c@147 target-constraint sampling: %d/%d inputs trigger "+

@@ -65,9 +65,8 @@ func FuzzHunt(f *testing.F) {
 		}
 		p := pairs[int(idx)%len(pairs)]
 		h := NewHunter(p.app, Options{
-			Seed:            SiteSeed(seed, p.target.Site),
-			InitialAttempts: 3,
-			MaxEnforce:      8,
+			Seed:     SiteSeed(seed, p.target.Site),
+			Settings: Settings{InitialAttempts: 3, MaxEnforce: 8},
 		})
 		res := h.Hunt(p.target)
 		if res.Verdict != VerdictExposed {
@@ -83,7 +82,7 @@ func FuzzHunt(f *testing.F) {
 		}
 		// Independent re-execution: a fresh compile-and-run must reproduce
 		// the overflow the hunter's reused machine observed.
-		out := NewHunter(p.app, Options{Seed: 0, OneShotExecution: true}).execute(context.Background(), p.target, res.Input, false)
+		out := NewHunter(p.app, Options{Settings: Settings{OneShotExecution: true}}).execute(context.Background(), p.target, res.Input, false)
 		if ok, _ := triggered(p.target, out); !ok {
 			t.Fatalf("%s: triggering input does not re-trigger on a fresh interpreter", p.target.Site)
 		}

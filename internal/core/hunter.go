@@ -12,9 +12,9 @@ import (
 // Hunter runs the goal-directed conditional branch enforcement loop of
 // Figure 7 against the target sites of one application. Each Hunter owns a
 // private solver, input generator and interp.Machine, so hunts are fully
-// isolated from one another: the Scheduler creates one Hunter per site with
-// a seed derived from the run seed and the site name, which is what makes
-// parallel and sequential schedules produce identical verdicts. The guest
+// isolated from one another: every per-site hunt gets a fresh Hunter seeded
+// from the run seed and the site name (Options.ForSite), which is what makes
+// parallel and sequential sweeps produce identical verdicts. The guest
 // program itself is executed in the application's shared immutable compiled
 // form (apps.App.Compiled) — compilation is paid once per application, while
 // all mutable execution state stays hunter-private.
@@ -33,7 +33,7 @@ type Hunter struct {
 
 // NewHunter returns a hunter for the application. opts.Seed seeds the
 // hunter's private solver directly; use Options.ForSite to derive the
-// deterministic per-site seed the Scheduler uses.
+// deterministic per-site seed every sweep uses.
 func NewHunter(app *apps.App, opts Options) *Hunter {
 	opts = opts.withDefaults()
 	h := &Hunter{
@@ -66,8 +66,8 @@ func samplingFor(opts Options) solver.Sampling {
 // App returns the hunter's application.
 func (h *Hunter) App() *apps.App { return h.app }
 
-// SolverStats snapshots the hunter-local solver's work counters; the
-// Scheduler aggregates these across hunters.
+// SolverStats snapshots the hunter-local solver's work counters; a dispatch
+// job reports them on its Result.
 func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }
 
 // execute runs the guest on an input and returns the outcome. When

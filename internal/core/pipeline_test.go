@@ -14,10 +14,22 @@ func huntApp(t *testing.T, short string, seed int64) *AppResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(app, Options{Seed: seed})
-	res, err := eng.RunAll()
+	return huntSites(t, app, Options{Seed: seed})
+}
+
+// huntSites is the definition of a verdict: analyze the application once,
+// then hunt every target on its own Hunter seeded with opts.ForSite(site),
+// in analysis order. Every fan-out (dispatch backends, the harness sweep)
+// must reproduce it.
+func huntSites(t *testing.T, app *apps.App, opts Options) *AppResult {
+	t.Helper()
+	targets, err := NewAnalyzer(app, opts).Analyze()
 	if err != nil {
 		t.Fatal(err)
+	}
+	res := &AppResult{App: app}
+	for _, tg := range targets {
+		res.Sites = append(res.Sites, NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg))
 	}
 	return res
 }
@@ -144,8 +156,8 @@ func TestSamePathBlocking(t *testing.T) {
 		"cwebp:jpegdec.c@248": true,
 	}
 	for _, app := range apps.All() {
-		eng := New(app, Options{Seed: 9})
-		targets, err := eng.Analyze()
+		opts := Options{Seed: 9}
+		targets, err := NewAnalyzer(app, opts).Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +177,7 @@ func TestSamePathBlocking(t *testing.T) {
 			if samePathSat[ps.Site] {
 				want = solver.Sat
 			}
-			if got := eng.SamePathSatisfiable(target); got != want {
+			if got := NewHunter(app, opts.ForSite(target.Site)).SamePathSatisfiable(target); got != want {
 				t.Errorf("%s same-path constraint: %v, want %v", ps.Site, got, want)
 			}
 			if samePathSat[ps.Site] != ps.SamePathSat {

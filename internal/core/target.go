@@ -4,19 +4,19 @@
 // detection) and the goal-directed conditional branch enforcement algorithm
 // of Figure 7.
 //
-// The pipeline is split into three layers:
+// The pipeline is split into two layers:
 //
 //   - the Analyzer runs stages 1–3 once per application and produces
 //     immutable Targets (a target expression, the target constraint
 //     overflow(B), and the seed's relevant branch condition sequence);
 //   - a Hunter runs the Figure 7 enforcement loop for one site, owning a
-//     private solver and input generator so hunts are isolated;
-//   - the Scheduler fans per-site hunts across a bounded worker pool with
-//     deterministic per-site seed derivation (SiteSeed), so parallel and
-//     sequential runs produce identical verdicts.
+//     private solver and input generator so hunts are isolated.
 //
-// Engine is the original single-struct façade, kept as a thin compatibility
-// wrapper over the three layers.
+// A site's verdict is defined by one Hunter, seeded with
+// Options.ForSite(site), hunting that site's Target. Fanning hunts out is
+// not this package's job: internal/dispatch turns each site into a
+// serializable Job and runs it on a backend, and because every hunt is
+// seeded per site (SiteSeed), placement and order never change a verdict.
 package core
 
 import (
@@ -26,107 +26,8 @@ import (
 	"diode/internal/bv"
 	"diode/internal/discover"
 	"diode/internal/interp"
-	"diode/internal/solver"
 	"diode/internal/trace"
 )
-
-// Options configure the pipeline (Analyzer, Hunter and Scheduler alike).
-type Options struct {
-	// Seed seeds all randomness; identical seeds give identical hunts. Each
-	// site's hunt draws from a private solver seeded with
-	// SiteSeed(Seed, site), so results do not depend on hunt order.
-	Seed int64
-	// Parallelism bounds the number of concurrent site hunts a Scheduler
-	// runs. Zero or one means sequential; use runtime.GOMAXPROCS(0) to
-	// saturate the machine. Verdicts are identical at any setting.
-	Parallelism int
-	// InitialAttempts is how many distinct target-constraint models are
-	// tried before branch enforcement begins (Figure 7 lines 3–6 try one;
-	// sampling a few more makes the implementation robust to unlucky
-	// draws). Zero means the default (6).
-	InitialAttempts int
-	// MaxEnforce bounds the number of enforcement iterations. Zero means
-	// the default (40).
-	MaxEnforce int
-	// Fuel bounds guest execution steps per run. Zero means the default
-	// (50 million).
-	Fuel int64
-	// SolverMode selects the constraint-solving strategy (ablation hook).
-	SolverMode solver.Mode
-	// OneShotSolver disables incremental solving sessions: every solve in
-	// the enforcement loop then rebuilds φ′∧β on a fresh engine, the
-	// pre-session behavior (benchmark/ablation hook — see
-	// BenchmarkHuntIncremental).
-	OneShotSolver bool
-	// OneShotSampling disables restart-based model sampling: SampleModels
-	// then enumerates via guard-literal blocking clauses on every draw, the
-	// pre-restart behavior (benchmark/ablation hook — see
-	// BenchmarkSampleModels). The default path re-randomizes decision
-	// polarities and activities on the persistent engine between samples and
-	// falls back to blocking only to certify exhaustion.
-	OneShotSampling bool
-	// Portfolio, when >1, races that many solver engine configurations on
-	// CDCL solves that survive a probe budget; the winner is picked by a
-	// deterministic tie-break and losers' learnt clauses are folded back into
-	// the persistent engine. Zero or one keeps single-engine solving.
-	Portfolio int
-	// OneShotExecution disables the compiled-program execution layer: every
-	// guest run then re-interprets the AST on a fresh tree-walking machine
-	// with string-keyed environments, the pre-compilation behavior
-	// (benchmark/ablation hook — see BenchmarkSuccessRateBatched). The
-	// default path compiles each application once (apps.App.Compiled) and
-	// reuses one slot-indexed interp.Machine per Analyzer/Hunter.
-	OneShotExecution bool
-	// DisableCompression skips Figure 8 branch-condition compression
-	// (ablation hook).
-	DisableCompression bool
-	// DisableRelevanceFilter keeps branches that share no input variable
-	// with the target constraint (ablation hook).
-	DisableRelevanceFilter bool
-	// NoTriage disables the static value-range triage (ablation hook): the
-	// Analyzer then works from the raw discovery records and the Hunter
-	// never short-circuits on a triage verdict — every site, including
-	// statically-safe arith sites, is hunted dynamically. The curated alloc
-	// tables are identical either way (safe alloc sites always hunt fully);
-	// the flag exists to measure what the triage pruning saves on the
-	// extended arith surface.
-	NoTriage bool
-	// Progress, when non-nil, is called at the top of every Figure 7
-	// enforcement iteration with the 0-based iteration number. It is a live
-	// observation hook (the dispatch layer's Sink rides on it); it runs on
-	// the hunting goroutine, so implementations must be fast and must not
-	// call back into the Hunter. Not part of the serializable options subset
-	// (dispatch.Options drops it).
-	Progress func(iteration int)
-}
-
-func (o Options) withDefaults() Options {
-	if o.InitialAttempts == 0 {
-		o.InitialAttempts = 6
-	}
-	if o.MaxEnforce == 0 {
-		o.MaxEnforce = 40
-	}
-	if o.Fuel == 0 {
-		o.Fuel = 50_000_000
-	}
-	return o
-}
-
-// parallelism resolves the worker-pool bound.
-func (o Options) parallelism() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
-
-// ForSite returns a copy of o whose Seed is the deterministic per-site hunt
-// seed. The Scheduler seeds every Hunter this way.
-func (o Options) ForSite(site string) Options {
-	o.Seed = SiteSeed(o.Seed, site)
-	return o
-}
 
 // Target is one analyzed target site: the output of stages 1–3 of the
 // pipeline for that site. Targets are immutable once produced by the
@@ -309,52 +210,3 @@ func (r *AppResult) ResultFor(site string) (*SiteResult, bool) {
 	}
 	return nil, false
 }
-
-// Engine is the original single-struct DIODE façade, kept as a thin
-// compatibility wrapper over the Analyzer/Hunter/Scheduler layers. New code
-// should use those directly; Engine simply delegates, so its results are
-// identical to a Scheduler's at the same Options.
-type Engine struct {
-	app   *apps.App
-	opts  Options
-	sched *Scheduler
-}
-
-// New returns an engine for the application.
-func New(app *apps.App, opts Options) *Engine {
-	opts = opts.withDefaults()
-	return &Engine{app: app, opts: opts, sched: NewScheduler(app, opts)}
-}
-
-// App returns the engine's application.
-func (e *Engine) App() *apps.App { return e.app }
-
-// Analyze performs stages 1–3 via the Analyzer.
-func (e *Engine) Analyze() ([]*Target, error) {
-	return NewAnalyzer(e.app, e.opts).Analyze()
-}
-
-// Hunt runs the Figure 7 enforcement loop for one target on a freshly
-// seeded Hunter (seed derived from Options.Seed and the site name).
-func (e *Engine) Hunt(t *Target) *SiteResult {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).Hunt(t)
-}
-
-// RunAll analyzes the application and hunts every target site via the
-// Scheduler (sequential unless Options.Parallelism is set).
-func (e *Engine) RunAll() (*AppResult, error) { return e.sched.RunAll() }
-
-// SamePathSatisfiable decides the §5.4 experiment for a target.
-func (e *Engine) SamePathSatisfiable(t *Target) solver.Verdict {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).SamePathSatisfiable(t)
-}
-
-// SuccessRate generates up to n inputs satisfying the constraint and reports
-// how many trigger the overflow at the target site (§5.5/§5.6).
-func (e *Engine) SuccessRate(t *Target, constraint *bv.Bool, n int) (hits, total int) {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).SuccessRate(t, constraint, n)
-}
-
-// SolverStats returns the solver work counters aggregated across the hunts
-// RunAll has performed.
-func (e *Engine) SolverStats() solver.Stats { return e.sched.SolverStats() }

@@ -50,10 +50,7 @@ func TestTargetDerivedLookups(t *testing.T) {
 func TestOneShotSolverVerdictParity(t *testing.T) {
 	inc := huntApp(t, "vlc", 17)
 	app := inc.App
-	oneShot, err := New(app, Options{Seed: 17, OneShotSolver: true}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneShot := huntSites(t, app, Options{Seed: 17, Settings: Settings{OneShotSolver: true}})
 	if len(oneShot.Sites) != len(inc.Sites) {
 		t.Fatalf("site counts differ: %d vs %d", len(oneShot.Sites), len(inc.Sites))
 	}

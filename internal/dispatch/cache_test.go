@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,12 +13,13 @@ import (
 	"diode/internal/solver"
 )
 
-// optionsKeyFlips maps every dispatch.Options field, by name, to a mutation
-// that must change the cache key. TestJobKeySensitivity walks the struct by
-// reflection and fails on any field without an entry, and the diodelint
-// options-coverage analyzer checks the same property statically — so adding
-// an Options field without a flip case here fails both the test run and
-// `make lint`.
+// optionsKeyFlips maps every options field (core.Settings, which
+// dispatch.Options names), by name, to a mutation that must change the cache
+// key. TestJobKeySensitivity walks the struct by reflection and fails on any
+// field without an entry, and the diodelint options-coverage analyzer checks
+// the same property statically against the core.Settings declaration — so
+// adding an options field without a flip case here fails both the test run
+// and `make lint`.
 var optionsKeyFlips = map[string]func(*Options){
 	"InitialAttempts":        func(o *Options) { o.InitialAttempts++ },
 	"MaxEnforce":             func(o *Options) { o.MaxEnforce++ },
@@ -59,6 +61,9 @@ var jobKeyExcluded = map[string]func(*Job){
 // must have an entry in the flip tables above.
 func TestJobKeySensitivity(t *testing.T) {
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.Anonymous {
+			continue // an embedded struct: its promoted fields are visited too
+		}
 		if _, ok := optionsKeyFlips[f.Name]; !ok {
 			t.Errorf("Options.%s has no flip case in optionsKeyFlips", f.Name)
 		}
@@ -120,6 +125,56 @@ func TestJobKeySensitivity(t *testing.T) {
 		if mutate(f) != baseKey {
 			t.Errorf("Job.%s leaked into the key; identical content would miss", name)
 		}
+	}
+}
+
+// TestKeyAndWireGolden pins the byte-level contracts every on-disk cache
+// entry and diode-worker batch depends on: the canonical options encoding,
+// the JobKey derivation and the Job wire encoding, for a fully populated
+// record. A restructure of the options or job types that changed any of
+// them would silently invalidate every stored result (or break mixed-version
+// workers) without failing any behavioral test; a deliberate change must
+// bump keyVersion and update these strings.
+func TestKeyAndWireGolden(t *testing.T) {
+	opts := Options{
+		InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, SolverMode: solver.ModeSATOnly,
+		OneShotSolver: true, OneShotSampling: true, Portfolio: 4, OneShotExecution: true,
+		DisableCompression: true, DisableRelevanceFilter: true, NoTriage: true,
+	}
+	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"solverMode":1,` +
+		`"oneShotSolver":true,"oneShotSampling":true,"portfolio":4,"oneShotExecution":true,` +
+		`"disableCompression":true,"disableRelevanceFilter":true,"noTriage":true}`
+	if got := canonicalOpts(opts); got != wantOpts {
+		t.Errorf("canonicalOpts:\n got %s\nwant %s", got, wantOpts)
+	}
+	if got := canonicalOpts(Options{}); got != "{}" {
+		t.Errorf("canonicalOpts of the zero options = %s, want {}", got)
+	}
+
+	job := Job{
+		ID: 5, Kind: KindSuccessRate, App: "dillo", Site: "dillo:png.c@203",
+		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
+		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
+	}
+	const wantKey = "28f023bb176fa0bc8ed2442d106e5cbd1d72a8b5ce85126f0a1b66f76d258881"
+	if got := JobKey("0123456789abcdef", job); got != wantKey {
+		t.Errorf("JobKey = %s, want %s", got, wantKey)
+	}
+	hunt := Job{ID: 1, Kind: KindHunt, App: "vlc", Site: "vlc:wav.c@147", SiteKind: "alloc", SitePath: "s1", Seed: 42}
+	const wantHuntKey = "f562a0a3dc19fb0f4f18f9da0d4e69725a756715e5e2cff86f37a59f10cc18e3"
+	if got := JobKey("fedcba9876543210", hunt); got != wantHuntKey {
+		t.Errorf("JobKey (default options) = %s, want %s", got, wantHuntKey)
+	}
+
+	const wantWire = `{"id":5,"kind":"success-rate","app":"dillo","site":"dillo:png.c@203",` +
+		`"siteKind":"alloc","sitePath":"s7.then.s2","seed":-8070450532247928832,"sampleN":200,` +
+		`"enforced":["png.c@140","png.c@155"],"opts":` + wantOpts + `}`
+	wire, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wire) != wantWire {
+		t.Errorf("job wire encoding:\n got %s\nwant %s", wire, wantWire)
 	}
 }
 

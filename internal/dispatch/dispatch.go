@@ -1,19 +1,19 @@
-// Package dispatch is the job-based execution surface of the system — the
-// paper's §4 distributed work-queue role made an API. The batch-synchronous
-// entry points (core.Scheduler.RunAll, the harness sweep) decompose into
-// serializable per-site Jobs: a hunt, a §5.4 same-path experiment or a
-// §5.5/§5.6 success-rate experiment is one unit of work, identified by
-// (application, site, derived seed) and therefore executable by any worker —
-// a goroutine of the Local backend or a spawned diode-worker process of the
-// Exec backend — with byte-identical results. Backends stream Results as jobs
-// complete; context cancellation stops a sweep mid-flight with partial
-// results.
+// Package dispatch is the execution surface of the system — the paper's §4
+// distributed work-queue role made an API, and the only place per-site work
+// fans out. Every sweep (cmd/diode, the harness behind diode-tables)
+// decomposes into serializable per-site Jobs: a hunt, a §5.4 same-path
+// experiment or a §5.5/§5.6 success-rate experiment is one unit of work,
+// identified by (application, site, derived seed) and therefore executable
+// by any worker — a goroutine of the Local backend or a spawned diode-worker
+// process of the Exec backend — with byte-identical results. Backends stream
+// Results as jobs complete; context cancellation stops a sweep mid-flight
+// with partial results.
 //
 // The Job/Result records have a stable JSON codec (the wire format of the
 // diode-worker stdin/stdout protocol and the natural storage format for a
-// future networked queue); determinism rests on the same seam the in-process
-// Scheduler uses — every job carries its full derived seed, so neither
-// placement nor completion order influences verdicts.
+// future networked queue); determinism rests on per-site seeding — every job
+// carries its full derived seed, so neither placement nor completion order
+// influences verdicts.
 package dispatch
 
 import (
@@ -41,59 +41,12 @@ const (
 	KindSuccessRate Kind = "success-rate"
 )
 
-// Options is the serializable subset of core.Options a job carries: the
-// pipeline knobs that influence verdicts. Seed is excluded (it travels on the
-// Job, fully derived), Parallelism is excluded (a job is one site's work) and
-// Progress is excluded (a live callback cannot cross a process boundary; the
-// Sink carries progress instead). The zero value means core defaults.
-type Options struct {
-	InitialAttempts        int         `json:"initialAttempts,omitempty"`
-	MaxEnforce             int         `json:"maxEnforce,omitempty"`
-	Fuel                   int64       `json:"fuel,omitempty"`
-	SolverMode             solver.Mode `json:"solverMode,omitempty"`
-	OneShotSolver          bool        `json:"oneShotSolver,omitempty"`
-	OneShotSampling        bool        `json:"oneShotSampling,omitempty"`
-	Portfolio              int         `json:"portfolio,omitempty"`
-	OneShotExecution       bool        `json:"oneShotExecution,omitempty"`
-	DisableCompression     bool        `json:"disableCompression,omitempty"`
-	DisableRelevanceFilter bool        `json:"disableRelevanceFilter,omitempty"`
-	NoTriage               bool        `json:"noTriage,omitempty"`
-}
-
-// OptionsFrom extracts the serializable subset from engine options.
-func OptionsFrom(o core.Options) Options {
-	return Options{
-		InitialAttempts:        o.InitialAttempts,
-		MaxEnforce:             o.MaxEnforce,
-		Fuel:                   o.Fuel,
-		SolverMode:             o.SolverMode,
-		OneShotSolver:          o.OneShotSolver,
-		OneShotSampling:        o.OneShotSampling,
-		Portfolio:              o.Portfolio,
-		OneShotExecution:       o.OneShotExecution,
-		DisableCompression:     o.DisableCompression,
-		DisableRelevanceFilter: o.DisableRelevanceFilter,
-		NoTriage:               o.NoTriage,
-	}
-}
-
-// Core expands the subset back into engine options with the given seed.
-func (o Options) Core(seed int64) core.Options {
-	return core.Options{
-		Seed:                   seed,
-		InitialAttempts:        o.InitialAttempts,
-		MaxEnforce:             o.MaxEnforce,
-		Fuel:                   o.Fuel,
-		SolverMode:             o.SolverMode,
-		OneShotSolver:          o.OneShotSolver,
-		OneShotSampling:        o.OneShotSampling,
-		Portfolio:              o.Portfolio,
-		OneShotExecution:       o.OneShotExecution,
-		DisableCompression:     o.DisableCompression,
-		DisableRelevanceFilter: o.DisableRelevanceFilter,
-		NoTriage:               o.NoTriage,
-	}
-}
+// Options are the serializable pipeline settings a job carries: the knobs
+// that influence verdicts, declared once as core.Settings. The run seed is
+// not among them (it travels on the Job, fully derived), nor is the live
+// progress hook (a callback cannot cross a process boundary; the Sink
+// carries progress instead). The zero value means core defaults.
+type Options = core.Settings
 
 // Job is one serializable unit of work. Jobs are self-contained: the worker
 // re-derives everything else (the analyzed Target, the enforced constraint)
@@ -128,6 +81,24 @@ type Job struct {
 	Enforced []string `json:"enforced,omitempty"`
 	// Opts carries the engine options subset.
 	Opts Options `json:"opts"`
+}
+
+// SiteJob builds the job of the given kind for one discovered site of an
+// application. The job's seed is the per-site seed derived from base
+// (core.SiteSeed), and it carries the site's structured identity (kind and
+// node path), so every planner that cuts a job for the same site, base seed
+// and options produces the same record — and the same JobKey. ID, SampleN
+// and Enforced are left for the caller.
+func SiteJob(kind Kind, app string, site discover.Site, base int64, opts Options) Job {
+	return Job{
+		Kind:     kind,
+		App:      app,
+		Site:     site.Name,
+		SiteKind: string(site.Kind),
+		SitePath: site.Path,
+		Seed:     core.SiteSeed(base, site.Name),
+		Opts:     opts,
+	}
 }
 
 // Validate checks the fields a worker depends on. Backends surface a
@@ -196,8 +167,7 @@ type Result struct {
 	Total       int `json:"total,omitempty"`
 	GenFailures int `json:"genFailures,omitempty"`
 
-	// Stats are the job's solver work counters (the per-hunter snapshot the
-	// Scheduler used to aggregate in-process).
+	// Stats are the job's solver work counters (its Hunter's snapshot).
 	Stats solver.Stats `json:"stats"`
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // Local executes jobs on a bounded goroutine pool inside the calling process
-// — the dispatch-layer packaging of the machinery Scheduler.RunAll drives,
-// and the zero-setup default backend. One JobCache is shared across every
+// — the zero-setup default backend. One JobCache is shared across every
 // Run of the backend (a job's Result is a pure function of its record plus
 // the guest program), so a multi-wave sweep — the harness runs hunts, then
 // same-path + target-only, then enforced rates on one backend — analyzes

@@ -12,7 +12,7 @@ import (
 )
 
 // huntBatch plans one hunt job per target site of the application, seeded
-// exactly as a Scheduler would seed its hunters.
+// per site from seed.
 func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	t.Helper()
 	app, err := apps.ByName(short)
@@ -25,20 +25,19 @@ func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	}
 	jobs := make([]Job, len(targets))
 	for i, tg := range targets {
-		jobs[i] = Job{
-			ID: i, Kind: KindHunt, App: short, Site: tg.Site,
-			Seed: core.SiteSeed(seed, tg.Site),
-		}
+		jobs[i] = SiteJob(KindHunt, short, tg.Info, seed, Options{})
+		jobs[i].ID = i
 	}
 	return jobs, targets
 }
 
-// TestLocalMatchesScheduler is the compat anchor: the Local backend must
-// reproduce the pre-redesign Scheduler.RunAll verdicts, enforced labels and
-// triggering inputs byte for byte — same machinery, different packaging.
+// TestLocalMatchesScheduler is the anchor to the definition of a verdict:
+// the Local backend must reproduce a sequential loop of Hunters, each seeded
+// with Options.ForSite, byte for byte — verdicts, enforced labels,
+// triggering inputs and run counts.
 func TestLocalMatchesScheduler(t *testing.T) {
 	const seed = 21
-	jobs, _ := huntBatch(t, "dillo", seed)
+	jobs, targets := huntBatch(t, "dillo", seed)
 	results, err := Collect(context.Background(), &Local{Workers: runtime.GOMAXPROCS(0)}, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +46,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
 	}
 	app, _ := apps.ByName("dillo")
-	want, err := core.NewScheduler(app, core.Options{Seed: seed}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := core.Options{Seed: seed}
 	byID := make(map[int]Result, len(results))
 	for _, r := range results {
 		if r.Err != "" {
@@ -58,13 +54,14 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		}
 		byID[r.JobID] = r
 	}
-	for i, sr := range want.Sites {
+	for i, tg := range targets {
+		sr := core.NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg)
 		got := byID[i]
-		if got.Site != sr.Target.Site {
-			t.Fatalf("job %d is %s, scheduler hunted %s", i, got.Site, sr.Target.Site)
+		if got.Site != tg.Site {
+			t.Fatalf("job %d is %s, sequential hunt of %s", i, got.Site, tg.Site)
 		}
 		if got.Verdict != sr.Verdict.String() {
-			t.Errorf("%s: verdict %s, scheduler got %s", got.Site, got.Verdict, sr.Verdict)
+			t.Errorf("%s: verdict %s, sequential hunt got %s", got.Site, got.Verdict, sr.Verdict)
 		}
 		if got.ErrorType != sr.ErrorType {
 			t.Errorf("%s: error type %q vs %q", got.Site, got.ErrorType, sr.ErrorType)

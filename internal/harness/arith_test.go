@@ -90,7 +90,7 @@ func TestArithPruneNeverMasksExposure(t *testing.T) {
 				t.Fatal(err)
 			}
 			on := Evaluate(Config{Seed: 21, Arith: true}, []*apps.App{a})
-			off := Evaluate(Config{Seed: 21, Arith: true, Engine: core.Options{NoTriage: true}}, []*apps.App{a})
+			off := Evaluate(Config{Seed: 21, Arith: true, Engine: dispatch.Options{NoTriage: true}}, []*apps.App{a})
 			if on[0].Err != nil || off[0].Err != nil {
 				t.Fatal(on[0].Err, off[0].Err)
 			}

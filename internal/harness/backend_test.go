@@ -91,10 +91,10 @@ func TestBackendTableEquality(t *testing.T) {
 }
 
 // TestHarnessMatchesSchedulerCompat anchors the planner/folder to the
-// pre-redesign compat path: for each application, a direct Scheduler.RunAll
-// at the harness's derived per-app seed must produce the same verdicts,
-// enforced counts and error types the job-based sweep folds into its
-// records.
+// definition of a verdict: for each application, a sequential loop of
+// Hunters, each seeded with Options.ForSite at the harness's derived per-app
+// seed, must produce the same verdicts, enforced counts, error types and
+// inputs the job-based sweep folds into its records.
 func TestHarnessMatchesSchedulerCompat(t *testing.T) {
 	const seed = 21
 	list := []*apps.App{}
@@ -110,22 +110,23 @@ func TestHarnessMatchesSchedulerCompat(t *testing.T) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
-		sched := core.NewScheduler(o.App, core.Options{Seed: core.SiteSeed(seed, o.App.Short)})
-		want, err := sched.RunAll()
+		opts := core.Options{Seed: core.SiteSeed(seed, o.App.Short)}
+		targets, err := core.NewAnalyzer(o.App, opts).Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Sites) != len(o.Result.Sites) {
-			t.Fatalf("%s: %d sites vs %d", o.App.Short, len(o.Result.Sites), len(want.Sites))
+		if len(targets) != len(o.Result.Sites) {
+			t.Fatalf("%s: %d sites vs %d", o.App.Short, len(o.Result.Sites), len(targets))
 		}
-		for i, sr := range want.Sites {
+		for i, tg := range targets {
+			sr := core.NewHunter(o.App, opts.ForSite(tg.Site)).Hunt(tg)
 			got := o.Result.Sites[i]
 			if got.Target.Site != sr.Target.Site {
 				t.Fatalf("%s: site order diverged: %s vs %s", o.App.Short, got.Target.Site, sr.Target.Site)
 			}
 			if got.Verdict != sr.Verdict || got.ErrorType != sr.ErrorType ||
 				got.EnforcedCount() != sr.EnforcedCount() || string(got.Input) != string(sr.Input) {
-				t.Errorf("%s: folded result diverged from scheduler: %+v vs %+v",
+				t.Errorf("%s: folded result diverged from the sequential hunt: %+v vs %+v",
 					sr.Target.Site, got, sr)
 			}
 		}

@@ -70,15 +70,21 @@ func TestExtendedNeedsEnforcement(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
+	targets, err := core.NewAnalyzer(app, core.Options{}).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var screen *core.Target
+	for _, tg := range targets {
+		if tg.Site == "gifview:gif.c@155" {
+			screen = tg
+		}
+	}
+	if screen == nil {
+		t.Fatal("screen-buffer site missing from targets")
+	}
 	for _, seed := range seeds {
-		res, err := core.NewScheduler(app, core.Options{Seed: seed}).RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, ok := res.ResultFor("gifview:gif.c@155")
-		if !ok {
-			t.Fatal("screen-buffer site missing from results")
-		}
+		sr := core.NewHunter(app, core.Options{Seed: seed}.ForSite(screen.Site)).Hunt(screen)
 		if sr.Verdict != core.VerdictExposed {
 			t.Fatalf("seed %d: gif.c@155 = %v, want exposed", seed, sr.Verdict)
 		}

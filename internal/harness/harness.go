@@ -23,7 +23,7 @@ import (
 // Config controls an evaluation sweep.
 type Config struct {
 	// Seed is the run seed. Each application derives its own base seed as
-	// core.SiteSeed(Seed, app.Short) — the same FNV derivation the Scheduler
+	// core.SiteSeed(Seed, app.Short) — the same FNV derivation every hunt
 	// uses per site — so an application's verdicts do not depend on which
 	// other applications are in the sweep or in what order they appear.
 	Seed int64
@@ -36,8 +36,7 @@ type Config struct {
 	// backend (see Backend). Zero means one worker per application.
 	Workers int
 	// Parallelism multiplies the default Local backend's pool so a sweep
-	// runs apps × sites concurrently, matching the pre-dispatch scheduler
-	// behavior. Verdicts are identical at any setting.
+	// runs apps × sites concurrently. Verdicts are identical at any setting.
 	Parallelism int
 	// Arith extends the sweep to the discovered arith-node surface: after
 	// the alloc waves, every discovered arith site is hunted end-to-end via
@@ -47,9 +46,9 @@ type Config struct {
 	// Engine.NoTriage, which hunts them all. Arith outcomes are reported
 	// separately (AppOutcome.Arith) and never enter the curated tables.
 	Arith bool
-	// Engine carries additional engine options (ablation hooks); Seed is
-	// derived per job.
-	Engine core.Options
+	// Engine is the serializable pipeline settings (ablation hooks) every
+	// planned job carries; seeds are derived per job from Seed.
+	Engine dispatch.Options
 	// Backend executes the planned jobs. Nil means a dispatch.Local pool
 	// sized Workers × Parallelism (with the zero-value defaults above).
 	Backend dispatch.Backend
@@ -152,6 +151,20 @@ type siteRef struct {
 	site int
 }
 
+// wave is one batch of planned jobs plus, indexed by job ID, the site each
+// result folds into.
+type wave struct {
+	jobs []dispatch.Job
+	refs []siteRef
+}
+
+// add plans a job for one site of an application under the next job ID.
+func (w *wave) add(p *appPlan, site int, j dispatch.Job) {
+	j.ID = len(w.refs)
+	w.jobs = append(w.jobs, j)
+	w.refs = append(w.refs, siteRef{plan: p, site: site})
+}
+
 // EvaluateContext plans the sweep as dispatch jobs, runs them on the
 // configured backend in three waves — hunts; same-path + target-only rates;
 // enforced rates (which depend on the target-only outcome, §5.6) — and folds
@@ -165,7 +178,6 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 		jc = dispatch.NewJobCache(dispatch.CacheConfig{Dir: cfg.CacheDir, NoResults: cfg.NoCache})
 	}
 	backend := cfg.backend(len(list), jc)
-	engineOpts := dispatch.OptionsFrom(cfg.Engine)
 	analysisWorkers := cfg.Workers
 	if analysisWorkers <= 0 {
 		analysisWorkers = len(list)
@@ -181,7 +193,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	plans := queue.Map(analysisWorkers, list, func(app *apps.App) *appPlan {
 		p := &appPlan{app: app, seed: core.SiteSeed(cfg.Seed, app.Short)}
 		start := time.Now()
-		p.targets, p.err = jc.Targets(ctx, app, engineOpts)
+		p.targets, p.err = jc.Targets(ctx, app, cfg.Engine)
 		p.analysis = time.Since(start)
 		if p.err != nil {
 			p.err = fmt.Errorf("harness: %s: %w", app.Short, p.err)
@@ -190,8 +202,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	})
 
 	// Wave 1: one hunt job per (application, site).
-	var jobs []dispatch.Job
-	var refs []siteRef
+	var w wave
 	for _, p := range plans {
 		if p.err != nil {
 			continue
@@ -199,21 +210,11 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 		p.result = &core.AppResult{App: p.app, Analysis: p.analysis, Sites: make([]*core.SiteResult, len(p.targets))}
 		for i, t := range p.targets {
 			p.result.Sites[i] = &core.SiteResult{Target: t, Verdict: core.VerdictUnknown}
-			jobs = append(jobs, dispatch.Job{
-				ID:       len(refs),
-				Kind:     dispatch.KindHunt,
-				App:      p.app.Short,
-				Site:     t.Site,
-				SiteKind: string(t.Info.Kind),
-				SitePath: t.Info.Path,
-				Seed:     core.SiteSeed(p.seed, t.Site),
-				Opts:     engineOpts,
-			})
-			refs = append(refs, siteRef{plan: p, site: i})
+			w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, t.Info, p.seed, cfg.Engine))
 		}
 	}
-	for _, res := range runWave(ctx, backend, jobs) {
-		ref := refs[res.JobID]
+	for _, res := range runWave(ctx, backend, w.jobs) {
+		ref := w.refs[res.JobID]
 		if res.Err != "" {
 			if ref.plan.err == nil {
 				ref.plan.err = fmt.Errorf("harness: %s: %s", ref.plan.app.Short, res.Err)
@@ -240,36 +241,24 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	// same derived seed as the site's hunt, so rates are reproducible and
 	// independent of experiment placement.
 	if ctx.Err() == nil && (cfg.SamePath || cfg.SampleN > 0) {
-		jobs, refs = jobs[:0], refs[:0]
+		w = wave{}
 		for _, p := range plans {
 			if p.err != nil {
 				continue
 			}
 			for i, t := range p.targets {
-				seed := core.SiteSeed(p.seed, t.Site)
 				if cfg.SamePath {
-					jobs = append(jobs, dispatch.Job{
-						ID: len(refs), Kind: dispatch.KindSamePath,
-						App: p.app.Short, Site: t.Site,
-						SiteKind: string(t.Info.Kind), SitePath: t.Info.Path,
-						Seed: seed, Opts: engineOpts,
-					})
-					refs = append(refs, siteRef{plan: p, site: i})
+					w.add(p, i, dispatch.SiteJob(dispatch.KindSamePath, p.app.Short, t.Info, p.seed, cfg.Engine))
 				}
 				if cfg.SampleN > 0 && p.result.Sites[i].Verdict == core.VerdictExposed {
-					jobs = append(jobs, dispatch.Job{
-						ID: len(refs), Kind: dispatch.KindSuccessRate,
-						App: p.app.Short, Site: t.Site,
-						SiteKind: string(t.Info.Kind), SitePath: t.Info.Path,
-						Seed:    seed,
-						SampleN: cfg.SampleN, Opts: engineOpts,
-					})
-					refs = append(refs, siteRef{plan: p, site: i})
+					j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, p.seed, cfg.Engine)
+					j.SampleN = cfg.SampleN
+					w.add(p, i, j)
 				}
 			}
 		}
-		for _, res := range runWave(ctx, backend, jobs) {
-			ref := refs[res.JobID]
+		for _, res := range runWave(ctx, backend, w.jobs) {
+			ref := w.refs[res.JobID]
 			srec := ref.plan.record.SiteFor(ref.plan.targets[ref.site].Site)
 			switch {
 			case res.Err != "":
@@ -288,7 +277,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	// it when enforcement did work and the target-alone rate is low, so this
 	// wave is planned from wave 2's folded results.
 	if ctx.Err() == nil && cfg.SampleN > 0 {
-		jobs, refs = jobs[:0], refs[:0]
+		w = wave{}
 		for _, p := range plans {
 			if p.err != nil {
 				continue
@@ -300,18 +289,13 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 					srec.TargetOnly.Hits*2 >= srec.TargetOnly.Total {
 					continue
 				}
-				jobs = append(jobs, dispatch.Job{
-					ID: len(refs), Kind: dispatch.KindSuccessRate,
-					App: p.app.Short, Site: t.Site,
-					SiteKind: string(t.Info.Kind), SitePath: t.Info.Path,
-					Seed:    core.SiteSeed(p.seed, t.Site),
-					SampleN: cfg.SampleN, Enforced: sr.Enforced, Opts: engineOpts,
-				})
-				refs = append(refs, siteRef{plan: p, site: i})
+				j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, p.seed, cfg.Engine)
+				j.SampleN, j.Enforced = cfg.SampleN, sr.Enforced
+				w.add(p, i, j)
 			}
 		}
-		for _, res := range runWave(ctx, backend, jobs) {
-			ref := refs[res.JobID]
+		for _, res := range runWave(ctx, backend, w.jobs) {
+			ref := w.refs[res.JobID]
 			if res.Err != "" {
 				if ref.plan.err == nil {
 					ref.plan.err = fmt.Errorf("harness: %s: %s", ref.plan.app.Short, res.Err)
@@ -330,7 +314,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	// reaches is an expected outcome of sweeping the full static surface,
 	// not an application failure.
 	if ctx.Err() == nil && cfg.Arith {
-		jobs, refs = jobs[:0], refs[:0]
+		w = wave{}
 		for _, p := range plans {
 			if p.err != nil {
 				continue
@@ -348,21 +332,11 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 					p.arith[i].Pruned = true
 					continue
 				}
-				jobs = append(jobs, dispatch.Job{
-					ID:       len(refs),
-					Kind:     dispatch.KindHunt,
-					App:      p.app.Short,
-					Site:     s.Name,
-					SiteKind: string(s.Kind),
-					SitePath: s.Path,
-					Seed:     core.SiteSeed(p.seed, s.Name),
-					Opts:     engineOpts,
-				})
-				refs = append(refs, siteRef{plan: p, site: i})
+				w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, s, p.seed, cfg.Engine))
 			}
 		}
-		for _, res := range runWave(ctx, backend, jobs) {
-			ref := refs[res.JobID]
+		for _, res := range runWave(ctx, backend, w.jobs) {
+			ref := w.refs[res.JobID]
 			as := &ref.plan.arith[ref.site]
 			if res.Err != "" {
 				as.Err = res.Err

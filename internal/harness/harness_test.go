@@ -72,21 +72,24 @@ func TestSuccessRateBimodality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(app, core.Options{Seed: 17})
-	targets, err := eng.Analyze()
+	opts := core.Options{Seed: 17}
+	targets, err := core.NewAnalyzer(app, opts).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
 	for _, tg := range targets {
+		rate := func() (int, int) {
+			return core.NewHunter(app, opts.ForSite(tg.Site)).SuccessRate(tg, tg.Beta, n)
+		}
 		switch tg.Site {
 		case "vlc:block.c@54":
-			hits, total := eng.SuccessRate(tg, tg.Beta, n)
+			hits, total := rate()
 			if total == 0 || hits*10 < total*9 {
 				t.Errorf("block.c@54: %d/%d, expected ≈all to trigger (no checks)", hits, total)
 			}
 		case "vlc:messages.c@355":
-			hits, total := eng.SuccessRate(tg, tg.Beta, n)
+			hits, total := rate()
 			if total == 0 {
 				t.Fatal("messages.c@355: no models sampled")
 			}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"diode/internal/apps"
-	"diode/internal/core"
+	"diode/internal/dispatch"
 	"diode/internal/report"
 )
 
@@ -13,7 +13,7 @@ import (
 // durations are the only non-deterministic bytes in the output).
 func renderTables(t *testing.T, noTriage bool) [3]string {
 	t.Helper()
-	outcomes := EvaluateAll(Config{Seed: 21, Engine: core.Options{NoTriage: noTriage}})
+	outcomes := EvaluateAll(Config{Seed: 21, Engine: dispatch.Options{NoTriage: noTriage}})
 	for _, o := range outcomes {
 		if o.Err != nil {
 			t.Fatal(o.Err)

@@ -1,7 +1,9 @@
-// Package queue is the in-process worker-pool primitive under the scheduler
-// and the dispatch layer's Local backend (the job-based work-queue surface
-// itself lives in internal/dispatch). Items run on a bounded pool and
-// results keep their input order, so table rows come out deterministic.
+// Package queue is a bounded, order-preserving in-process worker pool. Its
+// one caller is the harness, which analyzes a sweep's applications on it
+// before planning jobs; per-site work fans out through internal/dispatch
+// instead, whose Local backend runs its own pool. Items run on a bounded
+// pool and results keep their input order, so table rows come out
+// deterministic.
 package queue
 
 import "sync"

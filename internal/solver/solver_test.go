@@ -230,7 +230,7 @@ func TestConcurrentSolve(t *testing.T) {
 }
 
 // TestCollectorAggregation folds snapshots from several hunter-local solvers
-// into one Collector, concurrently, the way the scheduler does.
+// into one Collector, concurrently.
 func TestCollectorAggregation(t *testing.T) {
 	var agg Collector
 	x := bv.Var(16, "ag_x")
