@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke bench-json cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke
 
 all: check test
 
@@ -51,20 +51,6 @@ check: lint build
 # whose one-shot-vs-batched row-parity assertions run even at 1x.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
-
-# Machine-readable benchmark artifact: one iteration of the headline
-# benchmarks (table regeneration, guest execution, dispatch overhead, incremental solving,
-# warm-vs-cold caching, sampling strategies, portfolio solving), parsed into
-# BENCH_SMOKE.json by cmd/benchjson. CI uploads the JSON so metric history
-# survives as build artifacts.
-bench-json:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' \
-	  -bench '^(BenchmarkTable1|BenchmarkMachineSteps|BenchmarkGuestExec|BenchmarkDispatchLocal|BenchmarkHuntIncremental|BenchmarkSweepWarmVsCold|BenchmarkSampleModels|BenchmarkPortfolioSolve|BenchmarkTriagePrune)$$' \
-	  -benchtime=1x . > BENCH_SMOKE.txt
-	cat BENCH_SMOKE.txt
-	./bin/benchjson -o BENCH_SMOKE.json < BENCH_SMOKE.txt
-	@echo "wrote BENCH_SMOKE.json"
 
 # Cross-process cache smoke: run diode-tables twice against one shared
 # -cache-dir and assert the warm run's stdout is byte-identical while every

@@ -3,6 +3,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"diode/internal/bv"
 	"diode/internal/taint"
@@ -130,7 +131,11 @@ func (m *Machine) Reset(input []byte, opts Options) {
 	// pathological run that allocated thousands (a fuel-burning allocation
 	// loop) must not leave the machine holding their dense-cell storage
 	// forever — the GC scan cost of an unbounded pointer-laden pool would
-	// tax every later run.
+	// tax every later run. The recycled blocks are queued in reverse, so
+	// newBlock, which takes from the end, hands a repeated allocation
+	// sequence the same block per allocation as last run, together with the
+	// far-log capacity that allocation grew.
+	recycled := len(m.freeBlocks)
 	for id := uint64(1); id <= m.nextID && len(m.freeBlocks) < blockPoolCap; id++ {
 		b, ok := m.blocks[id<<32]
 		if !ok {
@@ -140,6 +145,7 @@ func (m *Machine) Reset(input []byte, opts Options) {
 		b.canary = false
 		m.freeBlocks = append(m.freeBlocks, b)
 	}
+	slices.Reverse(m.freeBlocks[recycled:])
 	if m.nextID > eventPoolCap {
 		// A pathological run (fuel-burning allocation loop) grew the block
 		// map's bucket array beyond what is worth keeping; start fresh

@@ -299,6 +299,31 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.Let("back", lang.Load(lang.V("buf"), lang.U32(4400))),
 			lang.AllocAt("sz", "t@2", lang.Add(lang.ZX(32, lang.V("back")), lang.U32(1))),
 		)),
+		// dillo's png_memset shape: a ZX(64, Mul(i, 64)) stride fill over a
+		// block far larger than the dense prefix, so all but the first 64
+		// iterations write far cells. Reading a written and an unwritten
+		// far cell back afterwards forces the far log to fold.
+		"memset-far-stride": mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(200000)),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("fill", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.U32(200000)),
+				lang.Put(lang.V("buf"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(5)),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+			lang.Let("hit", lang.Load(lang.V("buf"), lang.U32(192000))),
+			lang.Let("miss", lang.Load(lang.V("buf"), lang.U32(192001))),
+			lang.AllocAt("sz", "t@2", lang.Add(lang.ZX(32, lang.V("hit")), lang.ZX(32, lang.V("miss")))),
+		)),
+		// The same stride run off the end of a far block: offset 200000
+		// lands in the red zone (size 199992), the next one segfaults.
+		"memset-far-stride-segv": mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(199992)),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("fill", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.U32(300000)),
+				lang.Put(lang.V("buf"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(5)),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+		)),
 		// Load-op-store fusion (buf[i] = buf[i] + k) plus its load-error
 		// path when the offset runs past the block.
 		"load-op-store": mustProg(t, lang.Fn("main", nil,
@@ -327,6 +352,34 @@ func TestCompiledParityFusion(t *testing.T) {
 			for mode, opts := range parityModes() {
 				checkParity(t, fmt.Sprintf("%s input#%d mode=%s", name, i, mode), prog, m, input, opts)
 			}
+		}
+		// A live, never-closed Cancel channel: the bulk loop must yield to
+		// the generic branch exactly when the rate-limited poll is due.
+		never := make(chan struct{})
+		checkParity(t, name+" cancel-never-closed", prog, m, []byte{0xFF}, interp.Options{Fuel: 300_000, Cancel: never})
+	}
+
+	// One Machine runs an input-sized far fill long, short, long, empty.
+	// Cell 128000 is written only by the long runs, so the short and empty
+	// runs must read it as zero. Each read-back folds the far log into the
+	// block's table, and the generation stamp, not a cleared table, keeps
+	// the earlier run's entries out.
+	reuse := mustProg(t, lang.Fn("main", nil,
+		lang.AllocAt("buf", "t@1", lang.U32(1<<18)),
+		lang.Let("n", lang.Mul(lang.ZX(32, lang.InAt(0)), lang.U32(1024))),
+		lang.Let("i", lang.U32(0)),
+		lang.Loop("fill", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.V("n")),
+			lang.Put(lang.V("buf"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(9)),
+			lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+		),
+		lang.Let("back", lang.Load(lang.V("buf"), lang.U32(128000))),
+		lang.AllocAt("sz", "t@2", lang.Add(lang.ZX(32, lang.V("back")), lang.U32(1))),
+	))
+	m := interp.NewMachine(interp.Compile(reuse))
+	for _, mode := range []string{"plain", "symbolic"} {
+		for i, input := range [][]byte{{0xFF}, {5}, {0xFF}, nil} {
+			opts := interp.Options{Fuel: 300_000, TrackSymbolic: mode == "symbolic"}
+			checkParity(t, fmt.Sprintf("far-reuse run#%d mode=%s", i, mode), reuse, m, input, opts)
 		}
 	}
 }
@@ -363,6 +416,35 @@ func TestCompiledParityFuelSweep(t *testing.T) {
 		for fuel := int64(1); fuel <= 400; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, input, opts)
+		}
+	}
+}
+
+// TestCompiledParityFuelSweepFarCells sweeps every fuel cutoff through a
+// stride-64 fill whose block ends 512 cells past the dense prefix, so the
+// cutoffs land before, at and after the iteration that crosses from dense
+// cells into far cells, then through the far read-back.
+func TestCompiledParityFuelSweepFarCells(t *testing.T) {
+	const size = 4096 + 512
+	prog := mustProg(t, lang.Fn("main", nil,
+		lang.AllocAt("buf", "t@1", lang.U32(size)),
+		lang.Let("i", lang.U32(0)),
+		lang.Loop("fill", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.U32(size)),
+			lang.Put(lang.V("buf"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(4)),
+			lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+		),
+		lang.Let("back", lang.Load(lang.V("buf"), lang.U32(size-64))),
+		lang.AllocAt("sz", "t@2", lang.ZX(32, lang.V("back"))),
+	))
+	m := interp.NewMachine(interp.Compile(prog))
+	full := interp.RunTree(prog, nil, interp.Options{})
+	if full.Kind != interp.OutOK || len(full.Allocs) != 2 || full.Allocs[1].Size != 4 {
+		t.Fatalf("fill did not read its last far cell back:\n%s", dumpOutcome(full))
+	}
+	for _, mode := range []string{"plain", "symbolic"} {
+		for fuel := int64(1); fuel <= full.Steps+8; fuel++ {
+			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, nil, opts)
 		}
 	}
 }
@@ -411,6 +493,34 @@ func TestMachineReuseMatchesFreshRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMachineFarFillAllocFree pins that a warm Machine repeats a far fill
+// without allocating: the recycled blocks go back to the same allocations in
+// the same order, so the row buffer's block keeps the far-log capacity its
+// first run grew instead of handing it to a neighbour.
+func TestMachineFarFillAllocFree(t *testing.T) {
+	prog := mustProg(t, lang.Fn("main", nil,
+		lang.AllocAt("names", "t@1", lang.U32(24)),
+		lang.AllocAt("row", "t@2", lang.U32(200000)),
+		lang.AllocAt("pal", "t@3", lang.U32(7200)),
+		lang.AllocAt("img", "t@4", lang.U32(4320)),
+		lang.Let("i", lang.U32(0)),
+		lang.Loop("fill", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.U32(200000)),
+			lang.Put(lang.V("row"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(0)),
+			lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+		),
+	))
+	m := interp.NewMachine(interp.Compile(prog))
+	allocs := testing.AllocsPerRun(5, func() {
+		m.Reset(nil, interp.Options{})
+		if out := m.Run(); out.Kind != interp.OutOK {
+			t.Fatalf("fill run: %v", out.Kind)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm far fill allocates %v times per run", allocs)
 	}
 }
 

@@ -1076,11 +1076,12 @@ func loopCmp(op lang.CmpOp, a, b uint64, w uint8) bool {
 }
 
 // runStoreLoop executes as many fast iterations of a matched memset-style
-// loop as can be proven observation-free: in-bounds dense stores, condition
-// true, fuel strictly above the per-iteration charge, and no cancellation
-// poll due. Every anomaly bails — before consuming any of the bailing
-// iteration's charges — to the generic lowered loop that follows, which
-// reproduces events, errors, exits and fuel exhaustion exactly.
+// loop as can be proven observation-free: in-bounds stores (dense prefix or
+// far log alike), condition true, fuel strictly above the per-iteration
+// charge, and no cancellation poll due. Every anomaly bails — before
+// consuming any of the bailing iteration's charges — to the generic lowered
+// loop that follows, which reproduces events, errors, exits and fuel
+// exhaustion exactly.
 func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 	if !m.plain {
 		return // taint/symbolic runs observe every store; generic path only
@@ -1142,11 +1143,15 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			break // generic re-evaluates the exit condition with charges
 		}
 		ov := off.eval(iv)
-		if ov >= b.size || ov >= dense {
-			break // red zone, segv or far cell: generic handles events
+		if ov >= b.size {
+			break // red zone or segv: generic raises the events
 		}
-		b.dense[ov] = val
-		b.stamp[ov] = b.gen
+		if ov < dense {
+			b.dense[ov] = val
+			b.stamp[ov] = b.gen
+		} else {
+			b.far.store(ov, b.gen, val, true) // storeCell's plain far write
+		}
 		if lp.sub {
 			if lp.k > iv {
 				iwr = true

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -80,7 +81,8 @@ type Solver struct {
 	order     *varHeap
 	claInc    float64
 	seen      []bool
-	unsatRoot bool // a top-level conflict was derived
+	scratch   []Lit // normalize's sort buffer, reused across clauses
+	unsatRoot bool  // a top-level conflict was derived
 
 	// statistics
 	Conflicts    int64
@@ -191,28 +193,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if len(s.trailLim) != 0 {
 		s.cancelUntil(0)
 	}
-	// Normalize: sort, dedup, drop root-false literals, detect tautology and
-	// root-true literals.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := ls[:0]
-	var prev Lit = LitUndef
-	for _, l := range ls {
-		if l == prev {
-			continue
-		}
-		if prev != LitUndef && l == prev.Neg() {
-			return true // tautology
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at root
-		case lFalse:
-			prev = l
-			continue // drop falsified literal
-		}
-		out = append(out, l)
-		prev = l
+	out, keep := s.normalize(lits)
+	if !keep {
+		return true // tautology or already satisfied at root
 	}
 	switch len(out) {
 	case 0:
@@ -230,6 +213,38 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// normalize sorts and dedups a clause's literals into the solver's scratch
+// buffer and drops root-false ones. keep is false when the clause is a
+// tautology or already satisfied at the root; otherwise out holds the
+// remaining literals, aliasing the scratch buffer until the next call.
+// Literals are plain integers, so the sort order is total and any sort
+// yields the same clause.
+func (s *Solver) normalize(lits []Lit) (out []Lit, keep bool) {
+	ls := append(s.scratch[:0], lits...)
+	slices.Sort(ls)
+	s.scratch = ls
+	out = ls[:0]
+	var prev Lit = LitUndef
+	for _, l := range ls {
+		if l == prev {
+			continue
+		}
+		if prev != LitUndef && l == prev.Neg() {
+			return nil, false // tautology
+		}
+		switch s.value(l) {
+		case lTrue:
+			return nil, false // already satisfied at root
+		case lFalse:
+			prev = l
+			continue // drop falsified literal
+		}
+		out = append(out, l)
+		prev = l
+	}
+	return out, true
 }
 
 func (s *Solver) attach(c *clause) {
@@ -749,26 +764,9 @@ func (s *Solver) importLearnt(lits []Lit) bool {
 	if len(s.trailLim) != 0 {
 		s.cancelUntil(0)
 	}
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := ls[:0]
-	var prev Lit = LitUndef
-	for _, l := range ls {
-		if l == prev {
-			continue
-		}
-		if prev != LitUndef && l == prev.Neg() {
-			return false // tautology: nothing to learn
-		}
-		switch s.value(l) {
-		case lTrue:
-			return false // already satisfied at root
-		case lFalse:
-			prev = l
-			continue
-		}
-		out = append(out, l)
-		prev = l
+	out, keep := s.normalize(lits)
+	if !keep {
+		return false // tautology or satisfied at root: nothing to learn
 	}
 	switch len(out) {
 	case 0:
