@@ -48,18 +48,25 @@ lint: vet staticcheck diodelint
 check: lint build
 
 # One iteration of every benchmark — includes BenchmarkSuccessRateBatched,
-# whose one-shot-vs-batched row-parity assertions run even at 1x.
+# whose tree-walker-vs-batched corpus hit-parity assertion runs even at 1x.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Cross-process cache smoke: run diode-tables twice against one shared
 # -cache-dir and assert the warm run's stdout is byte-identical while every
 # job was served from the cache (hits>0, misses=0 on the stderr stats line).
-# Table 1 has no wall-clock columns, so byte-equality is exact.
+# Table 1 has no wall-clock columns, so byte-equality is exact. Between the
+# two, `diode -app vlc` hunts against the same directory and must also miss
+# nothing: both cmds derive a site's job seed the same way, so the cold
+# diode-tables run already stored every vlc hunt.
 cache-smoke:
 	$(GO) build -o bin/diode-tables ./cmd/diode-tables
+	$(GO) build -o bin/diode ./cmd/diode
 	@dir=$$(mktemp -d); out=$$(mktemp -d); \
 	./bin/diode-tables -table 1 -cache-dir "$$dir" >"$$out/cold.txt" 2>"$$out/cold.err" || { cat "$$out/cold.err"; exit 1; }; \
+	./bin/diode -app vlc -cache-dir "$$dir" >"$$out/diode.txt" 2>"$$out/diode.err" || { cat "$$out/diode.err"; exit 1; }; \
+	diode_line=$$(grep 'cache:' "$$out/diode.err"); \
+	case "$$diode_line" in *" misses=0 "*) ;; *) echo "cache smoke failed: diode re-ran jobs diode-tables stored: $$diode_line"; exit 1;; esac; \
 	./bin/diode-tables -table 1 -cache-dir "$$dir" >"$$out/warm.txt" 2>"$$out/warm.err" || { cat "$$out/warm.err"; exit 1; }; \
 	cmp "$$out/cold.txt" "$$out/warm.txt" || { echo "cache smoke failed: warm tables differ from cold"; exit 1; }; \
 	grep -q 'cache: hits=0 ' "$$out/cold.err" || { echo "cache smoke failed: cold run reported hits"; cat "$$out/cold.err"; exit 1; }; \

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -314,91 +313,22 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	fmt.Println(te)
 }
 
-// BenchmarkHuntIncremental measures what the incremental solving sessions
-// buy: the same hunts run once with one-shot solving (every enforcement
-// iteration rebuilds φ′∧β on a fresh CDCL engine and blaster) and once with
-// sessions (one persistent engine per hunt, only the newly conjoined branch
-// constraint lowered, learned clauses retained). Dillo is the
-// enforcement-heavy application — png.c@203 alone conjoins several sanity
-// checks whose sparse solutions push every iteration into the CDCL phase —
-// so it is where the session machinery works hardest. Verdicts are checked
-// equal between the two paths before the speedup is reported.
-func BenchmarkHuntIncremental(b *testing.B) {
-	list := appList(b, "dillo")
-	modes := []struct {
-		name string
-		mode solver.Mode
-	}{
-		// sat-only isolates the solver path the sessions optimize: every
-		// solve bit-blasts and runs CDCL, so the win is the re-lowering and
-		// re-learning the one-shot path repeats. hybrid is the end-to-end
-		// default, where concrete search and guest execution dilute it.
-		{"sat-only", solver.ModeSATOnly},
-		{"hybrid", solver.ModeHybrid},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				seed := int64(i + 1)
-
-				t0 := time.Now()
-				oneShot := sweep(b, harness.Config{Seed: seed,
-					Engine: dispatch.Options{SolverMode: m.mode, OneShotSolver: true}}, list)
-				oneShotTime := time.Since(t0)
-
-				// The incremental sweep's solver counters, summed over its
-				// hunt jobs' results.
-				var mu sync.Mutex
-				var st solver.Stats
-				t0 = time.Now()
-				incremental := sweep(b, harness.Config{Seed: seed,
-					Engine: dispatch.Options{SolverMode: m.mode},
-					Sink: func(ev dispatch.Event) {
-						if ev.Type == dispatch.EventFinished {
-							mu.Lock()
-							st.Add(ev.Result.Stats)
-							mu.Unlock()
-						}
-					}}, list)
-				incrementalTime := time.Since(t0)
-
-				for j, sr := range oneShot[0].Result.Sites {
-					if ir := incremental[0].Result.Sites[j]; sr.Verdict != ir.Verdict {
-						b.Fatalf("%s: session verdict %v != one-shot %v",
-							sr.Target.Site, ir.Verdict, sr.Verdict)
-					}
-				}
-				b.ReportMetric(oneShotTime.Seconds()/incrementalTime.Seconds(), "speedup")
-				b.ReportMetric(float64(st.ClausesReused), "clauses-reused")
-				b.ReportMetric(float64(st.ModelCacheHits), "model-cache-hits")
-			}
-		})
-	}
-}
-
 // BenchmarkSuccessRateBatched measures what the compiled execution layer
 // buys the §5.5/§5.6 experiments (the workload of the two SuccessRate
 // benchmarks above): every exposed site's target-only experiment plus every
-// enforcement site's enforced experiment, on the one-shot path
-// (core.Options.OneShotExecution — a fresh tree-walking interpreter with
-// string-keyed environments per sampled input) versus the batched path (the
-// application compiled once, every input executed on one reused slot-indexed
-// machine).
+// enforcement site's enforced experiment, executed on the tree-walking
+// oracle (interp.RunTree — a fresh interpreter with string-keyed
+// environments per sampled input) versus the batched path (the application
+// compiled once, every input executed on one reused slot-indexed machine).
 //
-// Setup (untimed) runs the hunts, samples every experiment's models once and
-// generates the input corpus — sampling and generation are solver/format
-// work identical on both paths, so the corpus is shared by construction —
-// and then verifies row parity through the real Hunter.SuccessRate API: the
-// hit/total counts (the table-row rates) from identically seeded one-shot
-// and batched hunters must be byte-identical. The timed region executes the
-// corpus on each path. Reported metrics:
+// Setup (untimed) runs the hunts and each experiment through the real
+// Hunter.SuccessRate API, then samples every experiment's models once and
+// generates the input corpus. The timed region executes the corpus on each
+// path, and the two must count the same triggering inputs. Reported metrics:
 //
-//	exec-speedup — one-shot / batched time over the guest executions, the
-//	               component the compiled layer optimizes (the ≥2x claim)
-//	e2e-speedup  — same ratio with each path's full SuccessRate calls
-//	               (sampling included; enforced-constraint model enumeration
-//	               is shared CDCL work, which dilutes this number)
-//	hits, total  — aggregate rates, equal on both paths
+//	exec-speedup — tree-walker / batched time over the guest executions,
+//	               the component the compiled layer optimizes (the ≥2x claim)
+//	hits, total  — aggregate SuccessRate hits and the corpus size
 func BenchmarkSuccessRateBatched(b *testing.B) {
 	type item struct {
 		app   *apps.App
@@ -406,10 +336,9 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 		input []byte
 	}
 	var (
-		corpus       []item
-		machines     = map[*apps.App]*interp.Machine{}
-		e2eOne, e2eB time.Duration
-		hits         int
+		corpus   []item
+		machines = map[*apps.App]*interp.Machine{}
+		hits     int
 	)
 	list := appList(b, "dillo", "vlc", "gifview", "tifthumb")
 	for _, o := range sweep(b, harness.Config{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}, list) {
@@ -425,20 +354,7 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 			}
 			for _, constraint := range constraints {
 				siteOpts := core.Options{Seed: 1}.ForSite(sr.Target.Site)
-				oneOpts := siteOpts
-				oneOpts.OneShotExecution = true
-
-				// Row parity through the real experiment path, also timed
-				// for the end-to-end metric.
-				t0 := time.Now()
-				oh, ot := core.NewHunter(app, oneOpts).SuccessRate(sr.Target, constraint, 200)
-				e2eOne += time.Since(t0)
-				t0 = time.Now()
-				bh, bt := core.NewHunter(app, siteOpts).SuccessRate(sr.Target, constraint, 200)
-				e2eB += time.Since(t0)
-				if oh != bh || ot != bt {
-					b.Fatalf("%s: batched rate %d/%d != one-shot %d/%d", sr.Target.Site, bh, bt, oh, ot)
-				}
+				bh, _ := core.NewHunter(app, siteOpts).SuccessRate(sr.Target, constraint, 200)
 				hits += bh
 
 				// Shared corpus: the same models both hunters sampled.
@@ -466,13 +382,13 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		oneHits := 0
+		treeHits := 0
 		for _, it := range corpus {
 			if triggered(interp.RunTree(it.app.Program, it.input, interp.Options{}), it.site) {
-				oneHits++
+				treeHits++
 			}
 		}
-		oneShot := time.Since(t0)
+		tree := time.Since(t0)
 
 		t0 = time.Now()
 		batHits := 0
@@ -485,11 +401,10 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 		}
 		batched := time.Since(t0)
 
-		if oneHits != batHits {
-			b.Fatalf("corpus hits diverge: one-shot %d != batched %d", oneHits, batHits)
+		if treeHits != batHits {
+			b.Fatalf("corpus hits diverge: tree-walker %d != batched %d", treeHits, batHits)
 		}
-		b.ReportMetric(oneShot.Seconds()/batched.Seconds(), "exec-speedup")
-		b.ReportMetric(e2eOne.Seconds()/e2eB.Seconds(), "e2e-speedup")
+		b.ReportMetric(tree.Seconds()/batched.Seconds(), "exec-speedup")
 		b.ReportMetric(float64(hits), "hits")
 		b.ReportMetric(float64(len(corpus)), "total")
 	}
@@ -531,12 +446,14 @@ func BenchmarkDispatchLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 	jobs := HuntJobsFor(app, opts, targets)
+	// The jobs' seeds derive per application, then per site (SiteJob).
+	base := core.Options{Seed: core.SiteSeed(opts.Seed, app.Short)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		direct := make([]*core.SiteResult, len(targets))
 		for j, t := range targets {
-			direct[j] = core.NewHunter(app, opts.ForSite(t.Site)).Hunt(t)
+			direct[j] = core.NewHunter(app, base.ForSite(t.Site)).Hunt(t)
 		}
 		directTime := time.Since(t0)
 

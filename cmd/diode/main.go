@@ -138,7 +138,8 @@ func run() (code int) {
 		}
 		discoveryOrder(discovered, targets)
 	}
-	// One hunt job per analyzed site, seeded per site from -seed; the
+	// One hunt job per analyzed site, seeded from -seed by the same
+	// derivation diode-tables uses, so the two share job-cache entries; the
 	// targets are kept for the verbose per-site introspection below.
 	jobs := diode.HuntJobsFor(app, diode.Options{Seed: *seed, Settings: settings}, targets)
 

@@ -280,9 +280,10 @@ func NewJobCache(cfg JobCacheConfig) *JobCache { return dispatch.NewJobCache(cfg
 type JobOptions = dispatch.Options
 
 // SiteJob builds the job of the given kind for one discovered site (a
-// Target's Info) of the named application, seeded per site from seed. Every
-// planner builds its jobs this way, so the same site, seed and options
-// always yield the same job record and job-cache key.
+// Target's Info) of the named application, seeded from the run seed as
+// SiteSeed(SiteSeed(seed, app), site). Every planner builds its jobs this
+// way, so the same site, run seed and options always yield the same job
+// record and job-cache key.
 func SiteJob(kind JobKind, app string, site DiscoveredSite, seed int64, opts JobOptions) Job {
 	return dispatch.SiteJob(kind, app, site, seed, opts)
 }
@@ -295,8 +296,8 @@ func RunJobs(ctx context.Context, b Backend, jobs []Job) ([]JobResult, error) {
 }
 
 // HuntJobs analyzes the application and plans one hunt job per target site,
-// with per-site seeds derived from opts.Seed — running the jobs on any
-// Backend reproduces a sequential hunt of every site.
+// with per-site seeds derived from the run seed opts.Seed (see SiteJob) —
+// running the jobs on any Backend reproduces a sequential hunt of every site.
 func HuntJobs(app *App, opts Options) ([]Job, error) {
 	targets, err := core.NewAnalyzer(app, opts).Analyze()
 	if err != nil {
@@ -308,7 +309,8 @@ func HuntJobs(app *App, opts Options) ([]Job, error) {
 // HuntJobsFor plans one hunt job per already-analyzed target — the planner
 // HuntJobs wraps, for callers that hold the Targets themselves (per-site
 // introspection alongside the sweep, as cmd/diode does). Job i corresponds
-// to targets[i] and carries opts.Settings.
+// to targets[i] and carries opts.Settings; at the same run seed its record
+// and cache key equal the job diode-tables plans for that site.
 func HuntJobsFor(app *App, opts Options, targets []*Target) []Job {
 	jobs := make([]Job, len(targets))
 	for i, t := range targets {

@@ -8,7 +8,7 @@
 // result could.
 package cache
 
-import "sync/atomic"
+import "sync"
 
 // Stats is a point-in-time snapshot of cache activity. It is serializable
 // (diode-worker processes report theirs to the parent over the wire protocol)
@@ -44,48 +44,24 @@ func (s Stats) Plus(o Stats) Stats {
 }
 
 // Counters accumulates cache activity; safe for concurrent use. The zero
-// value is ready.
+// value is ready. Each event adds a Stats delta, so every counter is declared
+// once, in Stats, and summed once, in Plus.
 type Counters struct {
-	hits, misses, stores, corrupt, analysisRuns, analysisHits atomic.Int64
+	mu    sync.Mutex
+	total Stats
 }
 
-// Hit records a result served from the cache.
-func (c *Counters) Hit() { c.hits.Add(1) }
-
-// Miss records a result that had to execute.
-func (c *Counters) Miss() { c.misses.Add(1) }
-
-// Store records a result written to the disk store.
-func (c *Counters) Store() { c.stores.Add(1) }
-
-// Corrupt records a rejected on-disk entry.
-func (c *Counters) Corrupt() { c.corrupt.Add(1) }
-
-// AnalysisRun records an Analyzer execution.
-func (c *Counters) AnalysisRun() { c.analysisRuns.Add(1) }
-
-// AnalysisHit records an analysis lookup served from memoized targets.
-func (c *Counters) AnalysisHit() { c.analysisHits.Add(1) }
+// Add folds a delta into the totals: one event (Stats{Hits: 1}) or a worker
+// process's reported stats merged into the parent's.
+func (c *Counters) Add(d Stats) {
+	c.mu.Lock()
+	c.total = c.total.Plus(d)
+	c.mu.Unlock()
+}
 
 // Snapshot returns the current totals.
 func (c *Counters) Snapshot() Stats {
-	return Stats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Stores:         c.stores.Load(),
-		CorruptEntries: c.corrupt.Load(),
-		AnalysisRuns:   c.analysisRuns.Load(),
-		AnalysisHits:   c.analysisHits.Load(),
-	}
-}
-
-// Add folds a snapshot into the totals (merging a worker process's reported
-// stats into the parent's).
-func (c *Counters) Add(s Stats) {
-	c.hits.Add(s.Hits)
-	c.misses.Add(s.Misses)
-	c.stores.Add(s.Stores)
-	c.corrupt.Add(s.CorruptEntries)
-	c.analysisRuns.Add(s.AnalysisRuns)
-	c.analysisHits.Add(s.AnalysisHits)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"diode/internal/field"
@@ -97,13 +98,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.Hit()
-	c.Hit()
-	c.Miss()
-	c.Store()
-	c.Corrupt()
-	c.AnalysisRun()
-	c.AnalysisHit()
+	for _, d := range []Stats{
+		{Hits: 1}, {Hits: 1}, {Misses: 1}, {Stores: 1},
+		{CorruptEntries: 1}, {AnalysisRuns: 1}, {AnalysisHits: 1},
+	} {
+		c.Add(d)
+	}
 	got := c.Snapshot()
 	want := Stats{Hits: 2, Misses: 1, Stores: 1, CorruptEntries: 1, AnalysisRuns: 1, AnalysisHits: 1}
 	if got != want {
@@ -116,5 +116,21 @@ func TestCounters(t *testing.T) {
 	c.Add(Stats{CorruptEntries: 3})
 	if s := c.Snapshot(); s.CorruptEntries != 4 {
 		t.Fatalf("Add-folded CorruptEntries = %d, want 4", s.CorruptEntries)
+	}
+}
+
+// TestStatsPlusCoversEveryCounter sets each Stats field to 1 in turn and
+// checks Plus carries exactly that field, so a counter added to the struct
+// but not to Plus fails here instead of vanishing from merged worker stats.
+func TestStatsPlusCoversEveryCounter(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var one Stats
+		reflect.ValueOf(&one).Elem().Field(i).SetInt(1)
+		want := one
+		reflect.ValueOf(&want).Elem().Field(i).SetInt(2)
+		if sum := one.Plus(one); sum != want {
+			t.Errorf("Stats.Plus drops or misroutes %s: got %+v, want %+v", typ.Field(i).Name, sum, want)
+		}
 	}
 }

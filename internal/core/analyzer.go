@@ -30,11 +30,7 @@ type Analyzer struct {
 
 // NewAnalyzer returns an analyzer for the application.
 func NewAnalyzer(app *apps.App, opts Options) *Analyzer {
-	a := &Analyzer{app: app, opts: opts.withDefaults()}
-	if !a.opts.OneShotExecution {
-		a.mach = interp.NewMachine(app.Compiled())
-	}
-	return a
+	return &Analyzer{app: app, opts: opts.withDefaults(), mach: interp.NewMachine(app.Compiled())}
 }
 
 // App returns the analyzer's application.
@@ -72,14 +68,10 @@ func (a *Analyzer) siteInfo(site string) discover.Site {
 	return discover.Site{Name: site, Kind: discover.KindAlloc}
 }
 
-// run executes the guest on the analyzer's reused machine (or, under the
-// OneShotExecution ablation, on a fresh tree-walking interpreter). The
-// outcome aliases machine storage: anything retained past the next run must
-// be copied.
+// run executes the guest on the analyzer's reused machine. The outcome
+// aliases machine storage: anything retained past the next run must be
+// copied.
 func (a *Analyzer) run(input []byte, opts interp.Options) *interp.Outcome {
-	if a.mach == nil {
-		return interp.RunTree(a.app.Program, input, opts)
-	}
 	a.mach.Reset(input, opts)
 	return a.mach.Run()
 }

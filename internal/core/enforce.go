@@ -292,8 +292,7 @@ func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
 // how many trigger the overflow at the target site (§5.5/§5.6). The
 // experiment is batched: one SampleModels session call enumerates all n
 // models up front, then every sampled input is generated and executed on the
-// hunter's single reused machine — per-sample setup (a fresh interpreter per
-// run) exists only under the OneShotExecution ablation.
+// hunter's single reused machine, with no per-sample setup.
 //
 // It returns the number of triggering inputs and the number of inputs
 // actually generated and executed. total can fall short of n two ways, which

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
 
 	"diode/internal/apps"
+	"diode/internal/interp"
 )
 
 // FuzzHunt is the cross-layer fuzz target: it drives whole Hunter.Hunt runs —
@@ -18,9 +18,9 @@ import (
 //   - an Exposed verdict's triggering input passes the format's structural
 //     Validate (the fix-up invariant holds for hunt-produced files, not just
 //     for the per-format fuzz targets' direct Generate calls);
-//   - the triggering input re-triggers the overflow on an independent
-//     compile-and-run of the guest (no reused-machine state leaked into the
-//     verdict).
+//   - the triggering input re-triggers the overflow on the independent
+//     tree-walking interpreter (interp.RunTree), so no reused-machine state
+//     leaked into the verdict.
 //
 // The enforcement budget is reduced so individual fuzz executions stay fast;
 // a budget-exhausted hunt simply ends VerdictUnknown, which is itself a
@@ -80,11 +80,12 @@ func FuzzHunt(f *testing.F) {
 				t.Fatalf("%s: triggering input fails structural validation: %v", p.target.Site, err)
 			}
 		}
-		// Independent re-execution: a fresh compile-and-run must reproduce
-		// the overflow the hunter's reused machine observed.
-		out := NewHunter(p.app, Options{Settings: Settings{OneShotExecution: true}}).execute(context.Background(), p.target, res.Input, false)
+		// Independent re-execution: the tree-walking oracle, at the Hunter's
+		// default fuel, must reproduce the overflow the hunter's reused
+		// machine observed.
+		out := interp.RunTree(p.app.Program, res.Input, interp.Options{Fuel: Options{}.withDefaults().Fuel})
 		if ok, _ := triggered(p.target, out); !ok {
-			t.Fatalf("%s: triggering input does not re-trigger on a fresh interpreter", p.target.Site)
+			t.Fatalf("%s: triggering input does not re-trigger on the tree-walking interpreter", p.target.Site)
 		}
 	})
 }

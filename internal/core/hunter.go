@@ -36,22 +36,18 @@ type Hunter struct {
 // deterministic per-site seed every sweep uses.
 func NewHunter(app *apps.App, opts Options) *Hunter {
 	opts = opts.withDefaults()
-	h := &Hunter{
+	return &Hunter{
 		app:  app,
 		opts: opts,
 		sol: solver.New(solver.Options{
 			Seed:      opts.Seed,
 			Mode:      opts.SolverMode,
-			OneShot:   opts.OneShotSolver,
 			Sampling:  samplingFor(opts),
 			Portfolio: opts.Portfolio,
 		}),
-		gen: app.Format.Generator(),
+		gen:  app.Format.Generator(),
+		mach: interp.NewMachine(app.Compiled()),
 	}
-	if !opts.OneShotExecution {
-		h.mach = interp.NewMachine(app.Compiled())
-	}
-	return h
 }
 
 // samplingFor maps the OneShotSampling ablation flag onto the solver's
@@ -73,9 +69,8 @@ func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }
 // execute runs the guest on an input and returns the outcome. When
 // withBranches is set, the run records the branch trace restricted to the
 // target's relevant bytes (for first-flipped-branch comparison). The run
-// reuses the hunter's private machine (unless the OneShotExecution ablation
-// rebuilds a tree-walking interpreter per run), so the returned outcome is
-// valid only until the hunter's next execute call. A cancelled ctx aborts the
+// reuses the hunter's private machine, so the returned outcome is valid only
+// until the hunter's next execute call. A cancelled ctx aborts the
 // run mid-execution through the interpreter's Cancel hook (the outcome then
 // reads OutCancelled).
 func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranches bool) *interp.Outcome {
@@ -83,9 +78,6 @@ func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranc
 	if withBranches {
 		opts.TrackSymbolic = true
 		opts.SymbolicBytes = h.relevantBytes(t)
-	}
-	if h.mach == nil {
-		return interp.RunTree(h.app.Program, input, opts)
 	}
 	h.mach.Reset(input, opts)
 	return h.mach.Run()

@@ -28,11 +28,6 @@ type Settings struct {
 	Fuel int64 `json:"fuel,omitempty"`
 	// SolverMode selects the constraint-solving strategy (ablation hook).
 	SolverMode solver.Mode `json:"solverMode,omitempty"`
-	// OneShotSolver disables incremental solving sessions: every solve in
-	// the enforcement loop then rebuilds φ′∧β on a fresh engine, the
-	// pre-session behavior (benchmark/ablation hook — see
-	// BenchmarkHuntIncremental).
-	OneShotSolver bool `json:"oneShotSolver,omitempty"`
 	// OneShotSampling disables restart-based model sampling: SampleModels
 	// then enumerates via guard-literal blocking clauses on every draw, the
 	// pre-restart behavior (benchmark/ablation hook — see
@@ -45,13 +40,6 @@ type Settings struct {
 	// deterministic tie-break and losers' learnt clauses are folded back into
 	// the persistent engine. Zero or one keeps single-engine solving.
 	Portfolio int `json:"portfolio,omitempty"`
-	// OneShotExecution disables the compiled-program execution layer: every
-	// guest run then re-interprets the AST on a fresh tree-walking machine
-	// with string-keyed environments, the pre-compilation behavior
-	// (benchmark/ablation hook — see BenchmarkSuccessRateBatched). The
-	// default path compiles each application once (apps.App.Compiled) and
-	// reuses one slot-indexed interp.Machine per Analyzer/Hunter.
-	OneShotExecution bool `json:"oneShotExecution,omitempty"`
 	// DisableCompression skips Figure 8 branch-condition compression
 	// (ablation hook).
 	DisableCompression bool `json:"disableCompression,omitempty"`

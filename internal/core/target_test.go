@@ -43,20 +43,3 @@ func TestTargetDerivedLookups(t *testing.T) {
 		}
 	}
 }
-
-// TestOneShotSolverVerdictParity runs one full application both ways: the
-// one-shot ablation path and the default incremental sessions must classify
-// every site identically.
-func TestOneShotSolverVerdictParity(t *testing.T) {
-	inc := huntApp(t, "vlc", 17)
-	app := inc.App
-	oneShot := huntSites(t, app, Options{Seed: 17, Settings: Settings{OneShotSolver: true}})
-	if len(oneShot.Sites) != len(inc.Sites) {
-		t.Fatalf("site counts differ: %d vs %d", len(oneShot.Sites), len(inc.Sites))
-	}
-	for i, sr := range oneShot.Sites {
-		if ir := inc.Sites[i]; sr.Verdict != ir.Verdict {
-			t.Errorf("%s: one-shot %v, incremental %v", sr.Target.Site, sr.Verdict, ir.Verdict)
-		}
-	}
-}

@@ -123,7 +123,7 @@ func (c *JobCache) Targets(ctx context.Context, app *apps.App, opts Options) ([]
 	key := cache.Key("analysis", keyVersion, app.Fingerprint(), canonicalOpts(opts))
 	for {
 		v, hit := c.analyses.Do(key, func() (any, bool) {
-			c.counters.AnalysisRun()
+			c.counters.Add(cache.Stats{AnalysisRuns: 1})
 			targets, err := core.NewAnalyzer(app, opts.Core(0)).AnalyzeContext(ctx)
 			return analysisOut{targets: targets, err: err}, err == nil
 		})
@@ -133,7 +133,7 @@ func (c *JobCache) Targets(ctx context.Context, app *apps.App, opts Options) ([]
 				continue
 			}
 			if out.err == nil {
-				c.counters.AnalysisHit()
+				c.counters.Add(cache.Stats{AnalysisHits: 1})
 			}
 		}
 		return out.targets, out.err
@@ -184,7 +184,7 @@ func (c *JobCache) lookupDisk(key string) ([]byte, bool) {
 	}
 	payload, status := c.store.Get(key)
 	if status == cache.DiskCorrupt {
-		c.counters.Corrupt()
+		c.counters.Add(cache.Stats{CorruptEntries: 1})
 	}
 	return payload, status == cache.DiskHit
 }
@@ -199,6 +199,6 @@ func (c *JobCache) storeDisk(key string, res Result) {
 		return
 	}
 	if c.store.Put(key, payload) {
-		c.counters.Store()
+		c.counters.Add(cache.Stats{Stores: 1})
 	}
 }

@@ -25,10 +25,8 @@ var optionsKeyFlips = map[string]func(*Options){
 	"MaxEnforce":             func(o *Options) { o.MaxEnforce++ },
 	"Fuel":                   func(o *Options) { o.Fuel++ },
 	"SolverMode":             func(o *Options) { o.SolverMode = solver.Mode(1) },
-	"OneShotSolver":          func(o *Options) { o.OneShotSolver = true },
 	"OneShotSampling":        func(o *Options) { o.OneShotSampling = true },
 	"Portfolio":              func(o *Options) { o.Portfolio = 4 },
-	"OneShotExecution":       func(o *Options) { o.OneShotExecution = true },
 	"DisableCompression":     func(o *Options) { o.DisableCompression = true },
 	"DisableRelevanceFilter": func(o *Options) { o.DisableRelevanceFilter = true },
 	"NoTriage":               func(o *Options) { o.NoTriage = true },
@@ -135,14 +133,20 @@ func TestJobKeySensitivity(t *testing.T) {
 // them would silently invalidate every stored result (or break mixed-version
 // workers) without failing any behavioral test; a deliberate change must
 // bump keyVersion and update these strings.
+//
+// The fully populated record's key moved when the oneShotSolver and
+// oneShotExecution options were deleted: the record no longer carries them.
+// keyVersion stays "3" because no remaining field's encoding changed — a
+// record that never set the deleted options (every default-options job, see
+// wantHuntKey) keeps its key, so existing store entries still hit.
 func TestKeyAndWireGolden(t *testing.T) {
 	opts := Options{
 		InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, SolverMode: solver.ModeSATOnly,
-		OneShotSolver: true, OneShotSampling: true, Portfolio: 4, OneShotExecution: true,
+		OneShotSampling: true, Portfolio: 4,
 		DisableCompression: true, DisableRelevanceFilter: true, NoTriage: true,
 	}
 	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"solverMode":1,` +
-		`"oneShotSolver":true,"oneShotSampling":true,"portfolio":4,"oneShotExecution":true,` +
+		`"oneShotSampling":true,"portfolio":4,` +
 		`"disableCompression":true,"disableRelevanceFilter":true,"noTriage":true}`
 	if got := canonicalOpts(opts); got != wantOpts {
 		t.Errorf("canonicalOpts:\n got %s\nwant %s", got, wantOpts)
@@ -156,7 +160,7 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "28f023bb176fa0bc8ed2442d106e5cbd1d72a8b5ce85126f0a1b66f76d258881"
+	const wantKey = "adaffec0d7827bdc5e407d67f693896525436e9e005544570f273f6384a19075"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -20,7 +21,7 @@ func sampleJobs() []Job {
 			Opts: Options{MaxEnforce: 3, DisableCompression: true}},
 		{ID: 2, Kind: KindSuccessRate, App: "gifview", Site: "gifview:gif.c@155",
 			Seed: 1 << 60, SampleN: 200, Enforced: []string{"a", "b"},
-			Opts: Options{Fuel: 1000, SolverMode: solver.ModeSATOnly, OneShotSolver: true}},
+			Opts: Options{Fuel: 1000, SolverMode: solver.ModeSATOnly, OneShotSampling: true}},
 	}
 }
 
@@ -37,6 +38,25 @@ func TestJobStreamRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(jobs, got) {
 		t.Fatalf("round trip changed the batch:\nin:  %+v\nout: %+v", jobs, got)
+	}
+}
+
+// TestJobStreamRejectsUnknownFields pins that a job line naming a field
+// this build lacks — here an options knob that no longer exists — fails the
+// stream instead of running silently with the defaults, both in ReadJobs and
+// in the worker loop.
+func TestJobStreamRejectsUnknownFields(t *testing.T) {
+	const line = `{"id":1,"kind":"hunt","app":"vlc","site":"vlc:block.c@54","seed":8,"opts":{"oneShotSolver":true}}` + "\n"
+	if _, err := ReadJobs(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
+		t.Errorf("ReadJobs = %v, want a corrupt job stream error", err)
+	}
+	var out bytes.Buffer
+	err := WorkerMain(context.Background(), strings.NewReader(line), &out, WorkerConfig{NoCache: true})
+	if err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
+		t.Errorf("WorkerMain = %v, want a corrupt job stream error", err)
+	}
+	if strings.Contains(out.String(), `"type":"result"`) {
+		t.Errorf("worker ran the job anyway:\n%s", out.String())
 	}
 }
 

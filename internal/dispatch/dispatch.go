@@ -84,19 +84,20 @@ type Job struct {
 }
 
 // SiteJob builds the job of the given kind for one discovered site of an
-// application. The job's seed is the per-site seed derived from base
-// (core.SiteSeed), and it carries the site's structured identity (kind and
-// node path), so every planner that cuts a job for the same site, base seed
+// application. The job's seed derives from the run seed in two steps,
+// core.SiteSeed(core.SiteSeed(seed, app), site): the application's base
+// seed, then the site's. It carries the site's structured identity (kind and
+// node path), so every planner that cuts a job for the same site, run seed
 // and options produces the same record — and the same JobKey. ID, SampleN
 // and Enforced are left for the caller.
-func SiteJob(kind Kind, app string, site discover.Site, base int64, opts Options) Job {
+func SiteJob(kind Kind, app string, site discover.Site, seed int64, opts Options) Job {
 	return Job{
 		Kind:     kind,
 		App:      app,
 		Site:     site.Name,
 		SiteKind: string(site.Kind),
 		SitePath: site.Path,
-		Seed:     core.SiteSeed(base, site.Name),
+		Seed:     core.SiteSeed(core.SiteSeed(seed, app), site.Name),
 		Opts:     opts,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"diode/internal/apps"
+	"diode/internal/cache"
 	"diode/internal/core"
 	"diode/internal/discover"
 )
@@ -51,7 +52,7 @@ func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, err
 		return res, nil
 	}
 	if jc.results == nil {
-		jc.counters.Miss()
+		jc.counters.Add(cache.Stats{Misses: 1})
 		return run(ctx, job, app, jc, sink)
 	}
 
@@ -61,14 +62,14 @@ func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, err
 			if payload, ok := jc.lookupDisk(key); ok {
 				var r Result
 				if json.Unmarshal(payload, &r) == nil && r.Err == "" {
-					jc.counters.Hit()
+					jc.counters.Add(cache.Stats{Hits: 1})
 					return flight{res: r, cached: true}, true
 				}
 				// Decoded garbage behind a valid frame: same defect class as
 				// a torn frame, so count it and fall through to executing.
-				jc.counters.Corrupt()
+				jc.counters.Add(cache.Stats{CorruptEntries: 1})
 			}
-			jc.counters.Miss()
+			jc.counters.Add(cache.Stats{Misses: 1})
 			r, err := run(ctx, job, app, jc, sink)
 			if err != nil {
 				return flight{res: r, err: err}, false
@@ -94,7 +95,7 @@ func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, err
 		// another flight) carries the producing job's ID.
 		r.JobID, r.App, r.Site = job.ID, job.App, job.Site
 		if hit && fl.res.Err == "" {
-			jc.counters.Hit()
+			jc.counters.Add(cache.Stats{Hits: 1})
 		}
 		if (hit || fl.cached) && r.Err == "" {
 			r.Cached = true

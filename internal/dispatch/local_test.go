@@ -33,8 +33,9 @@ func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 
 // TestLocalMatchesScheduler is the anchor to the definition of a verdict:
 // the Local backend must reproduce a sequential loop of Hunters, each seeded
-// with Options.ForSite, byte for byte — verdicts, enforced labels,
-// triggering inputs and run counts.
+// with Options.ForSite from the application's base seed (the derivation
+// SiteJob applies), byte for byte — verdicts, enforced labels, triggering
+// inputs and run counts.
 func TestLocalMatchesScheduler(t *testing.T) {
 	const seed = 21
 	jobs, targets := huntBatch(t, "dillo", seed)
@@ -46,7 +47,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
 	}
 	app, _ := apps.ByName("dillo")
-	opts := core.Options{Seed: seed}
+	opts := core.Options{Seed: core.SiteSeed(seed, app.Short)}
 	byID := make(map[int]Result, len(results))
 	for _, r := range results {
 		if r.Err != "" {

@@ -50,7 +50,7 @@ func WriteJobs(w io.Writer, jobs []Job) error {
 
 // ReadJobs decodes a JSON-lines job batch — the inverse of WriteJobs.
 func ReadJobs(r io.Reader) ([]Job, error) {
-	dec := json.NewDecoder(r)
+	dec := newJobDecoder(r)
 	var jobs []Job
 	for {
 		var j Job
@@ -62,6 +62,15 @@ func ReadJobs(r io.Reader) ([]Job, error) {
 		}
 		jobs = append(jobs, j)
 	}
+}
+
+// newJobDecoder decodes a JSON-lines job stream, rejecting fields the Job
+// record lacks: a job naming an option this build does not have would
+// otherwise run silently with the defaults.
+func newJobDecoder(r io.Reader) *json.Decoder {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec
 }
 
 // WorkerConfig carries the cache settings of one worker process.
@@ -122,7 +131,7 @@ func WorkerMain(ctx context.Context, r io.Reader, w io.Writer, cfg WorkerConfig)
 	})
 
 	jc := NewJobCache(CacheConfig{Dir: cfg.CacheDir, NoResults: cfg.NoCache})
-	dec := json.NewDecoder(r)
+	dec := newJobDecoder(r)
 	for {
 		var job Job
 		if err := dec.Decode(&job); err != nil {

@@ -22,10 +22,10 @@ import (
 
 // Config controls an evaluation sweep.
 type Config struct {
-	// Seed is the run seed. Each application derives its own base seed as
-	// core.SiteSeed(Seed, app.Short) — the same FNV derivation every hunt
-	// uses per site — so an application's verdicts do not depend on which
-	// other applications are in the sweep or in what order they appear.
+	// Seed is the run seed. Each job derives its seed from it with
+	// dispatch.SiteJob — the application's base seed, then the site's — so
+	// an application's verdicts do not depend on which other applications
+	// are in the sweep or in what order they appear.
 	Seed int64
 	// SampleN is the number of generated inputs per success-rate experiment
 	// (the paper uses 200). Zero disables the experiments.
@@ -135,7 +135,6 @@ func Evaluate(cfg Config, list []*apps.App) []AppOutcome {
 // the Targets for reconstructed results) plus the folded outputs.
 type appPlan struct {
 	app      *apps.App
-	seed     int64 // per-app base seed; hunt seeds derive per site from it
 	targets  []*core.Target
 	analysis time.Duration
 	err      error
@@ -185,13 +184,13 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 
 	// Stages 1–3 run in-process, through the job cache: the planner needs
 	// each application's site list to cut per-site jobs. Analysis ignores
-	// the per-app seed (it travels on the jobs), so the cache entry the
-	// planner warms here is the one the default Local backend's jobs hit —
+	// the seed (it travels on the jobs), so the cache entry the planner
+	// warms here is the one the default Local backend's jobs hit —
 	// and a shared cfg.Cache serves a repeated sweep without re-analyzing.
 	// Out-of-process workers still re-derive analysis from the job records
 	// alone (or their own shared cache directory).
 	plans := queue.Map(analysisWorkers, list, func(app *apps.App) *appPlan {
-		p := &appPlan{app: app, seed: core.SiteSeed(cfg.Seed, app.Short)}
+		p := &appPlan{app: app}
 		start := time.Now()
 		p.targets, p.err = jc.Targets(ctx, app, cfg.Engine)
 		p.analysis = time.Since(start)
@@ -210,7 +209,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 		p.result = &core.AppResult{App: p.app, Analysis: p.analysis, Sites: make([]*core.SiteResult, len(p.targets))}
 		for i, t := range p.targets {
 			p.result.Sites[i] = &core.SiteResult{Target: t, Verdict: core.VerdictUnknown}
-			w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, t.Info, p.seed, cfg.Engine))
+			w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, t.Info, cfg.Seed, cfg.Engine))
 		}
 	}
 	for _, res := range runWave(ctx, backend, w.jobs) {
@@ -248,10 +247,10 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 			}
 			for i, t := range p.targets {
 				if cfg.SamePath {
-					w.add(p, i, dispatch.SiteJob(dispatch.KindSamePath, p.app.Short, t.Info, p.seed, cfg.Engine))
+					w.add(p, i, dispatch.SiteJob(dispatch.KindSamePath, p.app.Short, t.Info, cfg.Seed, cfg.Engine))
 				}
 				if cfg.SampleN > 0 && p.result.Sites[i].Verdict == core.VerdictExposed {
-					j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, p.seed, cfg.Engine)
+					j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, cfg.Seed, cfg.Engine)
 					j.SampleN = cfg.SampleN
 					w.add(p, i, j)
 				}
@@ -289,7 +288,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 					srec.TargetOnly.Hits*2 >= srec.TargetOnly.Total {
 					continue
 				}
-				j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, p.seed, cfg.Engine)
+				j := dispatch.SiteJob(dispatch.KindSuccessRate, p.app.Short, t.Info, cfg.Seed, cfg.Engine)
 				j.SampleN, j.Enforced = cfg.SampleN, sr.Enforced
 				w.add(p, i, j)
 			}
@@ -332,7 +331,7 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 					p.arith[i].Pruned = true
 					continue
 				}
-				w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, s, p.seed, cfg.Engine))
+				w.add(p, i, dispatch.SiteJob(dispatch.KindHunt, p.app.Short, s, cfg.Seed, cfg.Engine))
 			}
 		}
 		for _, res := range runWave(ctx, backend, w.jobs) {

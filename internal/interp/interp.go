@@ -371,10 +371,10 @@ func Run(prog *lang.Program, input []byte, opts Options) *Outcome {
 
 // RunTree executes prog on the original tree-walking interpreter: a fresh
 // machine per call, environments as string-keyed maps, every variable
-// re-resolved by name at each step. It is retained as the compiled layer's
-// differential oracle (TestCompiledParity* pin byte-identical Outcomes) and
-// as the core.Options.OneShotExecution ablation baseline; new code should use
-// Run or a reused Machine.
+// re-resolved by name at each step. It is retained only as the compiled
+// layer's oracle: TestCompiledParity* and the fuzz targets pin byte-identical
+// Outcomes against it, and benchmarks and perfbench replay inputs on it.
+// Production code runs on Run or a reused Machine.
 func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 	if opts.TrackSymbolic {
 		opts.TrackTaint = true

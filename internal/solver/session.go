@@ -182,33 +182,28 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 		return nil, Unsat
 	}
 	s := ss.sol
-	if !s.opts.OneShot {
-		for i := range ss.cache {
-			cm := &ss.cache[i]
-			if cm.gen >= len(ss.conj) {
-				continue
-			}
-			if ok, err := cm.m.EvalBool(f); err == nil && ok {
-				cm.gen = len(ss.conj)
-				ss.solvedGen = len(ss.conj) + 1
-				s.stats.modelCacheHits.Add(1)
-				return cm.m, Sat
-			}
+	for i := range ss.cache {
+		cm := &ss.cache[i]
+		if cm.gen >= len(ss.conj) {
+			continue
+		}
+		if ok, err := cm.m.EvalBool(f); err == nil && ok {
+			cm.gen = len(ss.conj)
+			ss.solvedGen = len(ss.conj) + 1
+			s.stats.add(Stats{ModelCacheHits: 1})
+			return cm.m, Sat
 		}
 	}
 	if s.opts.Mode != ModeSATOnly {
 		if m := concreteSearch(ss.rng, f, ss.vars, s.opts.ConcreteTries); m != nil {
-			s.stats.concreteHits.Add(1)
+			s.stats.add(Stats{ConcreteHits: 1})
 			ss.remember(m)
 			return m, Sat
 		}
 		if s.opts.Mode == ModeConcreteOnly {
-			s.stats.unknownOut.Add(1)
+			s.stats.add(Stats{UnknownOut: 1})
 			return nil, Unknown
 		}
-	}
-	if s.opts.OneShot {
-		return s.satSolve(ss.rng, f, nil)
 	}
 	polarity := polarityFind
 	if ss.solvedGen == len(ss.conj)+1 {
@@ -227,10 +222,10 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 		ss.remember(m)
 		return m, Sat
 	case sat.Unsat:
-		s.stats.unsatResults.Add(1)
+		s.stats.add(Stats{UnsatResults: 1})
 		return nil, Unsat
 	default:
-		s.stats.unknownOut.Add(1)
+		s.stats.add(Stats{UnknownOut: 1})
 		return nil, Unknown
 	}
 }
@@ -262,10 +257,6 @@ func (ss *Session) SampleModels(k int) []bv.Assignment {
 		return nil
 	}
 	s := ss.sol
-	if s.opts.OneShot {
-		return s.sampleOneShot(ss.rng, f, k)
-	}
-
 	ms := newModelSet(ss.vars)
 	s.concretePhase(ss.rng, f, ms, k)
 	if len(ms.models) < k && s.opts.Mode != ModeConcreteOnly {
@@ -324,16 +315,16 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) {
 			focused = false
 			ss.engine.SetDecisionFocus(nil)
 		}
-		s.stats.restartSamples.Add(1)
+		s.stats.add(Stats{RestartSamples: 1})
 		if ms.add(ss.bl.Model()) {
 			stale = 0
 		} else {
 			stale++
-			s.stats.duplicateModels.Add(1)
+			s.stats.add(Stats{DuplicateModels: 1})
 		}
 	}
 	if len(ms.models) < k {
-		s.stats.blockingFallbacks.Add(1)
+		s.stats.add(Stats{BlockingFallbacks: 1})
 		ss.sampleBlocking(ms, k)
 	}
 }
@@ -359,7 +350,7 @@ func (ss *Session) sampleBlocking(ms *modelSet, k int) {
 			// A model the guards should have excluded came back: a
 			// sampling-strategy bug. Count it so it surfaces in stats instead
 			// of silently truncating the sample, and stop rather than loop.
-			s.stats.duplicateModels.Add(1)
+			s.stats.add(Stats{DuplicateModels: 1})
 			break
 		}
 		guards = append(guards, ss.guardBlock(m))
@@ -443,7 +434,7 @@ func (ss *Session) portfolioSolve() (bv.Assignment, sat.Result) {
 	// Race n configurations over the remaining budget, split evenly so the
 	// total conflict work stays within MaxConflicts order.
 	n := s.opts.Portfolio
-	s.stats.portfolioRaces.Add(1)
+	s.stats.add(Stats{PortfolioRaces: 1})
 	perRacer := (s.opts.MaxConflicts - probe + int64(n) - 1) / int64(n)
 	if perRacer < probe {
 		perRacer = probe
@@ -500,7 +491,7 @@ func (ss *Session) portfolioSolve() (bv.Assignment, sat.Result) {
 	for i := 0; i < limit; i++ {
 		imported += ss.engine.ImportLearnts(racers[i].ExportLearnts(learntImportCap))
 	}
-	s.stats.learntsShared.Add(int64(imported))
+	s.stats.add(Stats{LearntsShared: imported})
 	if winner < 0 {
 		return nil, sat.Unknown
 	}
@@ -521,28 +512,8 @@ func (ss *Session) assertPending() {
 }
 
 // cdcl runs one call on the persistent engine, updating work counters.
-// ClausesReused counts each retained learned clause once: on every call
-// after the first, the growth of the learnt database since the last count is
-// the set of clauses that will be carried into this and later calls.
 func (ss *Session) cdcl(assumps []sat.Lit) sat.Result {
-	s := ss.sol
-	s.stats.satSolves.Add(1)
-	if len(assumps) > 0 {
-		s.stats.assumptionSolves.Add(1)
-	}
-	if ss.cdclCalls > 0 {
-		// Identity-less approximation: growth of the retained-learnt count
-		// since the last call. The unconditional reset keeps the baseline
-		// honest after reduceDB prunes below it — the error is bounded to
-		// the one call where pruning happened, instead of going permanently
-		// stale against an unreachable high-water mark.
-		n := ss.engine.NumLearnts()
-		if n > ss.learntsSeen {
-			s.stats.clausesReused.Add(int64(n - ss.learntsSeen))
-		}
-		ss.learntsSeen = n
-	}
-	ss.cdclCalls++
+	ss.countCall(len(assumps) > 0)
 	ss.assertPending()
 	return ss.engine.SolveUnderAssumptions(assumps)
 }
@@ -552,17 +523,33 @@ func (ss *Session) cdcl(assumps []sat.Lit) sat.Result {
 // re-solving from the root. The conjunction must already be encoded
 // (assertPending) — sampling never grows it mid-run.
 func (ss *Session) cdclContinue() sat.Result {
-	s := ss.sol
-	s.stats.satSolves.Add(1)
+	ss.countCall(false)
+	return ss.engine.SolveContinue()
+}
+
+// countCall records one CDCL call on the persistent engine. ClausesReused
+// counts each retained learned clause once: on every call after the first,
+// the growth of the learnt database since the last count is the set of
+// clauses that will be carried into this and later calls.
+func (ss *Session) countCall(assumed bool) {
+	d := Stats{SATSolves: 1}
+	if assumed {
+		d.AssumptionSolves = 1
+	}
 	if ss.cdclCalls > 0 {
+		// Identity-less approximation: growth of the retained-learnt count
+		// since the last call. The unconditional reset keeps the baseline
+		// honest after reduceDB prunes below it — the error is bounded to
+		// the one call where pruning happened, instead of going permanently
+		// stale against an unreachable high-water mark.
 		n := ss.engine.NumLearnts()
 		if n > ss.learntsSeen {
-			s.stats.clausesReused.Add(int64(n - ss.learntsSeen))
+			d.ClausesReused = n - ss.learntsSeen
 		}
 		ss.learntsSeen = n
 	}
 	ss.cdclCalls++
-	return ss.engine.SolveContinue()
+	ss.sol.stats.add(d)
 }
 
 // guardBlock adds a blocking clause for m guarded by a fresh literal g:

@@ -42,7 +42,8 @@ func randCond(rng *rand.Rand, vars []*bv.Term) *bv.Bool {
 
 // TestSessionMatchesOneShot grows random conjunctions constraint by
 // constraint and checks, at every step, that session-based Assert+Solve
-// agrees with a one-shot Solve of the rebuilt conjunction. ModeSATOnly
+// agrees with a Solve of the whole rebuilt conjunction on a fresh Solver,
+// which runs it on a new session with nothing retained. ModeSATOnly
 // forces every solve through the persistent CDCL engine, so retained learned
 // clauses, hash-consed re-encoding and assumption plumbing are all on the
 // hot path; the hybrid round covers the concrete phase and model cache.
@@ -61,7 +62,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 					conds[i] = randCond(rng, vars)
 				}
 				sess := New(Options{Seed: int64(trial), Mode: mode}).NewSession(conds[0])
-				oneShot := New(Options{Seed: int64(1000 + trial), Mode: mode, OneShot: true})
+				ref := New(Options{Seed: int64(1000 + trial), Mode: mode})
 				cur := conds[0]
 				for i := 0; i < n; i++ {
 					if i > 0 {
@@ -69,9 +70,9 @@ func TestSessionMatchesOneShot(t *testing.T) {
 						cur = bv.AndB(cur, conds[i])
 					}
 					m, v := sess.Solve()
-					_, want := oneShot.Solve(cur)
+					_, want := ref.Solve(cur)
 					if v != want {
-						t.Fatalf("trial %d step %d: session %v, one-shot %v\nconstraint: %v",
+						t.Fatalf("trial %d step %d: session %v, fresh solve %v\nconstraint: %v",
 							trial, i, v, want, cur)
 					}
 					if v == Sat {

@@ -35,9 +35,7 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"diode/internal/bitblast"
 	"diode/internal/bv"
-	"diode/internal/sat"
 )
 
 // Verdict is the outcome of a Solve call.
@@ -115,24 +113,19 @@ type Options struct {
 	// from uncancelled losers are folded back into the persistent engine.
 	// Zero or one solves on the single persistent engine only.
 	Portfolio int
-	// OneShot disables incremental session state: every Session.Solve and
-	// Session.SampleModels then rebuilds the full conjunction on a fresh
-	// CDCL engine and blaster, the pre-session behavior. Kept as a
-	// benchmark/ablation hook (BenchmarkHuntIncremental compares the two).
-	OneShot bool
 }
 
 // Solver solves bitvector formulas. It is safe for concurrent use: the work
-// counters are atomic and each Session owns a private random stream derived
-// from (Seed, session ordinal), so concurrent sessions never contend on
-// shared state. Session ordinals are handed out in NewSession call order, so
+// counters sit behind a mutex and each Session owns a private random stream
+// derived from (Seed, session ordinal), so concurrent sessions never contend
+// on shared state. Session ordinals are handed out in NewSession call order, so
 // for reproducible runs create one Solver per goroutine (as the core Hunter
 // does) and give each a derived seed — concurrent NewSession calls on one
 // Solver are race-free but their ordinal order follows the scheduler.
 type Solver struct {
 	opts     Options
 	sessions atomic.Int64 // ordinal source for per-session RNG derivation
-	stats    Collector
+	stats    tally
 }
 
 // New returns a Solver with the given options.
@@ -158,13 +151,13 @@ func sessionSeed(seed, ordinal int64) int64 {
 }
 
 // Snapshot returns a point-in-time copy of the cumulative work counters.
-func (s *Solver) Snapshot() Stats { return s.stats.Snapshot() }
+func (s *Solver) Snapshot() Stats { return s.stats.snapshot() }
 
 // NoteGenFailure records that a model this solver produced could not be
 // reconstructed into an input file (inputgen.Generator.Generate failed). The
 // core reports these so success-rate totals can document how many sampled
 // models were lost to generation rather than counted as non-triggering.
-func (s *Solver) NoteGenFailure() { s.stats.genFailures.Add(1) }
+func (s *Solver) NoteGenFailure() { s.stats.add(Stats{GenFailures: 1}) }
 
 // Solve returns a model of f, or Unsat/Unknown. It is the stateless entry
 // point: each call runs on a throwaway Session. Callers that solve a growing
@@ -237,54 +230,6 @@ func randomValue(rng *rand.Rand, w uint8) uint64 {
 	}
 }
 
-// satSolve bit-blasts f (plus optional blocking clauses from prior models)
-// and runs the CDCL solver.
-func (s *Solver) satSolve(rng *rand.Rand, f *bv.Bool, blocked []bv.Assignment) (bv.Assignment, Verdict) {
-	s.stats.satSolves.Add(1)
-	engine := sat.New(sat.Options{
-		Seed:           rng.Int63(),
-		RandomPolarity: polarityFind,
-		MaxConflicts:   s.opts.MaxConflicts,
-	})
-	bl := bitblast.New(engine)
-	bl.Assert(f)
-	vars := bv.BoolVars(f)
-	for _, m := range blocked {
-		s.blockModel(engine, bl, vars, m)
-	}
-	switch engine.Solve() {
-	case sat.Sat:
-		return bl.Model(), Sat
-	case sat.Unsat:
-		s.stats.unsatResults.Add(1)
-		return nil, Unsat
-	default:
-		s.stats.unknownOut.Add(1)
-		return nil, Unknown
-	}
-}
-
-func (s *Solver) blockModel(engine *sat.Solver, bl *bitblast.Blaster, vars bv.VarSet, m bv.Assignment) {
-	var clause []sat.Lit
-	for _, name := range vars.Names() {
-		v, ok := m[name]
-		if !ok {
-			continue
-		}
-		bits := bl.Bits(vars[name])
-		for i, l := range bits {
-			if v>>uint(i)&1 == 1 {
-				clause = append(clause, l.Neg())
-			} else {
-				clause = append(clause, l)
-			}
-		}
-	}
-	if len(clause) > 0 {
-		engine.AddClause(clause...)
-	}
-}
-
 // SampleModels returns up to k distinct models of f. It is the machinery for
 // the paper's "generate 200 inputs that satisfy the constraint" experiments.
 // When the constraint has fewer than k solutions over its variables, every
@@ -296,8 +241,7 @@ func (s *Solver) SampleModels(f *bv.Bool, k int) []bv.Assignment {
 }
 
 // modelSet collects distinct models of one constraint; the dedup key is the
-// sorted-variable assignment rendering, shared by the session and one-shot
-// sampling paths.
+// sorted-variable assignment rendering.
 type modelSet struct {
 	vars   bv.VarSet
 	seen   map[string]bool
@@ -336,46 +280,6 @@ func (s *Solver) concretePhase(rng *rand.Rand, f *bv.Bool, ms *modelSet, k int) 
 			ms.add(m)
 		}
 	}
-}
-
-// sampleOneShot is the pre-session sampling path (Options.OneShot): concrete
-// phase, then complete enumeration with blocking clauses on a fresh engine.
-func (s *Solver) sampleOneShot(rng *rand.Rand, f *bv.Bool, k int) []bv.Assignment {
-	ms := newModelSet(bv.BoolVars(f))
-	s.concretePhase(rng, f, ms, k)
-	if len(ms.models) >= k || s.opts.Mode == ModeConcreteOnly {
-		return ms.models
-	}
-
-	// Phase 2: complete enumeration with blocking clauses, one incremental
-	// SAT solver, randomized polarity for diversity.
-	engine := sat.New(sat.Options{
-		Seed:           rng.Int63(),
-		RandomPolarity: polaritySample,
-		MaxConflicts:   s.opts.MaxConflicts,
-	})
-	bl := bitblast.New(engine)
-	bl.Assert(f)
-	for _, m := range ms.models {
-		s.blockModel(engine, bl, ms.vars, m)
-	}
-	for len(ms.models) < k {
-		res := engine.Solve()
-		if res != sat.Sat {
-			break
-		}
-		m := bl.Model()
-		engine.CancelToRoot()
-		if !ms.add(m) {
-			// A model the blocking clauses should have excluded came back: a
-			// sampling-strategy bug. Count it so it surfaces in stats instead
-			// of silently truncating the sample, and stop rather than loop.
-			s.stats.duplicateModels.Add(1)
-			break
-		}
-		s.blockModel(engine, bl, ms.vars, m)
-	}
-	return ms.models
 }
 
 func assignmentKey(m bv.Assignment, vars bv.VarSet) string {

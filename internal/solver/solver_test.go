@@ -228,27 +228,3 @@ func TestConcurrentSolve(t *testing.T) {
 		t.Errorf("ConcreteHits = %d, want >= %d", hits, workers*rounds)
 	}
 }
-
-// TestCollectorAggregation folds snapshots from several hunter-local solvers
-// into one Collector, concurrently.
-func TestCollectorAggregation(t *testing.T) {
-	var agg Collector
-	x := bv.Var(16, "ag_x")
-	f := bv.Ugt(x, bv.Const(16, 10))
-	var wg sync.WaitGroup
-	const n = 6
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := New(Options{Seed: int64(i)})
-			s.Solve(f)
-			agg.Add(s.Snapshot())
-		}(i)
-	}
-	wg.Wait()
-	got := agg.Snapshot()
-	if got.ConcreteHits+got.SATSolves < n {
-		t.Errorf("aggregate lost work: %+v", got)
-	}
-}

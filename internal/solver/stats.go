@@ -1,10 +1,11 @@
 package solver
 
-import "sync/atomic"
+import "sync"
 
 // Stats is a point-in-time snapshot of solver work counters. It is a plain
-// value: read it with Solver.Snapshot (or Collector.Snapshot) and combine
-// snapshots with Add.
+// value: read it with Solver.Snapshot and combine snapshots with Add. Each
+// counter is declared here and summed in Add; a solver counts by adding a
+// Stats delta that sets the counters one event moves.
 type Stats struct {
 	ConcreteHits int // solves settled by concrete search
 	SATSolves    int // solves that reached the CDCL solver
@@ -48,59 +49,23 @@ func (s *Stats) Add(o Stats) {
 	s.GenFailures += o.GenFailures
 }
 
-// Collector accumulates solver work counters atomically. It is safe for
-// concurrent use: each Solver counts into its own Collector, and an
-// aggregator may fold hunter-local snapshots into a shared one.
-type Collector struct {
-	concreteHits      atomic.Int64
-	satSolves         atomic.Int64
-	unsatResults      atomic.Int64
-	unknownOut        atomic.Int64
-	assumptionSolves  atomic.Int64
-	modelCacheHits    atomic.Int64
-	clausesReused     atomic.Int64
-	restartSamples    atomic.Int64
-	blockingFallbacks atomic.Int64
-	duplicateModels   atomic.Int64
-	portfolioRaces    atomic.Int64
-	learntsShared     atomic.Int64
-	genFailures       atomic.Int64
+// tally is a Solver's running Stats total; safe for concurrent use. Counting
+// happens once per solve or sample, so a mutex costs nothing measurable.
+type tally struct {
+	mu    sync.Mutex
+	total Stats
 }
 
-// Add folds a snapshot into the collector.
-func (c *Collector) Add(s Stats) {
-	c.concreteHits.Add(int64(s.ConcreteHits))
-	c.satSolves.Add(int64(s.SATSolves))
-	c.unsatResults.Add(int64(s.UnsatResults))
-	c.unknownOut.Add(int64(s.UnknownOut))
-	c.assumptionSolves.Add(int64(s.AssumptionSolves))
-	c.modelCacheHits.Add(int64(s.ModelCacheHits))
-	c.clausesReused.Add(int64(s.ClausesReused))
-	c.restartSamples.Add(int64(s.RestartSamples))
-	c.blockingFallbacks.Add(int64(s.BlockingFallbacks))
-	c.duplicateModels.Add(int64(s.DuplicateModels))
-	c.portfolioRaces.Add(int64(s.PortfolioRaces))
-	c.learntsShared.Add(int64(s.LearntsShared))
-	c.genFailures.Add(int64(s.GenFailures))
+// add folds a delta into the total.
+func (t *tally) add(d Stats) {
+	t.mu.Lock()
+	t.total.Add(d)
+	t.mu.Unlock()
 }
 
-// Snapshot returns the current counter values.
-func (c *Collector) Snapshot() Stats {
-	return Stats{
-		ConcreteHits:     int(c.concreteHits.Load()),
-		SATSolves:        int(c.satSolves.Load()),
-		UnsatResults:     int(c.unsatResults.Load()),
-		UnknownOut:       int(c.unknownOut.Load()),
-		AssumptionSolves: int(c.assumptionSolves.Load()),
-		ModelCacheHits:   int(c.modelCacheHits.Load()),
-		ClausesReused:    int(c.clausesReused.Load()),
-
-		RestartSamples:    int(c.restartSamples.Load()),
-		BlockingFallbacks: int(c.blockingFallbacks.Load()),
-		DuplicateModels:   int(c.duplicateModels.Load()),
-		PortfolioRaces:    int(c.portfolioRaces.Load()),
-		LearntsShared:     int(c.learntsShared.Load()),
-
-		GenFailures: int(c.genFailures.Load()),
-	}
+// snapshot returns a copy of the total.
+func (t *tally) snapshot() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
 }

@@ -27,7 +27,7 @@ func (r *recordingBackend) Run(_ context.Context, jobs []Job) (<-chan JobResult,
 // the same site: HuntJobsFor (cmd/diode, the examples) and the harness's
 // wave-1 hunt jobs (diode-tables) must agree record for record — and hence
 // share JobKeys and job-cache entries — when given one application, the
-// harness's per-application base seed and the same settings.
+// same run seed and the same settings.
 func TestHuntJobsMatchHarnessJobs(t *testing.T) {
 	const seed = 5
 	app, err := Application("vlc")
@@ -44,7 +44,7 @@ func TestHuntJobsMatchHarnessJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := HuntJobsFor(app, Options{Seed: SiteSeed(seed, app.Short), Settings: settings}, targets)
+	jobs := HuntJobsFor(app, Options{Seed: seed, Settings: settings}, targets)
 	if len(jobs) == 0 || len(jobs) != len(rec.jobs) {
 		t.Fatalf("HuntJobsFor planned %d jobs, the harness %d", len(jobs), len(rec.jobs))
 	}
