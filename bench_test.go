@@ -360,7 +360,8 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 				// Shared corpus: the same models both hunters sampled.
 				sol := solver.New(solver.Options{Seed: siteOpts.Seed})
 				gen := app.Format.Generator()
-				for _, m := range sol.NewSession(constraint).SampleModels(200) {
+				models, _ := sol.NewSession(constraint).SampleModels(200)
+				for _, m := range models {
 					input, err := gen.Generate(app.Format.Seed, m)
 					if err != nil {
 						continue
@@ -631,7 +632,8 @@ func BenchmarkSampleModels(b *testing.B) {
 		counts := make([]int, len(jobs))
 		for i, j := range jobs {
 			s := solver.New(solver.Options{Seed: j.seed, Mode: solver.ModeSATOnly, Sampling: strategy})
-			counts[i] = len(s.SampleModels(j.f, k))
+			models, _ := s.SampleModels(j.f, k)
+			counts[i] = len(models)
 		}
 		return time.Since(t0), counts
 	}
@@ -650,53 +652,6 @@ func BenchmarkSampleModels(b *testing.B) {
 		b.ReportMetric(blockingTime.Seconds()/restartTime.Seconds(), "speedup")
 		b.ReportMetric(float64(len(jobs)), "constraints")
 		b.ReportMetric(float64(models), "models")
-	}
-}
-
-// BenchmarkPortfolioSolve measures portfolio racing on solves hard enough to
-// outlive the probe budget: 16-bit semiprime factoring (the hardest formula
-// shape the bit-blaster produces — no propagation shortcut reveals the
-// factors) under a conflict budget the single engine usually cannot meet.
-// Reported metrics are the decided fraction under each configuration — the
-// portfolio's value is turning budget-bound Unknowns into answers, not
-// making easy solves faster — and the volume of learnt clauses folded back.
-func BenchmarkPortfolioSolve(b *testing.B) {
-	semiprimes := []uint64{
-		1021 * 1019, 1031 * 1033, 1049 * 1051, 1061 * 1063,
-		1091 * 1087, 1097 * 1093, 1109 * 1103, 1123 * 1117,
-	}
-	formula := func(i int, c uint64) *bv.Bool {
-		x := bv.Var(16, fmt.Sprintf("bp_x%d", i))
-		y := bv.Var(16, fmt.Sprintf("bp_y%d", i))
-		prod := bv.Mul(bv.ZExt(32, x), bv.ZExt(32, y))
-		return bv.AndB(bv.Eq(prod, bv.Const(32, c)),
-			bv.AndB(bv.Ugt(x, bv.Const(16, 1)), bv.Ugt(y, bv.Const(16, 1))))
-	}
-	run := func(portfolio int) (time.Duration, int, solver.Stats) {
-		t0 := time.Now()
-		decided := 0
-		agg := solver.Stats{}
-		for i, c := range semiprimes {
-			s := solver.New(solver.Options{
-				Seed: int64(i + 1), Mode: solver.ModeSATOnly,
-				MaxConflicts: 1000, Portfolio: portfolio,
-			})
-			if _, v := s.Solve(formula(i, c)); v != solver.Unknown {
-				decided++
-			}
-			agg.Add(s.Snapshot())
-		}
-		return time.Since(t0), decided, agg
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		singleTime, singleDecided, _ := run(0)
-		portfolioTime, portfolioDecided, st := run(4)
-		b.ReportMetric(float64(singleDecided)/float64(len(semiprimes)), "decided-single")
-		b.ReportMetric(float64(portfolioDecided)/float64(len(semiprimes)), "decided-portfolio")
-		b.ReportMetric(float64(st.PortfolioRaces), "races")
-		b.ReportMetric(float64(st.LearntsShared), "learnts-shared")
-		b.ReportMetric(portfolioTime.Seconds()/singleTime.Seconds(), "time-ratio")
 	}
 }
 

@@ -68,11 +68,10 @@ func run() (code int) {
 	dbOut := flag.String("db", "", "also write the results database to this file")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = memory only)")
 	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
-	portfolio := flag.Int("portfolio", 0, "race this many solver configurations per hard CDCL solve (0/1 = single engine)")
 	blockingSampling := flag.Bool("blocking-sampling", false, "ablation: enumerate sample models via blocking clauses instead of randomized restarts")
 	discoverMode := flag.Bool("discover", false, "append the statically discovered-site table after the selected tables")
 	triageTable := flag.Bool("triage", false, "append the static value-range triage table after the selected tables")
-	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; hard-unsatisfiable sites can cost the solver minutes")
+	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; a site whose β sampling runs out of conflicts costs the solver about a minute")
 	noTriage := flag.Bool("no-triage", false, "ablation: disable the static triage (no hunt short-circuits; arith sites all hunt)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -106,7 +105,7 @@ func run() (code int) {
 	// so a repeated sweep is served without re-running any hunt.
 	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	cfg := harness.Config{Seed: *seed, Parallelism: *parallel, Workers: *workers, Cache: jc, Arith: *arithWave,
-		Engine: diode.JobOptions{Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}}
+		Engine: diode.JobOptions{OneShotSampling: *blockingSampling, NoTriage: *noTriage}}
 	var appList []*diode.App
 	switch *table {
 	case "1":

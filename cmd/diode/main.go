@@ -64,7 +64,6 @@ func run() (code int) {
 	progress := flag.Bool("progress", false, "stream live job progress (started/iteration/verdict) to stderr")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = memory only)")
 	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
-	portfolio := flag.Int("portfolio", 0, "race this many solver configurations per hard CDCL solve (0/1 = single engine)")
 	blockingSampling := flag.Bool("blocking-sampling", false, "ablation: enumerate sample models via blocking clauses instead of randomized restarts")
 	sitesMode := flag.Bool("sites", false, "list the statically discovered sites (name, kind, function, taint, expression) and exit without hunting")
 	triageMode := flag.Bool("triage", false, "list the discovered sites with their static value-range triage (verdict, bounds) and exit without hunting")
@@ -117,7 +116,7 @@ func run() (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	settings := diode.JobOptions{Portfolio: *portfolio, OneShotSampling: *blockingSampling, NoTriage: *noTriage}
+	settings := diode.JobOptions{OneShotSampling: *blockingSampling, NoTriage: *noTriage}
 	// The job cache memoizes the analysis and, with -cache-dir, serves whole
 	// job results from disk so repeated runs skip the hunts entirely.
 	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})

@@ -546,10 +546,6 @@ func (b *Blaster) Value(t *bv.Term) uint64 {
 }
 
 func (b *Blaster) bitsValue(bits []sat.Lit) uint64 {
-	return b.bitsValueOf(bits, b.s.ModelValue)
-}
-
-func (b *Blaster) bitsValueOf(bits []sat.Lit, value func(sat.Var) bool) uint64 {
 	var v uint64
 	for i, l := range bits {
 		var bit bool
@@ -558,7 +554,7 @@ func (b *Blaster) bitsValueOf(bits []sat.Lit, value func(sat.Var) bool) uint64 {
 		} else if l == b.f {
 			bit = false
 		} else {
-			bit = value(l.Var()) != l.Sign()
+			bit = b.s.ModelValue(l.Var()) != l.Sign()
 		}
 		if bit {
 			v |= 1 << uint(i)
@@ -570,17 +566,9 @@ func (b *Blaster) bitsValueOf(bits []sat.Lit, value func(sat.Var) bool) uint64 {
 // Model extracts the assignment for every bv variable mentioned in asserted
 // formulas, reading the sat solver's model.
 func (b *Blaster) Model() bv.Assignment {
-	return b.ModelOf(b.s.ModelValue)
-}
-
-// ModelOf extracts the assignment reading per-variable values through value
-// instead of the attached solver's model — for models found by a clone of
-// the attached solver (identical variable numbering), the portfolio-race
-// case.
-func (b *Blaster) ModelOf(value func(sat.Var) bool) bv.Assignment {
 	m := make(bv.Assignment, len(b.varBits))
 	for name, bits := range b.varBits {
-		m[name] = b.bitsValueOf(bits, value)
+		m[name] = b.bitsValue(bits)
 	}
 	return m
 }

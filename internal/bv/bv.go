@@ -723,15 +723,6 @@ func OrB(a, b *Bool) *Bool {
 	return internBool(Bool{Kind: BOr, A: a, B: b})
 }
 
-// AndAll folds a slice of formulas with AndB. An empty slice yields true.
-func AndAll(bs []*Bool) *Bool {
-	out := trueBool
-	for _, b := range bs {
-		out = AndB(out, b)
-	}
-	return out
-}
-
 // OrAll folds a slice of formulas with OrB. An empty slice yields false.
 func OrAll(bs []*Bool) *Bool {
 	out := falseBool

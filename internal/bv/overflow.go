@@ -16,14 +16,6 @@ func OverflowCond(t *Term) *Bool {
 	return OrAll(c.flags)
 }
 
-// OverflowNodes returns the number of arithmetic nodes in t that contribute a
-// wraparound flag. Useful for diagnostics and tests.
-func OverflowNodes(t *Term) int {
-	c := &overflowCollector{seen: make(map[*Term]bool)}
-	c.visit(t)
-	return len(c.flags)
-}
-
 type overflowCollector struct {
 	seen  map[*Term]bool
 	flags []*Bool

@@ -35,12 +35,14 @@ func (h *Hunter) Hunt(t *Target) *SiteResult {
 }
 
 // HuntContext is Hunt with cancellation: the enforcement loop checks ctx at
-// every iteration boundary, and mid-run guest executions abort through the
-// interpreter's Cancel hook. A cancelled hunt returns promptly with a
-// VerdictUnknown result carrying whatever the loop had established so far
-// (enforced labels, run counts); callers distinguish cancellation from a
-// genuine budget-exhaustion Unknown via ctx.Err().
+// every iteration boundary, mid-run guest executions abort through the
+// interpreter's Cancel hook, and running CDCL solves and samples stop
+// through the hunter's solver (solver.Solver.StopOn). A cancelled hunt
+// returns promptly with a VerdictUnknown result carrying whatever the loop
+// had established so far (enforced labels, run counts); callers distinguish
+// cancellation from a genuine budget-exhaustion Unknown via ctx.Err().
 func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
+	defer h.sol.StopOn(ctx)()
 	start := time.Now()
 	res := &SiteResult{Target: t}
 	defer func() { res.Discovery = time.Since(start) }()
@@ -88,11 +90,15 @@ func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
 	// earlier iterations.
 	sess := h.sol.NewSession(t.Beta)
 
-	// Lines 3–6: the target constraint alone.
-	initial := sess.SampleModels(h.opts.InitialAttempts)
+	// Lines 3–6: the target constraint alone. No models means β itself is
+	// unsatisfiable — unless sampling ran out of conflicts first, which
+	// proves nothing.
+	initial, why := sess.SampleModels(h.opts.InitialAttempts)
 	if len(initial) == 0 {
-		// β itself is unsatisfiable (or the budget ran out).
 		res.Verdict = VerdictUnsat
+		if why == solver.Unknown {
+			res.Verdict = VerdictUnknown
+		}
 		return res
 	}
 	var lastInput []byte
@@ -272,13 +278,6 @@ func reachedSite(t *Target, out *interp.Outcome) bool {
 	return false
 }
 
-// SamePathConstraint returns the §5.4 experiment constraint for a target:
-// the target constraint conjoined with every relevant branch constraint on
-// the seed path — "overflow while following exactly the seed's path".
-func SamePathConstraint(t *Target) *bv.Bool {
-	return bv.AndB(t.Beta, t.SeedPath.Conds())
-}
-
 // SamePathSatisfiable decides the §5.4 experiment for a target: a session
 // opened on β with the full seed path asserted at once.
 func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
@@ -307,12 +306,14 @@ func (h *Hunter) SuccessRate(t *Target, constraint *bv.Bool, n int) (hits, total
 	return h.SuccessRateContext(context.Background(), t, constraint, n)
 }
 
-// SuccessRateContext is SuccessRate with cancellation: ctx is checked between
-// sampled executions and aborts mid-run guest executions through the
-// interpreter's Cancel hook. On cancellation the partial counts gathered so
-// far are returned; callers detect the truncation via ctx.Err().
+// SuccessRateContext is SuccessRate with cancellation: ctx stops the model
+// sampling (solver.Solver.StopOn), is checked between sampled executions and
+// aborts mid-run guest executions through the interpreter's Cancel hook. On
+// cancellation the partial counts gathered so far are returned; callers
+// detect the truncation via ctx.Err().
 func (h *Hunter) SuccessRateContext(ctx context.Context, t *Target, constraint *bv.Bool, n int) (hits, total int) {
-	models := h.sol.NewSession(constraint).SampleModels(n)
+	defer h.sol.StopOn(ctx)()
+	models, _ := h.sol.NewSession(constraint).SampleModels(n)
 	for _, m := range models {
 		if ctx.Err() != nil {
 			return hits, total

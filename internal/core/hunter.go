@@ -40,10 +40,9 @@ func NewHunter(app *apps.App, opts Options) *Hunter {
 		app:  app,
 		opts: opts,
 		sol: solver.New(solver.Options{
-			Seed:      opts.Seed,
-			Mode:      opts.SolverMode,
-			Sampling:  samplingFor(opts),
-			Portfolio: opts.Portfolio,
+			Seed:     opts.Seed,
+			Mode:     opts.SolverMode,
+			Sampling: samplingFor(opts),
 		}),
 		gen:  app.Format.Generator(),
 		mach: interp.NewMachine(app.Compiled()),

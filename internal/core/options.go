@@ -35,11 +35,6 @@ type Settings struct {
 	// polarities and activities on the persistent engine between samples and
 	// falls back to blocking only to certify exhaustion.
 	OneShotSampling bool `json:"oneShotSampling,omitempty"`
-	// Portfolio, when >1, races that many solver engine configurations on
-	// CDCL solves that survive a probe budget; the winner is picked by a
-	// deterministic tie-break and losers' learnt clauses are folded back into
-	// the persistent engine. Zero or one keeps single-engine solving.
-	Portfolio int `json:"portfolio,omitempty"`
 	// DisableCompression skips Figure 8 branch-condition compression
 	// (ablation hook).
 	DisableCompression bool `json:"disableCompression,omitempty"`

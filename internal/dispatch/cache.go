@@ -23,7 +23,10 @@ import (
 // triage verdicts ride on targets and can short-circuit hunts, so a triage
 // algorithm change can change results for unchanged programs — and options
 // gained NoTriage.
-const keyVersion = "3"
+// Version 4: a hunt whose β sampling runs out of its conflict budget before
+// finding a model reports unknown instead of unsatisfiable, and options lost
+// Portfolio.
+const keyVersion = "4"
 
 // CacheConfig configures a JobCache. The zero value is a pure in-memory
 // cache with default bounds.

@@ -26,7 +26,6 @@ var optionsKeyFlips = map[string]func(*Options){
 	"Fuel":                   func(o *Options) { o.Fuel++ },
 	"SolverMode":             func(o *Options) { o.SolverMode = solver.Mode(1) },
 	"OneShotSampling":        func(o *Options) { o.OneShotSampling = true },
-	"Portfolio":              func(o *Options) { o.Portfolio = 4 },
 	"DisableCompression":     func(o *Options) { o.DisableCompression = true },
 	"DisableRelevanceFilter": func(o *Options) { o.DisableRelevanceFilter = true },
 	"NoTriage":               func(o *Options) { o.NoTriage = true },
@@ -134,19 +133,18 @@ func TestJobKeySensitivity(t *testing.T) {
 // workers) without failing any behavioral test; a deliberate change must
 // bump keyVersion and update these strings.
 //
-// The fully populated record's key moved when the oneShotSolver and
-// oneShotExecution options were deleted: the record no longer carries them.
-// keyVersion stays "3" because no remaining field's encoding changed — a
-// record that never set the deleted options (every default-options job, see
-// wantHuntKey) keeps its key, so existing store entries still hit.
+// Both keys moved with keyVersion "4": a hunt whose β sampling runs out of
+// conflicts now reports unknown rather than unsatisfiable, so a result stored
+// under version 3 can differ for unchanged inputs. The fully populated
+// record also no longer carries the deleted portfolio option.
 func TestKeyAndWireGolden(t *testing.T) {
 	opts := Options{
 		InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, SolverMode: solver.ModeSATOnly,
-		OneShotSampling: true, Portfolio: 4,
+		OneShotSampling:    true,
 		DisableCompression: true, DisableRelevanceFilter: true, NoTriage: true,
 	}
 	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"solverMode":1,` +
-		`"oneShotSampling":true,"portfolio":4,` +
+		`"oneShotSampling":true,` +
 		`"disableCompression":true,"disableRelevanceFilter":true,"noTriage":true}`
 	if got := canonicalOpts(opts); got != wantOpts {
 		t.Errorf("canonicalOpts:\n got %s\nwant %s", got, wantOpts)
@@ -160,12 +158,12 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "adaffec0d7827bdc5e407d67f693896525436e9e005544570f273f6384a19075"
+	const wantKey = "97a9d9933208ea62e65e06472a6d42988524a745c24254b1d3b81681a76f5861"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}
 	hunt := Job{ID: 1, Kind: KindHunt, App: "vlc", Site: "vlc:wav.c@147", SiteKind: "alloc", SitePath: "s1", Seed: 42}
-	const wantHuntKey = "f562a0a3dc19fb0f4f18f9da0d4e69725a756715e5e2cff86f37a59f10cc18e3"
+	const wantHuntKey = "d05de8ea5d1bdcd5d20cc9cb78bbe3b0339500373bf0127e1195547ff3476989"
 	if got := JobKey("fedcba9876543210", hunt); got != wantHuntKey {
 		t.Errorf("JobKey (default options) = %s, want %s", got, wantHuntKey)
 	}

@@ -54,9 +54,6 @@ func (s Spec) Width() uint8 {
 	return 0
 }
 
-// Covers reports whether the field contains the given byte offset.
-func (s Spec) Covers(off int) bool { return off >= s.Offset && off < s.Offset+s.Size }
-
 // Map is an ordered collection of field specs for one input format.
 type Map struct {
 	specs  []Spec

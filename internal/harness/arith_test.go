@@ -20,9 +20,10 @@ import (
 // Site selection is deterministic and budget-aware: the first non-safe
 // multiplication site in discovery order (falling back to the first
 // non-safe arith site of any operator). Multiplications overflow readily,
-// so the solver finds a model in milliseconds; hard-unsatisfiable addition
-// constraints can take the solver tens of seconds to certify, which is
-// real behavior the sweep tolerates but a unit test should not pay for.
+// so the solver finds a model in milliseconds; some addition constraints
+// instead run β sampling out of its conflict budget (about a minute each)
+// and end unknown, which is real behavior the sweep tolerates but a unit
+// test should not pay for.
 func TestArithHuntPerApp(t *testing.T) {
 	ctx := context.Background()
 	jc := dispatch.NewJobCache(dispatch.CacheConfig{})

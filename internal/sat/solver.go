@@ -35,26 +35,20 @@ type clause struct {
 
 // Options configure a Solver.
 type Options struct {
-	// Seed seeds the solver's internal randomness (decision polarity and
-	// occasional random decisions). Solves are deterministic per seed.
+	// Seed seeds the solver's internal randomness (random decision
+	// polarities). Solves are deterministic per seed.
 	Seed int64
 	// RandomPolarity is the probability that a decision variable is assigned
 	// a random phase instead of its saved phase. Non-zero values make
 	// repeated solves of the same formula return diverse models.
 	RandomPolarity float64
-	// RandomDecisionFreq is the probability that a decision picks a random
-	// unassigned variable instead of the highest-activity one.
-	RandomDecisionFreq float64
 	// MaxConflicts bounds the total number of conflicts before Solve gives
 	// up and returns Unknown. Zero means no bound.
 	MaxConflicts int64
-	// RestartBase scales the Luby restart sequence: the i-th restart happens
-	// after luby(i)*RestartBase conflicts. Zero means the default (100).
-	// Portfolio configurations vary this to diversify search trajectories.
-	RestartBase float64
 	// Stop, when non-nil, is polled at every conflict: once it reads true the
-	// solve returns Unknown promptly. It is how a portfolio race cancels
-	// losing configurations; the solver itself stays usable afterwards.
+	// solve returns Unknown promptly. It is how a caller cancels a running
+	// solve from another goroutine; the solver itself stays usable
+	// afterwards.
 	Stop *atomic.Bool
 }
 
@@ -149,15 +143,6 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // favor saved phases) and model *sampling* (high, favor diversity).
 func (s *Solver) SetRandomPolarity(p float64) { s.opts.RandomPolarity = p }
 
-// SetMaxConflicts adjusts the per-call conflict budget for subsequent solve
-// calls. Portfolio solving uses it to run a cheap probe on the persistent
-// engine before committing to a full race.
-func (s *Solver) SetMaxConflicts(n int64) { s.opts.MaxConflicts = n }
-
-// SetStop installs (or, with nil, removes) the cancellation flag polled at
-// every conflict. See Options.Stop.
-func (s *Solver) SetStop(stop *atomic.Bool) { s.opts.Stop = stop }
-
 // SetDecisionFocus makes subsequent decisions pick the first unassigned
 // variable of vars (in order) before consulting the activity heap; nil
 // restores pure activity order. Restart sampling focuses decisions on the
@@ -165,8 +150,7 @@ func (s *Solver) SetStop(stop *atomic.Bool) { s.opts.Stop = stop }
 // their perturbed saved phases — makes each completion's model projection a
 // direct function of the perturbation instead of a side effect of whatever
 // the auxiliary variables imply, which is what turns phase flips into fresh
-// models. The focus list is not copied by Clone; it is a sampling-call
-// setting, not part of the logical state.
+// models.
 func (s *Solver) SetDecisionFocus(vars []Var) { s.focus = vars }
 
 func (s *Solver) value(l Lit) lbool {
@@ -446,15 +430,6 @@ func (s *Solver) decide() bool {
 			break
 		}
 	}
-	if v < 0 && s.opts.RandomDecisionFreq > 0 && s.rng.Float64() < s.opts.RandomDecisionFreq {
-		// Random decision: pick an arbitrary unassigned variable.
-		if n := s.NumVars(); n > 0 {
-			cand := Var(s.rng.Intn(n))
-			if s.assigns[cand] == lUndef {
-				v = cand
-			}
-		}
-	}
 	for v < 0 {
 		if s.order.empty() {
 			return false
@@ -563,12 +538,8 @@ func (s *Solver) search(assumps []Lit) Result {
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
 	}
-	restartBase := s.opts.RestartBase
-	if restartBase <= 0 {
-		restartBase = lubyBase
-	}
 	var restarts int64
-	budget := int64(restartBase * luby(restarts+1))
+	budget := int64(lubyBase * luby(restarts+1))
 	conflictsThisRestart := int64(0)
 	startConflicts := s.Conflicts
 
@@ -630,7 +601,7 @@ func (s *Solver) search(assumps []Lit) Result {
 		if conflictsThisRestart >= budget {
 			restarts++
 			conflictsThisRestart = 0
-			budget = int64(restartBase * luby(restarts+1))
+			budget = int64(lubyBase * luby(restarts+1))
 			s.cancelUntil(0)
 			continue
 		}
@@ -667,28 +638,6 @@ func (s *Solver) Model() []bool {
 	return m
 }
 
-// Rerandomize backtracks to the root and re-randomizes each variable's saved
-// phase with probability flip (flip >= 1 scrambles every phase). Activities,
-// the decision heap and all clauses — problem and learnt alike — are
-// untouched, so the next Solve walks the *learned* variable order (which is
-// what keeps the solve fast) but extends assignments in a perturbed direction
-// (which is what makes it land on a different model). This is the
-// restart-sampling primitive: between model samples it replaces asserting a
-// blocking clause and re-solving from scratch. The flip rate trades solve
-// cost against sample diversity: a full scramble pays a near-cold search per
-// sample (random phases fight the constraint until conflicts herd them back),
-// while a small perturbation of the previous model's phases reaches a nearby
-// fresh model in a handful of conflicts. Scrambling activities too costs
-// another order of magnitude for no diversity the phase flips don't provide.
-func (s *Solver) Rerandomize(rng *rand.Rand, flip float64) {
-	s.cancelUntil(0)
-	for v := range s.assigns {
-		if flip >= 1 || rng.Float64() < flip {
-			s.phase[v] = rng.Intn(2) == 0
-		}
-	}
-}
-
 // PartialRestart backtracks to a random decision level of the current trail
 // (uniform over [0, depth]) and re-randomizes the saved phases of the
 // now-unassigned variables with probability flip each. Together with
@@ -722,102 +671,4 @@ func (s *Solver) PerturbPhases(rng *rand.Rand, flip float64, vars []Var) {
 			s.phase[v] = rng.Intn(2) == 0
 		}
 	}
-}
-
-// ExportLearnts returns copies of the retained learnt clauses with at most
-// maxLen literals (maxLen <= 0 means no cap). Short learnts are the ones
-// worth sharing across engines: they prune the most search per watched
-// literal, while long ones mostly bloat watch lists. The returned slices are
-// private copies, safe to hand to another solver.
-func (s *Solver) ExportLearnts(maxLen int) [][]Lit {
-	var out [][]Lit
-	for _, c := range s.learnts {
-		if maxLen > 0 && len(c.lits) > maxLen {
-			continue
-		}
-		out = append(out, append([]Lit(nil), c.lits...))
-	}
-	return out
-}
-
-// ImportLearnts adds clauses as learnt clauses (subject to reduceDB pruning
-// like any other learnt) and returns how many were installed. The caller must
-// guarantee soundness: every clause must be a logical consequence of this
-// solver's clause database over this solver's variable numbering — which
-// holds for clauses exported from a Clone of this solver, the portfolio
-// learnt-sharing case. Clauses satisfied at the root are skipped; a clause
-// falsified at the root marks the solver unsatisfiable.
-func (s *Solver) ImportLearnts(clauses [][]Lit) int {
-	n := 0
-	for _, lits := range clauses {
-		if s.unsatRoot {
-			break
-		}
-		if s.importLearnt(lits) {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Solver) importLearnt(lits []Lit) bool {
-	if len(s.trailLim) != 0 {
-		s.cancelUntil(0)
-	}
-	out, keep := s.normalize(lits)
-	if !keep {
-		return false // tautology or satisfied at root: nothing to learn
-	}
-	switch len(out) {
-	case 0:
-		s.unsatRoot = true
-		return false
-	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
-			s.unsatRoot = true
-		}
-		return true
-	}
-	c := &clause{lits: append([]Lit(nil), out...), learnt: true}
-	s.learnts = append(s.learnts, c)
-	s.attach(c)
-	return true
-}
-
-// Clone returns an independent solver over the same formula: identical
-// variable numbering, the root-level trail replayed as unit clauses, every
-// problem and learnt clause copied, and the saved phases and activities
-// carried over so the clone starts warm. The clone draws its own randomness
-// from opts (seed, polarity, restart base), which is what makes it a
-// portfolio configuration: same knowledge, different trajectory. Clauses the
-// clone learns are consequences of the original's database, so they may be
-// imported back with ImportLearnts.
-func (s *Solver) Clone(opts Options) *Solver {
-	s.cancelUntil(0)
-	n := New(opts)
-	for range s.assigns {
-		n.NewVar()
-	}
-	copy(n.phase, s.phase)
-	copy(n.activity, s.activity)
-	n.varInc = s.varInc
-	n.order = newVarHeap(&n.activity)
-	for v := range n.assigns {
-		n.order.insert(Var(v))
-	}
-	if s.unsatRoot {
-		n.unsatRoot = true
-		return n
-	}
-	for _, l := range s.trail {
-		n.AddClause(l)
-	}
-	for _, c := range s.clauses {
-		n.AddClause(c.lits...)
-	}
-	for _, c := range s.learnts {
-		n.importLearnt(c.lits)
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -57,10 +58,10 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	}
 }
 
-// pigeonhole encodes PHP(n+1, n): n+1 pigeons into n holes, unsatisfiable.
-func pigeonhole(t *testing.T, pigeons, holes int) Result {
-	t.Helper()
-	s := New(Options{})
+// addPigeonhole encodes PHP(pigeons, holes) into s: every pigeon sits in
+// some hole and no two pigeons share one. It is unsatisfiable when pigeons
+// outnumber holes, and the refutation needs many conflicts.
+func addPigeonhole(s *Solver, pigeons, holes int) {
 	vars := make([][]Var, pigeons)
 	for p := range vars {
 		vars[p] = make([]Var, holes)
@@ -68,7 +69,6 @@ func pigeonhole(t *testing.T, pigeons, holes int) Result {
 			vars[p][h] = s.NewVar()
 		}
 	}
-	// Every pigeon is in some hole.
 	for p := 0; p < pigeons; p++ {
 		lits := make([]Lit, holes)
 		for h := 0; h < holes; h++ {
@@ -76,7 +76,6 @@ func pigeonhole(t *testing.T, pigeons, holes int) Result {
 		}
 		s.AddClause(lits...)
 	}
-	// No two pigeons share a hole.
 	for h := 0; h < holes; h++ {
 		for p1 := 0; p1 < pigeons; p1++ {
 			for p2 := p1 + 1; p2 < pigeons; p2++ {
@@ -84,45 +83,56 @@ func pigeonhole(t *testing.T, pigeons, holes int) Result {
 			}
 		}
 	}
+}
+
+// pigeonhole solves PHP(pigeons, holes) on a fresh solver.
+func pigeonhole(pigeons, holes int) Result {
+	s := New(Options{})
+	addPigeonhole(s, pigeons, holes)
 	return s.Solve()
 }
 
 func TestPigeonholeUnsat(t *testing.T) {
-	if got := pigeonhole(t, 5, 4); got != Unsat {
+	if got := pigeonhole(5, 4); got != Unsat {
 		t.Fatalf("PHP(5,4) = %v, want unsat", got)
 	}
-	if got := pigeonhole(t, 7, 6); got != Unsat {
+	if got := pigeonhole(7, 6); got != Unsat {
 		t.Fatalf("PHP(7,6) = %v, want unsat", got)
 	}
 }
 
 func TestPigeonholeSatWhenEnoughHoles(t *testing.T) {
-	s := New(Options{})
-	const pigeons, holes = 4, 4
-	vars := make([][]Var, pigeons)
-	for p := range vars {
-		vars[p] = make([]Var, holes)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = PosLit(vars[p][h])
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(NegLit(vars[p1][h]), NegLit(vars[p2][h]))
-			}
-		}
-	}
-	if got := s.Solve(); got != Sat {
+	if got := pigeonhole(4, 4); got != Sat {
 		t.Fatalf("PHP(4,4) = %v, want sat", got)
 	}
+}
+
+// randCNF generates a random small CNF over nVars variables.
+func randCNF(rng *rand.Rand, nVars, nClauses int) [][]Lit {
+	cnf := make([][]Lit, nClauses)
+	for i := range cnf {
+		width := 1 + rng.Intn(3)
+		cl := make([]Lit, width)
+		for j := range cl {
+			cl[j] = MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 1)
+		}
+		cnf[i] = cl
+	}
+	return cnf
+}
+
+// loadCNF adds a CNF to a fresh solver; the result is false when a clause
+// conflicts at the root.
+func loadCNF(s *Solver, nVars int, cnf [][]Lit) bool {
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range cnf {
+		if !s.AddClause(cl...) {
+			return false
+		}
+	}
+	return true
 }
 
 // bruteForce decides satisfiability of a small CNF by exhaustive search.
@@ -174,30 +184,10 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		nVars := 3 + rng.Intn(10)
 		nClauses := 2 + rng.Intn(6*nVars)
-		cnf := make([][]Lit, nClauses)
-		for i := range cnf {
-			width := 1 + rng.Intn(3)
-			cl := make([]Lit, width)
-			for j := range cl {
-				cl[j] = MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 1)
-			}
-			cnf[i] = cl
-		}
+		cnf := randCNF(rng, nVars, nClauses)
 		s := New(Options{Seed: int64(trial)})
-		for i := 0; i < nVars; i++ {
-			s.NewVar()
-		}
-		rootOK := true
-		for _, cl := range cnf {
-			if !s.AddClause(cl...) {
-				rootOK = false
-				break
-			}
-		}
-		var got Result
-		if !rootOK {
-			got = Unsat
-		} else {
+		got := Unsat
+		if loadCNF(s, nVars, cnf) {
 			got = s.Solve()
 		}
 		want := bruteForce(nVars, cnf)
@@ -208,6 +198,87 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 		if got == Sat && !modelSatisfies(s.Model(), cnf) {
 			t.Fatalf("trial %d: model does not satisfy formula", trial)
 		}
+	}
+}
+
+// TestSamplingPrimitivesAgainstBruteForce cross-checks the restart-sampling
+// step against exhaustive search on random small CNFs: after a plain solve,
+// every PartialRestart → PerturbPhases → SetDecisionFocus → SolveContinue
+// round must return a model of the formula, never Unsat on a satisfiable
+// one, and must keep answering Unsat on an unsatisfiable one.
+func TestSamplingPrimitivesAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 150; trial++ {
+		nVars := 3 + rng.Intn(10)
+		cnf := randCNF(rng, nVars, 2+rng.Intn(5*nVars))
+		want := bruteForce(nVars, cnf)
+		s := New(Options{Seed: int64(trial)})
+		if !loadCNF(s, nVars, cnf) {
+			if want {
+				t.Fatalf("trial %d: root conflict on a satisfiable formula", trial)
+			}
+			continue
+		}
+		got := s.Solve()
+		if (got == Sat) != want {
+			t.Fatalf("trial %d: solve=%v bruteforce_sat=%v", trial, got, want)
+		}
+		vars := make([]Var, nVars)
+		for i, v := range rng.Perm(nVars) {
+			vars[i] = Var(v)
+		}
+		for round := 0; round < 6; round++ {
+			s.PartialRestart(rng, 0)
+			s.PerturbPhases(rng, 0.5, vars)
+			s.SetDecisionFocus(vars[:1+rng.Intn(nVars)])
+			got := s.SolveContinue()
+			if want && got != Sat {
+				t.Fatalf("trial %d round %d: SolveContinue = %v on a satisfiable formula", trial, round, got)
+			}
+			if !want && got != Unsat {
+				t.Fatalf("trial %d round %d: SolveContinue = %v on an unsatisfiable formula", trial, round, got)
+			}
+			if got == Sat && !modelSatisfies(s.Model(), cnf) {
+				t.Fatalf("trial %d round %d: model does not satisfy formula", trial, round)
+			}
+		}
+		s.SetDecisionFocus(nil)
+	}
+}
+
+// TestSamplingPrimitivesReachFreshModels is the diversity half of the
+// restart-sampling contract: on an under-constrained formula, perturbed
+// partial restarts must reach several distinct models without any blocking
+// clauses.
+func TestSamplingPrimitivesReachFreshModels(t *testing.T) {
+	s := New(Options{Seed: 3})
+	rng := rand.New(rand.NewSource(9))
+	vars := make([]Var, 8)
+	lits := make([]Lit, len(vars))
+	for i := range vars {
+		vars[i] = s.NewVar()
+		lits[i] = PosLit(vars[i])
+	}
+	s.AddClause(lits...) // at least one variable true
+	if s.Solve() != Sat {
+		t.Fatal("expected sat")
+	}
+	s.SetDecisionFocus(vars)
+	distinct := make(map[[8]bool]bool)
+	for i := 0; i < 24; i++ {
+		s.PartialRestart(rng, 0)
+		s.PerturbPhases(rng, 0.5, vars)
+		if s.SolveContinue() != Sat {
+			t.Fatal("expected sat")
+		}
+		var key [8]bool
+		for j, v := range vars {
+			key[j] = s.ModelValue(v)
+		}
+		distinct[key] = true
+	}
+	if len(distinct) < 4 {
+		t.Fatalf("24 perturbed restarts found only %d distinct models", len(distinct))
 	}
 }
 
@@ -243,31 +314,25 @@ func TestRandomPolarityDiversity(t *testing.T) {
 
 func TestMaxConflictsBudget(t *testing.T) {
 	s := New(Options{MaxConflicts: 1})
-	// PHP(6,5): needs far more than one conflict.
-	pigeons, holes := 6, 5
-	vars := make([][]Var, pigeons)
-	for p := range vars {
-		vars[p] = make([]Var, holes)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = PosLit(vars[p][h])
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(NegLit(vars[p1][h]), NegLit(vars[p2][h]))
-			}
-		}
-	}
+	addPigeonhole(s, 6, 5) // needs far more than one conflict
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("solve with 1-conflict budget = %v, want unknown", got)
+	}
+}
+
+// TestStopFlag checks cooperative cancellation: a pre-set stop flag makes the
+// next conflict abort with Unknown, and clearing it restores the solver.
+func TestStopFlag(t *testing.T) {
+	var stop atomic.Bool
+	stop.Store(true)
+	s := New(Options{Stop: &stop})
+	addPigeonhole(s, 6, 5) // the stop must win long before the refutation
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("solve with stop set = %v, want unknown", got)
+	}
+	stop.Store(false)
+	if got := s.Solve(); got != Unsat {
+		t.Fatalf("solve after clearing stop = %v, want unsat", got)
 	}
 }
 

@@ -1,9 +1,10 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
-	"sync"
 	"testing"
+	"time"
 
 	"diode/internal/bv"
 )
@@ -11,8 +12,9 @@ import (
 // factorCond encodes exact integer factoring — x·y = c with both operands
 // zero-extended to 2w bits so the product cannot wrap, and both factors
 // nontrivial. Semiprime values of c make this the hardest small formula the
-// bit-blaster produces, which is what portfolio tests need: a solve that
-// reliably outlives the portfolio probe budget.
+// bit-blaster produces — no propagation shortcut reveals the factors — which
+// is what the budget and cancellation tests need: a solve that reliably
+// outlives a small conflict budget.
 func factorCond(w uint8, c uint64, tag string) *bv.Bool {
 	x := bv.Var(w, "fx_"+tag)
 	y := bv.Var(w, "fy_"+tag)
@@ -27,7 +29,7 @@ func factorCond(w uint8, c uint64, tag string) *bv.Bool {
 func sampleWith(t *testing.T, seed int64, strategy Sampling, f *bv.Bool, k int) []bv.Assignment {
 	t.Helper()
 	s := New(Options{Seed: seed, Mode: ModeSATOnly, Sampling: strategy})
-	models := s.SampleModels(f, k)
+	models, _ := s.SampleModels(f, k)
 	seen := make(map[string]bool, len(models))
 	vars := bv.BoolVars(f)
 	for i, m := range models {
@@ -87,7 +89,8 @@ func TestSampleModelsDeterministic(t *testing.T) {
 	render := func(seed int64) []string {
 		s := New(Options{Seed: seed, Mode: ModeSATOnly})
 		var keys []string
-		for _, m := range s.SampleModels(f, 12) {
+		models, _ := s.SampleModels(f, 12)
+		for _, m := range models {
 			keys = append(keys, assignmentKey(m, vars))
 		}
 		return keys
@@ -125,9 +128,9 @@ func TestRestartSamplingExhaustionStats(t *testing.T) {
 	x := bv.Var(8, "ex_x")
 	f := bv.Eq(x, bv.Const(8, 42))
 	s := New(Options{Seed: 3, Mode: ModeSATOnly})
-	models := s.SampleModels(f, 5)
-	if len(models) != 1 || models[0]["ex_x"] != 42 {
-		t.Fatalf("sampled %v, want exactly {ex_x:42}", models)
+	models, why := s.SampleModels(f, 5)
+	if len(models) != 1 || models[0]["ex_x"] != 42 || why != Unsat {
+		t.Fatalf("sampled %v (%v), want exactly {ex_x:42} (unsat: exhausted)", models, why)
 	}
 	st := s.Snapshot()
 	if st.DuplicateModels != restartSampleStale {
@@ -142,7 +145,7 @@ func TestRestartSamplingExhaustionStats(t *testing.T) {
 
 	// Blocking enumeration on the same constraint needs no duplicates at all.
 	sb := New(Options{Seed: 3, Mode: ModeSATOnly, Sampling: SamplingBlocking})
-	if models := sb.SampleModels(f, 5); len(models) != 1 {
+	if models, _ := sb.SampleModels(f, 5); len(models) != 1 {
 		t.Fatalf("blocking sampled %d models, want 1", len(models))
 	}
 	if st := sb.Snapshot(); st.DuplicateModels != 0 {
@@ -150,101 +153,48 @@ func TestRestartSamplingExhaustionStats(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterminism runs the same portfolio-mode solve repeatedly and
-// demands bit-identical outcomes: verdict, model and the learnt-sharing
-// volume. The configuration is tuned (16-bit semiprime factoring, conflict
-// budget below the instance's hardness) so the probe reliably exhausts and a
-// real race runs — PortfolioRaces confirms it — making this a test of the
-// deterministic (result, config index) tie-break, not of the easy probe path.
-func TestPortfolioDeterminism(t *testing.T) {
-	type outcome struct {
-		verdict Verdict
-		key     string
-		races   int
-		shared  int
-	}
-	f := factorCond(16, 1021*1019, "pd")
-	vars := bv.BoolVars(f)
-	run := func() outcome {
-		s := New(Options{Seed: 1, Mode: ModeSATOnly, Portfolio: 4, MaxConflicts: 1000})
-		m, v := s.Solve(f)
-		st := s.Snapshot()
-		o := outcome{verdict: v, races: st.PortfolioRaces, shared: st.LearntsShared}
-		if m != nil {
-			if ok, err := m.EvalBool(f); err != nil || !ok {
-				t.Fatalf("portfolio model does not satisfy the formula: %v (err %v)", m, err)
-			}
-			o.key = assignmentKey(m, vars)
+// TestSampleBudgetOutIsUnknown pins the sampling verdict: a β the engine
+// cannot decide within its conflict budget yields no models and Unknown —
+// never the Unsat that would label the site unsatisfiable — while a β it
+// refutes within the same budget yields Unsat. Both strategies are checked:
+// restart sampling stops in its first draw, blocking in its first solve.
+func TestSampleBudgetOutIsUnknown(t *testing.T) {
+	hard := factorCond(16, 1021*1019, "bo")
+	n := bv.Var(8, "bo_n")
+	unsat := bv.OverflowCond(bv.Mul(bv.ZExt(32, n), bv.Const(32, 2)))
+	for _, strategy := range []Sampling{SamplingRestart, SamplingBlocking} {
+		s := New(Options{Seed: 1, Mode: ModeSATOnly, Sampling: strategy, MaxConflicts: 200})
+		if models, why := s.SampleModels(hard, 4); len(models) != 0 || why != Unknown {
+			t.Errorf("strategy %v: budget-bound β sampled %d models (%v), want 0 (unknown)", strategy, len(models), why)
 		}
-		return o
-	}
-	first := run()
-	if first.races == 0 {
-		t.Fatal("probe budget was enough: no portfolio race ran; lower MaxConflicts or harden the formula")
-	}
-	if first.verdict != Sat {
-		t.Fatalf("portfolio solve = %v, want sat", first.verdict)
-	}
-	for i := 1; i < 4; i++ {
-		if got := run(); got != first {
-			t.Fatalf("run %d diverged: %+v vs %+v", i, got, first)
+		if models, why := s.SampleModels(unsat, 4); len(models) != 0 || why != Unsat {
+			t.Errorf("strategy %v: unsat β sampled %d models (%v), want 0 (unsat)", strategy, len(models), why)
 		}
 	}
 }
 
-// TestPortfolioConcurrentHammer exercises portfolio racing from many
-// goroutines at once — clone creation, stop-flag cancellation and learnt
-// folding all run concurrently, which is what `go test -race` inspects here.
-// Each goroutine owns its solver, as the core's per-site Hunters do.
-func TestPortfolioConcurrentHammer(t *testing.T) {
-	f := factorCond(16, 1021*1019, "ph")
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s := New(Options{Seed: int64(g), Mode: ModeSATOnly, Portfolio: 4, MaxConflicts: 600})
-			m, v := s.Solve(f)
-			if v == Sat {
-				if ok, err := m.EvalBool(f); err != nil || !ok {
-					errs <- "invalid model under concurrency"
-				}
-			}
-		}(g)
+// TestStopOnCancelsSolve checks that cancellation reaches CDCL: a 32-bit
+// factoring solve with an effectively unbounded conflict budget, stopped
+// about 50 ms in through StopOn, returns Unknown well within a second — and
+// re-arming with a live context clears the flag, so the same solver decides
+// the next formula normally.
+func TestStopOnCancelsSolve(t *testing.T) {
+	s := New(Options{Seed: 1, Mode: ModeSATOnly, MaxConflicts: 1 << 40})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	release := s.StopOn(ctx)
+	start := time.Now()
+	_, v := s.Solve(factorCond(32, 3037000493*2654435761, "st"))
+	elapsed := time.Since(start)
+	release()
+	if v != Unknown {
+		t.Fatalf("stopped solve = %v, want unknown", v)
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	if elapsed > time.Second {
+		t.Fatalf("stopped solve took %v, want < 1s", elapsed)
 	}
-}
-
-// TestPortfolioSessionStaysUsable checks that a race does not poison the
-// persistent engine: after a portfolio solve the same session must keep
-// answering further Solve and SampleModels calls correctly on the grown
-// conjunction.
-func TestPortfolioSessionStaysUsable(t *testing.T) {
-	f := factorCond(16, 1021*1019, "pu")
-	s := New(Options{Seed: 1, Mode: ModeSATOnly, Portfolio: 4, MaxConflicts: 1000})
-	sess := s.NewSession(f)
-	m, v := sess.Solve()
-	if v != Sat {
-		t.Fatalf("portfolio solve = %v, want sat", v)
-	}
-	// Pin one factor: the conjunction grows and must stay solvable, and the
-	// new model must honor the added constraint.
-	sess.Assert(bv.Eq(bv.Var(16, "fx_pu"), bv.Const(16, m["fx_pu"])))
-	m2, v2 := sess.Solve()
-	if v2 != Sat || m2["fx_pu"] != m["fx_pu"] {
-		t.Fatalf("post-race solve = %v model %v, want sat with fx_pu=%d", v2, m2, m["fx_pu"])
-	}
-	if models := sess.SampleModels(3); len(models) == 0 {
-		t.Fatal("post-race sampling found nothing")
-	}
-	// Contradict the pinned factor: definitive unsat must come through.
-	sess.Assert(bv.Eq(bv.Var(16, "fy_pu"), bv.Const(16, 0)))
-	if _, v3 := sess.Solve(); v3 != Unsat {
-		t.Fatalf("contradicted conjunction = %v, want unsat", v3)
+	defer s.StopOn(context.Background())()
+	if _, v := s.Solve(factorCond(8, 13*11, "st2")); v != Sat {
+		t.Fatalf("solve after re-arming = %v, want sat", v)
 	}
 }

@@ -2,8 +2,6 @@ package solver
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"diode/internal/bitblast"
 	"diode/internal/bv"
@@ -30,12 +28,11 @@ import (
 //     case) is never fed the same answer twice.
 //
 // Determinism: a Session draws all randomness (concrete sampling, engine
-// seeds, restart re-randomization, portfolio configuration seeds) from a
-// private stream derived from (parent seed, session ordinal), so session
-// verdicts and the per-seed model *sequence* are a pure function of the
-// parent's seed, the session's creation ordinal, and the
-// Assert/Solve/SampleModels call sequence — independent of what other
-// sessions do concurrently. Sampling never narrows what later Solve calls
+// seeds, restart perturbations) from a private stream derived from (parent
+// seed, session ordinal), so session verdicts and the per-seed model
+// *sequence* are a pure function of the parent's seed, the session's
+// creation ordinal, and the Assert/Solve/SampleModels call sequence —
+// independent of what other sessions do concurrently. Sampling never narrows what later Solve calls
 // may return: restart sampling adds no clauses at all, and the blocking
 // fallback's clauses are guarded by fresh literals activated only through
 // assumptions, so they evaporate after the call.
@@ -112,17 +109,6 @@ const (
 	// this budget the solution set is sparse and the focus is dropped — the
 	// activity order finds needles, the perturbed phases still diversify.
 	restartFocusConflicts = 32
-
-	// portfolioProbe is the conflict budget of the cheap single-engine
-	// attempt that precedes a portfolio race: solves that finish within it —
-	// the overwhelming majority — never pay for cloning.
-	portfolioProbe = 5000
-
-	// learntImportCap bounds the length of learnt clauses exchanged between
-	// portfolio engines (ExportLearnts). Short clauses prune the most search
-	// per watched literal; long ones mostly bloat watch lists, and a racer
-	// can produce tens of thousands of them.
-	learntImportCap = 8
 )
 
 // NewSession opens an incremental session whose initial constraint is beta
@@ -167,9 +153,6 @@ func (ss *Session) Assert(cond *bv.Bool) {
 	}
 }
 
-// Constraint returns the conjunction of everything asserted so far.
-func (ss *Session) Constraint() *bv.Bool { return ss.cur }
-
 // Solve returns a model of the current conjunction, or Unsat/Unknown.
 // Unsat is definitive for every later state of the session too (the
 // conjunction only grows), and the session keeps answering Unsat cheaply.
@@ -210,15 +193,9 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 		polarity = polarityRetry // unchanged conjunction: the caller wants a different model
 	}
 	ss.ensureEngine(polarity)
-	var res sat.Result
-	var m bv.Assignment
-	if s.opts.Portfolio > 1 {
-		m, res = ss.portfolioSolve()
-	} else if res = ss.cdcl(nil); res == sat.Sat {
-		m = ss.bl.Model()
-	}
-	switch res {
+	switch ss.cdcl(nil) {
 	case sat.Sat:
+		m := ss.bl.Model()
 		ss.remember(m)
 		return m, Sat
 	case sat.Unsat:
@@ -231,7 +208,14 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 }
 
 // SampleModels returns up to k distinct models of the current conjunction
-// (Solver.SampleModels semantics, on the session's persistent engine).
+// (Solver.SampleModels semantics, on the session's persistent engine), and
+// the verdict says why sampling stopped:
+//
+//   - Sat: k models were found;
+//   - Unsat: the conjunction has no models beyond those returned — with no
+//     models, it is unsatisfiable;
+//   - Unknown: the conflict budget ran out (or the solver was stopped, see
+//     Solver.StopOn) before either, so fewer than k models prove nothing.
 //
 // The default strategy (Options.Sampling = SamplingRestart) draws each model
 // by a cheap randomized restart of the persistent engine — re-randomized
@@ -248,30 +232,37 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 // assumptions, so they evaporate after the call — a later Solve on the grown
 // conjunction may still return any model, including ones sampled here, which
 // is exactly what the model cache then exploits.
-func (ss *Session) SampleModels(k int) []bv.Assignment {
+func (ss *Session) SampleModels(k int) ([]bv.Assignment, Verdict) {
 	f := ss.cur
 	if f.Kind == bv.BConst {
-		if f.BVal {
-			return []bv.Assignment{{}}
+		if !f.BVal {
+			return nil, Unsat
 		}
-		return nil
+		if k > 1 {
+			return []bv.Assignment{{}}, Unsat // the empty assignment is the only model
+		}
+		return []bv.Assignment{{}}, Sat
 	}
 	s := ss.sol
 	ms := newModelSet(ss.vars)
 	s.concretePhase(ss.rng, f, ms, k)
-	if len(ms.models) < k && s.opts.Mode != ModeConcreteOnly {
-		if s.opts.Sampling == SamplingBlocking {
+	why := Sat
+	if len(ms.models) < k {
+		switch {
+		case s.opts.Mode == ModeConcreteOnly:
+			why = Unknown // concrete search alone proves nothing
+		case s.opts.Sampling == SamplingBlocking:
 			ss.ensureEngine(polaritySample)
-			ss.sampleBlocking(ms, k)
-		} else {
+			why = ss.sampleBlocking(ms, k)
+		default:
 			ss.ensureEngine(polarityRestartSample)
-			ss.sampleRestart(ms, k)
+			why = ss.sampleRestart(ms, k)
 		}
 	}
 	for _, m := range ms.models {
 		ss.remember(m)
 	}
-	return ms.models
+	return ms.models, why
 }
 
 // sampleRestart draws models by randomized partial restarts of the
@@ -282,8 +273,8 @@ func (ss *Session) SampleModels(k int) []bv.Assignment {
 // model set to blocking enumeration to certify exhaustion (or dig out
 // remaining needles the restarts kept missing). The first draw runs as a
 // plain solve (empty trail), so a session that never solved before still
-// works.
-func (ss *Session) sampleRestart(ms *modelSet, k int) {
+// works. The result is the SampleModels verdict.
+func (ss *Session) sampleRestart(ms *modelSet, k int) Verdict {
 	s := ss.sol
 	ss.assertPending()
 	// Perturbation targets the input-variable bits: those are the projection
@@ -305,8 +296,8 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) {
 		before := ss.engine.Conflicts
 		ss.engine.PartialRestart(ss.rng, 0)
 		ss.engine.PerturbPhases(ss.rng, restartFlipProb, bits)
-		if ss.cdclContinue() != sat.Sat {
-			return // unsat or budget exhausted: nothing more to find
+		if res := ss.cdclContinue(); res != sat.Sat {
+			return verdictOf(res) // root-level unsat, or the budget ran out
 		}
 		if focused && ss.engine.Conflicts-before > restartFocusConflicts {
 			// Sparse solution set: projection-first decisions degenerate into
@@ -323,18 +314,20 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) {
 			s.stats.add(Stats{DuplicateModels: 1})
 		}
 	}
-	if len(ms.models) < k {
-		s.stats.add(Stats{BlockingFallbacks: 1})
-		ss.sampleBlocking(ms, k)
+	if len(ms.models) >= k {
+		return Sat
 	}
+	s.stats.add(Stats{BlockingFallbacks: 1})
+	return ss.sampleBlocking(ms, k)
 }
 
 // sampleBlocking is the guard-literal enumerate-and-block sequence: every
 // model in ms (and every model found here) is excluded by a clause guarded by
 // a fresh literal, and the engine solves under the guard assumptions until
 // the budget is filled or the guarded formula is unsatisfiable — which
-// certifies that ms holds every model of the conjunction.
-func (ss *Session) sampleBlocking(ms *modelSet, k int) {
+// certifies that ms holds every model of the conjunction. The result is the
+// SampleModels verdict.
+func (ss *Session) sampleBlocking(ms *modelSet, k int) Verdict {
 	s := ss.sol
 	ss.assertPending()
 	var guards []sat.Lit
@@ -342,8 +335,8 @@ func (ss *Session) sampleBlocking(ms *modelSet, k int) {
 		guards = append(guards, ss.guardBlock(m))
 	}
 	for len(ms.models) < k {
-		if ss.cdcl(guards) != sat.Sat {
-			break
+		if res := ss.cdcl(guards); res != sat.Sat {
+			return verdictOf(res) // exhausted, or the budget ran out
 		}
 		m := ss.bl.Model()
 		if !ms.add(m) {
@@ -351,10 +344,22 @@ func (ss *Session) sampleBlocking(ms *modelSet, k int) {
 			// sampling-strategy bug. Count it so it surfaces in stats instead
 			// of silently truncating the sample, and stop rather than loop.
 			s.stats.add(Stats{DuplicateModels: 1})
-			break
+			return Unknown
 		}
 		guards = append(guards, ss.guardBlock(m))
 	}
+	return Sat
+}
+
+// verdictOf maps a CDCL result onto the session verdict.
+func verdictOf(r sat.Result) Verdict {
+	switch r {
+	case sat.Sat:
+		return Sat
+	case sat.Unsat:
+		return Unsat
+	}
+	return Unknown
 }
 
 // remember records a model the session has returned, tagged with the current
@@ -370,135 +375,19 @@ func (ss *Session) remember(m bv.Assignment) {
 
 // ensureEngine creates the persistent engine and blaster on first use and
 // sets the decision polarity for the upcoming call (low for model finding,
-// high for diverse sampling).
+// high for diverse sampling). The engine polls the solver's stop flag.
 func (ss *Session) ensureEngine(polarity float64) {
 	if ss.engine == nil {
 		ss.engine = sat.New(sat.Options{
 			Seed:           ss.rng.Int63(),
 			RandomPolarity: polarity,
 			MaxConflicts:   ss.sol.opts.MaxConflicts,
+			Stop:           &ss.sol.stop,
 		})
 		ss.bl = bitblast.New(ss.engine)
 		return
 	}
 	ss.engine.SetRandomPolarity(polarity)
-}
-
-// portfolioConfigs are the engine-configuration variants a portfolio race
-// cycles through: decision-polarity randomness, random-decision frequency and
-// Luby restart base. Seeds come from the session stream, so two racers with
-// the same table entry still search differently.
-var portfolioConfigs = []struct {
-	polarity     float64
-	decisionFreq float64
-	restartBase  float64
-}{
-	{0.02, 0, 100},
-	{0.2, 0, 50},
-	{0.5, 0.02, 200},
-	{0.05, 0.05, 25},
-	{0.3, 0, 400},
-	{0.1, 0.02, 70},
-}
-
-// portfolioSolve runs one CDCL decision on the session under portfolio mode:
-// first a cheap bounded probe on the persistent engine (most solves finish
-// there), then a race of Options.Portfolio cloned engine configurations over
-// the remaining conflict budget.
-//
-// Determinism: the winner is picked by a (result, config index) tie-break,
-// not wall-clock arrival. A racer is cancelled only when a lower-indexed
-// racer has already produced a decisive (Sat/Unsat) result, so every racer
-// with an index at or below the final winner runs to its natural, seed-pure
-// completion — the winning model and verdict are a pure function of the
-// session's stream. For the same reason only those uncancelled racers fold
-// their learnt clauses (length-capped at learntImportCap) back into the
-// persistent engine: a cancelled racer's learnt set depends on timing.
-func (ss *Session) portfolioSolve() (bv.Assignment, sat.Result) {
-	s := ss.sol
-	probe := int64(portfolioProbe)
-	if s.opts.MaxConflicts > 0 && s.opts.MaxConflicts < probe {
-		probe = s.opts.MaxConflicts
-	}
-	ss.engine.SetMaxConflicts(probe)
-	res := ss.cdcl(nil)
-	ss.engine.SetMaxConflicts(s.opts.MaxConflicts)
-	if res != sat.Unknown {
-		if res == sat.Sat {
-			return ss.bl.Model(), res
-		}
-		return nil, res
-	}
-
-	// The probe exhausted its budget: this is one of the hardest solves.
-	// Race n configurations over the remaining budget, split evenly so the
-	// total conflict work stays within MaxConflicts order.
-	n := s.opts.Portfolio
-	s.stats.add(Stats{PortfolioRaces: 1})
-	perRacer := (s.opts.MaxConflicts - probe + int64(n) - 1) / int64(n)
-	if perRacer < probe {
-		perRacer = probe
-	}
-	racers := make([]*sat.Solver, n)
-	stops := make([]atomic.Bool, n)
-	for i := range racers {
-		cfg := portfolioConfigs[i%len(portfolioConfigs)]
-		racers[i] = ss.engine.Clone(sat.Options{
-			Seed:               ss.rng.Int63(),
-			RandomPolarity:     cfg.polarity,
-			RandomDecisionFreq: cfg.decisionFreq,
-			RestartBase:        cfg.restartBase,
-			MaxConflicts:       perRacer,
-			Stop:               &stops[i],
-		})
-	}
-	results := make([]sat.Result, n)
-	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		minDecided = n
-	)
-	for i := range racers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := racers[i].Solve()
-			mu.Lock()
-			results[i] = r
-			if r != sat.Unknown && i < minDecided {
-				minDecided = i
-				for j := i + 1; j < n; j++ {
-					stops[j].Store(true)
-				}
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-
-	winner := -1
-	for i, r := range results {
-		if r != sat.Unknown {
-			winner = i
-			break
-		}
-	}
-	limit := n
-	if winner >= 0 {
-		limit = winner + 1
-	}
-	imported := 0
-	for i := 0; i < limit; i++ {
-		imported += ss.engine.ImportLearnts(racers[i].ExportLearnts(learntImportCap))
-	}
-	s.stats.add(Stats{LearntsShared: imported})
-	if winner < 0 {
-		return nil, sat.Unknown
-	}
-	if results[winner] == sat.Sat {
-		return ss.bl.ModelOf(racers[winner].ModelValue), sat.Sat
-	}
-	return nil, sat.Unsat
 }
 
 // assertPending bit-blasts the conjuncts added since the last CDCL call.

@@ -143,8 +143,8 @@ func TestSessionMonotonicUnsat(t *testing.T) {
 	if _, v := sess.Solve(); v != Unsat {
 		t.Fatal("unsat must be sticky under growth")
 	}
-	if got := sess.SampleModels(4); len(got) != 0 {
-		t.Fatalf("unsat session sampled %d models", len(got))
+	if got, why := sess.SampleModels(4); len(got) != 0 || why != Unsat {
+		t.Fatalf("unsat session sampled %d models (%v), want 0 (unsat)", len(got), why)
 	}
 	// A fresh session on the same solver is unaffected.
 	if _, v := s.NewSession(bv.Ult(x, bv.Const(8, 10))).Solve(); v != Sat {
@@ -161,9 +161,9 @@ func TestSessionSamplingDoesNotNarrow(t *testing.T) {
 	s := New(Options{Seed: 7, Mode: ModeSATOnly})
 	x := bv.Var(32, "sn_x")
 	sess := s.NewSession(bv.OverflowCond(bv.Add(x, bv.Const(32, 2))))
-	models := sess.SampleModels(200)
-	if len(models) != 2 {
-		t.Fatalf("got %d models, want exactly 2", len(models))
+	models, why := sess.SampleModels(200)
+	if len(models) != 2 || why != Unsat {
+		t.Fatalf("got %d models (%v), want exactly 2 (unsat: exhausted)", len(models), why)
 	}
 	m, v := sess.Solve()
 	if v != Sat {
@@ -183,7 +183,7 @@ func TestSessionDeterminism(t *testing.T) {
 		w := bv.Var(32, "sd_w")
 		h := bv.Var(32, "sd_h")
 		sess := s.NewSession(bv.OverflowCond(bv.Mul(w, h)))
-		out := sess.SampleModels(5)
+		out, _ := sess.SampleModels(5)
 		sess.Assert(bv.Ult(w, bv.Const(32, 1<<20)))
 		m, v := sess.Solve()
 		if v != Sat {
@@ -213,7 +213,7 @@ func TestSessionStatsCounters(t *testing.T) {
 	w := bv.Var(32, "sc2_w")
 	h := bv.Var(32, "sc2_h")
 	sess := s.NewSession(bv.OverflowCond(bv.Mul(w, h)))
-	if got := sess.SampleModels(6); len(got) != 6 {
+	if got, _ := sess.SampleModels(6); len(got) != 6 {
 		t.Fatalf("sampled %d models, want 6", len(got))
 	}
 	st := s.Snapshot()
@@ -243,7 +243,7 @@ func TestSessionStatsCounters(t *testing.T) {
 	bw := bv.Var(32, "sc2_bw")
 	bh := bv.Var(32, "sc2_bh")
 	bsess := sb.NewSession(bv.OverflowCond(bv.Mul(bw, bh)))
-	if got := bsess.SampleModels(6); len(got) != 6 {
+	if got, _ := bsess.SampleModels(6); len(got) != 6 {
 		t.Fatalf("blocking sampled %d models, want 6", len(got))
 	}
 	bst := sb.Snapshot()
@@ -282,7 +282,7 @@ func TestSessionRetryDiversity(t *testing.T) {
 	// after a cache hit.
 	s2 := New(Options{Seed: 32, Mode: ModeSATOnly})
 	sess2 := s2.NewSession(bv.OverflowCond(bv.Mul(w, h)))
-	if got := sess2.SampleModels(3); len(got) != 3 {
+	if got, _ := sess2.SampleModels(3); len(got) != 3 {
 		t.Fatalf("sampled %d models, want 3", len(got))
 	}
 	if sess2.solvedGen != len(sess2.conj)+1 {

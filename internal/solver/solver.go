@@ -29,6 +29,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -106,13 +107,6 @@ type Options struct {
 	// Sampling selects the SampleModels enumeration strategy; the zero value
 	// is SamplingRestart.
 	Sampling Sampling
-	// Portfolio, when > 1, races that many engine configurations (polarity /
-	// restart / seed variants, cloned from the session's persistent engine)
-	// on CDCL solves that survive a cheap probe, first decisive result wins
-	// by a deterministic (result, config index) tie-break, and learnt clauses
-	// from uncancelled losers are folded back into the persistent engine.
-	// Zero or one solves on the single persistent engine only.
-	Portfolio int
 }
 
 // Solver solves bitvector formulas. It is safe for concurrent use: the work
@@ -126,6 +120,7 @@ type Solver struct {
 	opts     Options
 	sessions atomic.Int64 // ordinal source for per-session RNG derivation
 	stats    tally
+	stop     atomic.Bool // polled by every session engine at each conflict (StopOn)
 }
 
 // New returns a Solver with the given options.
@@ -148,6 +143,28 @@ func sessionSeed(seed, ordinal int64) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
+}
+
+// StopOn arms the solver's stop flag from ctx and returns the function that
+// disarms it. Every CDCL engine of every session polls the flag at each
+// conflict, so once ctx is done a running Solve or SampleModels call returns
+// Unknown within one conflict instead of running out its conflict budget.
+// Arming clears the flag first, so one Solver can serve several contexts in
+// turn; release must run before the solver is armed again. A stopped result
+// is an artifact of the cancellation, not a verdict: callers check ctx.Err()
+// before trusting an Unknown.
+func (s *Solver) StopOn(ctx context.Context) (release func()) {
+	s.stop.Store(false)
+	fired := make(chan struct{})
+	disarm := context.AfterFunc(ctx, func() {
+		s.stop.Store(true)
+		close(fired)
+	})
+	return func() {
+		if !disarm() {
+			<-fired // the callback already started: let it finish before a re-arm
+		}
+	}
 }
 
 // Snapshot returns a point-in-time copy of the cumulative work counters.
@@ -234,9 +251,9 @@ func randomValue(rng *rand.Rand, w uint8) uint64 {
 // the paper's "generate 200 inputs that satisfy the constraint" experiments.
 // When the constraint has fewer than k solutions over its variables, every
 // solution is returned (e.g. the paper's x+2 overflow with exactly two
-// solutions, §5.5). Like Solve, it is the stateless entry point over a
-// throwaway Session.
-func (s *Solver) SampleModels(f *bv.Bool, k int) []bv.Assignment {
+// solutions, §5.5); the verdict says why sampling stopped (Session.SampleModels).
+// Like Solve, it is the stateless entry point over a throwaway Session.
+func (s *Solver) SampleModels(f *bv.Bool, k int) ([]bv.Assignment, Verdict) {
 	return s.NewSession(f).SampleModels(k)
 }
 

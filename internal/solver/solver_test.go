@@ -118,9 +118,9 @@ func TestSampleExactlyTwoSolutions(t *testing.T) {
 	s := New(Options{Seed: 7})
 	x := bv.Var(32, "s2_x")
 	f := bv.OverflowCond(bv.Add(x, bv.Const(32, 2)))
-	models := s.SampleModels(f, 200)
-	if len(models) != 2 {
-		t.Fatalf("got %d models, want exactly 2", len(models))
+	models, why := s.SampleModels(f, 200)
+	if len(models) != 2 || why != Unsat {
+		t.Fatalf("got %d models (%v), want exactly 2 (unsat: exhausted)", len(models), why)
 	}
 	seen := map[uint64]bool{}
 	for _, m := range models {
@@ -136,9 +136,9 @@ func TestSampleManyDistinct(t *testing.T) {
 	w := bv.Var(32, "sm_w")
 	h := bv.Var(32, "sm_h")
 	f := bv.OverflowCond(bv.Mul(w, h))
-	models := s.SampleModels(f, 50)
-	if len(models) != 50 {
-		t.Fatalf("got %d models, want 50", len(models))
+	models, why := s.SampleModels(f, 50)
+	if len(models) != 50 || why != Sat {
+		t.Fatalf("got %d models (%v), want 50 (sat)", len(models), why)
 	}
 	seen := make(map[[2]uint64]bool)
 	for _, m := range models {
@@ -157,8 +157,8 @@ func TestSampleUnsat(t *testing.T) {
 	s := New(Options{Seed: 13})
 	n := bv.Var(8, "su_n")
 	f := bv.OverflowCond(bv.Mul(bv.ZExt(32, n), bv.Const(32, 2)))
-	if models := s.SampleModels(f, 10); len(models) != 0 {
-		t.Fatalf("unsat constraint yielded %d models", len(models))
+	if models, why := s.SampleModels(f, 10); len(models) != 0 || why != Unsat {
+		t.Fatalf("unsat constraint yielded %d models (%v), want 0 (unsat)", len(models), why)
 	}
 }
 

@@ -21,8 +21,6 @@ type Stats struct {
 	RestartSamples    int // models drawn by randomized-restart re-solves
 	BlockingFallbacks int // restart sampling runs that fell back to blocking enumeration
 	DuplicateModels   int // sampled models already in the set: routine for restarts (drives the fallback), a strategy bug for blocking
-	PortfolioRaces    int // CDCL solves that escalated past the probe into a configuration race
-	LearntsShared     int // learnt clauses imported across portfolio engines (length-capped)
 
 	// GenFailures counts solver models the input-reconstruction layer failed
 	// to turn into an input file (Generate errors, reported by the core via
@@ -44,8 +42,6 @@ func (s *Stats) Add(o Stats) {
 	s.RestartSamples += o.RestartSamples
 	s.BlockingFallbacks += o.BlockingFallbacks
 	s.DuplicateModels += o.DuplicateModels
-	s.PortfolioRaces += o.PortfolioRaces
-	s.LearntsShared += o.LearntsShared
 	s.GenFailures += o.GenFailures
 }
 
