@@ -796,10 +796,10 @@ func BenchmarkGuestExecExposed(b *testing.B) {
 // without dispatching a hunt) and under the NoTriage ablation (every arith
 // site hunts). Reported metrics: pruned-hunts (how many solver sessions the
 // triage removed) and no-triage-time-ratio (ablation wall-clock over triaged
-// wall-clock). The application pair is chosen to keep the ablation wave
-// affordable — cwebp's hard-unsatisfiable addition constraints cost the
-// solver minutes to certify, which is exactly the cost profile the triage
-// exists to avoid, but too slow for a smoke benchmark.
+// wall-clock). The application pair is the benchmark's fixed workload;
+// TestArithPruneNeverMasksExposure also runs the ablation on swfplay and
+// cwebp, whose unsatisfiable addition constraints restart sampling now
+// refutes in a few hundred milliseconds each.
 func BenchmarkTriagePrune(b *testing.B) {
 	list := appList(b, "gifview", "tifthumb")
 	for i := 0; i < b.N; i++ {

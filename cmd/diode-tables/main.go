@@ -27,7 +27,7 @@
 // disables the triage during hunts (ablation; the curated tables are
 // byte-identical either way). -arith additionally hunts every discovered
 // arith site through the probe transform and appends a per-application
-// summary; expect multi-minute solver exhaustion on some sites.
+// summary; dillo's wave allocates gigabytes of guest memory.
 //
 // -cache-dir points at a shared on-disk result cache: a repeated sweep
 // against the same directory serves every job from the cache (byte-identical
@@ -71,7 +71,7 @@ func run() (code int) {
 	blockingSampling := flag.Bool("blocking-sampling", false, "ablation: enumerate sample models via blocking clauses instead of randomized restarts")
 	discoverMode := flag.Bool("discover", false, "append the statically discovered-site table after the selected tables")
 	triageTable := flag.Bool("triage", false, "append the static value-range triage table after the selected tables")
-	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; a site whose β sampling runs out of conflicts costs the solver about a minute")
+	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; dillo's wave allocates gigabytes of guest memory")
 	noTriage := flag.Bool("no-triage", false, "ablation: disable the static triage (no hunt short-circuits; arith sites all hunt)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")

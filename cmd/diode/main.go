@@ -277,8 +277,8 @@ func run() (code int) {
 		fmt.Println(discoverySummary(discovered, len(targets)))
 	}
 	if *verbose {
-		fmt.Printf("solver: %d concrete hits, %d SAT solves, %d unsat, %d unknown (aggregated over %d-way %s dispatch)\n",
-			stats.ConcreteHits, stats.SATSolves, stats.UnsatResults, stats.UnknownOut, *parallel, *backendName)
+		fmt.Printf("solver: %d concrete hits, %d SAT solves, %d conflicts, %d unsat, %d unknown (aggregated over %d-way %s dispatch)\n",
+			stats.ConcreteHits, stats.SATSolves, stats.Conflicts, stats.UnsatResults, stats.UnknownOut, *parallel, *backendName)
 		fmt.Printf("incremental: %d model-cache hits, %d assumption solves, %d learned clauses reused\n",
 			stats.ModelCacheHits, stats.AssumptionSolves, stats.ClausesReused)
 	}

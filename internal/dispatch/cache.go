@@ -26,7 +26,10 @@ import (
 // Version 4: a hunt whose β sampling runs out of its conflict budget before
 // finding a model reports unknown instead of unsatisfiable, and options lost
 // Portfolio.
-const keyVersion = "4"
+// Version 5: restart sampling's input-bit decision focus lapses inside a
+// draw, so a β sampling used to exhaust its conflict budget on (unknown) can
+// now be refuted (unsatisfiable); results also carry the CDCL conflict count.
+const keyVersion = "5"
 
 // CacheConfig configures a JobCache. The zero value is a pure in-memory
 // cache with default bounds.

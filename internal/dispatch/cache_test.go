@@ -133,10 +133,10 @@ func TestJobKeySensitivity(t *testing.T) {
 // workers) without failing any behavioral test; a deliberate change must
 // bump keyVersion and update these strings.
 //
-// Both keys moved with keyVersion "4": a hunt whose β sampling runs out of
-// conflicts now reports unknown rather than unsatisfiable, so a result stored
-// under version 3 can differ for unchanged inputs. The fully populated
-// record also no longer carries the deleted portfolio option.
+// Both keys moved with keyVersion "5": restart sampling's decision focus
+// now lapses inside a draw, so a β whose sampling used to run out of
+// conflicts (unknown) can now be refuted (unsatisfiable), and a result
+// stored under version 4 can differ for unchanged inputs.
 func TestKeyAndWireGolden(t *testing.T) {
 	opts := Options{
 		InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, SolverMode: solver.ModeSATOnly,
@@ -158,12 +158,12 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "97a9d9933208ea62e65e06472a6d42988524a745c24254b1d3b81681a76f5861"
+	const wantKey = "82aca0f87908ba8840ff405120fb8b8af7d7be3276efcb842152631257aa98ca"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}
 	hunt := Job{ID: 1, Kind: KindHunt, App: "vlc", Site: "vlc:wav.c@147", SiteKind: "alloc", SitePath: "s1", Seed: 42}
-	const wantHuntKey = "d05de8ea5d1bdcd5d20cc9cb78bbe3b0339500373bf0127e1195547ff3476989"
+	const wantHuntKey = "796f1adc50e42838c5d51f911ba8f82e8f9cffe69ef0b4c07cef3473714babb7"
 	if got := JobKey("fedcba9876543210", hunt); got != wantHuntKey {
 		t.Errorf("JobKey (default options) = %s, want %s", got, wantHuntKey)
 	}

@@ -20,10 +20,9 @@ import (
 // Site selection is deterministic and budget-aware: the first non-safe
 // multiplication site in discovery order (falling back to the first
 // non-safe arith site of any operator). Multiplications overflow readily,
-// so the solver finds a model in milliseconds; some addition constraints
-// instead run β sampling out of its conflict budget (about a minute each)
-// and end unknown, which is real behavior the sweep tolerates but a unit
-// test should not pay for.
+// so the solver finds a model in milliseconds; addition constraints are
+// more often unsatisfiable, and the slowest of those proofs are pinned
+// separately (TestArithUnsatAddsRefuted).
 func TestArithHuntPerApp(t *testing.T) {
 	ctx := context.Background()
 	jc := dispatch.NewJobCache(dispatch.CacheConfig{})
@@ -70,6 +69,55 @@ func TestArithHuntPerApp(t *testing.T) {
 	}
 }
 
+// TestArithUnsatAddsRefuted pins the addition sites whose β has no model
+// and whose restart sampling used to refute it by enumerating input bits:
+// three gifview offsets, and the SOF-segment sums swfplay and cwebp share.
+// Each must end unsatisfiable. The conflict bound keeps the proof on the
+// activity order: with the decision focus held for the whole first draw,
+// the gifview proofs took 22k–29k conflicts and the swfplay/cwebp draws ran
+// out of their 500k-conflict budget (unknown).
+func TestArithUnsatAddsRefuted(t *testing.T) {
+	const maxConflicts = 10000
+	sites := map[string][]string{
+		"gifview": {"gif_decode_frame#s19.ret@add", "main#s12.body.s1.else.s0.then.s4.e@add", "main#s12.body.s1.else.s0.else.s1.e@add"},
+		"swfplay": {"jpeg_sof#s1.e.0@add", "jpeg_sof#s2.e.0@add", "jpeg_sof#s3.e.a.idx@add"},
+		"cwebp":   {"jd_sof#s1.e.0@add", "jd_sof#s2.e.0@add", "jd_sof#s3.e.a.idx@add"},
+	}
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{})
+	for short, names := range sites {
+		app, err := apps.ByName(short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		discovered, err := app.Triaged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]discover.Site, len(discovered))
+		for _, s := range discovered {
+			byName[s.Name] = s
+		}
+		for _, name := range names {
+			site, ok := byName[short+":"+name]
+			if !ok {
+				t.Errorf("%s: no discovered site %s", short, name)
+				continue
+			}
+			job := dispatch.SiteJob(dispatch.KindHunt, short, site, 21, dispatch.Options{})
+			res, err := dispatch.Execute(context.Background(), job, jc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := res.CoreVerdict(); v != core.VerdictUnsat || res.Err != "" {
+				t.Errorf("%s: verdict %q (err %q), want unsatisfiable", site.Name, res.Verdict, res.Err)
+			}
+			if res.Stats.Conflicts > maxConflicts {
+				t.Errorf("%s: %d conflicts, want <= %d", site.Name, res.Stats.Conflicts, maxConflicts)
+			}
+		}
+	}
+}
+
 // TestArithPruneNeverMasksExposure is the prune-parity check: every arith
 // site the triage prunes (statically safe, folded to unsatisfiable without
 // dispatching a hunt) is re-hunted here under the NoTriage ablation, and the
@@ -79,11 +127,13 @@ func TestArithHuntPerApp(t *testing.T) {
 // give up with unknown) where the static certificate says unsatisfiable;
 // all of those agree on the property the prune asserts: not exposable.
 //
-// Two applications keep the NoTriage wave affordable (cwebp's non-safe adds
-// cost the solver minutes); the per-app site mix still covers both verdict
-// divergence cases observed in practice.
+// The per-app site mix covers both verdict divergence cases observed in
+// practice. swfplay and cwebp carry the SOF-segment sums whose β the hunt
+// refutes in a few hundred milliseconds (TestArithUnsatAddsRefuted). The
+// other apps stay out to keep the wave small; dillo's alone can allocate
+// gigabytes of guest memory.
 func TestArithPruneNeverMasksExposure(t *testing.T) {
-	for _, short := range []string{"gifview", "tifthumb"} {
+	for _, short := range []string{"gifview", "tifthumb", "swfplay", "cwebp"} {
 		short := short
 		t.Run(short, func(t *testing.T) {
 			a, err := apps.ByName(short)

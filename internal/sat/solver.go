@@ -71,6 +71,7 @@ type Solver struct {
 
 	activity  []float64
 	focus     []Var // decide-first variables (SetDecisionFocus)
+	focusEnd  int64 // Conflicts count at which the focus lapses
 	varInc    float64
 	order     *varHeap
 	claInc    float64
@@ -143,15 +144,22 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // favor saved phases) and model *sampling* (high, favor diversity).
 func (s *Solver) SetRandomPolarity(p float64) { s.opts.RandomPolarity = p }
 
-// SetDecisionFocus makes subsequent decisions pick the first unassigned
-// variable of vars (in order) before consulting the activity heap; nil
-// restores pure activity order. Restart sampling focuses decisions on the
-// bit-blasted input bits: deciding the projection variables first — with
-// their perturbed saved phases — makes each completion's model projection a
-// direct function of the perturbation instead of a side effect of whatever
-// the auxiliary variables imply, which is what turns phase flips into fresh
-// models.
-func (s *Solver) SetDecisionFocus(vars []Var) { s.focus = vars }
+// SetDecisionFocus makes decisions pick the first unassigned variable of
+// vars (in order) before consulting the activity heap, for the next
+// conflicts conflicts; after that the focus lapses and decisions return to
+// pure activity order. nil or a zero budget restores activity order at once.
+// Restart sampling focuses decisions on the bit-blasted input bits: deciding
+// the projection variables first — with their perturbed saved phases — makes
+// each completion's model projection a direct function of the perturbation
+// instead of a side effect of whatever the auxiliary variables imply, which
+// is what turns phase flips into fresh models. The budget bounds the price
+// of that order on a formula with no models left to find: a focused search
+// refutes it by enumerating input assignments, the activity order by
+// learning from the conflicts.
+func (s *Solver) SetDecisionFocus(vars []Var, conflicts int64) {
+	s.focus = vars
+	s.focusEnd = s.Conflicts + conflicts
+}
 
 func (s *Solver) value(l Lit) lbool {
 	v := s.assigns[l.Var()]
@@ -424,10 +432,12 @@ func (s *Solver) cancelUntil(lvl int32) {
 
 func (s *Solver) decide() bool {
 	var v Var = -1
-	for _, f := range s.focus {
-		if s.assigns[f] == lUndef {
-			v = f
-			break
+	if s.Conflicts < s.focusEnd {
+		for _, f := range s.focus {
+			if s.assigns[f] == lUndef {
+				v = f
+				break
+			}
 		}
 	}
 	for v < 0 {

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -205,7 +206,8 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 // step against exhaustive search on random small CNFs: after a plain solve,
 // every PartialRestart → PerturbPhases → SetDecisionFocus → SolveContinue
 // round must return a model of the formula, never Unsat on a satisfiable
-// one, and must keep answering Unsat on an unsatisfiable one.
+// one, and must keep answering Unsat on an unsatisfiable one. Focus budgets
+// of 0–3 conflicts make the focus lapse mid-search in some rounds.
 func TestSamplingPrimitivesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
@@ -230,7 +232,7 @@ func TestSamplingPrimitivesAgainstBruteForce(t *testing.T) {
 		for round := 0; round < 6; round++ {
 			s.PartialRestart(rng, 0)
 			s.PerturbPhases(rng, 0.5, vars)
-			s.SetDecisionFocus(vars[:1+rng.Intn(nVars)])
+			s.SetDecisionFocus(vars[:1+rng.Intn(nVars)], int64(rng.Intn(4)))
 			got := s.SolveContinue()
 			if want && got != Sat {
 				t.Fatalf("trial %d round %d: SolveContinue = %v on a satisfiable formula", trial, round, got)
@@ -242,7 +244,61 @@ func TestSamplingPrimitivesAgainstBruteForce(t *testing.T) {
 				t.Fatalf("trial %d round %d: model does not satisfy formula", trial, round)
 			}
 		}
-		s.SetDecisionFocus(nil)
+		s.SetDecisionFocus(nil, 0)
+	}
+}
+
+// TestDecisionFocusZeroBudgetIsNoFocus checks that a focus armed with a
+// zero conflict budget never steers a decision: on a fixed seed the solve
+// matches an unfocused one in result and in every work counter.
+func TestDecisionFocusZeroBudgetIsNoFocus(t *testing.T) {
+	run := func(focus bool) *Solver {
+		s := New(Options{Seed: 7, RandomPolarity: 0.1})
+		addPigeonhole(s, 7, 6)
+		if focus {
+			vars := make([]Var, s.NumVars())
+			for i := range vars {
+				vars[i] = Var(len(vars) - 1 - i)
+			}
+			s.SetDecisionFocus(vars, 0)
+		}
+		if got := s.Solve(); got != Unsat {
+			t.Fatalf("PHP(7,6) = %v, want unsat", got)
+		}
+		return s
+	}
+	plain, zero := run(false), run(true)
+	if plain.Decisions != zero.Decisions || plain.Conflicts != zero.Conflicts || plain.Propagations != zero.Propagations {
+		t.Fatalf("zero-budget focus changed the search: decisions %d/%d, conflicts %d/%d, propagations %d/%d",
+			plain.Decisions, zero.Decisions, plain.Conflicts, zero.Conflicts, plain.Propagations, zero.Propagations)
+	}
+}
+
+// TestDecisionFocusDecidesFocusFirst checks the focus order itself: while
+// the budget lasts, the focus variables are decided first and in the given
+// order, ahead of the activity order; with a zero budget they are not.
+func TestDecisionFocusDecidesFocusFirst(t *testing.T) {
+	trailVars := func(budget int64) []Var {
+		s := New(Options{Seed: 1})
+		for i := 0; i < 12; i++ {
+			s.NewVar()
+		}
+		s.SetDecisionFocus([]Var{7, 6, 5, 4, 3, 2, 1, 0}, budget)
+		if s.Solve() != Sat {
+			t.Fatal("expected sat")
+		}
+		out := make([]Var, len(s.trail))
+		for i, l := range s.trail {
+			out[i] = l.Var()
+		}
+		return out
+	}
+	want := []Var{7, 6, 5, 4, 3, 2, 1, 0}
+	if got := trailVars(1 << 20)[:len(want)]; !slices.Equal(got, want) {
+		t.Fatalf("focused decisions ran in order %v, want %v", got, want)
+	}
+	if got := trailVars(0)[:len(want)]; slices.Equal(got, want) {
+		t.Fatalf("zero-budget focus still decided %v first", got)
 	}
 }
 
@@ -263,7 +319,7 @@ func TestSamplingPrimitivesReachFreshModels(t *testing.T) {
 	if s.Solve() != Sat {
 		t.Fatal("expected sat")
 	}
-	s.SetDecisionFocus(vars)
+	s.SetDecisionFocus(vars, 1<<20)
 	distinct := make(map[[8]bool]bool)
 	for i := 0; i < 24; i++ {
 		s.PartialRestart(rng, 0)

@@ -173,6 +173,29 @@ func TestSampleBudgetOutIsUnknown(t *testing.T) {
 	}
 }
 
+// TestUnsatBetaRefutesPastFocusLapse pins the in-draw focus lapse on the
+// shape of gifview's unsatisfiable return-offset β: the wraparound of a sum
+// of three zero-extended bytes and small constants, which no input reaches.
+// Restart sampling's first draw proves it unsatisfiable; with decisions
+// focused on the 24 input bits for the whole draw that proof takes about
+// 14k conflicts at this seed, while a focus that lapses after
+// restartFocusLapse conflicts leaves the activity order a few hundred more
+// to finish it.
+func TestUnsatBetaRefutesPastFocusLapse(t *testing.T) {
+	byteIn := func(name string) *bv.Term { return bv.ZExt(32, bv.Var(8, name)) }
+	one := bv.Const(32, 1)
+	p := bv.Add(byteIn("gv_a"), bv.Const(32, 0x35))
+	p = bv.Add(bv.Add(p, one), byteIn("gv_b"))
+	p = bv.Add(bv.Add(p, one), byteIn("gv_c"))
+	s := New(Options{Seed: 1})
+	if models, why := s.SampleModels(bv.OverflowCond(p), 3); len(models) != 0 || why != Unsat {
+		t.Fatalf("sampled %d models (%v), want 0 (unsat)", len(models), why)
+	}
+	if got := s.Snapshot().Conflicts; got > restartFocusLapse+2000 {
+		t.Errorf("refutation took %d conflicts, want <= %d", got, restartFocusLapse+2000)
+	}
+}
+
 // TestStopOnCancelsSolve checks that cancellation reaches CDCL: a 32-bit
 // factoring solve with an effectively unbounded conflict budget, stopped
 // about 50 ms in through StopOn, returns Unknown well within a second — and

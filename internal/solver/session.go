@@ -47,12 +47,13 @@ type Session struct {
 	ids  map[uint64]bool // intern ids of conj entries
 	vars bv.VarSet       // union of the conjuncts' free variables
 
-	engine      *sat.Solver
-	bl          *bitblast.Blaster
-	encoded     int // conj[:encoded] have been asserted into bl
-	cdclCalls   int
-	solvedGen   int // 1 + conjunction length at the last CDCL Solve (0 = never)
-	learntsSeen int // high-water learnt count already folded into ClausesReused
+	engine        *sat.Solver
+	bl            *bitblast.Blaster
+	encoded       int // conj[:encoded] have been asserted into bl
+	cdclCalls     int
+	solvedGen     int   // 1 + conjunction length at the last CDCL Solve (0 = never)
+	learntsSeen   int   // high-water learnt count already folded into ClausesReused
+	conflictsSeen int64 // engine conflicts already folded into Stats.Conflicts
 
 	cache []cachedModel
 }
@@ -109,6 +110,15 @@ const (
 	// this budget the solution set is sparse and the focus is dropped — the
 	// activity order finds needles, the perturbed phases still diversify.
 	restartFocusConflicts = 32
+
+	// restartFocusLapse is the conflict budget after which a focused draw
+	// hands decisions back to the activity order *within* the draw. On an
+	// unsatisfiable β the first draw is the proof, and under the focus it
+	// refutes input assignments one by one: tens of thousands of conflicts
+	// on a 24-input-bit β that the activity order refutes in a few hundred. The lapse sits above every focused draw that ends Sat in the
+	// measured tables and arith waves (at most 1,356 conflicts), so it moves
+	// none of their sampled models; DESIGN.md §"Sampling" has the numbers.
+	restartFocusLapse = 4096
 )
 
 // NewSession opens an incremental session whose initial constraint is beta
@@ -268,12 +278,12 @@ func (ss *Session) SampleModels(k int) ([]bv.Assignment, Verdict) {
 // sampleRestart draws models by randomized partial restarts of the
 // persistent engine — backtrack to a random level of the previous model's
 // trail, flip the freed input-bit phases, resume the search with decisions
-// focused on the input bits — until the budget is filled or
-// restartSampleStale consecutive solves yield nothing new, then hands the
-// model set to blocking enumeration to certify exhaustion (or dig out
-// remaining needles the restarts kept missing). The first draw runs as a
-// plain solve (empty trail), so a session that never solved before still
-// works. The result is the SampleModels verdict.
+// focused on the input bits for up to restartFocusLapse conflicts — until
+// the budget is filled or restartSampleStale consecutive solves yield
+// nothing new, then hands the model set to blocking enumeration to certify
+// exhaustion (or dig out remaining needles the restarts kept missing). The
+// first draw runs as a plain solve (empty trail), so a session that never
+// solved before still works. The result is the SampleModels verdict.
 func (ss *Session) sampleRestart(ms *modelSet, k int) Verdict {
 	s := ss.sol
 	ss.assertPending()
@@ -288,12 +298,14 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) Verdict {
 			bits = append(bits, l.Var())
 		}
 	}
-	ss.engine.SetDecisionFocus(bits)
-	defer ss.engine.SetDecisionFocus(nil)
+	defer ss.engine.SetDecisionFocus(nil, 0)
 	focused := true
 	stale := 0
 	for len(ms.models) < k && stale < restartSampleStale {
 		before := ss.engine.Conflicts
+		if focused {
+			ss.engine.SetDecisionFocus(bits, restartFocusLapse)
+		}
 		ss.engine.PartialRestart(ss.rng, 0)
 		ss.engine.PerturbPhases(ss.rng, restartFlipProb, bits)
 		if res := ss.cdclContinue(); res != sat.Sat {
@@ -304,7 +316,7 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) Verdict {
 			// refuting random input assignments one by one. Hand decisions back
 			// to the activity order, which finds the needles.
 			focused = false
-			ss.engine.SetDecisionFocus(nil)
+			ss.engine.SetDecisionFocus(nil, 0)
 		}
 		s.stats.add(Stats{RestartSamples: 1})
 		if ms.add(ss.bl.Model()) {
@@ -402,9 +414,9 @@ func (ss *Session) assertPending() {
 
 // cdcl runs one call on the persistent engine, updating work counters.
 func (ss *Session) cdcl(assumps []sat.Lit) sat.Result {
-	ss.countCall(len(assumps) > 0)
+	d := ss.callStats(len(assumps) > 0)
 	ss.assertPending()
-	return ss.engine.SolveUnderAssumptions(assumps)
+	return ss.counted(d, ss.engine.SolveUnderAssumptions(assumps))
 }
 
 // cdclContinue is cdcl for a restart sample: same work counters, but the
@@ -412,15 +424,25 @@ func (ss *Session) cdcl(assumps []sat.Lit) sat.Result {
 // re-solving from the root. The conjunction must already be encoded
 // (assertPending) — sampling never grows it mid-run.
 func (ss *Session) cdclContinue() sat.Result {
-	ss.countCall(false)
-	return ss.engine.SolveContinue()
+	d := ss.callStats(false)
+	return ss.counted(d, ss.engine.SolveContinue())
 }
 
-// countCall records one CDCL call on the persistent engine. ClausesReused
-// counts each retained learned clause once: on every call after the first,
-// the growth of the learnt database since the last count is the set of
-// clauses that will be carried into this and later calls.
-func (ss *Session) countCall(assumed bool) {
+// counted folds one finished CDCL call into the solver's counters: d, taken
+// before the call, plus the conflicts the engine spent since then.
+func (ss *Session) counted(d Stats, res sat.Result) sat.Result {
+	d.Conflicts = ss.engine.Conflicts - ss.conflictsSeen
+	ss.conflictsSeen = ss.engine.Conflicts
+	ss.sol.stats.add(d)
+	return res
+}
+
+// callStats is the counter delta of one CDCL call on the persistent engine,
+// taken before the call. ClausesReused counts each retained learned clause
+// once: on every call after the first, the growth of the learnt database
+// since the last count is the set of clauses that will be carried into this
+// and later calls.
+func (ss *Session) callStats(assumed bool) Stats {
 	d := Stats{SATSolves: 1}
 	if assumed {
 		d.AssumptionSolves = 1
@@ -438,7 +460,7 @@ func (ss *Session) countCall(assumed bool) {
 		ss.learntsSeen = n
 	}
 	ss.cdclCalls++
-	ss.sol.stats.add(d)
+	return d
 }
 
 // guardBlock adds a blocking clause for m guarded by a fresh literal g:

@@ -238,6 +238,9 @@ func TestSessionStatsCounters(t *testing.T) {
 	if st = s.Snapshot(); st.ClausesReused == 0 {
 		t.Errorf("no learned clauses retained across incremental calls: %+v", st)
 	}
+	if st.Conflicts == 0 {
+		t.Errorf("a refuted session solve counted no conflicts: %+v", st)
+	}
 
 	sb := New(Options{Seed: 23, Mode: ModeSATOnly, Sampling: SamplingBlocking})
 	bw := bv.Var(32, "sc2_bw")

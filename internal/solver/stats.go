@@ -11,6 +11,10 @@ type Stats struct {
 	SATSolves    int // solves that reached the CDCL solver
 	UnsatResults int
 	UnknownOut   int
+	// Conflicts sums the CDCL conflicts of every engine call (solves,
+	// restart draws, blocking draws): a deterministic measure of search
+	// work, independent of the host's speed.
+	Conflicts int64
 
 	// Incremental-session counters.
 	AssumptionSolves int // CDCL calls made under ≥1 assumption (sampling blocks)
@@ -36,6 +40,7 @@ func (s *Stats) Add(o Stats) {
 	s.SATSolves += o.SATSolves
 	s.UnsatResults += o.UnsatResults
 	s.UnknownOut += o.UnknownOut
+	s.Conflicts += o.Conflicts
 	s.AssumptionSolves += o.AssumptionSolves
 	s.ModelCacheHits += o.ModelCacheHits
 	s.ClausesReused += o.ClausesReused
