@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke traffic-cover
 
 all: check test
 
@@ -137,3 +137,23 @@ worker-smoke:
 	  printf '%s\n' "$$out"; exit 1; \
 	fi; \
 	echo "worker smoke ok: 3 jobs -> 2 exposed, 1 unsatisfiable"
+
+# Traffic coverage: build the sweep benchmark (perfbench/) with coverage over
+# every diode package, run each of its workloads for about 3 s, and list the
+# functions none of them executed (0.0% in `go tool covdata func`, perfbench's
+# own code left out) with a count. It finds code no workload reaches —
+# candidates for deletion, or for a test that covers them instead. Not a CI
+# step; everything it writes stays under .bench_build/.
+traffic-cover:
+	@out="$(CURDIR)/.bench_build"; cov="$$out/traffic-cover"; \
+	rm -rf "$$cov"; mkdir -p "$$cov/data" "$$out/tmp" "$$out/config"; \
+	export GOCACHE="$$out/gocache" GOMODCACHE="$$out/gomod" GOTMPDIR="$$out/tmp" XDG_CONFIG_HOME="$$out/config" \
+		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod; \
+	(cd perfbench && $(GO) build -cover -coverpkg=diode/... -o "$$cov/perfbench" .) || exit 1; \
+	for w in paper-sweep arith-surface warm-resweep; do \
+		GOCOVERDIR="$$cov/data" "$$cov/perfbench" --workload "$$w" --seed 1 --seconds 3 --trace 0 \
+			>"$$cov/$$w.out" 2>&1 || { cat "$$cov/$$w.out"; exit 1; }; \
+	done; \
+	$(GO) tool covdata func -i "$$cov/data" | awk '$$NF == "0.0%" && $$1 !~ /^diode\/perfbench\//' >"$$cov/uncovered.txt"; \
+	cat "$$cov/uncovered.txt"; \
+	echo "traffic-cover: $$(wc -l <"$$cov/uncovered.txt") functions no workload executes"

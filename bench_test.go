@@ -32,12 +32,9 @@ import (
 //	                                  target ∧ enforced constraints
 //	BenchmarkSamePath               – §5.4: same-path constraint verdicts
 //
-// plus the DESIGN.md ablations:
+// plus the DESIGN.md ablation:
 //
 //	BenchmarkAblationFullPath       – enforce the whole seed path up front
-//	BenchmarkAblationNoCompress     – skip Figure 8 branch compression
-//	BenchmarkAblationNoRelevance    – keep irrelevant branches in φ
-//	BenchmarkAblationSolverMode     – bit-blast-only vs hybrid solving
 //
 // Run everything with:  go test -bench=. -benchmem
 // Each benchmark reports domain-specific metrics via b.ReportMetric.
@@ -228,49 +225,6 @@ func BenchmarkAblationFullPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(float64(samePathSat(b, int64(i+1))), "fullpath-findable")
 		b.ReportMetric(14, "goal-directed-findable")
-	}
-}
-
-// ablationSweep runs the paper suite (the ablations quantify the paper's
-// design claims, whose baselines are the 14 exposed sites of Table 1).
-func ablationSweep(b *testing.B, seed int64, settings dispatch.Options) {
-	exposed := 0
-	for _, o := range sweep(b, harness.Config{Seed: seed, Engine: settings}, apps.Paper()) {
-		for _, sr := range o.Result.Sites {
-			if sr.Verdict == core.VerdictExposed {
-				exposed++
-			}
-		}
-	}
-	b.ReportMetric(float64(exposed), "exposed")
-}
-
-func BenchmarkAblationNoCompress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationSweep(b, int64(i+1), dispatch.Options{DisableCompression: true})
-	}
-}
-
-func BenchmarkAblationNoRelevance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationSweep(b, int64(i+1), dispatch.Options{DisableRelevanceFilter: true})
-	}
-}
-
-func BenchmarkAblationSolverMode(b *testing.B) {
-	modes := []struct {
-		name string
-		mode solver.Mode
-	}{
-		{"hybrid", solver.ModeHybrid},
-		{"sat-only", solver.ModeSATOnly},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ablationSweep(b, int64(i+1), dispatch.Options{SolverMode: m.mode})
-			}
-		})
 	}
 }
 

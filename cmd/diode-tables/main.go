@@ -68,7 +68,6 @@ func run() (code int) {
 	dbOut := flag.String("db", "", "also write the results database to this file")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = memory only)")
 	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
-	blockingSampling := flag.Bool("blocking-sampling", false, "ablation: enumerate sample models via blocking clauses instead of randomized restarts")
 	discoverMode := flag.Bool("discover", false, "append the statically discovered-site table after the selected tables")
 	triageTable := flag.Bool("triage", false, "append the static value-range triage table after the selected tables")
 	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; dillo's wave allocates gigabytes of guest memory")
@@ -105,7 +104,7 @@ func run() (code int) {
 	// so a repeated sweep is served without re-running any hunt.
 	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	cfg := harness.Config{Seed: *seed, Parallelism: *parallel, Workers: *workers, Cache: jc, Arith: *arithWave,
-		Engine: diode.JobOptions{OneShotSampling: *blockingSampling, NoTriage: *noTriage}}
+		Engine: diode.JobOptions{NoTriage: *noTriage}}
 	var appList []*diode.App
 	switch *table {
 	case "1":

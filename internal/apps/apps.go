@@ -159,6 +159,16 @@ func (a *App) Triaged() ([]discover.Site, error) {
 	return a.triaged, a.triageErr
 }
 
+// Sites returns the site list every pipeline stage works from: the triaged
+// list, or the raw discovery records under the NoTriage ablation. A triage
+// failure is returned, never papered over with the untriaged records.
+func (a *App) Sites(noTriage bool) ([]discover.Site, error) {
+	if noTriage {
+		return a.Discovered()
+	}
+	return a.Triaged()
+}
+
 // Probe returns the derived application that hunts the named arith site:
 // the guest program instrumented with a probe allocation at the arith node
 // (discover.Probe), sharing the original's format but with no paper

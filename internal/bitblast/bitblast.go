@@ -219,20 +219,6 @@ func (b *Blaster) bitsUncached(t *bv.Term) []sat.Lit {
 	case bv.KExtract:
 		x := b.Bits(t.X)
 		return append([]sat.Lit(nil), x[t.Lo:t.Hi+1]...)
-	case bv.KConcat:
-		hi, lo := b.Bits(t.X), b.Bits(t.Y)
-		bits := make([]sat.Lit, 0, len(hi)+len(lo))
-		bits = append(bits, lo...)
-		bits = append(bits, hi...)
-		return bits
-	case bv.KITE:
-		c := b.Lit(t.Cond)
-		x, y := b.Bits(t.X), b.Bits(t.Y)
-		bits := make([]sat.Lit, len(x))
-		for i := range x {
-			bits[i] = b.mux(c, x[i], y[i])
-		}
-		return bits
 	}
 	panic("bitblast: unknown term kind")
 }

@@ -92,7 +92,7 @@ func randomExpr(rng *rand.Rand, vars []*bv.Term, depth int) *bv.Term {
 	}
 	a := randomExpr(rng, vars, depth-1)
 	b := randomExpr(rng, vars, depth-1)
-	switch rng.Intn(12) {
+	switch rng.Intn(11) {
 	case 0:
 		return bv.Add(a, b)
 	case 1:
@@ -113,8 +113,6 @@ func randomExpr(rng *rand.Rand, vars []*bv.Term, depth int) *bv.Term {
 		return bv.Not(a)
 	case 9:
 		return bv.Neg(a)
-	case 10:
-		return bv.ITE(bv.Ult(a, b), a, b)
 	default:
 		if w > 1 {
 			hi := uint8(rng.Intn(int(w)-1)) + 1

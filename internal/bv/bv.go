@@ -42,8 +42,6 @@ const (
 	KZExt                // zero extension to a wider width
 	KSExt                // sign extension to a wider width
 	KExtract             // bit-slice [Lo..Hi] (inclusive)
-	KConcat              // concatenation: X is the high part, Y the low part
-	KITE                 // if-then-else on a Bool condition
 )
 
 // Term is an immutable, hash-consed bitvector expression of width W.
@@ -57,7 +55,6 @@ type Term struct {
 	X, Y *Term  // operands (Y nil for unary ops, both nil for leaves)
 	Hi   uint8  // KExtract: high bit index (inclusive)
 	Lo   uint8  // KExtract: low bit index (inclusive)
-	Cond *Bool  // KITE: condition
 
 	id uint64 // canonical intern id, assigned once under the intern lock
 }
@@ -97,7 +94,6 @@ type termKey struct {
 	val    uint64
 	name   string
 	x, y   *Term
-	cond   *Bool
 }
 
 type boolKey struct {
@@ -118,7 +114,7 @@ var (
 )
 
 func intern(t Term) *Term {
-	k := termKey{t.Kind, t.W, t.Hi, t.Lo, t.Val, t.Name, t.X, t.Y, t.Cond}
+	k := termKey{t.Kind, t.W, t.Hi, t.Lo, t.Val, t.Name, t.X, t.Y}
 	internMu.Lock()
 	defer internMu.Unlock()
 	if got, ok := termTab[k]; ok {
@@ -514,38 +510,6 @@ func Trunc(w uint8, x *Term) *Term {
 		return x
 	}
 	return Extract(w-1, 0, x)
-}
-
-// Concat concatenates hi (high bits) and lo (low bits).
-func Concat(hi, lo *Term) *Term {
-	if int(hi.W)+int(lo.W) > MaxWidth {
-		panic("bv: Concat result too wide")
-	}
-	w := hi.W + lo.W
-	hv, hc := IsConst(hi)
-	lv, lc := IsConst(lo)
-	if hc && lc {
-		return Const(w, hv<<lo.W|lv)
-	}
-	if hc && hv == 0 {
-		return ZExt(w, lo)
-	}
-	return intern(Term{Kind: KConcat, W: w, X: hi, Y: lo})
-}
-
-// ITE returns the term equal to t when cond holds and to f otherwise.
-func ITE(cond *Bool, t, f *Term) *Term {
-	checkSame(t, f)
-	if cond.Kind == BConst {
-		if cond.BVal {
-			return t
-		}
-		return f
-	}
-	if t == f {
-		return t
-	}
-	return intern(Term{Kind: KITE, W: t.W, X: t, Y: f, Cond: cond})
 }
 
 func signExtend(v uint64, w uint8) uint64 {

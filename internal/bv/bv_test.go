@@ -32,7 +32,6 @@ func TestConstFolding(t *testing.T) {
 		{"zext", ZExt(16, Const(8, 0xAB)), 0xAB},
 		{"sext", SExt(16, Const(8, 0x80)), 0xFF80},
 		{"extract", Extract(11, 4, Const(16, 0xABCD)), 0xBC},
-		{"concat", Concat(Const(8, 0xAB), Const(8, 0xCD)), 0xABCD},
 		{"trunc", Trunc(8, Const(32, 0x12345678)), 0x78},
 	}
 	for _, tt := range tests {
@@ -398,22 +397,6 @@ func TestVarSet(t *testing.T) {
 	}
 	if vars.Intersects(TermVars(Var(8, "vs_z"))) {
 		t.Error("unexpected shared variable")
-	}
-}
-
-func TestITE(t *testing.T) {
-	x := Var(8, "ite_x")
-	e := ITE(Ult(x, Const(8, 10)), Const(8, 1), Const(8, 2))
-	got, err := Assignment{"ite_x": 5}.Eval(e)
-	if err != nil || got != 1 {
-		t.Fatalf("ite true branch: %d %v", got, err)
-	}
-	got, err = Assignment{"ite_x": 50}.Eval(e)
-	if err != nil || got != 2 {
-		t.Fatalf("ite false branch: %d %v", got, err)
-	}
-	if ITE(True(), x, Const(8, 0)) != x {
-		t.Error("ite with constant condition should fold")
 	}
 }
 

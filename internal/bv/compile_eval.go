@@ -33,7 +33,6 @@ type evalInstr struct {
 	xw, yw uint8 // operand widths where semantics need them
 	lo     uint8 // KExtract
 	x, y   int32 // operand slots (term or bool slots, per op)
-	c      int32 // KITE: condition bool slot
 	dst    int32
 	val    uint64 // KConst / BConst(1 or 0)
 	name   string // KVar
@@ -101,10 +100,6 @@ func (c *evalCompiler) termSlot(t *Term) int32 {
 	}
 	if t.Y != nil {
 		ins.y = c.termSlot(t.Y)
-		ins.yw = t.Y.W
-	}
-	if t.Cond != nil {
-		ins.c = c.boolSlot(t.Cond)
 	}
 	s := c.nterm
 	c.nterm++
@@ -210,12 +205,6 @@ func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
 			v = signExtend(tv[ins.x], ins.xw)
 		case KExtract:
 			v = tv[ins.x] >> ins.lo
-		case KITE:
-			if bv[ins.c] {
-				v = tv[ins.x]
-			} else {
-				v = tv[ins.y]
-			}
 		case KAdd:
 			v = tv[ins.x] + tv[ins.y]
 		case KSub:
@@ -254,8 +243,6 @@ func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
 				s = uint64(ins.w) - 1
 			}
 			v = uint64(int64(signExtend(tv[ins.x], ins.xw)) >> s)
-		case KConcat:
-			v = tv[ins.x]<<ins.yw | tv[ins.y]
 		default:
 			return false, fmt.Errorf("bv: unknown term kind %d", ins.op)
 		}

@@ -49,7 +49,7 @@ func randomTerm(rng *rand.Rand, vars []*Term, depth int) *Term {
 	}
 	x := randomTerm(rng, vars, depth-1)
 	y := randomTerm(rng, vars, depth-1)
-	switch rng.Intn(14) {
+	switch rng.Intn(13) {
 	case 0:
 		return Add(x, y)
 	case 1:
@@ -74,10 +74,8 @@ func randomTerm(rng *rand.Rand, vars []*Term, depth int) *Term {
 		return AShr(x, y)
 	case 11:
 		return Not(x)
-	case 12:
-		return Neg(x)
 	default:
-		return ITE(randomFormula(rng, vars, 0), x, y)
+		return Neg(x)
 	}
 }
 

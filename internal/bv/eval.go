@@ -68,15 +68,6 @@ func (e *evaluator) termUncached(t *Term) (uint64, error) {
 		return signExtend(x, t.X.W), nil
 	case KExtract:
 		return x >> t.Lo, nil
-	case KITE:
-		c, err := e.formula(t.Cond)
-		if err != nil {
-			return 0, err
-		}
-		if c {
-			return x, nil
-		}
-		return e.term(t.Y)
 	}
 	y, err := e.term(t.Y)
 	if err != nil {
@@ -121,8 +112,6 @@ func (e *evaluator) termUncached(t *Term) (uint64, error) {
 			s = uint64(t.W) - 1
 		}
 		return uint64(int64(signExtend(x, t.X.W)) >> s), nil
-	case KConcat:
-		return x<<t.Y.W | y, nil
 	}
 	return 0, fmt.Errorf("bv: unknown term kind %d", t.Kind)
 }

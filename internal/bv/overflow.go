@@ -32,24 +32,8 @@ func (c *overflowCollector) visit(t *Term) {
 	if t.Y != nil {
 		c.visit(t.Y)
 	}
-	if t.Cond != nil {
-		c.visitBool(t.Cond)
-	}
 	if f := nodeOverflow(t); f != nil && f != False() {
 		c.flags = append(c.flags, f)
-	}
-}
-
-func (c *overflowCollector) visitBool(b *Bool) {
-	switch b.Kind {
-	case BEq, BUlt, BUle, BSlt, BSle:
-		c.visit(b.X)
-		c.visit(b.Y)
-	case BNot:
-		c.visitBool(b.A)
-	case BAnd, BOr:
-		c.visitBool(b.A)
-		c.visitBool(b.B)
 	}
 }
 

@@ -36,14 +36,6 @@ func writeTerm(b *strings.Builder, t *Term) {
 		fmt.Fprintf(b, "Extract(%d,%d,", t.Hi, t.Lo)
 		writeTerm(b, t.X)
 		b.WriteByte(')')
-	case KITE:
-		fmt.Fprintf(b, "ITE(%d,", t.W)
-		writeBool(b, t.Cond)
-		b.WriteByte(',')
-		writeTerm(b, t.X)
-		b.WriteByte(',')
-		writeTerm(b, t.Y)
-		b.WriteByte(')')
 	default:
 		fmt.Fprintf(b, "%s(%d,", opName(t.Kind), t.W)
 		writeTerm(b, t.X)
@@ -88,8 +80,6 @@ func opName(k Kind) string {
 		return "ToSize"
 	case KSExt:
 		return "SignToSize"
-	case KConcat:
-		return "Concat"
 	}
 	return fmt.Sprintf("Op%d", k)
 }

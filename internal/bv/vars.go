@@ -56,9 +56,6 @@ func collectTermVars(t *Term, vs VarSet, seen map[*Term]bool) {
 	}
 	collectTermVars(t.X, vs, seen)
 	collectTermVars(t.Y, vs, seen)
-	if t.Cond != nil {
-		collectBoolVars(t.Cond, vs, seen)
-	}
 }
 
 func collectBoolVars(b *Bool, vs VarSet, seen map[*Term]bool) {
@@ -167,10 +164,6 @@ func (s *substituter) termUncached(t *Term) *Term {
 		return SExt(t.W, s.term(t.X))
 	case KExtract:
 		return Extract(t.Hi, t.Lo, s.term(t.X))
-	case KConcat:
-		return Concat(s.term(t.X), s.term(t.Y))
-	case KITE:
-		return ITE(s.formula(t.Cond), s.term(t.X), s.term(t.Y))
 	}
 	panic("bv: unknown term kind in substitution")
 }

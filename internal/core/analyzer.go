@@ -44,28 +44,22 @@ func (a *Analyzer) Discovered() ([]discover.Site, error) {
 	return a.app.Discovered()
 }
 
-// siteInfo resolves the discovery record for an alloc site name. Static
-// discovery over-approximates the dynamic taint run, so every analyzed
-// site should be found; the fallback synthesizes a minimal record rather
-// than failing analysis if discovery cannot run. Unless the NoTriage
-// ablation is on, the record comes from the triaged list, so Targets carry
-// the static verdict and bounds for the Hunter's short-circuits.
-func (a *Analyzer) siteInfo(site string) discover.Site {
-	var sites []discover.Site
-	var err error
-	if a.opts.NoTriage {
-		sites, err = a.app.Discovered()
-	} else if sites, err = a.app.Triaged(); err != nil {
-		sites, err = a.app.Discovered()
+// siteInfo resolves the discovery record for an alloc site name from the
+// application's site list (apps.App.Sites), so Targets carry the static
+// verdict and bounds for the Hunter's short-circuits. Static discovery
+// over-approximates the dynamic taint run, so every analyzed site should be
+// found; a site it misses gets a minimal record.
+func (a *Analyzer) siteInfo(site string) (discover.Site, error) {
+	sites, err := a.app.Sites(a.opts.NoTriage)
+	if err != nil {
+		return discover.Site{}, err
 	}
-	if err == nil {
-		for _, s := range sites {
-			if s.Kind == discover.KindAlloc && s.Name == site {
-				return s
-			}
+	for _, s := range sites {
+		if s.Kind == discover.KindAlloc && s.Name == site {
+			return s, nil
 		}
 	}
-	return discover.Site{Name: site, Kind: discover.KindAlloc}
+	return discover.Site{Name: site, Kind: discover.KindAlloc}, nil
 }
 
 // run executes the guest on the analyzer's reused machine. The outcome
@@ -169,15 +163,14 @@ func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.S
 			Count: entry.Count,
 		}
 	}
-	if !a.opts.DisableCompression {
-		lifted = trace.Compress(lifted)
-	}
-	if !a.opts.DisableRelevanceFilter {
-		lifted = trace.Relevant(lifted, beta)
+	lifted = trace.Relevant(trace.Compress(lifted), beta)
+	info, err := a.siteInfo(site)
+	if err != nil {
+		return nil, err
 	}
 	t := &Target{
 		Site:            site,
-		Info:            a.siteInfo(site),
+		Info:            info,
 		RelevantBytes:   relevant,
 		Expr:            expr,
 		Beta:            beta,

@@ -39,23 +39,10 @@ func NewHunter(app *apps.App, opts Options) *Hunter {
 	return &Hunter{
 		app:  app,
 		opts: opts,
-		sol: solver.New(solver.Options{
-			Seed:     opts.Seed,
-			Mode:     opts.SolverMode,
-			Sampling: samplingFor(opts),
-		}),
+		sol:  solver.New(solver.Options{Seed: opts.Seed}),
 		gen:  app.Format.Generator(),
 		mach: interp.NewMachine(app.Compiled()),
 	}
-}
-
-// samplingFor maps the OneShotSampling ablation flag onto the solver's
-// sampling strategy enum.
-func samplingFor(opts Options) solver.Sampling {
-	if opts.OneShotSampling {
-		return solver.SamplingBlocking
-	}
-	return solver.SamplingRestart
 }
 
 // App returns the hunter's application.

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-
-	"diode/internal/solver"
 )
 
 // Settings are the serializable, verdict-affecting pipeline options — the
@@ -26,21 +24,6 @@ type Settings struct {
 	// Fuel bounds guest execution steps per run. Zero means the default
 	// (50 million).
 	Fuel int64 `json:"fuel,omitempty"`
-	// SolverMode selects the constraint-solving strategy (ablation hook).
-	SolverMode solver.Mode `json:"solverMode,omitempty"`
-	// OneShotSampling disables restart-based model sampling: SampleModels
-	// then enumerates via guard-literal blocking clauses on every draw, the
-	// pre-restart behavior (benchmark/ablation hook — see
-	// BenchmarkSampleModels). The default path re-randomizes decision
-	// polarities and activities on the persistent engine between samples and
-	// falls back to blocking only to certify exhaustion.
-	OneShotSampling bool `json:"oneShotSampling,omitempty"`
-	// DisableCompression skips Figure 8 branch-condition compression
-	// (ablation hook).
-	DisableCompression bool `json:"disableCompression,omitempty"`
-	// DisableRelevanceFilter keeps branches that share no input variable
-	// with the target constraint (ablation hook).
-	DisableRelevanceFilter bool `json:"disableRelevanceFilter,omitempty"`
 	// NoTriage disables the static value-range triage (ablation hook): the
 	// Analyzer then works from the raw discovery records and the Hunter
 	// never short-circuits on a triage verdict — every site, including

@@ -31,8 +31,14 @@ import (
 // now be refuted (unsatisfiable); results also carry the CDCL conflict count.
 const keyVersion = "5"
 
+// Bounds of a JobCache's in-memory LRUs, in entries (not bytes).
+const (
+	maxResults  = 4096
+	maxAnalyses = 64
+)
+
 // CacheConfig configures a JobCache. The zero value is a pure in-memory
-// cache with default bounds.
+// cache.
 type CacheConfig struct {
 	// Dir enables the on-disk Result store rooted at this directory. Worker
 	// processes and repeated runs pointing at the same directory share it.
@@ -42,10 +48,6 @@ type CacheConfig struct {
 	// every job executes. Analysis memoization remains: it is what keeps a
 	// single sweep from re-deriving targets per site, cache or no cache.
 	NoResults bool
-	// MaxResults and MaxAnalyses bound the in-memory LRUs (entries, not
-	// bytes); zero means the defaults (4096 results, 64 analyses).
-	MaxResults  int
-	MaxAnalyses int
 }
 
 // JobCache is the content-addressed cache the whole execution surface
@@ -66,14 +68,6 @@ type JobCache struct {
 
 // NewJobCache returns a cache for the given configuration.
 func NewJobCache(cfg CacheConfig) *JobCache {
-	maxResults := cfg.MaxResults
-	if maxResults <= 0 {
-		maxResults = 4096
-	}
-	maxAnalyses := cfg.MaxAnalyses
-	if maxAnalyses <= 0 {
-		maxAnalyses = 64
-	}
 	jc := &JobCache{
 		instances: cache.NewLRU(32),
 		analyses:  cache.NewLRU(maxAnalyses),

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"diode/internal/solver"
 )
 
 // optionsKeyFlips maps every options field (core.Settings, which
@@ -21,14 +19,10 @@ import (
 // adding an options field without a flip case here fails both the test run
 // and `make lint`.
 var optionsKeyFlips = map[string]func(*Options){
-	"InitialAttempts":        func(o *Options) { o.InitialAttempts++ },
-	"MaxEnforce":             func(o *Options) { o.MaxEnforce++ },
-	"Fuel":                   func(o *Options) { o.Fuel++ },
-	"SolverMode":             func(o *Options) { o.SolverMode = solver.Mode(1) },
-	"OneShotSampling":        func(o *Options) { o.OneShotSampling = true },
-	"DisableCompression":     func(o *Options) { o.DisableCompression = true },
-	"DisableRelevanceFilter": func(o *Options) { o.DisableRelevanceFilter = true },
-	"NoTriage":               func(o *Options) { o.NoTriage = true },
+	"InitialAttempts": func(o *Options) { o.InitialAttempts++ },
+	"MaxEnforce":      func(o *Options) { o.MaxEnforce++ },
+	"Fuel":            func(o *Options) { o.Fuel++ },
+	"NoTriage":        func(o *Options) { o.NoTriage = true },
 }
 
 // jobKeyFlips maps every key-bearing dispatch.Job field, by name, to a
@@ -137,15 +131,18 @@ func TestJobKeySensitivity(t *testing.T) {
 // now lapses inside a draw, so a β whose sampling used to run out of
 // conflicts (unknown) can now be refuted (unsatisfiable), and a result
 // stored under version 4 can differ for unchanged inputs.
+//
+// The fully populated record's wantOpts, wantKey and wantWire moved without
+// a keyVersion bump when the four ablation switches (solverMode,
+// oneShotSampling, disableCompression, disableRelevanceFilter) left the
+// options record: it no longer carries them. Every removed field was
+// omitempty, so a job at its default (the only setting any caller used)
+// encodes, keys and stores byte-identically — wantHuntKey does not move —
+// and a stream naming a removed field is rejected as corrupt
+// (TestJobStreamRejectsUnknownFields) rather than served a stale result.
 func TestKeyAndWireGolden(t *testing.T) {
-	opts := Options{
-		InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, SolverMode: solver.ModeSATOnly,
-		OneShotSampling:    true,
-		DisableCompression: true, DisableRelevanceFilter: true, NoTriage: true,
-	}
-	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"solverMode":1,` +
-		`"oneShotSampling":true,` +
-		`"disableCompression":true,"disableRelevanceFilter":true,"noTriage":true}`
+	opts := Options{InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, NoTriage: true}
+	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"noTriage":true}`
 	if got := canonicalOpts(opts); got != wantOpts {
 		t.Errorf("canonicalOpts:\n got %s\nwant %s", got, wantOpts)
 	}
@@ -158,7 +155,7 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "82aca0f87908ba8840ff405120fb8b8af7d7be3276efcb842152631257aa98ca"
+	const wantKey = "8751c1c471e1c4a3a77ea07b340cd33c74b3ed81ad01c948fc82620ed52752e0"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}

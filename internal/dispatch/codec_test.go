@@ -18,10 +18,10 @@ func sampleJobs() []Job {
 		{ID: 0, Kind: KindHunt, App: "dillo", Site: "dillo:png.c@203",
 			SiteKind: "alloc", SitePath: "s2.else.s0", Seed: -7},
 		{ID: 1, Kind: KindSamePath, App: "vlc", Site: "vlc:block.c@54", Seed: 99,
-			Opts: Options{MaxEnforce: 3, DisableCompression: true}},
+			Opts: Options{MaxEnforce: 3, NoTriage: true}},
 		{ID: 2, Kind: KindSuccessRate, App: "gifview", Site: "gifview:gif.c@155",
 			Seed: 1 << 60, SampleN: 200, Enforced: []string{"a", "b"},
-			Opts: Options{Fuel: 1000, SolverMode: solver.ModeSATOnly, OneShotSampling: true}},
+			Opts: Options{Fuel: 1000, InitialAttempts: 2}},
 	}
 }
 
@@ -46,17 +46,25 @@ func TestJobStreamRoundTrip(t *testing.T) {
 // stream instead of running silently with the defaults, both in ReadJobs and
 // in the worker loop.
 func TestJobStreamRejectsUnknownFields(t *testing.T) {
-	const line = `{"id":1,"kind":"hunt","app":"vlc","site":"vlc:block.c@54","seed":8,"opts":{"oneShotSolver":true}}` + "\n"
-	if _, err := ReadJobs(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
-		t.Errorf("ReadJobs = %v, want a corrupt job stream error", err)
-	}
-	var out bytes.Buffer
-	err := WorkerMain(context.Background(), strings.NewReader(line), &out, WorkerConfig{NoCache: true})
-	if err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
-		t.Errorf("WorkerMain = %v, want a corrupt job stream error", err)
-	}
-	if strings.Contains(out.String(), `"type":"result"`) {
-		t.Errorf("worker ran the job anyway:\n%s", out.String())
+	for _, opts := range []string{
+		`{"oneShotSolver":true}`,
+		`{"solverMode":1}`,
+		`{"oneShotSampling":true}`,
+		`{"disableCompression":true}`,
+		`{"disableRelevanceFilter":true}`,
+	} {
+		line := `{"id":1,"kind":"hunt","app":"vlc","site":"vlc:block.c@54","seed":8,"opts":` + opts + "}\n"
+		if _, err := ReadJobs(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
+			t.Errorf("ReadJobs(opts %s) = %v, want a corrupt job stream error", opts, err)
+		}
+		var out bytes.Buffer
+		err := WorkerMain(context.Background(), strings.NewReader(line), &out, WorkerConfig{NoCache: true})
+		if err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
+			t.Errorf("WorkerMain(opts %s) = %v, want a corrupt job stream error", opts, err)
+		}
+		if strings.Contains(out.String(), `"type":"result"`) {
+			t.Errorf("worker ran the job with opts %s anyway:\n%s", opts, out.String())
+		}
 	}
 }
 

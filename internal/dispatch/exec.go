@@ -26,8 +26,6 @@ type Exec struct {
 	// Binary is the worker executable. Empty means auto-resolve: a
 	// "diode-worker" next to the current executable, else $PATH.
 	Binary string
-	// Args are extra arguments passed to the worker binary.
-	Args []string
 	// Env are extra environment entries (os.Environ is inherited).
 	Env []string
 	// Workers is the number of worker processes; <1 means one.
@@ -121,7 +119,7 @@ func (e *Exec) runShard(ctx context.Context, bin string, shard []Job, jobByID ma
 	if len(shard) == 0 {
 		return
 	}
-	args := append([]string{}, e.Args...)
+	var args []string
 	env := append(os.Environ(), e.Env...)
 	if e.CacheDir != "" {
 		args = append(args, "-cache-dir", e.CacheDir)

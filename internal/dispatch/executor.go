@@ -150,7 +150,12 @@ func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (
 		return res, nil
 	}
 	if execApp != app {
-		if info, ok := originalSite(app, job); ok {
+		info, ok, err := originalSite(app, job)
+		if err != nil {
+			res.Err = err.Error()
+			return res, nil
+		}
+		if ok {
 			t = t.WithInfo(info)
 		}
 	}
@@ -192,23 +197,17 @@ func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (
 	return res, nil
 }
 
-// originalSite resolves the base program's discovery record for a job's site
-// — triaged unless the job opts out — for re-stamping probe-program targets.
-func originalSite(app *apps.App, job Job) (discover.Site, bool) {
-	var sites []discover.Site
-	var err error
-	if job.Opts.NoTriage {
-		sites, err = app.Discovered()
-	} else if sites, err = app.Triaged(); err != nil {
-		sites, err = app.Discovered()
-	}
+// originalSite resolves the base program's site record for a job's site
+// (apps.App.Sites) for re-stamping probe-program targets.
+func originalSite(app *apps.App, job Job) (discover.Site, bool, error) {
+	sites, err := app.Sites(job.Opts.NoTriage)
 	if err != nil {
-		return discover.Site{}, false
+		return discover.Site{}, false, err
 	}
 	for _, s := range sites {
 		if s.Name == job.Site {
-			return s, true
+			return s, true, nil
 		}
 	}
-	return discover.Site{}, false
+	return discover.Site{}, false, nil
 }

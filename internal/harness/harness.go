@@ -59,16 +59,11 @@ type Config struct {
 	// Cache is the job cache shared by the planner's in-process analysis
 	// and the default Local backend; pass the same cache to repeated
 	// Evaluate calls to make warm sweeps near-free (zero Analyzer runs,
-	// zero hunts). Nil means a fresh cache built from CacheDir / NoCache
-	// per evaluation. It is not handed to an explicitly configured Backend
-	// — construct that backend with its own cache settings (the planner
-	// still analyzes through it in-process).
+	// zero hunts). Nil means a fresh in-memory cache per evaluation. It is
+	// not handed to an explicitly configured Backend — construct that
+	// backend with its own cache settings (the planner still analyzes
+	// through it in-process).
 	Cache *dispatch.JobCache
-	// CacheDir enables the on-disk result store when Cache is nil.
-	CacheDir string
-	// NoCache disables result caching when Cache is nil (analysis is still
-	// memoized within the evaluation).
-	NoCache bool
 }
 
 // backend resolves the configured or default backend; the default Local
@@ -174,7 +169,7 @@ func (w *wave) add(p *appPlan, site int, j dispatch.Job) {
 func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOutcome {
 	jc := cfg.Cache
 	if jc == nil {
-		jc = dispatch.NewJobCache(dispatch.CacheConfig{Dir: cfg.CacheDir, NoResults: cfg.NoCache})
+		jc = dispatch.NewJobCache(dispatch.CacheConfig{})
 	}
 	backend := cfg.backend(len(list), jc)
 	analysisWorkers := cfg.Workers
@@ -358,16 +353,9 @@ func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOut
 	return outcomes
 }
 
-// arithSites lists an application's discovered arith sites, triaged unless
-// the sweep opts out.
+// arithSites lists an application's arith sites (apps.App.Sites).
 func arithSites(app *apps.App, noTriage bool) ([]discover.Site, error) {
-	var sites []discover.Site
-	var err error
-	if noTriage {
-		sites, err = app.Discovered()
-	} else {
-		sites, err = app.Triaged()
-	}
+	sites, err := app.Sites(noTriage)
 	if err != nil {
 		return nil, err
 	}

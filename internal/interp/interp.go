@@ -99,19 +99,19 @@ func (x value) term() *bv.Term {
 type block struct {
 	site   string
 	size   uint64
-	cells  map[uint64]value
-	canary bool // true once an out-of-bounds write clobbered the red zone
+	cells  map[uint64]value // every cell (tree-walker); cells past dense (Machine)
+	canary bool             // true once an out-of-bounds write clobbered the red zone
 
 	// Machine-only cell storage (the tree-walking interpreter leaves all of
 	// this zero and uses the cells map alone). Offsets below len(dense) live
-	// in the dense prefix; higher offsets live in an open-addressing table.
-	// Both carry a generation stamp marking which entries the current run
-	// wrote — an unstamped entry reads as the zero-initialized cell — so
-	// recycling a block costs one generation bump instead of clearing
-	// storage.
+	// in the dense prefix, whose generation stamp marks which entries the
+	// current run wrote — an unstamped entry reads as the zero-initialized
+	// cell — so recycling the prefix costs one generation bump instead of
+	// clearing it. Higher offsets go through far's write logs into cells,
+	// which recycling clears.
 	dense []value
 	stamp []uint32
-	far   farCells
+	far   farLogs
 	gen   uint32
 }
 
@@ -131,7 +131,7 @@ func (b *block) storeCell(off uint64, v value, plain bool) {
 		b.stamp[off] = b.gen
 		return
 	}
-	b.far.store(off, b.gen, v, plain)
+	b.storeFar(off, v, plain)
 }
 
 // loadCell reads a cell through the Machine's dense/far storage; untouched
@@ -143,25 +143,24 @@ func (b *block) loadCell(off uint64) value {
 		}
 		return value{v: 0, w: 8}
 	}
-	if v, ok := b.far.load(off, b.gen); ok {
+	if v, ok := b.loadFar(off); ok {
 		return v
 	}
 	return value{v: 0, w: 8}
 }
 
-// farCells stores a Machine block's cells beyond the dense prefix. Guests
+// farLogs holds a Machine block's writes beyond the dense prefix. Guests
 // overwhelmingly *write* far cells (memset loops, end-of-buffer pokes over
 // huge allocations) and read them rarely, so writes append to a log — no
-// hashing, no growth rehashes — and the log is folded into the lookup table
-// only if the run ever loads a far cell. Later entries overwrite earlier
-// ones during the fold, preserving store order. Plain-mode runs (no taint,
-// no symbolic state) append to a pointer-free log the GC never scans; a run
-// is entirely in one mode, so at most one log is populated per run.
-type farCells struct {
+// hashing — and the log is folded into the block's cells map only if the
+// run ever loads a far cell. Later entries overwrite earlier ones during the
+// fold, preserving store order. Plain-mode runs (no taint, no symbolic
+// state) append to a pointer-free log the GC never scans; a run is entirely
+// in one mode, so at most one log is populated per run.
+type farLogs struct {
 	log      []farWrite      // taint/symbolic-mode writes (pointer-carrying)
 	plainLog []farPlainWrite // plain-mode writes (GC-invisible)
-	tab      cellTable
-	indexed  bool // this run has folded its logs and writes to tab directly
+	indexed  bool            // this run has folded its logs and writes to cells directly
 }
 
 type farWrite struct {
@@ -176,9 +175,10 @@ type farPlainWrite struct {
 	wrapped bool
 }
 
-func (f *farCells) store(off uint64, gen uint32, v value, plain bool) {
+func (b *block) storeFar(off uint64, v value, plain bool) {
+	f := &b.far
 	if f.indexed {
-		f.tab.store(off, gen, v)
+		b.cells[off] = v
 		return
 	}
 	if plain {
@@ -188,25 +188,30 @@ func (f *farCells) store(off uint64, gen uint32, v value, plain bool) {
 	f.log = append(f.log, farWrite{off: off, val: v})
 }
 
-func (f *farCells) load(off uint64, gen uint32) (value, bool) {
-	if !f.indexed {
+func (b *block) loadFar(off uint64) (value, bool) {
+	if f := &b.far; !f.indexed {
 		f.indexed = true
+		if b.cells == nil {
+			b.cells = make(map[uint64]value)
+		}
 		for i := range f.plainLog {
 			e := &f.plainLog[i]
-			f.tab.store(e.off, gen, value{v: e.v, w: e.w, wrapped: e.wrapped})
+			b.cells[e.off] = value{v: e.v, w: e.w, wrapped: e.wrapped}
 		}
 		f.plainLog = f.plainLog[:0]
 		for i := range f.log {
-			f.tab.store(f.log[i].off, gen, f.log[i].val)
+			b.cells[f.log[i].off] = f.log[i].val
 		}
 		f.log = f.log[:0]
 	}
-	return f.tab.load(off, gen)
+	v, ok := b.cells[off]
+	return v, ok
 }
 
-// recycle prepares the storage for the next run (whose generation differs,
-// so stale table entries read as misses), dropping outsized storage.
-func (f *farCells) recycle() {
+// recycleFar empties the far storage for the next run, dropping outsized
+// storage.
+func (b *block) recycleFar() {
+	f := &b.far
 	f.indexed = false
 	if cap(f.log) > eventPoolCap {
 		f.log = nil
@@ -218,104 +223,10 @@ func (f *farCells) recycle() {
 	} else {
 		f.plainLog = f.plainLog[:0]
 	}
-	if len(f.tab.slots) > eventPoolCap {
-		f.tab = cellTable{}
-	}
-}
-
-// cellTable is a linear-probing hash table over cell offsets with
-// generation-stamped entries: entries from earlier runs read as misses and
-// their slots are reclaimed in place, so the table is reusable across runs
-// without clearing. At most one slot per offset ever exists (stores update
-// the offset's slot regardless of generation), which is what lets a lookup
-// stop at the first offset match.
-type cellTable struct {
-	slots []cellSlot
-	used  int // slots ever claimed (any generation)
-}
-
-type cellSlot struct {
-	off uint64
-	gen uint32 // 0 = never used
-	val value
-}
-
-func cellHash(off uint64) uint64 {
-	off *= 0x9E3779B97F4A7C15 // Fibonacci scrambling of the offset bits
-	return off ^ off>>29
-}
-
-func (t *cellTable) store(off uint64, gen uint32, v value) {
-	if t.used*4 >= len(t.slots)*3 {
-		t.grow(gen)
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := cellHash(off) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch {
-		case s.gen == 0: // never used: claim
-			*s = cellSlot{off: off, gen: gen, val: v}
-			t.used++
-			return
-		case s.off == off: // this offset's slot (any generation): update
-			s.gen = gen
-			s.val = v
-			return
-		case s.gen != gen: // stale other offset: reclaim in place
-			*s = cellSlot{off: off, gen: gen, val: v}
-			return
-		}
-	}
-}
-
-func (t *cellTable) load(off uint64, gen uint32) (value, bool) {
-	if t.slots == nil {
-		return value{}, false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := cellHash(off) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.gen == 0 {
-			return value{}, false
-		}
-		if s.off == off {
-			if s.gen == gen {
-				return s.val, true
-			}
-			return value{}, false // stale: this run never wrote the cell
-		}
-	}
-}
-
-// grow rehashes the current generation's live entries into a larger table,
-// dropping stale ones.
-func (t *cellTable) grow(gen uint32) {
-	live := 0
-	for i := range t.slots {
-		if t.slots[i].gen == gen {
-			live++
-		}
-	}
-	size := 64
-	for size < 4*live {
-		size *= 2
-	}
-	old := t.slots
-	t.slots = make([]cellSlot, size)
-	t.used = 0
-	mask := uint64(size - 1)
-	for i := range old {
-		s := &old[i]
-		if s.gen != gen {
-			continue
-		}
-		for j := cellHash(s.off) & mask; ; j = (j + 1) & mask {
-			if t.slots[j].gen == 0 {
-				t.slots[j] = *s
-				t.used++
-				break
-			}
-		}
+	if len(b.cells) > eventPoolCap {
+		b.cells = nil
+	} else {
+		clear(b.cells)
 	}
 }
 

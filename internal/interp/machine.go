@@ -141,7 +141,7 @@ func (m *Machine) Reset(input []byte, opts Options) {
 		if !ok {
 			continue
 		}
-		b.far.recycle()
+		b.recycleFar()
 		b.canary = false
 		m.freeBlocks = append(m.freeBlocks, b)
 	}
@@ -231,7 +231,6 @@ func (m *Machine) newBlock(site string, size uint64) *block {
 		b.gen++
 		if b.gen == 0 { // stamp wraparound: invalidate explicitly
 			clear(b.stamp)
-			b.far = farCells{}
 			b.gen = 1
 		}
 	} else {

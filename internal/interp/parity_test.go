@@ -362,7 +362,7 @@ func TestCompiledParityFusion(t *testing.T) {
 	// One Machine runs an input-sized far fill long, short, long, empty.
 	// Cell 128000 is written only by the long runs, so the short and empty
 	// runs must read it as zero. Each read-back folds the far log into the
-	// block's table, and the generation stamp, not a cleared table, keeps
+	// block's cells map, and recycling the block clears the map, which keeps
 	// the earlier run's entries out.
 	reuse := mustProg(t, lang.Fn("main", nil,
 		lang.AllocAt("buf", "t@1", lang.U32(1<<18)),

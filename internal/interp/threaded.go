@@ -1150,7 +1150,7 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			b.dense[ov] = val
 			b.stamp[ov] = b.gen
 		} else {
-			b.far.store(ov, b.gen, val, true) // storeCell's plain far write
+			b.storeFar(ov, val, true) // storeCell's plain far write
 		}
 		if lp.sub {
 			if lp.k > iv {

@@ -188,14 +188,10 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 		}
 	}
 	if s.opts.Mode != ModeSATOnly {
-		if m := concreteSearch(ss.rng, f, ss.vars, s.opts.ConcreteTries); m != nil {
+		if m := concreteSearch(ss.rng, f, ss.vars); m != nil {
 			s.stats.add(Stats{ConcreteHits: 1})
 			ss.remember(m)
 			return m, Sat
-		}
-		if s.opts.Mode == ModeConcreteOnly {
-			s.stats.add(Stats{UnknownOut: 1})
-			return nil, Unknown
 		}
 	}
 	polarity := polarityFind
@@ -258,13 +254,10 @@ func (ss *Session) SampleModels(k int) ([]bv.Assignment, Verdict) {
 	s.concretePhase(ss.rng, f, ms, k)
 	why := Sat
 	if len(ms.models) < k {
-		switch {
-		case s.opts.Mode == ModeConcreteOnly:
-			why = Unknown // concrete search alone proves nothing
-		case s.opts.Sampling == SamplingBlocking:
+		if s.opts.Sampling == SamplingBlocking {
 			ss.ensureEngine(polaritySample)
 			why = ss.sampleBlocking(ms, k)
-		default:
+		} else {
 			ss.ensureEngine(polarityRestartSample)
 			why = ss.sampleRestart(ms, k)
 		}

@@ -17,8 +17,8 @@
 // models the persistent engine re-randomizes decision polarities and variable
 // activities and re-solves from the root, which keeps every solve cheap — and
 // guard-literal blocking enumeration remains as the fallback that certifies
-// exhaustion once restarts stop producing fresh models (and as an ablation
-// strategy, Options.Sampling).
+// exhaustion once restarts stop producing fresh models (and as the reference
+// strategy tests and BenchmarkSampleModels select, Options.Sampling).
 //
 // The unit of solving is the Session: an incremental context over a
 // monotonically growing conjunction, holding one persistent CDCL engine and
@@ -59,19 +59,25 @@ func (v Verdict) String() string {
 	return "unknown"
 }
 
-// Mode selects the solving strategy (the ablation in DESIGN.md §"Design
-// choices" compares these).
+// Mode selects the solving strategy. The pipeline always solves hybrid;
+// SAT-only runs are the reference the solver tests and BenchmarkSampleModels
+// use.
 type Mode int
 
 // Solving strategies.
 const (
-	ModeHybrid       Mode = iota // concrete sampling first, then bit-blasting
-	ModeSATOnly                  // always bit-blast
-	ModeConcreteOnly             // only randomized concrete search (incomplete)
+	ModeHybrid  Mode = iota // concrete sampling first, then bit-blasting
+	ModeSATOnly             // always bit-blast
 )
 
+// concreteTriesPerSolve is the number of random assignments the concrete
+// phase evaluates before a solve falls back to bit-blasting (SampleModels'
+// concrete phase evaluates four times as many).
+const concreteTriesPerSolve = 4096
+
 // Sampling selects the model-enumeration strategy SampleModels uses once the
-// concrete phase runs dry (the DESIGN.md ablation compares these).
+// concrete phase runs dry. The pipeline always samples by restarts; blocking
+// is the reference the solver tests and BenchmarkSampleModels use.
 type Sampling int
 
 // Sampling strategies.
@@ -85,7 +91,7 @@ const (
 	SamplingRestart Sampling = iota
 	// SamplingBlocking is the canonical enumerate-and-block sequence: every
 	// found model is blocked through a guard literal and the engine re-solves
-	// under the guard assumptions. Kept as the ablation baseline
+	// under the guard assumptions. Kept as the reference baseline
 	// (BenchmarkSampleModels compares the two).
 	SamplingBlocking
 )
@@ -95,10 +101,6 @@ type Options struct {
 	// Seed seeds all randomness. Identical inputs and seeds give identical
 	// results.
 	Seed int64
-	// ConcreteTries is the number of random assignments the concrete phase
-	// evaluates before falling back to bit-blasting. Zero means the default
-	// (4096).
-	ConcreteTries int
 	// MaxConflicts bounds the CDCL search per solve. Zero means the default
 	// (500000).
 	MaxConflicts int64
@@ -125,9 +127,6 @@ type Solver struct {
 
 // New returns a Solver with the given options.
 func New(opts Options) *Solver {
-	if opts.ConcreteTries == 0 {
-		opts.ConcreteTries = 4096
-	}
 	if opts.MaxConflicts == 0 {
 		opts.MaxConflicts = 500000
 	}
@@ -189,12 +188,12 @@ func (s *Solver) Solve(f *bv.Bool) (bv.Assignment, Verdict) {
 // overflow and comparison constraints. The formula is compiled once per call
 // (bv.CompileBool) so each try is a flat-array evaluation. rng is the
 // caller's private stream (the session's, for session solves).
-func concreteSearch(rng *rand.Rand, f *bv.Bool, vars bv.VarSet, tries int) bv.Assignment {
+func concreteSearch(rng *rand.Rand, f *bv.Bool, vars bv.VarSet) bv.Assignment {
 	names := vars.Names()
 	if len(names) == 0 {
 		return nil
 	}
-	return concreteTries(rng, bv.CompileBool(f), vars, names, tries)
+	return concreteTries(rng, bv.CompileBool(f), vars, names, concreteTriesPerSolve)
 }
 
 // concreteTries runs the random-assignment loop against a pre-compiled
@@ -291,7 +290,7 @@ func (s *Solver) concretePhase(rng *rand.Rand, f *bv.Bool, ms *modelSet, k int) 
 		return
 	}
 	ce := bv.CompileBool(f)
-	budget := s.opts.ConcreteTries * 4
+	budget := concreteTriesPerSolve * 4
 	for i := 0; i < budget && len(ms.models) < k; i++ {
 		if m := concreteTries(rng, ce, ms.vars, names, 1); m != nil {
 			ms.add(m)

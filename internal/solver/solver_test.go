@@ -104,11 +104,6 @@ func TestSolverModes(t *testing.T) {
 			t.Fatalf("mode %d: bad model %v", mode, m)
 		}
 	}
-	// Concrete-only mode is incomplete: it must never claim Unsat.
-	s := New(Options{Seed: 5, Mode: ModeConcreteOnly, ConcreteTries: 10})
-	if _, v := s.Solve(f); v == Unsat {
-		t.Fatal("concrete-only mode claimed unsat")
-	}
 }
 
 // TestSampleExactlyTwoSolutions reproduces the CVE-2008-2430 situation from
@@ -191,7 +186,7 @@ func TestStatsTracking(t *testing.T) {
 // -race it proves the shared random stream and the work counters are safe
 // for concurrent solvers.
 func TestConcurrentSolve(t *testing.T) {
-	s := New(Options{Seed: 7, ConcreteTries: 64})
+	s := New(Options{Seed: 7})
 	x := bv.Var(32, "cc_x")
 	sat := bv.Ugt(x, bv.Const(32, 1000))                   // dense: concrete hit
 	unsat := bv.Eq(x, bv.Add(x, bv.Const(32, 1)))          // settled by CDCL

@@ -67,20 +67,6 @@ func Relevant(p Path, beta *bv.Bool) Path {
 	return out
 }
 
-// FirstUnsatisfied returns the index of the first entry whose constraint the
-// assignment violates, or -1 if the assignment satisfies every entry. This is
-// the "first flipped branch" search of Figure 7, line 12. Assignments that do
-// not bind some variable of an entry are treated as violating that entry.
-func FirstUnsatisfied(p Path, m bv.Assignment) int {
-	for i, e := range p {
-		ok, err := m.EvalBool(e.Cond)
-		if err != nil || !ok {
-			return i
-		}
-	}
-	return -1
-}
-
 // Conds returns the conjunction of all entries' constraints (the "same path
 // as the seed input" constraint used in the §5.4 blocking-check experiment).
 func (p Path) Conds() *bv.Bool {

@@ -105,28 +105,6 @@ func TestRelevantFiltersByVariableOverlap(t *testing.T) {
 	}
 }
 
-func TestFirstUnsatisfied(t *testing.T) {
-	x := bv.Var(32, "tr_f")
-	p := Path{
-		entry("a", bv.Ult(x, bv.Const(32, 100))),
-		entry("b", bv.Ult(x, bv.Const(32, 50))),
-		entry("c", bv.Ult(x, bv.Const(32, 10))),
-	}
-	if i := FirstUnsatisfied(p, bv.Assignment{"tr_f": 5}); i != -1 {
-		t.Fatalf("satisfying assignment reported index %d", i)
-	}
-	if i := FirstUnsatisfied(p, bv.Assignment{"tr_f": 75}); i != 1 {
-		t.Fatalf("first flipped = %d, want 1", i)
-	}
-	if i := FirstUnsatisfied(p, bv.Assignment{"tr_f": 200}); i != 0 {
-		t.Fatalf("first flipped = %d, want 0", i)
-	}
-	// Unbound variables count as violations.
-	if i := FirstUnsatisfied(p, bv.Assignment{}); i != 0 {
-		t.Fatalf("unbound assignment: %d, want 0", i)
-	}
-}
-
 func TestFromBranchesAndDynamicCount(t *testing.T) {
 	x := bv.Var(8, "tr_b")
 	recs := []interp.BranchRecord{
