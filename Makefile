@@ -108,8 +108,9 @@ triage-smoke:
 
 # Short live-fuzz pass: the per-format fix-up invariant targets, the
 # cross-layer FuzzHunt engine-robustness target, the dispatch-layer
-# Job/Result codec round-trip target, and the differential
-# threaded-vs-tree-walker Machine parity target.
+# Job/Result codec round-trip target, the differential
+# threaded-vs-tree-walker Machine parity target, the abstract-interpretation
+# soundness target, and the compiled-vs-recursive formula evaluator target.
 fuzz-smoke:
 	@for target in FuzzSPNG FuzzSWAV FuzzSJPG FuzzSWEBP FuzzSXWD FuzzSGIF FuzzSTIF; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 5s ./internal/formats || exit 1; \
@@ -118,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzJobResultCodec$$' -fuzz '^FuzzJobResultCodec$$' -fuzztime 5s ./internal/dispatch
 	$(GO) test -run '^FuzzMachineParity$$' -fuzz '^FuzzMachineParity$$' -fuzztime 5s ./internal/interp
 	$(GO) test -run '^FuzzAbsintSoundness$$' -fuzz '^FuzzAbsintSoundness$$' -fuzztime 5s ./internal/absint
+	$(GO) test -run '^FuzzCompiledBool$$' -fuzz '^FuzzCompiledBool$$' -fuzztime 5s ./internal/bv
 
 # End-to-end work-queue smoke: build the real worker binary, pipe a three-job
 # batch through its stdin/stdout protocol, and assert the verdicts (the

@@ -11,9 +11,17 @@ import "fmt"
 // single pass over a flat array instead of a recursive walk allocating
 // per-call memo maps.
 //
-// Evaluation is eager (no And/Or short circuit), which is result-identical
-// to Assignment.EvalBool on any assignment binding every free variable: all
-// operators are total. The only possible error is an unbound variable.
+// Variables are bound to slots at compile time: the i-th name passed to
+// CompileBool lives in term slot i, and Eval reads the values from a vector
+// in the same order, so an evaluation touches no map.
+//
+// The top-level conjuncts (Conjuncts) are compiled newest first, in reverse
+// order, and an exit instruction after each one returns false as soon as a
+// conjunct is false. The conjunct a solver session asserted last thus runs
+// first: in the enforcement loop that is the newly flipped branch, the
+// conjunct random draws fail most often. Within a conjunct evaluation is
+// eager (no And/Or short circuit). Skipping the remaining conjuncts is
+// result-identical to Assignment.EvalBool because every operator is total.
 //
 // A CompiledBool reuses its internal value slots across Eval calls and is
 // therefore not safe for concurrent use; compile one per goroutine.
@@ -21,31 +29,50 @@ type CompiledBool struct {
 	instrs []evalInstr
 	tvals  []uint64
 	bvals  []bool
-	root   int32 // bool slot holding the result
+	vmask  []uint64 // vmask[i] masks the value of variable slot i to its width
+	root   int32    // bool slot holding the result
 }
 
-// Instruction opcodes: term kinds as-is, bool kinds offset past them.
-const boolOpBase = 64
+// Instruction opcodes: term kinds as-is, bool kinds offset past them, and
+// the conjunct exit last.
+const (
+	boolOpBase = 64
+	opExit     = 255 // return false if bool slot x is false
+)
 
 type evalInstr struct {
-	op     uint8 // Kind, or boolOpBase+BoolKind
+	op     uint8 // Kind, boolOpBase+BoolKind, or opExit
 	w      uint8 // result width (terms)
 	xw, yw uint8 // operand widths where semantics need them
 	lo     uint8 // KExtract
 	x, y   int32 // operand slots (term or bool slots, per op)
 	dst    int32
-	val    uint64 // KConst / BConst(1 or 0)
-	name   string // KVar
+	mask   uint64 // Mask(w), precomputed (terms)
 }
 
-// CompileBool flattens f for repeated concrete evaluation.
-func CompileBool(f *Bool) *CompiledBool {
+// CompileBool flattens f for repeated concrete evaluation, binding variable
+// names[i] to value slot i of Eval's vector. It panics if f has a free
+// variable that names does not list.
+func CompileBool(f *Bool, names []string) *CompiledBool {
 	c := &evalCompiler{
-		out:   &CompiledBool{},
+		out:   &CompiledBool{vmask: make([]uint64, len(names))},
 		tslot: map[*Term]int32{},
 		bslot: map[*Bool]int32{},
+		vslot: make(map[string]int32, len(names)),
+		nterm: int32(len(names)),
 	}
-	c.out.root = c.boolSlot(f)
+	for i, n := range names {
+		c.vslot[n] = int32(i)
+	}
+	conj := Conjuncts(f)
+	if len(conj) == 0 {
+		conj = []*Bool{f} // the constant true
+	}
+	for i := len(conj) - 1; i > 0; i-- {
+		s := c.boolSlot(conj[i])
+		c.out.instrs = append(c.out.instrs, evalInstr{op: opExit, x: s})
+	}
+	c.out.root = c.boolSlot(conj[0])
 	c.out.tvals = make([]uint64, c.nterm)
 	c.out.bvals = make([]bool, c.nbool)
 	// Constant slots are written here once and never touched by Eval (each
@@ -68,6 +95,7 @@ type evalCompiler struct {
 	out          *CompiledBool
 	tslot        map[*Term]int32
 	bslot        map[*Bool]int32
+	vslot        map[string]int32
 	tinit, binit []slotInit
 	nterm, nbool int32
 }
@@ -77,6 +105,15 @@ func (c *evalCompiler) termSlot(t *Term) int32 {
 		return s
 	}
 	switch t.Kind {
+	case KVar:
+		// Variables occupy the leading slots, in names order.
+		s, ok := c.vslot[t.Name]
+		if !ok {
+			panic(fmt.Sprintf("bv: CompileBool: free variable %q not in names", t.Name))
+		}
+		c.out.vmask[s] = Mask(t.W)
+		c.tslot[t] = s
+		return s
 	case KZExt:
 		// Zero-extension is a no-op on the masked uint64 representation: the
 		// operand's slot already holds the zero-extended value, so alias the
@@ -93,7 +130,7 @@ func (c *evalCompiler) termSlot(t *Term) int32 {
 		c.tinit = append(c.tinit, slotInit{slot: s, val: t.Val & Mask(t.W)})
 		return s
 	}
-	ins := evalInstr{op: uint8(t.Kind), w: t.W, val: t.Val, name: t.Name, lo: t.Lo}
+	ins := evalInstr{op: uint8(t.Kind), w: t.W, lo: t.Lo, mask: Mask(t.W)}
 	if t.X != nil {
 		ins.x = c.termSlot(t.X)
 		ins.xw = t.X.W
@@ -125,9 +162,6 @@ func (c *evalCompiler) boolSlot(b *Bool) int32 {
 		return s
 	}
 	ins := evalInstr{op: boolOpBase + uint8(b.Kind)}
-	if b.BVal {
-		ins.val = 1
-	}
 	if b.X != nil {
 		ins.x = c.termSlot(b.X)
 		ins.xw = b.X.W
@@ -150,19 +184,26 @@ func (c *evalCompiler) boolSlot(b *Bool) int32 {
 	return s
 }
 
-// Eval evaluates the compiled formula under the assignment. It returns an
-// error iff a free variable is unbound (evaluation is eager, so — unlike
-// Assignment.EvalBool — an unbound variable is reported even when a short
-// circuit could have skipped it).
-func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
+// Eval evaluates the compiled formula with variable names[i] (CompileBool)
+// bound to vals[i]. Values are masked to their variable's width, as
+// Assignment.EvalBool masks them. vals must hold one value per name.
+func (c *CompiledBool) Eval(vals []uint64) bool {
 	tv, bv := c.tvals, c.bvals
+	vals = vals[:len(c.vmask)]
+	for i, m := range c.vmask {
+		tv[i] = vals[i] & m
+	}
 	for i := range c.instrs {
 		ins := &c.instrs[i]
 		if ins.op >= boolOpBase {
+			if ins.op == opExit {
+				if !bv[ins.x] {
+					return false
+				}
+				continue
+			}
 			var r bool
 			switch BoolKind(ins.op - boolOpBase) {
-			case BConst:
-				r = ins.val != 0
 			case BEq:
 				r = tv[ins.x] == tv[ins.y]
 			case BUlt:
@@ -180,27 +221,17 @@ func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
 			case BOr:
 				r = bv[ins.x] || bv[ins.y]
 			default:
-				return false, fmt.Errorf("bv: unknown bool kind %d", ins.op-boolOpBase)
+				panic(fmt.Sprintf("bv: unknown bool kind %d", ins.op-boolOpBase))
 			}
 			bv[ins.dst] = r
 			continue
 		}
 		var v uint64
 		switch Kind(ins.op) {
-		case KConst:
-			v = ins.val
-		case KVar:
-			bound, ok := asn[ins.name]
-			if !ok {
-				return false, fmt.Errorf("bv: unbound variable %q", ins.name)
-			}
-			v = bound
 		case KNot:
 			v = ^tv[ins.x]
 		case KNeg:
 			v = -tv[ins.x]
-		case KZExt:
-			v = tv[ins.x]
 		case KSExt:
 			v = signExtend(tv[ins.x], ins.xw)
 		case KExtract:
@@ -213,7 +244,7 @@ func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
 			v = tv[ins.x] * tv[ins.y]
 		case KUDiv:
 			if tv[ins.y] == 0 {
-				v = Mask(ins.w)
+				v = ins.mask
 			} else {
 				v = tv[ins.x] / tv[ins.y]
 			}
@@ -244,9 +275,9 @@ func (c *CompiledBool) Eval(asn Assignment) (bool, error) {
 			}
 			v = uint64(int64(signExtend(tv[ins.x], ins.xw)) >> s)
 		default:
-			return false, fmt.Errorf("bv: unknown term kind %d", ins.op)
+			panic(fmt.Sprintf("bv: unknown term kind %d", ins.op))
 		}
-		tv[ins.dst] = v & Mask(ins.w)
+		tv[ins.dst] = v & ins.mask
 	}
-	return bv[c.root], nil
+	return bv[c.root]
 }

@@ -79,85 +79,163 @@ func randomTerm(rng *rand.Rand, vars []*Term, depth int) *Term {
 	}
 }
 
+// randomConjunction conjoins one to four random formulas, so the compiled
+// form carries conjunct exits.
+func randomConjunction(rng *rand.Rand, vars []*Term) *Bool {
+	f := randomFormula(rng, vars, 3)
+	for n := rng.Intn(4); n > 0; n-- {
+		f = AndB(f, randomFormula(rng, vars, 3))
+	}
+	return f
+}
+
+// checkCompiledAgrees evaluates f compiled over vars and recursively under
+// the same values (drawn with stray high bits, which both must mask off) and
+// reports a mismatch.
+func checkCompiledAgrees(t *testing.T, rng *rand.Rand, f *Bool, vars []*Term, ce *CompiledBool) {
+	t.Helper()
+	vals := make([]uint64, len(vars))
+	asn := Assignment{}
+	for i, v := range vars {
+		vals[i] = rng.Uint64()
+		if rng.Intn(2) == 0 {
+			vals[i] &= Mask(v.W)
+		}
+		asn[v.Name] = vals[i]
+	}
+	want, err := asn.EvalBool(f)
+	if err != nil {
+		t.Fatalf("recursive eval error: %v", err)
+	}
+	if got := ce.Eval(vals); got != want {
+		t.Fatalf("compiled=%v recursive=%v for %s under %v", got, want, f, asn)
+	}
+}
+
+func varNames(vars []*Term) []string {
+	names := make([]string, len(vars))
+	for i, v := range vars {
+		names[i] = v.Name
+	}
+	return names
+}
+
 // TestCompiledBoolMatchesEvalBool pins the compiled concrete evaluator to the
-// recursive one over random formulas and random total assignments — the
+// recursive one over random conjunctions and random total assignments — the
 // contract the solver's concrete search depends on for verdict determinism.
 func TestCompiledBoolMatchesEvalBool(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vars := []*Term{Var(8, "a"), Var(8, "b"), Var(16, "c"), Var(32, "d")}
+	names := varNames(vars)
 	for round := 0; round < 300; round++ {
-		f := randomFormula(rng, vars, 4)
-		ce := CompileBool(f)
+		f := randomConjunction(rng, vars)
+		ce := CompileBool(f, names)
 		for trial := 0; trial < 20; trial++ {
-			asn := Assignment{}
-			for _, v := range vars {
-				asn[v.Name] = rng.Uint64() & Mask(v.W)
-			}
-			want, werr := asn.EvalBool(f)
-			got, gerr := ce.Eval(asn)
-			if werr != nil || gerr != nil {
-				t.Fatalf("eval error: %v / %v", werr, gerr)
-			}
-			if got != want {
-				t.Fatalf("round %d: compiled=%v recursive=%v for %s under %v", round, got, want, f, asn)
+			checkCompiledAgrees(t, rng, f, vars, ce)
+		}
+	}
+}
+
+// TestCompiledBoolConjunctExits pins the newest-first early exit on a
+// three-conjunct formula: conjuncts are evaluated in reverse Conjuncts order
+// with an exit after each but the last, and every combination of true and
+// false conjuncts gives the recursive evaluator's answer.
+func TestCompiledBoolConjunctExits(t *testing.T) {
+	x, y := Var(8, "x"), Var(8, "y")
+	c1 := Ult(x, Const(8, 100))                // oldest
+	c2 := Eq(And(y, Const(8, 1)), Const(8, 0)) // y even
+	c3 := Ugt(Add(x, y), Const(8, 50))         // newest
+	f := AndB(AndB(c1, c2), c3)
+	ce := CompileBool(f, []string{"x", "y"})
+	var exits []int
+	for i, ins := range ce.instrs {
+		if ins.op == opExit {
+			exits = append(exits, i)
+		}
+	}
+	if len(exits) != 2 {
+		t.Fatalf("got %d exit instructions, want 2: %+v", len(exits), ce.instrs)
+	}
+	// The first instructions compute the newest conjunct: x+y, then the
+	// comparison the first exit tests.
+	if ce.instrs[0].op != uint8(KAdd) || ce.instrs[exits[0]].x != ce.instrs[exits[0]-1].dst {
+		t.Fatalf("newest conjunct not compiled first: %+v", ce.instrs)
+	}
+	for xv := uint64(0); xv < 256; xv += 7 {
+		for yv := uint64(0); yv < 256; yv += 5 {
+			want, _ := (Assignment{"x": xv, "y": yv}).EvalBool(f)
+			if got := ce.Eval([]uint64{xv, yv}); got != want {
+				t.Fatalf("x=%d y=%d: compiled=%v recursive=%v", xv, yv, got, want)
 			}
 		}
 	}
 }
 
 // TestCompiledBoolHoistsConstants pins the compile-time fusions: constant
-// terms/bools are written into their slots once at CompileBool time and
-// KZExt nodes alias their operand's slot, so none of the three appear in the
-// per-Eval instruction stream.
+// terms/bools are written into their slots once at CompileBool time, KZExt
+// nodes alias their operand's slot and variables are bound to the leading
+// slots, so none of the four appear in the per-Eval instruction stream.
 func TestCompiledBoolHoistsConstants(t *testing.T) {
 	f := OrB(
 		Ult(ZExt(32, Var(8, "x")), Const(32, 10)),
 		Eq(Add(ZExt(32, Var(8, "x")), Const(32, 1)), Const(32, 4)),
 	)
-	ce := CompileBool(f)
+	ce := CompileBool(f, []string{"x"})
 	for _, ins := range ce.instrs {
 		switch {
 		case ins.op == uint8(KConst):
 			t.Fatalf("KConst instruction survived compilation: %+v", ins)
 		case ins.op == uint8(KZExt):
 			t.Fatalf("KZExt instruction survived compilation: %+v", ins)
+		case ins.op == uint8(KVar):
+			t.Fatalf("KVar instruction survived compilation: %+v", ins)
 		}
 	}
 	for _, x := range []uint64{3, 9, 10, 200} {
 		want, _ := (Assignment{"x": x}).EvalBool(f)
-		got, err := ce.Eval(Assignment{"x": x})
-		if err != nil || got != want {
-			t.Fatalf("x=%d: got %v, %v; want %v", x, got, err, want)
+		if got := ce.Eval([]uint64{x}); got != want {
+			t.Fatalf("x=%d: got %v; want %v", x, got, want)
 		}
 	}
 	// A constant bool can only reach CompileBool as the whole formula (the
 	// combinators fold it away everywhere else); it compiles to zero
 	// instructions with the result prewritten into its slot.
 	for _, b := range []bool{true, false} {
-		cc := CompileBool(BoolConst(b))
+		cc := CompileBool(BoolConst(b), nil)
 		if len(cc.instrs) != 0 {
 			t.Fatalf("BoolConst(%v) compiled to %d instructions", b, len(cc.instrs))
 		}
-		if got, err := cc.Eval(Assignment{}); err != nil || got != b {
-			t.Fatalf("BoolConst(%v) evaluated to %v, %v", b, got, err)
+		if got := cc.Eval(nil); got != b {
+			t.Fatalf("BoolConst(%v) evaluated to %v", b, got)
 		}
 	}
 }
 
-// TestCompiledBoolUnbound pins the unbound-variable error path.
-func TestCompiledBoolUnbound(t *testing.T) {
-	f := Ult(ZExt(32, Var(8, "x")), Const(32, 10))
-	ce := CompileBool(f)
-	if _, err := ce.Eval(Assignment{}); err == nil {
-		t.Fatal("expected unbound-variable error")
+// TestCompileBoolMissingVariablePanics pins the compile-time check that
+// replaced the unbound-variable error: a free variable the names do not list
+// has no slot, and CompileBool refuses the formula.
+func TestCompileBoolMissingVariablePanics(t *testing.T) {
+	f := AndB(Ult(ZExt(32, Var(8, "x")), Const(32, 10)), Ugt(Var(8, "y"), Const(8, 3)))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CompileBool accepted a formula with a variable missing from names")
+		}
+	}()
+	CompileBool(f, []string{"x"})
+}
+
+// FuzzCompiledBool turns the fuzzer's input into the seed of a random
+// conjunction and a random assignment and asserts that the compiled
+// evaluator agrees with Assignment.EvalBool.
+func FuzzCompiledBool(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, -3} {
+		f.Add(seed)
 	}
-	ok, err := ce.Eval(Assignment{"x": 3})
-	if err != nil || !ok {
-		t.Fatalf("got %v, %v", ok, err)
-	}
-	// Reuse: a second evaluation on the same CompiledBool is independent.
-	ok, err = ce.Eval(Assignment{"x": 200})
-	if err != nil || ok {
-		t.Fatalf("reused eval got %v, %v", ok, err)
-	}
+	vars := []*Term{Var(8, "fa"), Var(8, "fb"), Var(16, "fc"), Var(32, "fd")}
+	names := varNames(vars)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomConjunction(rng, vars)
+		checkCompiledAgrees(t, rng, g, vars, CompileBool(g, names))
+	})
 }

@@ -37,7 +37,7 @@ func sampleWith(t *testing.T, seed int64, strategy Sampling, f *bv.Bool, k int) 
 		if err != nil || !ok {
 			t.Fatalf("strategy %v model %d does not satisfy the formula: %v (err %v)", strategy, i, m, err)
 		}
-		key := assignmentKey(m, vars)
+		key := assignmentKey(m, vars.Names())
 		if seen[key] {
 			t.Fatalf("strategy %v returned duplicate model %v", strategy, m)
 		}
@@ -91,7 +91,7 @@ func TestSampleModelsDeterministic(t *testing.T) {
 		var keys []string
 		models, _ := s.SampleModels(f, 12)
 		for _, m := range models {
-			keys = append(keys, assignmentKey(m, vars))
+			keys = append(keys, assignmentKey(m, vars.Names()))
 		}
 		return keys
 	}

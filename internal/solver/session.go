@@ -40,12 +40,13 @@ import (
 // A Session is not safe for concurrent use; create one per goroutine (the
 // core Hunter opens one per hunt).
 type Session struct {
-	sol  *Solver
-	rng  *rand.Rand      // private stream: sessionSeed(parent seed, ordinal)
-	cur  *bv.Bool        // conjunction of everything asserted so far
-	conj []*bv.Bool      // deduped conjuncts in assertion order
-	ids  map[uint64]bool // intern ids of conj entries
-	vars bv.VarSet       // union of the conjuncts' free variables
+	sol   *Solver
+	rng   *rand.Rand      // private stream: sessionSeed(parent seed, ordinal)
+	cur   *bv.Bool        // conjunction of everything asserted so far
+	conj  []*bv.Bool      // deduped conjuncts in assertion order
+	ids   map[uint64]bool // intern ids of conj entries
+	vars  bv.VarSet       // union of the conjuncts' free variables
+	names []string        // sorted names of vars, refreshed when a variable arrives
 
 	engine        *sat.Solver
 	bl            *bitblast.Blaster
@@ -144,6 +145,7 @@ func (s *Solver) NewSession(beta *bv.Bool) *Session {
 // bit-blasted yet; encoding happens on the first solve that reaches the
 // CDCL phase.
 func (ss *Session) Assert(cond *bv.Bool) {
+	grew := false
 	for _, c := range bv.Conjuncts(cond) {
 		if c.Kind == bv.BConst {
 			if !c.BVal {
@@ -158,8 +160,14 @@ func (ss *Session) Assert(cond *bv.Bool) {
 		ss.conj = append(ss.conj, c)
 		ss.cur = bv.AndB(ss.cur, c)
 		for name, v := range bv.BoolVars(c) {
-			ss.vars[name] = v
+			if _, ok := ss.vars[name]; !ok {
+				ss.vars[name] = v
+				grew = true
+			}
 		}
+	}
+	if grew {
+		ss.names = ss.vars.Names()
 	}
 }
 
@@ -188,7 +196,7 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 		}
 	}
 	if s.opts.Mode != ModeSATOnly {
-		if m := concreteSearch(ss.rng, f, ss.vars); m != nil {
+		if m := concreteSearch(ss.rng, f, ss.names, ss.vars); m != nil {
 			s.stats.add(Stats{ConcreteHits: 1})
 			ss.remember(m)
 			return m, Sat
@@ -250,8 +258,8 @@ func (ss *Session) SampleModels(k int) ([]bv.Assignment, Verdict) {
 		return []bv.Assignment{{}}, Sat
 	}
 	s := ss.sol
-	ms := newModelSet(ss.vars)
-	s.concretePhase(ss.rng, f, ms, k)
+	ms := newModelSet(ss.names)
+	s.concretePhase(ss.rng, f, ss.vars, ms, k)
 	why := Sat
 	if len(ms.models) < k {
 		if s.opts.Sampling == SamplingBlocking {
@@ -286,7 +294,7 @@ func (ss *Session) sampleRestart(ms *modelSet, k int) Verdict {
 	// variables keep their saved phases — flipping them buys conflicts, not
 	// diversity.
 	var bits []sat.Var
-	for _, name := range ss.vars.Names() {
+	for _, name := range ss.names {
 		for _, l := range ss.bl.Bits(ss.vars[name]) {
 			bits = append(bits, l.Var())
 		}
@@ -462,7 +470,7 @@ func (ss *Session) callStats(assumed bool) Stats {
 func (ss *Session) guardBlock(m bv.Assignment) sat.Lit {
 	g := sat.PosLit(ss.engine.NewVar())
 	clause := []sat.Lit{g.Neg()}
-	for _, name := range ss.vars.Names() {
+	for _, name := range ss.names {
 		v, ok := m[name]
 		if !ok {
 			continue

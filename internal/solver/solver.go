@@ -31,7 +31,6 @@ package solver
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -183,38 +182,64 @@ func (s *Solver) Solve(f *bv.Bool) (bv.Assignment, Verdict) {
 	return s.NewSession(f).Solve()
 }
 
-// concreteSearch samples random assignments, mixing uniform values with
-// boundary values (0, 1, all-ones, single bits) that are likely to matter for
-// overflow and comparison constraints. The formula is compiled once per call
-// (bv.CompileBool) so each try is a flat-array evaluation. rng is the
-// caller's private stream (the session's, for session solves).
-func concreteSearch(rng *rand.Rand, f *bv.Bool, vars bv.VarSet) bv.Assignment {
-	names := vars.Names()
+// sampler is the concrete search of one call: the formula compiled once with
+// its variables bound to slots in sorted-name order (bv.CompileBool), their
+// widths, and a value vector reused across tries. A try draws one
+// randomValue per variable in that order (so the models a seed yields depend
+// on the variable names, never on map iteration), evaluates without touching
+// a map, and builds a bv.Assignment only on a hit.
+type sampler struct {
+	ce     *bv.CompiledBool
+	names  []string
+	widths []uint8
+	vals   []uint64
+}
+
+// newSampler compiles f over names, the sorted names of vars (which must
+// cover every free variable of f).
+func newSampler(f *bv.Bool, names []string, vars bv.VarSet) *sampler {
+	sp := &sampler{
+		ce:     bv.CompileBool(f, names),
+		names:  names,
+		widths: make([]uint8, len(names)),
+		vals:   make([]uint64, len(names)),
+	}
+	for i, n := range names {
+		sp.widths[i] = vars[n].W
+	}
+	return sp
+}
+
+// try draws one random assignment and returns it if it satisfies the
+// formula, nil otherwise. A failing try allocates nothing.
+func (sp *sampler) try(rng *rand.Rand) bv.Assignment {
+	for i, w := range sp.widths {
+		sp.vals[i] = randomValue(rng, w)
+	}
+	if !sp.ce.Eval(sp.vals) {
+		return nil
+	}
+	m := make(bv.Assignment, len(sp.names))
+	for i, n := range sp.names {
+		m[n] = sp.vals[i]
+	}
+	return m
+}
+
+// concreteSearch samples up to concreteTriesPerSolve random assignments,
+// mixing uniform values with boundary values (0, 1, all-ones, single bits)
+// that are likely to matter for overflow and comparison constraints, and
+// returns the first that satisfies f. names are the sorted names of vars,
+// which covers f's free variables. rng is the caller's private stream (the
+// session's, for session solves).
+func concreteSearch(rng *rand.Rand, f *bv.Bool, names []string, vars bv.VarSet) bv.Assignment {
 	if len(names) == 0 {
 		return nil
 	}
-	return concreteTries(rng, bv.CompileBool(f), vars, names, concreteTriesPerSolve)
-}
-
-// concreteTries runs the random-assignment loop against a pre-compiled
-// formula.
-func concreteTries(rng *rand.Rand, ce *bv.CompiledBool, vars bv.VarSet, names []string, tries int) bv.Assignment {
-	m := make(bv.Assignment, len(names))
-	for i := 0; i < tries; i++ {
-		for _, n := range names {
-			w := vars[n].W
-			m[n] = randomValue(rng, w)
-		}
-		ok, err := ce.Eval(m)
-		if err != nil {
-			return nil
-		}
-		if ok {
-			out := make(bv.Assignment, len(m))
-			for k, v := range m {
-				out[k] = v
-			}
-			return out
+	sp := newSampler(f, names, vars)
+	for i := 0; i < concreteTriesPerSolve; i++ {
+		if m := sp.try(rng); m != nil {
+			return m
 		}
 	}
 	return nil
@@ -259,17 +284,17 @@ func (s *Solver) SampleModels(f *bv.Bool, k int) ([]bv.Assignment, Verdict) {
 // modelSet collects distinct models of one constraint; the dedup key is the
 // sorted-variable assignment rendering.
 type modelSet struct {
-	vars   bv.VarSet
+	names  []string // sorted variable names of the constraint
 	seen   map[string]bool
 	models []bv.Assignment
 }
 
-func newModelSet(vars bv.VarSet) *modelSet {
-	return &modelSet{vars: vars, seen: make(map[string]bool)}
+func newModelSet(names []string) *modelSet {
+	return &modelSet{names: names, seen: make(map[string]bool)}
 }
 
 func (ms *modelSet) add(m bv.Assignment) bool {
-	key := assignmentKey(m, ms.vars)
+	key := assignmentKey(m, ms.names)
 	if ms.seen[key] {
 		return false
 	}
@@ -280,30 +305,24 @@ func (ms *modelSet) add(m bv.Assignment) bool {
 
 // concretePhase is phase 1 of sampling: concrete search, cheap, and for
 // check-free constraints it finds k dense solutions almost immediately.
-// No-op in ModeSATOnly. The formula is compiled once for the whole phase.
-func (s *Solver) concretePhase(rng *rand.Rand, f *bv.Bool, ms *modelSet, k int) {
-	if s.opts.Mode == ModeSATOnly {
+// No-op in ModeSATOnly. One sampler serves the whole phase; vars covers f's
+// free variables and ms.names are its sorted names.
+func (s *Solver) concretePhase(rng *rand.Rand, f *bv.Bool, vars bv.VarSet, ms *modelSet, k int) {
+	if s.opts.Mode == ModeSATOnly || len(ms.names) == 0 {
 		return
 	}
-	names := ms.vars.Names()
-	if len(names) == 0 {
-		return
-	}
-	ce := bv.CompileBool(f)
+	sp := newSampler(f, ms.names, vars)
 	budget := concreteTriesPerSolve * 4
 	for i := 0; i < budget && len(ms.models) < k; i++ {
-		if m := concreteTries(rng, ce, ms.vars, names, 1); m != nil {
+		if m := sp.try(rng); m != nil {
 			ms.add(m)
 		}
 	}
 }
 
-func assignmentKey(m bv.Assignment, vars bv.VarSet) string {
-	names := make([]string, 0, len(vars))
-	for n := range vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// assignmentKey renders m over the sorted variable names, the dedup key of a
+// model.
+func assignmentKey(m bv.Assignment, names []string) string {
 	var b strings.Builder
 	for _, n := range names {
 		b.WriteString(n)
