@@ -586,7 +586,7 @@ func BenchmarkSampleModels(b *testing.B) {
 		counts := make([]int, len(jobs))
 		for i, j := range jobs {
 			s := solver.New(solver.Options{Seed: j.seed, Mode: solver.ModeSATOnly, Sampling: strategy})
-			models, _ := s.SampleModels(j.f, k)
+			models, _ := s.NewSession(j.f).SampleModels(k)
 			counts[i] = len(models)
 		}
 		return time.Since(t0), counts

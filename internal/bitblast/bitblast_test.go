@@ -23,7 +23,7 @@ func solveEq(t *testing.T, expr *bv.Term, asn bv.Assignment, want uint64) bool {
 		bl.Assert(bv.Eq(vt, bv.Const(vt.W, v)))
 	}
 	bl.Assert(bv.Eq(expr, bv.Const(expr.W, want)))
-	return engine.Solve() == sat.Sat
+	return engine.SolveUnderAssumptions(nil) == sat.Sat
 }
 
 // TestOpsAgainstEvaluator pins inputs and checks that the circuit forces the
@@ -149,7 +149,7 @@ func TestRandomExpressionsRoundTrip(t *testing.T) {
 			bl.Assert(bv.Eq(v, bv.Const(w, asn[v.Name])))
 		}
 		bl.Assert(bv.Eq(expr, bv.Const(w, want)))
-		if engine.Solve() != sat.Sat {
+		if engine.SolveUnderAssumptions(nil) != sat.Sat {
 			t.Fatalf("trial %d: rejected correct value %#x for %s under %v",
 				trial, want, expr, asn)
 		}
@@ -159,7 +159,7 @@ func TestRandomExpressionsRoundTrip(t *testing.T) {
 			bl2.Assert(bv.Eq(v, bv.Const(w, asn[v.Name])))
 		}
 		bl2.Assert(bv.Ne(expr, bv.Const(w, want)))
-		if engine2.Solve() != sat.Unsat {
+		if engine2.SolveUnderAssumptions(nil) != sat.Unsat {
 			t.Fatalf("trial %d: accepted an incorrect value for %s under %v",
 				trial, expr, asn)
 		}
@@ -200,7 +200,7 @@ func TestComparisons(t *testing.T) {
 				formula = bv.NotB(formula)
 			}
 			bl.Assert(formula)
-			if engine.Solve() != sat.Sat {
+			if engine.SolveUnderAssumptions(nil) != sat.Sat {
 				t.Fatalf("%s(%d,%d): expected %v", c.name, a, b, want)
 			}
 		}
@@ -218,7 +218,7 @@ func TestSolveForInput(t *testing.T) {
 	engine := sat.New(sat.Options{})
 	bl := New(engine)
 	bl.Assert(over)
-	if engine.Solve() != sat.Unsat {
+	if engine.SolveUnderAssumptions(nil) != sat.Unsat {
 		t.Fatal("8x8→16 multiply cannot overflow; expected unsat")
 	}
 
@@ -230,7 +230,7 @@ func TestSolveForInput(t *testing.T) {
 	engine2 := sat.New(sat.Options{})
 	bl2 := New(engine2)
 	bl2.Assert(over16)
-	if engine2.Solve() != sat.Sat {
+	if engine2.SolveUnderAssumptions(nil) != sat.Sat {
 		t.Fatal("16-bit multiply overflow should be satisfiable")
 	}
 	m := bl2.Model()
@@ -248,7 +248,7 @@ func TestModelOnlyCoversMentionedVars(t *testing.T) {
 	bl := New(engine)
 	x := bv.Var(8, "mv_x")
 	bl.Assert(bv.Eq(x, bv.Const(8, 42)))
-	if engine.Solve() != sat.Sat {
+	if engine.SolveUnderAssumptions(nil) != sat.Sat {
 		t.Fatal("expected sat")
 	}
 	m := bl.Model()
@@ -263,7 +263,7 @@ func TestValueAfterSolve(t *testing.T) {
 	x := bv.Var(8, "va_x")
 	sum := bv.Add(x, bv.Const(8, 10))
 	bl.Assert(bv.Eq(sum, bv.Const(8, 17)))
-	if engine.Solve() != sat.Sat {
+	if engine.SolveUnderAssumptions(nil) != sat.Sat {
 		t.Fatal("expected sat")
 	}
 	if got := bl.Value(sum); got != 17 {
@@ -301,7 +301,7 @@ func TestAssertIdempotent(t *testing.T) {
 	if added := engine.NumVars() - grown; added > 200 {
 		t.Fatalf("shared multiplier re-encoded: %d new vars", added)
 	}
-	if engine.Solve() != sat.Sat {
+	if engine.SolveUnderAssumptions(nil) != sat.Sat {
 		t.Fatal("expected sat")
 	}
 }

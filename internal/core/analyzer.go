@@ -33,9 +33,6 @@ func NewAnalyzer(app *apps.App, opts Options) *Analyzer {
 	return &Analyzer{app: app, opts: opts.withDefaults(), mach: interp.NewMachine(app.Compiled())}
 }
 
-// App returns the analyzer's application.
-func (a *Analyzer) App() *apps.App { return a.app }
-
 // Discovered returns the application's statically discovered sites in
 // deterministic traversal order — the full site surface, of which the
 // dynamically analyzed Targets cover the alloc-kind sites the seed input

@@ -45,9 +45,6 @@ func NewHunter(app *apps.App, opts Options) *Hunter {
 	}
 }
 
-// App returns the hunter's application.
-func (h *Hunter) App() *apps.App { return h.app }
-
 // SolverStats snapshots the hunter-local solver's work counters; a dispatch
 // job reports them on its Result.
 func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }

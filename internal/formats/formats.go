@@ -1,7 +1,7 @@
 // Package formats defines the synthetic input formats the benchmark
 // applications consume. Each format is structurally faithful to the family
 // the paper's applications parse — chunked with checksums (PNG), RIFF-framed
-// (WAV, WebP), marker-segmented (JPEG), fixed big-endian header (XWD) — so
+// (WAV), marker-segmented (JPEG), fixed big-endian header (XWD) — so
 // that the whole Hachoir/Peach pipeline is exercised: generated inputs must
 // have their checksums and frame sizes reconstructed before the parser will
 // reach the interesting fields.

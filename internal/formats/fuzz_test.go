@@ -72,10 +72,9 @@ func fuzzFormat(f *testing.F, mk func() *Format) {
 	})
 }
 
-func FuzzSPNG(f *testing.F)  { fuzzFormat(f, SPNG) }
-func FuzzSWAV(f *testing.F)  { fuzzFormat(f, SWAV) }
-func FuzzSJPG(f *testing.F)  { fuzzFormat(f, SJPG) }
-func FuzzSWEBP(f *testing.F) { fuzzFormat(f, SWEBP) }
-func FuzzSXWD(f *testing.F)  { fuzzFormat(f, SXWD) }
-func FuzzSGIF(f *testing.F)  { fuzzFormat(f, SGIF) }
-func FuzzSTIF(f *testing.F)  { fuzzFormat(f, STIF) }
+func FuzzSPNG(f *testing.F) { fuzzFormat(f, SPNG) }
+func FuzzSWAV(f *testing.F) { fuzzFormat(f, SWAV) }
+func FuzzSJPG(f *testing.F) { fuzzFormat(f, SJPG) }
+func FuzzSXWD(f *testing.F) { fuzzFormat(f, SXWD) }
+func FuzzSGIF(f *testing.F) { fuzzFormat(f, SGIF) }
+func FuzzSTIF(f *testing.F) { fuzzFormat(f, STIF) }

@@ -17,7 +17,7 @@ import (
 // BitsPerSample (258), StripOffsets (273, pointing at the strip data
 // elsewhere in the file), RowsPerStrip (278) and StripByteCounts (279,
 // which must equal the bytes from the strip offset to EOF and is maintained
-// by a fix-up, like the RIFF size field in SWAV/SWEBP).
+// by a fix-up, like the RIFF size field in SWAV).
 
 // STIF tag numbers.
 const (

@@ -33,9 +33,6 @@ func New(fields *field.Map, fixups ...Fixup) *Generator {
 	return &Generator{fields: fields, fixups: fixups}
 }
 
-// Fields returns the generator's field map.
-func (g *Generator) Fields() *field.Map { return g.fields }
-
 // Generate builds a new input: the seed's bytes with every assignment-bound
 // field (and raw byte) replaced, then fixed up. The seed is not modified.
 func (g *Generator) Generate(seed []byte, asn bv.Assignment) ([]byte, error) {

@@ -18,16 +18,12 @@ import (
 // concurrent Machines — the Analyzer compiles each application once and every
 // site's Hunter executes the same Compiled on a private Machine.
 type Compiled struct {
-	name        string
 	funcs       map[string]*cFunc
 	funcList    []*cFunc // opCall targets by index
 	main        *cFunc
 	numGlobals  int
 	globalNames []string // global slot index → variable name
 }
-
-// Name returns the compiled program's name.
-func (c *Compiled) Name() string { return c.name }
 
 // cFunc is one compiled procedure: its instruction stream plus the constant
 // pools the instructions index into.
@@ -50,7 +46,6 @@ type cFunc struct {
 // functions); run Program.Finalize first.
 func Compile(prog *lang.Program) *Compiled {
 	c := &Compiled{
-		name:  prog.Name,
 		funcs: make(map[string]*cFunc, len(prog.Funcs)),
 	}
 	names := make([]string, 0, len(prog.Funcs))
@@ -290,8 +285,8 @@ func (l *lowerer) stmt(s lang.Stmt) {
 }
 
 // assign lowers an assignment, fusing the common right-hand shapes (leaf
-// copy, leaf binop — the add-immediate idiom — conversion, input byte, load,
-// and the ZX(w, In(leaf+leaf)) superinstruction) into single instructions.
+// copy, leaf binop — the add-immediate idiom — leaf conversion, and the
+// ZX(w, In(leaf+leaf)) superinstruction) into single instructions.
 func (l *lowerer) assign(st lang.Assign) {
 	dst, dk := l.varRef(st.Var)
 	switch e := st.E.(type) {
@@ -321,18 +316,6 @@ func (l *lowerer) assign(st lang.Assign) {
 			l.emit(instr{op: opAssignCvt, w: e.W, flg: f, charge: l.take(2), a: a, dst: dst})
 			return
 		}
-	case lang.InByte:
-		if a, ak, ok := l.leafRef(e.Idx); ok {
-			l.emit(instr{op: opAssignInByte, flg: ak | dk<<4, charge: l.take(2), a: a, dst: dst})
-			return
-		}
-	case lang.LoadExpr:
-		if a, ak, ok := l.leafRef(e.Ptr); ok {
-			if b, bk, ok2 := l.leafRef(e.Off); ok2 {
-				l.emit(instr{op: opAssignLoad, flg: ak | bk<<2 | dk<<4, charge: l.take(3), a: a, b: b, dst: dst})
-				return
-			}
-		}
 	}
 	l.pushExpr(st.E)
 	l.emit(instr{op: opPopRef, flg: dk << 4, dst: dst})
@@ -340,23 +323,8 @@ func (l *lowerer) assign(st lang.Assign) {
 }
 
 // store lowers a Store statement, fusing the all-leaf form (with an optional
-// ZX(64, leaf) offset) and the read-modify-write load-op-store shape.
+// ZX(64, leaf) offset) into one opStoreRef.
 func (l *lowerer) store(st lang.Store) {
-	if bin, ok := st.Val.(lang.Bin); ok && isLeaf(st.Ptr) && isLeaf(st.Off) {
-		if ld, ok2 := bin.A.(lang.LoadExpr); ok2 && isLeaf(ld.Ptr) && isLeaf(ld.Off) && isLeaf(bin.B) {
-			p, kp, _ := l.leafRef(st.Ptr)
-			o, ko, _ := l.leafRef(st.Off)
-			p2, kp2, _ := l.leafRef(ld.Ptr)
-			o2, ko2, _ := l.leafRef(ld.Off)
-			v, kv, _ := l.leafRef(bin.B)
-			aux := uint16(kp) | uint16(ko)<<2 | uint16(kp2)<<4 | uint16(ko2)<<6 | uint16(kv)<<8
-			l.emit(instr{
-				op: opLoadOpStore, sub: uint8(bin.Op), charge: l.take(7), aux: aux,
-				a: p, b: o, dst: p2, imm: uint64(uint32(o2))<<32 | uint64(uint32(v)),
-			})
-			return
-		}
-	}
 	if isLeaf(st.Ptr) && isLeaf(st.Val) {
 		offE := st.Off
 		zx := false

@@ -107,9 +107,6 @@ func NewMachine(c *Compiled) *Machine {
 	return &Machine{code: c, blocks: make(map[uint64]*block)}
 }
 
-// Program returns the compiled program the machine executes.
-func (m *Machine) Program() *Compiled { return m.code }
-
 // Reset prepares the machine to execute the compiled program on input under
 // opts, recycling all storage from the previous run. It invalidates the
 // Outcome of the previous Run.

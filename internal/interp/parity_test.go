@@ -245,8 +245,8 @@ func TestCompiledParityUnits(t *testing.T) {
 // TestCompiledParityFusion aims the parity check at the shapes the lowerer
 // fuses into superinstructions — bulk memset-style store loops (including
 // red-zone crossings, mid-loop segfaults, affine Mul/ZX offsets, and loops
-// that run past the dense-cell limit into far storage), load-op-store, and
-// the undefined-operand refund paths of the fused binop/load forms — so a
+// that run past the dense-cell limit into far storage), read-modify-write
+// stores, and undefined operands inside the fused binop/load forms — so a
 // fusion that drifts from per-cell/per-step semantics diverges here even if
 // the app sweep never hits its bail conditions.
 func TestCompiledParityFusion(t *testing.T) {
@@ -324,8 +324,9 @@ func TestCompiledParityFusion(t *testing.T) {
 				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
 			),
 		)),
-		// Load-op-store fusion (buf[i] = buf[i] + k) plus its load-error
-		// path when the offset runs past the block.
+		// Read-modify-write stores (buf[i] = buf[i] + k), which take the
+		// generic lowering, plus the load-error path when the offset runs
+		// past the block.
 		"load-op-store": mustProg(t, lang.Fn("main", nil,
 			lang.AllocAt("buf", "t@1", lang.U32(8)),
 			lang.Put(lang.V("buf"), lang.U32(3), lang.U8(40)),
@@ -335,8 +336,8 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.AllocAt("sz", "t@2", lang.ZX(32, lang.Load(lang.V("buf"), lang.U32(3)))),
 		)),
 		// Undefined operands inside fused forms: the fused instructions
-		// charge up front and must refund exactly what the tree-walker never
-		// charged when the first read fails.
+		// must charge exactly the steps the tree-walker takes before the
+		// failing read.
 		"undef-in-fused-bin": mustProg(t, lang.Fn("main", nil,
 			lang.Let("a", lang.U32(1)),
 			lang.Let("x", lang.Add(lang.V("a"), lang.V("nope"))),
@@ -384,9 +385,9 @@ func TestCompiledParityFusion(t *testing.T) {
 	}
 }
 
-// TestCompiledParityFuelSweep runs a program mixing every fused shape under
-// every fuel value up to past its natural step count, in plain and symbolic
-// modes. Step-count parity means exhaustion must bite at the identical point
+// TestCompiledParityFuelSweep runs a program mixing fused and generic shapes
+// under every fuel value up to past its natural step count, in plain and
+// symbolic modes. Step-count parity means exhaustion must bite at the identical point
 // on both interpreters for every single cutoff — the strongest check on the
 // lowerer's charge-attachment rule (charges lumped onto fused instructions
 // must equal the tree-walker's pre-order step accounting at every prefix).
@@ -445,6 +446,56 @@ func TestCompiledParityFuelSweepFarCells(t *testing.T) {
 		for fuel := int64(1); fuel <= full.Steps+8; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, nil, opts)
+		}
+	}
+}
+
+// TestCompiledParityFuelSweepUndefined puts an undefined variable in each
+// operand position of every multi-read fused shape and sweeps every fuel
+// cutoff up to past the tree's step count. A fused instruction reads all its
+// leaves before charging, so each cutoff pins both how many steps it charges
+// ahead of the failing read and which of fuel exhaustion or the
+// undefined-variable error wins.
+func TestCompiledParityFuelSweepUndefined(t *testing.T) {
+	u, a := lang.V("nope"), lang.V("a")
+	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
+	shapes := map[string]lang.Stmt{
+		"assign-bin-first":     lang.Let("x", lang.Add(u, a)),
+		"assign-bin-second":    lang.Let("x", lang.Add(a, u)),
+		"push-bin-first":       lang.AllocAt("b", "t@2", lang.Add(u, lang.U32(1))),
+		"push-bin-second":      lang.AllocAt("b", "t@2", lang.Add(a, u)),
+		"jcc-first":            lang.IfThen("c", lang.Ult(u, a), lang.Warn("then")),
+		"jcc-second":           lang.IfThen("c", lang.Ult(a, u), lang.Warn("then")),
+		"store-ptr":            lang.Put(u, a, lang.U8(1)),
+		"store-ptr-before-zx":  lang.Put(u, lang.ZX(64, a), lang.U8(1)),
+		"store-off":            lang.Put(lang.V("buf"), u, lang.U8(1)),
+		"store-zx-off":         lang.Put(lang.V("buf"), lang.ZX(64, u), lang.U8(1)),
+		"store-val":            lang.Put(lang.V("buf"), a, u),
+		"store-val-after-zx":   lang.Put(lang.V("buf"), lang.ZX(64, a), u),
+		"assign-loadzx-first":  lang.Let("x", loadZX(u, a)),
+		"assign-loadzx-second": lang.Let("x", loadZX(a, u)),
+		"push-loadzx-first":    lang.AllocAt("b", "t@2", loadZX(u, a)),
+		"push-loadzx-second":   lang.AllocAt("b", "t@2", loadZX(a, u)),
+	}
+	for name, fused := range shapes {
+		prog := mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(16)),
+			lang.Let("a", lang.ZX(32, lang.InAt(0))),
+			lang.Put(lang.V("buf"), lang.V("a"), lang.U8(7)),
+			fused,
+			lang.Let("after", lang.U32(1)),
+		))
+		m := interp.NewMachine(interp.Compile(prog))
+		input := []byte{2, 9}
+		full := interp.RunTree(prog, input, interp.Options{})
+		if full.Err == nil || !strings.Contains(full.Err.Error(), `"nope"`) {
+			t.Fatalf("%s: want the undefined-variable error, got:\n%s", name, dumpOutcome(full))
+		}
+		for _, mode := range []string{"plain", "symbolic"} {
+			for fuel := int64(1); fuel <= full.Steps+4; fuel++ {
+				opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", name, fuel, mode), prog, m, input, opts)
+			}
 		}
 	}
 }

@@ -22,16 +22,16 @@ import (
 // charging the lump in one subtraction is indistinguishable from the tree's
 // step-by-step accounting: if fuel runs out inside the lump, the tree would
 // have exhausted inside the same effect-free run, and both report
-// Steps == Fuel. Fused instructions that interleave reads between charges
-// (opAssignBin and friends, at opColdBase and above) manage their own fuel:
-// on the hot path they charge the full lump and refund the trailing charges
-// the tree never consumed when an early read errors; near exhaustion they
-// fall back to exact segment-by-segment charging (chargeExact).
+// Steps == Fuel. Fused instructions whose leaf reads the tree interleaves
+// with charges (opAssignBin and friends, at opColdBase and above) manage
+// their own fuel: a leaf read has no effects, so each reads all its leaves
+// first, then charges once (chargeExact) the steps the tree would have
+// charged before its first undefined read, and only then reports that read.
 
 // Instruction opcodes. Ops below opColdBase have a single trailing effect (or
 // none), so the dispatch loop's shared top-of-loop handler charges in.charge
-// before dispatch; ops at/after opColdBase interleave reads between charges
-// and do their own fuel accounting.
+// before dispatch; ops at/after opColdBase read several leaves the tree
+// charges one by one and do their own fuel accounting.
 const (
 	opCharge uint8 = iota // charge-only (the While statement's own step)
 	opJmp
@@ -58,21 +58,18 @@ const (
 	opBranch // pop condition; record branch event; jump to dst when false
 	opAbortStmt
 	opWarnStmt
-	opAssignRef    // dst = leaf
-	opAssignCvt    // dst = ZX/SX(w, leaf)
-	opAssignInByte // dst = In(leaf)
+	opAssignRef // dst = leaf
+	opAssignCvt // dst = ZX/SX(w, leaf)
 )
 
 const (
-	opAssignBin    uint8 = opAssignInByte + 1 + iota // dst = leaf <op> leaf
-	opPushBin                                        // push leaf <op> leaf (add/cmp-immediate shapes)
-	opJcc                                            // fused Cmp(leaf, leaf) + branch loop head
-	opAssignLoad                                     // dst = Load(leaf, leaf)
-	opStoreRef                                       // Store(leaf, leaf | ZX(64, leaf), leaf)
-	opLoadOpStore                                    // Store(p, o, Load(p2, o2) <op> leaf)
-	opPushLoadZX                                     // push ZX(w, In(leaf + leaf))
-	opAssignLoadZX                                   // dst = ZX(w, In(leaf + leaf))
-	opStoreLoop                                      // bulk memset-style loop body (descriptor in imm)
+	opAssignBin    uint8 = opAssignCvt + 1 + iota // dst = leaf <op> leaf
+	opPushBin                                     // push leaf <op> leaf (add/cmp-immediate shapes)
+	opJcc                                         // fused Cmp(leaf, leaf) + branch loop head
+	opStoreRef                                    // Store(leaf, leaf | ZX(64, leaf), leaf)
+	opPushLoadZX                                  // push ZX(w, In(leaf + leaf))
+	opAssignLoadZX                                // dst = ZX(w, In(leaf + leaf))
+	opStoreLoop                                   // bulk memset-style loop body (descriptor in imm)
 )
 
 // opColdBase splits the opcode space: everything below has at most a single
@@ -106,7 +103,7 @@ type instr struct {
 	aux    uint16 // index into cFunc.strs (labels, sites, messages); arg count for opCall
 	a, b   int32  // operand refs; function index for opCall
 	dst    int32  // destination slot ref or branch target
-	imm    uint64 // literal value (opPushLit), loop-descriptor index (opStoreLoop), packed refs (opLoadOpStore)
+	imm    uint64 // literal value (opPushLit), loop-descriptor index (opStoreLoop)
 }
 
 // bval is a bool-stack entry: the concrete truth value plus the symbolic
@@ -180,6 +177,25 @@ func (m *Machine) chargeExact(n int64) bool {
 	return true
 }
 
+// leafFault ends a two-leaf fused instruction that read an undefined leaf:
+// it charges the steps the tree-walker takes before its first undefined
+// read (all of in.charge, less the second leaf's step when the first leaf is
+// undefined), then reports that read. refVal has no effects, so reading both
+// leaves before charging is indistinguishable from the tree's interleaving.
+func (m *Machine) leafFault(fn *cFunc, in *instr, okA bool) error {
+	n := int64(in.charge)
+	if !okA {
+		n--
+	}
+	switch {
+	case !m.chargeExact(n):
+		return errFuel
+	case !okA:
+		return m.undefRef(fn, in.flg&3, in.a)
+	}
+	return m.undefRef(fn, (in.flg>>2)&3, in.b)
+}
+
 // pollCancel mirrors the tree-walker's rate-limited cancellation poll.
 func (m *Machine) pollCancel() error {
 	if m.cancelPoll--; m.cancelPoll <= 0 {
@@ -193,26 +209,8 @@ func (m *Machine) pollCancel() error {
 	return nil
 }
 
-// loadMem performs the Load effect sequence (event, segv, cell read) shared
-// by opLoadPop, opAssignLoad and opLoadOpStore.
-func (m *Machine) loadMem(ptr, off uint64) (value, error) {
-	b, ok := m.blocks[ptr]
-	if !ok {
-		return value{}, fmt.Errorf("interp: load through non-pointer %#x", ptr)
-	}
-	if off >= b.size {
-		m.out.MemErrs = append(m.out.MemErrs, MemError{
-			Kind: InvalidRead, Site: b.site, Offset: off, Size: b.size,
-		})
-		if off >= b.size+RedZone {
-			return value{}, errSegv
-		}
-	}
-	return b.loadCell(off), nil
-}
-
 // storeMem performs the Store effect sequence (event, canary, segv, cell
-// write) shared by opStorePop, opStoreRef and opLoadOpStore.
+// write) shared by opStorePop and opStoreRef.
 func (m *Machine) storeMem(ptr, off uint64, val value) error {
 	b, ok := m.blocks[ptr]
 	if !ok {
@@ -259,12 +257,8 @@ func (m *Machine) exec() error {
 	var pc int32
 	for {
 		in := &code[pc]
-		if in.charge != 0 && in.op < opColdBase {
-			m.fuel -= int64(in.charge)
-			if m.fuel <= 0 {
-				m.fuel = 0
-				return errFuel
-			}
+		if in.charge != 0 && in.op < opColdBase && !m.chargeExact(int64(in.charge)) {
+			return errFuel
 		}
 		switch in.op {
 		case opCharge:
@@ -323,13 +317,21 @@ func (m *Machine) exec() error {
 			stack[sp-1] = m.readInput(stack[sp-1])
 
 		case opLoadPop:
-			ptr, off := stack[sp-2], stack[sp-1]
+			ptr, off := stack[sp-2].v, stack[sp-1].v
 			sp--
-			v, err := m.loadMem(ptr.v, off.v)
-			if err != nil {
-				return err
+			b, ok := m.blocks[ptr]
+			if !ok {
+				return fmt.Errorf("interp: load through non-pointer %#x", ptr)
 			}
-			stack[sp-1] = v
+			if off >= b.size {
+				m.out.MemErrs = append(m.out.MemErrs, MemError{
+					Kind: InvalidRead, Site: b.site, Offset: off, Size: b.size,
+				})
+				if off >= b.size+RedZone {
+					return errSegv
+				}
+			}
+			stack[sp-1] = b.loadCell(off)
 
 		case opStorePop:
 			ptr, off, val := stack[sp-3], stack[sp-2], stack[sp-1]
@@ -531,39 +533,14 @@ func (m *Machine) exec() error {
 			}
 			m.setRef(fr, (in.flg>>4)&3, in.dst, convert(in.w, in.flg&flgBit != 0, a))
 
-		case opAssignInByte:
-			a, ok := refVal(fn, g, fr, in.flg&3, in.a)
-			if !ok {
-				return m.undefRef(fn, in.flg&3, in.a)
-			}
-			m.setRef(fr, (in.flg>>4)&3, in.dst, m.readInput(a))
-
 		case opAssignBin, opPushBin:
-			ch := int64(in.charge)
-			var a, b value
-			var ok bool
-			if m.fuel > ch {
-				m.fuel -= ch
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					m.fuel++ // the second leaf's step, never charged by the tree
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-			} else {
-				if !m.chargeExact(ch - 1) {
-					return errFuel
-				}
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if !m.chargeExact(1) {
-					return errFuel
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
+			a, okA := refVal(fn, g, fr, in.flg&3, in.a)
+			b, okB := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
+			if !okA || !okB {
+				return m.leafFault(fn, in, okA)
+			}
+			if !m.chargeExact(int64(in.charge)) {
+				return errFuel
 			}
 			if a.w != b.w {
 				return widthErr(lang.BinOp(in.sub), a.w, b.w)
@@ -599,31 +576,13 @@ func (m *Machine) exec() error {
 					return err
 				}
 			}
-			ch := int64(in.charge)
-			var a, b value
-			var ok bool
-			if m.fuel > ch {
-				m.fuel -= ch
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					m.fuel++
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-			} else {
-				if !m.chargeExact(ch - 1) {
-					return errFuel
-				}
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if !m.chargeExact(1) {
-					return errFuel
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
+			a, okA := refVal(fn, g, fr, in.flg&3, in.a)
+			b, okB := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
+			if !okA || !okB {
+				return m.leafFault(fn, in, okA)
+			}
+			if !m.chargeExact(int64(in.charge)) {
+				return errFuel
 			}
 			if a.w != b.w {
 				return widthErr(lang.CmpOp(in.sub), a.w, b.w)
@@ -661,80 +620,33 @@ func (m *Machine) exec() error {
 				continue
 			}
 
-		case opAssignLoad:
-			ch := int64(in.charge)
-			var ptr, off value
-			var ok bool
-			if m.fuel > ch {
-				m.fuel -= ch
-				if ptr, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					m.fuel++
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if off, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-			} else {
-				if !m.chargeExact(ch - 1) {
-					return errFuel
-				}
-				if ptr, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if !m.chargeExact(1) {
-					return errFuel
-				}
-				if off, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-			}
-			v, err := m.loadMem(ptr.v, off.v)
-			if err != nil {
-				return err
-			}
-			m.setRef(fr, (in.flg>>4)&3, in.dst, v)
-
 		case opStoreRef:
 			// Charges: pending + ptr(1) + off(1, +1 when ZX-wrapped) + val(1).
-			ch := int64(in.charge)
+			// All three reads come first; the tree charges up to the first
+			// undefined one.
 			zx := int64(0)
 			if in.flg&flgZX != 0 {
 				zx = 1
 			}
-			var ptr, off, val value
-			var ok bool
-			if m.fuel > ch {
-				m.fuel -= ch
-				if ptr, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					m.fuel += 2 + zx
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if off, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					m.fuel++
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-				if val, ok = refVal(fn, g, fr, (in.flg>>4)&3, in.dst); !ok {
-					return m.undefRef(fn, (in.flg>>4)&3, in.dst)
-				}
-			} else {
-				if !m.chargeExact(ch - 2 - zx) {
-					return errFuel
-				}
-				if ptr, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if !m.chargeExact(1 + zx) {
-					return errFuel
-				}
-				if off, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-				if !m.chargeExact(1) {
-					return errFuel
-				}
-				if val, ok = refVal(fn, g, fr, (in.flg>>4)&3, in.dst); !ok {
-					return m.undefRef(fn, (in.flg>>4)&3, in.dst)
-				}
+			ptr, okP := refVal(fn, g, fr, in.flg&3, in.a)
+			off, okO := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
+			val, okV := refVal(fn, g, fr, (in.flg>>4)&3, in.dst)
+			n := int64(in.charge)
+			switch {
+			case !okP:
+				n -= 2 + zx
+			case !okO:
+				n--
+			}
+			switch {
+			case !m.chargeExact(n):
+				return errFuel
+			case !okP:
+				return m.undefRef(fn, in.flg&3, in.a)
+			case !okO:
+				return m.undefRef(fn, (in.flg>>2)&3, in.b)
+			case !okV:
+				return m.undefRef(fn, (in.flg>>4)&3, in.dst)
 			}
 			if zx != 0 {
 				off = convert(64, false, off)
@@ -743,37 +655,14 @@ func (m *Machine) exec() error {
 				return err
 			}
 
-		case opLoadOpStore:
-			if err := m.execLoadOpStore(fn, fr, in); err != nil {
-				return err
-			}
-
 		case opPushLoadZX, opAssignLoadZX:
-			ch := int64(in.charge)
-			var a, b value
-			var ok bool
-			if m.fuel > ch {
-				m.fuel -= ch
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					m.fuel++
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
-			} else {
-				if !m.chargeExact(ch - 1) {
-					return errFuel
-				}
-				if a, ok = refVal(fn, g, fr, in.flg&3, in.a); !ok {
-					return m.undefRef(fn, in.flg&3, in.a)
-				}
-				if !m.chargeExact(1) {
-					return errFuel
-				}
-				if b, ok = refVal(fn, g, fr, (in.flg>>2)&3, in.b); !ok {
-					return m.undefRef(fn, (in.flg>>2)&3, in.b)
-				}
+			a, okA := refVal(fn, g, fr, in.flg&3, in.a)
+			b, okB := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
+			if !okA || !okB {
+				return m.leafFault(fn, in, okA)
+			}
+			if !m.chargeExact(int64(in.charge)) {
+				return errFuel
 			}
 			if a.w != b.w {
 				return widthErr(lang.OpAdd, a.w, b.w)
@@ -817,99 +706,6 @@ func (m *Machine) exec() error {
 		}
 		pc++
 	}
-}
-
-// execLoadOpStore runs the fused read-modify-write superinstruction
-// Store(p, o, Load(p2, o2) <op> leaf). Charges: pending + p(1) + o(1) +
-// bin(1) + load(1) + p2(1) + o2(1) + v(1); the trailing refunds on the hot
-// path mirror how far the tree-walker's pre-order charging would have gone
-// when an early read errors.
-func (m *Machine) execLoadOpStore(fn *cFunc, fr *cframe, in *instr) error {
-	kP := in.aux & 3
-	kO := (in.aux >> 2) & 3
-	kP2 := (in.aux >> 4) & 3
-	kO2 := (in.aux >> 6) & 3
-	kV := (in.aux >> 8) & 3
-	o2Idx := int32(in.imm >> 32)
-	vIdx := int32(uint32(in.imm))
-	ch := int64(in.charge)
-	g := &m.globals
-	var p, o, p2, o2, v value
-	var ok bool
-	if m.fuel > ch {
-		m.fuel -= ch
-		if p, ok = refVal(fn, g, fr, uint8(kP), in.a); !ok {
-			m.fuel += 6
-			return m.undefRef(fn, uint8(kP), in.a)
-		}
-		if o, ok = refVal(fn, g, fr, uint8(kO), in.b); !ok {
-			m.fuel += 5
-			return m.undefRef(fn, uint8(kO), in.b)
-		}
-		if p2, ok = refVal(fn, g, fr, uint8(kP2), in.dst); !ok {
-			m.fuel += 2
-			return m.undefRef(fn, uint8(kP2), in.dst)
-		}
-		if o2, ok = refVal(fn, g, fr, uint8(kO2), o2Idx); !ok {
-			m.fuel++
-			return m.undefRef(fn, uint8(kO2), o2Idx)
-		}
-		lv, err := m.loadMem(p2.v, o2.v)
-		if err != nil {
-			m.fuel++ // the value leaf's step, never charged by the tree
-			return err
-		}
-		if v, ok = refVal(fn, g, fr, uint8(kV), vIdx); !ok {
-			return m.undefRef(fn, uint8(kV), vIdx)
-		}
-		return m.finishLoadOpStore(in, p, o, lv, v)
-	}
-	if !m.chargeExact(ch - 6) {
-		return errFuel
-	}
-	if p, ok = refVal(fn, g, fr, uint8(kP), in.a); !ok {
-		return m.undefRef(fn, uint8(kP), in.a)
-	}
-	if !m.chargeExact(1) {
-		return errFuel
-	}
-	if o, ok = refVal(fn, g, fr, uint8(kO), in.b); !ok {
-		return m.undefRef(fn, uint8(kO), in.b)
-	}
-	if !m.chargeExact(3) {
-		return errFuel
-	}
-	if p2, ok = refVal(fn, g, fr, uint8(kP2), in.dst); !ok {
-		return m.undefRef(fn, uint8(kP2), in.dst)
-	}
-	if !m.chargeExact(1) {
-		return errFuel
-	}
-	if o2, ok = refVal(fn, g, fr, uint8(kO2), o2Idx); !ok {
-		return m.undefRef(fn, uint8(kO2), o2Idx)
-	}
-	lv, err := m.loadMem(p2.v, o2.v)
-	if err != nil {
-		return err
-	}
-	if !m.chargeExact(1) {
-		return errFuel
-	}
-	if v, ok = refVal(fn, g, fr, uint8(kV), vIdx); !ok {
-		return m.undefRef(fn, uint8(kV), vIdx)
-	}
-	return m.finishLoadOpStore(in, p, o, lv, v)
-}
-
-func (m *Machine) finishLoadOpStore(in *instr, p, o, lv, v value) error {
-	if lv.w != v.w {
-		return widthErr(lang.BinOp(in.sub), lv.w, v.w)
-	}
-	r, err := binopVal(lang.BinOp(in.sub), &lv, &v, m.opts.TrackTaint)
-	if err != nil {
-		return err
-	}
-	return m.storeMem(p.v, o.v, r)
 }
 
 // --- bulk store loop ---

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// Result is the outcome of a Solve call.
+// Result is the outcome of a SolveUnderAssumptions or SolveContinue call.
 type Result int
 
 // Solve outcomes.
@@ -42,8 +42,8 @@ type Options struct {
 	// a random phase instead of its saved phase. Non-zero values make
 	// repeated solves of the same formula return diverse models.
 	RandomPolarity float64
-	// MaxConflicts bounds the total number of conflicts before Solve gives
-	// up and returns Unknown. Zero means no bound.
+	// MaxConflicts bounds the number of conflicts one solve call may take
+	// before it gives up and returns Unknown. Zero means no bound.
 	MaxConflicts int64
 	// Stop, when non-nil, is polled at every conflict: once it reads true the
 	// solve returns Unknown promptly. It is how a caller cancels a running
@@ -175,9 +175,9 @@ func (s *Solver) value(l Lit) lbool {
 // AddClause adds a clause over the given literals. It returns false if the
 // solver is already in an unsatisfiable state at the root level.
 //
-// AddClause may be called after a previous Solve (incremental solving): the
+// AddClause may be called after a previous solve (incremental solving): the
 // solver first backtracks to decision level zero, which invalidates the model
-// of that Solve. Learned clauses and saved phases are retained.
+// of that solve. Learned clauses and saved phases are retained.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsatRoot {
 		return false
@@ -493,14 +493,6 @@ func luby(i int64) float64 {
 	return float64(int64(1) << uint(seq))
 }
 
-// Solve determines satisfiability of the clauses added so far. It is the
-// degenerate (no-assumption) case of SolveUnderAssumptions and may be called
-// repeatedly on one instance, interleaved with AddClause, to solve
-// incrementally: learned clauses and saved phases carry over between calls.
-func (s *Solver) Solve() Result {
-	return s.SolveUnderAssumptions(nil)
-}
-
 // SolveUnderAssumptions determines satisfiability of the clauses added so
 // far under the given assumption literals. Assumptions are enqueued as the
 // first decisions (one per decision level, MiniSat style), so a returned
@@ -531,9 +523,10 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) Result {
 // SolveContinue resumes the search from the current partial assignment
 // instead of backtracking to the root first — the complement of
 // PartialRestart, which leaves a prefix of the previous model's trail in
-// place. The result contract matches Solve: the kept decisions are ordinary
-// decisions, not assumptions, so the search is free to undo them through
-// conflict analysis and Unsat still means root-level unsatisfiability.
+// place. The result contract matches SolveUnderAssumptions(nil): the kept
+// decisions are ordinary decisions, not assumptions, so the search is free to
+// undo them through conflict analysis and Unsat still means root-level
+// unsatisfiability.
 func (s *Solver) SolveContinue() Result {
 	if s.unsatRoot {
 		return Unsat
@@ -627,13 +620,13 @@ func (s *Solver) search(assumps []Lit) Result {
 
 // CancelToRoot undoes all decisions, returning the solver to decision level
 // zero so that further clauses can be added (incremental solving). The model
-// of a prior Solve becomes invalid.
+// of a prior solve becomes invalid.
 func (s *Solver) CancelToRoot() {
 	s.cancelUntil(0)
 }
 
 // ModelValue returns the value of v in the model found by the last
-// successful Solve. Unassigned variables (possible only before solving)
+// successful solve. Unassigned variables (possible only before solving)
 // report false.
 func (s *Solver) ModelValue(v Var) bool {
 	return s.assigns[v] == lTrue

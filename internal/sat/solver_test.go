@@ -13,7 +13,7 @@ func TestTrivial(t *testing.T) {
 	if !s.AddClause(PosLit(a)) {
 		t.Fatal("unit clause rejected")
 	}
-	if got := s.Solve(); got != Sat {
+	if got := s.SolveUnderAssumptions(nil); got != Sat {
 		t.Fatalf("solve = %v, want sat", got)
 	}
 	if !s.ModelValue(a) {
@@ -28,7 +28,7 @@ func TestContradiction(t *testing.T) {
 	if s.AddClause(NegLit(a)) {
 		t.Fatal("contradictory unit accepted")
 	}
-	if got := s.Solve(); got != Unsat {
+	if got := s.SolveUnderAssumptions(nil); got != Unsat {
 		t.Fatalf("solve = %v, want unsat", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestAllFourClausesUnsat(t *testing.T) {
 	s.AddClause(NegLit(a), PosLit(b))
 	s.AddClause(PosLit(a), NegLit(b))
 	s.AddClause(NegLit(a), NegLit(b))
-	if got := s.Solve(); got != Unsat {
+	if got := s.SolveUnderAssumptions(nil); got != Unsat {
 		t.Fatalf("solve = %v, want unsat", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	// Tautologous clause must be ignored, duplicates deduplicated.
 	s.AddClause(PosLit(a), NegLit(a))
 	s.AddClause(PosLit(b), PosLit(b), PosLit(b))
-	if got := s.Solve(); got != Sat {
+	if got := s.SolveUnderAssumptions(nil); got != Sat {
 		t.Fatalf("solve = %v, want sat", got)
 	}
 	if !s.ModelValue(b) {
@@ -90,7 +90,7 @@ func addPigeonhole(s *Solver, pigeons, holes int) {
 func pigeonhole(pigeons, holes int) Result {
 	s := New(Options{})
 	addPigeonhole(s, pigeons, holes)
-	return s.Solve()
+	return s.SolveUnderAssumptions(nil)
 }
 
 func TestPigeonholeUnsat(t *testing.T) {
@@ -189,7 +189,7 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 		s := New(Options{Seed: int64(trial)})
 		got := Unsat
 		if loadCNF(s, nVars, cnf) {
-			got = s.Solve()
+			got = s.SolveUnderAssumptions(nil)
 		}
 		want := bruteForce(nVars, cnf)
 		if (got == Sat) != want {
@@ -221,7 +221,7 @@ func TestSamplingPrimitivesAgainstBruteForce(t *testing.T) {
 			}
 			continue
 		}
-		got := s.Solve()
+		got := s.SolveUnderAssumptions(nil)
 		if (got == Sat) != want {
 			t.Fatalf("trial %d: solve=%v bruteforce_sat=%v", trial, got, want)
 		}
@@ -262,7 +262,7 @@ func TestDecisionFocusZeroBudgetIsNoFocus(t *testing.T) {
 			}
 			s.SetDecisionFocus(vars, 0)
 		}
-		if got := s.Solve(); got != Unsat {
+		if got := s.SolveUnderAssumptions(nil); got != Unsat {
 			t.Fatalf("PHP(7,6) = %v, want unsat", got)
 		}
 		return s
@@ -284,7 +284,7 @@ func TestDecisionFocusDecidesFocusFirst(t *testing.T) {
 			s.NewVar()
 		}
 		s.SetDecisionFocus([]Var{7, 6, 5, 4, 3, 2, 1, 0}, budget)
-		if s.Solve() != Sat {
+		if s.SolveUnderAssumptions(nil) != Sat {
 			t.Fatal("expected sat")
 		}
 		out := make([]Var, len(s.trail))
@@ -316,7 +316,7 @@ func TestSamplingPrimitivesReachFreshModels(t *testing.T) {
 		lits[i] = PosLit(vars[i])
 	}
 	s.AddClause(lits...) // at least one variable true
-	if s.Solve() != Sat {
+	if s.SolveUnderAssumptions(nil) != Sat {
 		t.Fatal("expected sat")
 	}
 	s.SetDecisionFocus(vars, 1<<20)
@@ -354,7 +354,7 @@ func TestRandomPolarityDiversity(t *testing.T) {
 			lits[i] = PosLit(v)
 		}
 		s.AddClause(lits...)
-		if s.Solve() != Sat {
+		if s.SolveUnderAssumptions(nil) != Sat {
 			t.Fatal("expected sat")
 		}
 		var key [8]bool
@@ -371,7 +371,7 @@ func TestRandomPolarityDiversity(t *testing.T) {
 func TestMaxConflictsBudget(t *testing.T) {
 	s := New(Options{MaxConflicts: 1})
 	addPigeonhole(s, 6, 5) // needs far more than one conflict
-	if got := s.Solve(); got != Unknown {
+	if got := s.SolveUnderAssumptions(nil); got != Unknown {
 		t.Fatalf("solve with 1-conflict budget = %v, want unknown", got)
 	}
 }
@@ -383,11 +383,11 @@ func TestStopFlag(t *testing.T) {
 	stop.Store(true)
 	s := New(Options{Stop: &stop})
 	addPigeonhole(s, 6, 5) // the stop must win long before the refutation
-	if got := s.Solve(); got != Unknown {
+	if got := s.SolveUnderAssumptions(nil); got != Unknown {
 		t.Fatalf("solve with stop set = %v, want unknown", got)
 	}
 	stop.Store(false)
-	if got := s.Solve(); got != Unsat {
+	if got := s.SolveUnderAssumptions(nil); got != Unsat {
 		t.Fatalf("solve after clearing stop = %v, want unsat", got)
 	}
 }
@@ -398,7 +398,7 @@ func TestIncrementalBlocking(t *testing.T) {
 	s.AddClause(PosLit(a), PosLit(b))
 	seen := make(map[[2]bool]bool)
 	for i := 0; i < 4; i++ {
-		res := s.Solve()
+		res := s.SolveUnderAssumptions(nil)
 		if res != Sat {
 			break
 		}
@@ -427,7 +427,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 	s.AddClause(PosLit(a), PosLit(b))
 	s.AddClause(PosLit(c), NegLit(c)) // keep c mentioned
-	if got := s.Solve(); got != Sat {
+	if got := s.SolveUnderAssumptions(nil); got != Sat {
 		t.Fatalf("solve = %v, want sat", got)
 	}
 	// No CancelToRoot: AddClause must handle the leftover decision levels.
@@ -437,7 +437,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	if !s.AddClause(NegLit(b), PosLit(c)) {
 		t.Fatal("(¬b ∨ c) rejected")
 	}
-	if got := s.Solve(); got != Sat {
+	if got := s.SolveUnderAssumptions(nil); got != Sat {
 		t.Fatalf("incremental solve = %v, want sat", got)
 	}
 	if s.ModelValue(a) || !s.ModelValue(b) || !s.ModelValue(c) {
@@ -447,7 +447,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	if s.AddClause(NegLit(c)) {
 		t.Fatal("¬c must conflict at the root")
 	}
-	if got := s.Solve(); got != Unsat {
+	if got := s.SolveUnderAssumptions(nil); got != Unsat {
 		t.Fatalf("final solve = %v, want unsat", got)
 	}
 }
@@ -513,7 +513,7 @@ func TestSolveUnderAssumptionsMatchesUnits(t *testing.T) {
 			}
 			want := Unsat
 			if refOK {
-				want = ref.Solve()
+				want = ref.SolveUnderAssumptions(nil)
 			}
 			if got != want {
 				t.Fatalf("trial %d round %d: assumptions %v: got %v, unit encoding says %v",
@@ -535,7 +535,7 @@ func TestSolveUnderAssumptionsMatchesUnits(t *testing.T) {
 		if !rootOK {
 			got = Unsat
 		} else {
-			got = s.Solve()
+			got = s.SolveUnderAssumptions(nil)
 		}
 		if want := bruteForce(nVars, cnf); (got == Sat) != want {
 			t.Fatalf("trial %d: plain solve after assumption rounds = %v, brute force sat=%v",

@@ -29,7 +29,7 @@ func factorCond(w uint8, c uint64, tag string) *bv.Bool {
 func sampleWith(t *testing.T, seed int64, strategy Sampling, f *bv.Bool, k int) []bv.Assignment {
 	t.Helper()
 	s := New(Options{Seed: seed, Mode: ModeSATOnly, Sampling: strategy})
-	models, _ := s.SampleModels(f, k)
+	models, _ := s.NewSession(f).SampleModels(k)
 	seen := make(map[string]bool, len(models))
 	vars := bv.BoolVars(f)
 	for i, m := range models {
@@ -89,7 +89,7 @@ func TestSampleModelsDeterministic(t *testing.T) {
 	render := func(seed int64) []string {
 		s := New(Options{Seed: seed, Mode: ModeSATOnly})
 		var keys []string
-		models, _ := s.SampleModels(f, 12)
+		models, _ := s.NewSession(f).SampleModels(12)
 		for _, m := range models {
 			keys = append(keys, assignmentKey(m, vars.Names()))
 		}
@@ -128,7 +128,7 @@ func TestRestartSamplingExhaustionStats(t *testing.T) {
 	x := bv.Var(8, "ex_x")
 	f := bv.Eq(x, bv.Const(8, 42))
 	s := New(Options{Seed: 3, Mode: ModeSATOnly})
-	models, why := s.SampleModels(f, 5)
+	models, why := s.NewSession(f).SampleModels(5)
 	if len(models) != 1 || models[0]["ex_x"] != 42 || why != Unsat {
 		t.Fatalf("sampled %v (%v), want exactly {ex_x:42} (unsat: exhausted)", models, why)
 	}
@@ -145,7 +145,7 @@ func TestRestartSamplingExhaustionStats(t *testing.T) {
 
 	// Blocking enumeration on the same constraint needs no duplicates at all.
 	sb := New(Options{Seed: 3, Mode: ModeSATOnly, Sampling: SamplingBlocking})
-	if models, _ := sb.SampleModels(f, 5); len(models) != 1 {
+	if models, _ := sb.NewSession(f).SampleModels(5); len(models) != 1 {
 		t.Fatalf("blocking sampled %d models, want 1", len(models))
 	}
 	if st := sb.Snapshot(); st.DuplicateModels != 0 {
@@ -164,10 +164,10 @@ func TestSampleBudgetOutIsUnknown(t *testing.T) {
 	unsat := bv.OverflowCond(bv.Mul(bv.ZExt(32, n), bv.Const(32, 2)))
 	for _, strategy := range []Sampling{SamplingRestart, SamplingBlocking} {
 		s := New(Options{Seed: 1, Mode: ModeSATOnly, Sampling: strategy, MaxConflicts: 200})
-		if models, why := s.SampleModels(hard, 4); len(models) != 0 || why != Unknown {
+		if models, why := s.NewSession(hard).SampleModels(4); len(models) != 0 || why != Unknown {
 			t.Errorf("strategy %v: budget-bound β sampled %d models (%v), want 0 (unknown)", strategy, len(models), why)
 		}
-		if models, why := s.SampleModels(unsat, 4); len(models) != 0 || why != Unsat {
+		if models, why := s.NewSession(unsat).SampleModels(4); len(models) != 0 || why != Unsat {
 			t.Errorf("strategy %v: unsat β sampled %d models (%v), want 0 (unsat)", strategy, len(models), why)
 		}
 	}
@@ -188,7 +188,7 @@ func TestUnsatBetaRefutesPastFocusLapse(t *testing.T) {
 	p = bv.Add(bv.Add(p, one), byteIn("gv_b"))
 	p = bv.Add(bv.Add(p, one), byteIn("gv_c"))
 	s := New(Options{Seed: 1})
-	if models, why := s.SampleModels(bv.OverflowCond(p), 3); len(models) != 0 || why != Unsat {
+	if models, why := s.NewSession(bv.OverflowCond(p)).SampleModels(3); len(models) != 0 || why != Unsat {
 		t.Fatalf("sampled %d models (%v), want 0 (unsat)", len(models), why)
 	}
 	if got := s.Snapshot().Conflicts; got > restartFocusLapse+2000 {
@@ -207,7 +207,7 @@ func TestStopOnCancelsSolve(t *testing.T) {
 	defer cancel()
 	release := s.StopOn(ctx)
 	start := time.Now()
-	_, v := s.Solve(factorCond(32, 3037000493*2654435761, "st"))
+	_, v := s.NewSession(factorCond(32, 3037000493*2654435761, "st")).Solve()
 	elapsed := time.Since(start)
 	release()
 	if v != Unknown {
@@ -217,7 +217,7 @@ func TestStopOnCancelsSolve(t *testing.T) {
 		t.Fatalf("stopped solve took %v, want < 1s", elapsed)
 	}
 	defer s.StopOn(context.Background())()
-	if _, v := s.Solve(factorCond(8, 13*11, "st2")); v != Sat {
+	if _, v := s.NewSession(factorCond(8, 13*11, "st2")).Solve(); v != Sat {
 		t.Fatalf("solve after re-arming = %v, want sat", v)
 	}
 }

@@ -221,9 +221,9 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 	}
 }
 
-// SampleModels returns up to k distinct models of the current conjunction
-// (Solver.SampleModels semantics, on the session's persistent engine), and
-// the verdict says why sampling stopped:
+// SampleModels returns up to k distinct models of the current conjunction —
+// the paper's "generate 200 inputs that satisfy the constraint" experiments
+// (§5.5/§5.6) — and the verdict says why sampling stopped:
 //
 //   - Sat: k models were found;
 //   - Unsat: the conjunction has no models beyond those returned — with no

@@ -70,7 +70,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 						cur = bv.AndB(cur, conds[i])
 					}
 					m, v := sess.Solve()
-					_, want := ref.Solve(cur)
+					_, want := ref.NewSession(cur).Solve()
 					if v != want {
 						t.Fatalf("trial %d step %d: session %v, fresh solve %v\nconstraint: %v",
 							trial, i, v, want, cur)

@@ -12,7 +12,7 @@
 // finds the needle-in-a-haystack solutions that enforcement constraints
 // produce.
 //
-// SampleModels implements the §5.5/§5.6 experiments: up to k *distinct*
+// Session.SampleModels implements the §5.5/§5.6 experiments: up to k *distinct*
 // models of a constraint. The default strategy is restart sampling — between
 // models the persistent engine re-randomizes decision polarities and variable
 // activities and re-solves from the root, which keeps every solve cheap — and
@@ -24,8 +24,8 @@
 // monotonically growing conjunction, holding one persistent CDCL engine and
 // one hash-consed blaster so that the Figure 7 enforcement loop re-encodes
 // only the newly conjoined branch constraint each iteration and keeps all
-// learned clauses. The stateless Solve and SampleModels remain as the
-// simple API and delegate to a throwaway Session.
+// learned clauses. A one-shot query is a session over one formula:
+// s.NewSession(f).Solve() or s.NewSession(f).SampleModels(k).
 package solver
 
 import (
@@ -38,7 +38,7 @@ import (
 	"diode/internal/bv"
 )
 
-// Verdict is the outcome of a Solve call.
+// Verdict is the outcome of a Session.Solve or Session.SampleModels call.
 type Verdict int
 
 // Solve outcomes.
@@ -174,14 +174,6 @@ func (s *Solver) Snapshot() Stats { return s.stats.snapshot() }
 // models were lost to generation rather than counted as non-triggering.
 func (s *Solver) NoteGenFailure() { s.stats.add(Stats{GenFailures: 1}) }
 
-// Solve returns a model of f, or Unsat/Unknown. It is the stateless entry
-// point: each call runs on a throwaway Session. Callers that solve a growing
-// conjunction repeatedly (the Figure 7 enforcement loop) should hold a
-// Session instead and use Assert + Solve.
-func (s *Solver) Solve(f *bv.Bool) (bv.Assignment, Verdict) {
-	return s.NewSession(f).Solve()
-}
-
 // sampler is the concrete search of one call: the formula compiled once with
 // its variables bound to slots in sorted-name order (bv.CompileBool), their
 // widths, and a value vector reused across tries. A try draws one
@@ -269,16 +261,6 @@ func randomValue(rng *rand.Rand, w uint8) uint64 {
 	default:
 		return rng.Uint64() & mask
 	}
-}
-
-// SampleModels returns up to k distinct models of f. It is the machinery for
-// the paper's "generate 200 inputs that satisfy the constraint" experiments.
-// When the constraint has fewer than k solutions over its variables, every
-// solution is returned (e.g. the paper's x+2 overflow with exactly two
-// solutions, §5.5); the verdict says why sampling stopped (Session.SampleModels).
-// Like Solve, it is the stateless entry point over a throwaway Session.
-func (s *Solver) SampleModels(f *bv.Bool, k int) ([]bv.Assignment, Verdict) {
-	return s.NewSession(f).SampleModels(k)
 }
 
 // modelSet collects distinct models of one constraint; the dedup key is the

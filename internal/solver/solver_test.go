@@ -9,7 +9,7 @@ import (
 
 func mustModel(t *testing.T, s *Solver, f *bv.Bool) bv.Assignment {
 	t.Helper()
-	m, v := s.Solve(f)
+	m, v := s.NewSession(f).Solve()
 	if v != Sat {
 		t.Fatalf("Solve = %v, want sat", v)
 	}
@@ -35,10 +35,10 @@ func TestSolveSimple(t *testing.T) {
 
 func TestSolveConstants(t *testing.T) {
 	s := New(Options{Seed: 1})
-	if _, v := s.Solve(bv.True()); v != Sat {
+	if _, v := s.NewSession(bv.True()).Solve(); v != Sat {
 		t.Fatal("true must be sat")
 	}
-	if _, v := s.Solve(bv.False()); v != Unsat {
+	if _, v := s.NewSession(bv.False()).Solve(); v != Unsat {
 		t.Fatal("false must be unsat")
 	}
 }
@@ -50,7 +50,7 @@ func TestUnsatOverflow(t *testing.T) {
 	s := New(Options{Seed: 1})
 	n := bv.Var(8, "uo_n")
 	size := bv.Mul(bv.ZExt(32, n), bv.Const(32, 4))
-	_, v := s.Solve(bv.OverflowCond(size))
+	_, v := s.NewSession(bv.OverflowCond(size)).Solve()
 	if v != Unsat {
 		t.Fatalf("Solve = %v, want unsat", v)
 	}
@@ -96,7 +96,7 @@ func TestSolverModes(t *testing.T) {
 
 	for _, mode := range []Mode{ModeHybrid, ModeSATOnly} {
 		s := New(Options{Seed: 5, Mode: mode})
-		m, v := s.Solve(f)
+		m, v := s.NewSession(f).Solve()
 		if v != Sat {
 			t.Fatalf("mode %d: %v", mode, v)
 		}
@@ -113,7 +113,7 @@ func TestSampleExactlyTwoSolutions(t *testing.T) {
 	s := New(Options{Seed: 7})
 	x := bv.Var(32, "s2_x")
 	f := bv.OverflowCond(bv.Add(x, bv.Const(32, 2)))
-	models, why := s.SampleModels(f, 200)
+	models, why := s.NewSession(f).SampleModels(200)
 	if len(models) != 2 || why != Unsat {
 		t.Fatalf("got %d models (%v), want exactly 2 (unsat: exhausted)", len(models), why)
 	}
@@ -131,7 +131,7 @@ func TestSampleManyDistinct(t *testing.T) {
 	w := bv.Var(32, "sm_w")
 	h := bv.Var(32, "sm_h")
 	f := bv.OverflowCond(bv.Mul(w, h))
-	models, why := s.SampleModels(f, 50)
+	models, why := s.NewSession(f).SampleModels(50)
 	if len(models) != 50 || why != Sat {
 		t.Fatalf("got %d models (%v), want 50 (sat)", len(models), why)
 	}
@@ -152,7 +152,7 @@ func TestSampleUnsat(t *testing.T) {
 	s := New(Options{Seed: 13})
 	n := bv.Var(8, "su_n")
 	f := bv.OverflowCond(bv.Mul(bv.ZExt(32, n), bv.Const(32, 2)))
-	if models, why := s.SampleModels(f, 10); len(models) != 0 || why != Unsat {
+	if models, why := s.NewSession(f).SampleModels(10); len(models) != 0 || why != Unsat {
 		t.Fatalf("unsat constraint yielded %d models (%v), want 0 (unsat)", len(models), why)
 	}
 }
@@ -160,8 +160,8 @@ func TestSampleUnsat(t *testing.T) {
 func TestDeterminismPerSeed(t *testing.T) {
 	x := bv.Var(32, "dt_x")
 	f := bv.Ugt(x, bv.Const(32, 12345))
-	m1, _ := New(Options{Seed: 42}).Solve(f)
-	m2, _ := New(Options{Seed: 42}).Solve(f)
+	m1, _ := New(Options{Seed: 42}).NewSession(f).Solve()
+	m2, _ := New(Options{Seed: 42}).NewSession(f).Solve()
 	if m1["dt_x"] != m2["dt_x"] {
 		t.Fatalf("same seed, different models: %v vs %v", m1, m2)
 	}
@@ -170,9 +170,9 @@ func TestDeterminismPerSeed(t *testing.T) {
 func TestStatsTracking(t *testing.T) {
 	s := New(Options{Seed: 1})
 	x := bv.Var(32, "st_x")
-	s.Solve(bv.Ugt(x, bv.Const(32, 5)))           // dense: concrete hit
-	s.Solve(bv.Ult(x, bv.Const(32, 0)))           // folds to false constant
-	s.Solve(bv.Eq(x, bv.Add(x, bv.Const(32, 1)))) // unsat via SAT
+	s.NewSession(bv.Ugt(x, bv.Const(32, 5))).Solve()           // dense: concrete hit
+	s.NewSession(bv.Ult(x, bv.Const(32, 0))).Solve()           // folds to false constant
+	s.NewSession(bv.Eq(x, bv.Add(x, bv.Const(32, 1)))).Solve() // unsat via SAT
 	st := s.Snapshot()
 	if st.ConcreteHits < 1 {
 		t.Errorf("expected at least one concrete hit, got %+v", st)
@@ -201,13 +201,13 @@ func TestConcurrentSolve(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if m, v := s.Solve(sat); v != Sat || m["cc_x"] <= 1000 {
+				if m, v := s.NewSession(sat).Solve(); v != Sat || m["cc_x"] <= 1000 {
 					t.Errorf("worker %d: sat constraint: %v %v", w, v, m)
 				}
-				if _, v := s.Solve(unsat); v != Unsat {
+				if _, v := s.NewSession(unsat).Solve(); v != Unsat {
 					t.Errorf("worker %d: unsat constraint not proven", w)
 				}
-				if m, v := s.Solve(narrow); v != Sat {
+				if m, v := s.NewSession(narrow).Solve(); v != Sat {
 					t.Errorf("worker %d: narrow constraint: %v %v", w, v, m)
 				}
 			}
