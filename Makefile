@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke traffic-cover
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke traffic-cover
 
 all: check test
 
@@ -51,6 +51,24 @@ check: lint build
 # whose tree-walker-vs-batched corpus hit-parity assertion runs even at 1x.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+
+# Dispatch-loop regression guard, mirroring the CI step: BenchmarkGuestExec
+# alone, on the root package at the default benchtime (no other package
+# benchmarking alongside it), must report a threaded-vs-tree speedup above
+# 1.0 for every application. Its output is kept in BENCH_GATE.txt.
+threaded-gate:
+	@$(GO) test -run '^$$' -bench '^BenchmarkGuestExec$$' . >BENCH_GATE.txt || { cat BENCH_GATE.txt; exit 1; }; \
+	cat BENCH_GATE.txt; \
+	awk '/threaded-vs-tree/ { \
+	  found++; \
+	  for (i = 1; i < NF; i++) if ($$(i+1) == "threaded-vs-tree" && $$i + 0 <= 1.0) { \
+	    print "threaded-vs-tree speedup not > 1.0 on: " $$0; bad = 1 \
+	  } \
+	} \
+	END { \
+	  if (found == 0) { print "no threaded-vs-tree metric in BENCH_GATE.txt"; exit 1 } \
+	  exit bad \
+	}' BENCH_GATE.txt
 
 # Cross-process cache smoke: run diode-tables twice against one shared
 # -cache-dir and assert the warm run's stdout is byte-identical while every

@@ -41,7 +41,7 @@ import (
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		outcomes := harness.Evaluate(harness.Config{Seed: int64(i + 1)}, apps.Paper())
+		outcomes := harness.EvaluateContext(context.Background(), harness.Config{Seed: int64(i + 1)}, apps.Paper())
 		var exposed, unsat, prevented int
 		for _, o := range outcomes {
 			if o.Err != nil {
@@ -69,7 +69,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2Discovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		outcomes := harness.Evaluate(harness.Config{Seed: int64(i + 1)}, apps.Paper())
+		outcomes := harness.EvaluateContext(context.Background(), harness.Config{Seed: int64(i + 1)}, apps.Paper())
 		var totalEnforced, exposedSites int
 		for _, o := range outcomes {
 			if o.Err != nil {
@@ -91,7 +91,7 @@ func BenchmarkTable2Discovery(b *testing.B) {
 // application error.
 func sweep(b *testing.B, cfg harness.Config, list []*apps.App) []harness.AppOutcome {
 	b.Helper()
-	outcomes := harness.Evaluate(cfg, list)
+	outcomes := harness.EvaluateContext(context.Background(), cfg, list)
 	for _, o := range outcomes {
 		if o.Err != nil {
 			b.Fatal(o.Err)
@@ -160,7 +160,7 @@ func BenchmarkSuccessRateEnforced(b *testing.B) {
 // formats).
 func BenchmarkTableExtended(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		outcomes := harness.Evaluate(harness.Config{Seed: int64(i + 1)}, apps.Extended())
+		outcomes := harness.EvaluateContext(context.Background(), harness.Config{Seed: int64(i + 1)}, apps.Extended())
 		var exposed, unsat, prevented, screenEnforced int
 		for _, o := range outcomes {
 			if o.Err != nil {
@@ -234,7 +234,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 	for _, app := range apps.All() {
 		b.Run(app.Short, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewAnalyzer(app, core.Options{Seed: 1}).Analyze(); err != nil {
+				if _, err := core.NewAnalyzer(app, core.Options{Seed: 1}).AnalyzeContext(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -245,7 +245,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 // Example-style sanity for the benchmark harness itself: the full registry
 // (paper + extended) sweeps and renders both table families.
 func TestBenchHarnessSmoke(t *testing.T) {
-	outcomes := harness.EvaluateAll(harness.Config{Seed: 1})
+	outcomes := harness.EvaluateContext(context.Background(), harness.Config{Seed: 1}, apps.All())
 	if len(outcomes) != len(Applications()) {
 		t.Fatalf("%d outcomes, want %d", len(outcomes), len(Applications()))
 	}
@@ -304,11 +304,11 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 			}
 			constraints := []*bv.Bool{sr.Target.Beta}
 			if sr.EnforcedCount() > 0 {
-				constraints = append(constraints, core.EnforcedConstraint(sr))
+				constraints = append(constraints, core.EnforcedConstraintFor(sr.Target, sr.Enforced))
 			}
 			for _, constraint := range constraints {
 				siteOpts := core.Options{Seed: 1}.ForSite(sr.Target.Site)
-				bh, _ := core.NewHunter(app, siteOpts).SuccessRate(sr.Target, constraint, 200)
+				bh, _ := core.NewHunter(app, siteOpts).SuccessRateContext(context.Background(), sr.Target, constraint, 200)
 				hits += bh
 
 				// Shared corpus: the same models both hunters sampled.
@@ -408,7 +408,7 @@ func BenchmarkDispatchLocal(b *testing.B) {
 		t0 := time.Now()
 		direct := make([]*core.SiteResult, len(targets))
 		for j, t := range targets {
-			direct[j] = core.NewHunter(app, base.ForSite(t.Site)).Hunt(t)
+			direct[j] = core.NewHunter(app, base.ForSite(t.Site)).HuntContext(context.Background(), t)
 		}
 		directTime := time.Since(t0)
 
@@ -455,22 +455,22 @@ func benchNormalize(recs []*AppRecord) []*AppRecord {
 
 // BenchmarkSweepWarmVsCold measures what the content-addressed result cache
 // buys on repeated sweeps: the full suite — Table 1 classification, Table 2
-// experiments, same-path, extended apps — run cold on a fresh JobCache and
-// then warm on the same cache. The warm sweep must perform zero executions
-// and zero Analyzer runs (asserted via the cache counters) and render Table
-// 1, Table 2 and the extended table byte-identical to the cold run. Reported
-// metrics:
+// experiments, same-path, extended apps — run cold on a fresh JobCache over
+// an empty disk store and then warm on the same cache. The warm sweep must
+// perform zero executions and zero Analyzer runs (asserted via the cache
+// counters) and render Table 1, Table 2 and the extended table
+// byte-identical to the cold run. Reported metrics:
 //
 //	cold-vs-warm — wall-clock ratio (how many times faster the warm sweep is)
 //	warm-ms      — absolute warm sweep time (the floor repeated sweeps pay)
 func BenchmarkSweepWarmVsCold(b *testing.B) {
 	list := apps.All()
 	for i := 0; i < b.N; i++ {
-		jc := dispatch.NewJobCache(dispatch.CacheConfig{})
+		jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: b.TempDir()})
 		cfg := harness.Config{Seed: int64(i + 1), SampleN: 10, SamePath: true, Cache: jc}
 
 		t0 := time.Now()
-		coldOut := harness.Evaluate(cfg, list)
+		coldOut := harness.EvaluateContext(context.Background(), cfg, list)
 		cold := time.Since(t0)
 		for _, o := range coldOut {
 			if o.Err != nil {
@@ -480,7 +480,7 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 		coldStats := jc.Stats()
 
 		t0 = time.Now()
-		warmOut := harness.Evaluate(cfg, list)
+		warmOut := harness.EvaluateContext(context.Background(), cfg, list)
 		warm := time.Since(t0)
 		for _, o := range warmOut {
 			if o.Err != nil {
@@ -528,11 +528,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 		seed := int64(i + 1)
 
 		t0 := time.Now()
-		seqOut := harness.EvaluateAll(harness.Config{Seed: seed, Workers: 1})
+		seqOut := harness.EvaluateContext(context.Background(), harness.Config{Seed: seed, Workers: 1}, apps.All())
 		seq := time.Since(t0)
 
 		t0 = time.Now()
-		parOut := harness.EvaluateAll(harness.Config{Seed: seed, Parallelism: workers})
+		parOut := harness.EvaluateContext(context.Background(), harness.Config{Seed: seed, Parallelism: workers}, apps.All())
 		par := time.Since(t0)
 
 		for j := range seqOut {
@@ -576,7 +576,7 @@ func BenchmarkSampleModels(b *testing.B) {
 			seed := core.Options{Seed: 1}.ForSite(sr.Target.Site).Seed
 			jobs = append(jobs, job{sr.Target.Beta, seed})
 			if sr.EnforcedCount() > 0 {
-				jobs = append(jobs, job{core.EnforcedConstraint(sr), seed})
+				jobs = append(jobs, job{core.EnforcedConstraintFor(sr.Target, sr.Enforced), seed})
 			}
 		}
 	}
@@ -726,13 +726,13 @@ func BenchmarkGuestExecExposed(b *testing.B) {
 		app := app
 		b.Run(app.Short, func(b *testing.B) {
 			opts := core.Options{Seed: 1}
-			targets, err := core.NewAnalyzer(app, opts).Analyze()
+			targets, err := core.NewAnalyzer(app, opts).AnalyzeContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
 			var inputs [][]byte
 			for _, t := range targets {
-				if r := core.NewHunter(app, opts.ForSite(t.Site)).Hunt(t); r.Verdict == core.VerdictExposed {
+				if r := core.NewHunter(app, opts.ForSite(t.Site)).HuntContext(context.Background(), t); r.Verdict == core.VerdictExposed {
 					inputs = append(inputs, r.Input)
 				}
 			}
@@ -758,10 +758,10 @@ func BenchmarkTriagePrune(b *testing.B) {
 	list := appList(b, "gifview", "tifthumb")
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		on := harness.Evaluate(harness.Config{Seed: 21, Arith: true}, list)
+		on := harness.EvaluateContext(context.Background(), harness.Config{Seed: 21, Arith: true}, list)
 		triagedDur := time.Since(start)
 		start = time.Now()
-		off := harness.Evaluate(harness.Config{Seed: 21, Arith: true,
+		off := harness.EvaluateContext(context.Background(), harness.Config{Seed: 21, Arith: true,
 			Engine: dispatch.Options{NoTriage: true}}, list)
 		ablationDur := time.Since(start)
 		pruned := 0

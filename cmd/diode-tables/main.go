@@ -31,7 +31,8 @@
 //
 // -cache-dir points at a shared on-disk result cache: a repeated sweep
 // against the same directory serves every job from the cache (byte-identical
-// tables, near-zero work) and reports hit/miss counters on stderr.
+// tables, no hunts; each application is still analyzed in-process to plan
+// the jobs) and reports hit/miss counters on stderr.
 package main
 
 import (
@@ -66,7 +67,7 @@ func run() (code int) {
 	jsonOut := flag.Bool("json", false, "emit one report.AppRecord JSON line per application instead of tables")
 	progress := flag.Bool("progress", false, "stream live job progress to stderr")
 	dbOut := flag.String("db", "", "also write the results database to this file")
-	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = no result cache)")
 	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
 	discoverMode := flag.Bool("discover", false, "append the statically discovered-site table after the selected tables")
 	triageTable := flag.Bool("triage", false, "append the static value-range triage table after the selected tables")

@@ -43,7 +43,7 @@ import (
 func main() {
 	envCfg := dispatch.WorkerConfigFromEnv()
 	cacheDir := flag.String("cache-dir", envCfg.CacheDir,
-		"shared on-disk result cache directory (also $"+dispatch.WorkerCacheDirEnv+"); empty = memory only")
+		"shared on-disk result cache directory (also $"+dispatch.WorkerCacheDirEnv+"); empty = no result cache")
 	noCache := flag.Bool("no-cache", envCfg.NoCache,
 		"disable result caching (also $"+dispatch.WorkerNoCacheEnv+"=1)")
 	discoverMode := flag.Bool("discover", false,

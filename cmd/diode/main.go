@@ -27,7 +27,8 @@
 //
 // -cache-dir points at a shared on-disk result cache: a repeated run against
 // the same directory serves every hunt from the cache (byte-identical
-// output, near-zero work) and reports hit/miss counters on stderr.
+// output, no hunts; the application is still analyzed in-process) and
+// reports hit/miss counters on stderr.
 package main
 
 import (
@@ -62,7 +63,7 @@ func run() (code int) {
 	verbose := flag.Bool("v", false, "print relevant input bytes, path statistics and solver counters")
 	jsonOut := flag.Bool("json", false, "emit one report.SiteRecord JSON line per site instead of the text report")
 	progress := flag.Bool("progress", false, "stream live job progress (started/iteration/verdict) to stderr")
-	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = no result cache)")
 	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
 	sitesMode := flag.Bool("sites", false, "list the statically discovered sites (name, kind, function, taint, expression) and exit without hunting")
 	triageMode := flag.Bool("triage", false, "list the discovered sites with their static value-range triage (verdict, bounds) and exit without hunting")

@@ -255,15 +255,15 @@ type JobEvent = dispatch.Event
 type JobSink = dispatch.Sink
 
 // JobCache is the content-addressed cache of the execution surface: it
-// memoizes analysis Targets per (program fingerprint, options subset) and
-// serves whole job Results — from memory, and from an optional on-disk store
-// shared across processes — so repeated and incremental sweeps skip analysis
-// and hunts entirely. Share one JobCache across backends and runs to make
-// warm sweeps near-free; cached results are byte-identical to executed ones.
+// memoizes analysis Targets per (program fingerprint, options subset) in
+// memory and, given an on-disk store shared across processes, serves whole
+// job Results from it, so repeated and incremental sweeps skip the hunts.
+// Share one JobCache across backends and runs so analyses are not repeated;
+// cached results are byte-identical to executed ones.
 type JobCache = dispatch.JobCache
 
-// JobCacheConfig configures a JobCache (on-disk store directory, bounds,
-// or disabling result caching).
+// JobCacheConfig configures a JobCache (on-disk store directory, or
+// disabling result caching).
 type JobCacheConfig = dispatch.CacheConfig
 
 // CacheStats is a snapshot of cache activity: result hits/misses, disk
@@ -271,8 +271,8 @@ type JobCacheConfig = dispatch.CacheConfig
 type CacheStats = cache.Stats
 
 // NewJobCache returns a job cache for the given configuration; the zero
-// configuration is a pure in-memory cache. Construction cannot fail — an
-// unusable cache directory degrades to memory-only behavior.
+// configuration memoizes analyses and caches no results. Construction cannot
+// fail — an unusable cache directory degrades to a store that misses.
 func NewJobCache(cfg JobCacheConfig) *JobCache { return dispatch.NewJobCache(cfg) }
 
 // JobOptions are the serializable pipeline settings a Job carries — the
@@ -295,20 +295,9 @@ func RunJobs(ctx context.Context, b Backend, jobs []Job) ([]JobResult, error) {
 	return dispatch.Collect(ctx, b, jobs)
 }
 
-// HuntJobs analyzes the application and plans one hunt job per target site,
-// with per-site seeds derived from the run seed opts.Seed (see SiteJob) —
-// running the jobs on any Backend reproduces a sequential hunt of every site.
-func HuntJobs(app *App, opts Options) ([]Job, error) {
-	targets, err := core.NewAnalyzer(app, opts).Analyze()
-	if err != nil {
-		return nil, err
-	}
-	return HuntJobsFor(app, opts, targets), nil
-}
-
-// HuntJobsFor plans one hunt job per already-analyzed target — the planner
-// HuntJobs wraps, for callers that hold the Targets themselves (per-site
-// introspection alongside the sweep, as cmd/diode does). Job i corresponds
+// HuntJobsFor plans one hunt job per analyzed target, with per-site seeds
+// derived from the run seed opts.Seed (see SiteJob) — running the jobs on
+// any Backend reproduces a sequential hunt of every site. Job i corresponds
 // to targets[i] and carries opts.Settings; at the same run seed its record
 // and cache key equal the job diode-tables plans for that site.
 func HuntJobsFor(app *App, opts Options, targets []*Target) []Job {

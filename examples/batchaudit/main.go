@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -37,7 +38,7 @@ func main() {
 			}
 		},
 	}
-	outcomes := harness.EvaluateAll(cfg)
+	outcomes := harness.EvaluateContext(context.Background(), cfg, diode.Applications())
 	for _, o := range outcomes {
 		if o.Err != nil {
 			log.Fatal(o.Err)

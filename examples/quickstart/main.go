@@ -23,13 +23,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	opts := diode.Options{Seed: 1}
 
 	// Stages 1–3: taint analysis finds the target sites and relevant input
 	// bytes; symbolic re-execution extracts the target expression and the
 	// branch conditions of every sanity check on the path. The Analyzer runs
 	// once per application; its Targets are immutable.
-	targets, err := diode.NewAnalyzer(app, opts).Analyze()
+	targets, err := diode.NewAnalyzer(app, opts).AnalyzeContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func main() {
 			fmt.Printf("  enforcement iteration %d...\n", ev.Iteration)
 		}
 	}}
-	results, err := diode.RunJobs(context.Background(), backend, []diode.Job{job})
+	results, err := diode.RunJobs(ctx, backend, []diode.Job{job})
 	if err != nil || len(results) != 1 {
 		log.Fatalf("dispatch failed: %v", err)
 	}

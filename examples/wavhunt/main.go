@@ -64,7 +64,7 @@ func main() {
 	if wav == nil {
 		log.Fatal("vlc:wav.c@147 not identified as a target site")
 	}
-	hits, total := diode.NewHunter(app, opts.ForSite(wav.Site)).SuccessRate(wav, wav.Beta, 200)
+	hits, total := diode.NewHunter(app, opts.ForSite(wav.Site)).SuccessRateContext(ctx, wav, wav.Beta, 200)
 	fmt.Printf("\nwav.c@147 target-constraint sampling: %d/%d inputs trigger "+
 		"(the constraint has only two solutions; paper reports 2/2)\n", hits, total)
 }

@@ -74,23 +74,6 @@ func collectBoolVars(b *Bool, vs VarSet, seen map[*Term]bool) {
 	}
 }
 
-// Size returns the number of distinct nodes in t (a measure of the recorded
-// expression's compressed size).
-func Size(t *Term) int {
-	seen := make(map[*Term]bool)
-	var walk func(*Term)
-	walk = func(t *Term) {
-		if t == nil || seen[t] {
-			return
-		}
-		seen[t] = true
-		walk(t.X)
-		walk(t.Y)
-	}
-	walk(t)
-	return len(seen)
-}
-
 // SubstituteTerm rewrites every variable occurrence in t using repl; variables
 // absent from repl are left in place. The rewrite is structure-preserving and
 // re-simplifies through the interning constructors.

@@ -1,6 +1,7 @@
 // Package cache is the content-addressed caching layer under the dispatch
 // surface: canonical fingerprints for guest programs and their input formats,
-// a singleflight-deduplicating in-memory LRU, an optional on-disk store with
+// a singleflight-deduplicating in-memory LRU (analyses and application
+// instances), an optional on-disk result store with
 // corruption-as-miss semantics, and the hit/miss counters the stats surfaces
 // report. Every job Result is a pure function of its serialized record plus
 // the guest program (the dispatch layer's determinism seam), which is what
@@ -14,9 +15,7 @@ import "sync"
 // (diode-worker processes report theirs to the parent over the wire protocol)
 // and additive across caches via Plus.
 type Stats struct {
-	// Hits counts job results served without executing: in-memory LRU hits,
-	// disk-store hits, and singleflight waiters that shared another job's
-	// execution.
+	// Hits counts job results served from the disk store without executing.
 	Hits int64 `json:"hits,omitempty"`
 	// Misses counts job results that had to execute.
 	Misses int64 `json:"misses,omitempty"`

@@ -49,9 +49,6 @@ type Store struct {
 // first Put.
 func NewStore(dir string) *Store { return &Store{dir: dir} }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns where the entry for key lives (two-character shard
 // subdirectories keep any one directory small).
 func (s *Store) Path(key string) string {

@@ -30,15 +30,7 @@ type Analyzer struct {
 
 // NewAnalyzer returns an analyzer for the application.
 func NewAnalyzer(app *apps.App, opts Options) *Analyzer {
-	return &Analyzer{app: app, opts: opts.withDefaults(), mach: interp.NewMachine(app.Compiled())}
-}
-
-// Discovered returns the application's statically discovered sites in
-// deterministic traversal order — the full site surface, of which the
-// dynamically analyzed Targets cover the alloc-kind sites the seed input
-// reaches with tainted sizes.
-func (a *Analyzer) Discovered() ([]discover.Site, error) {
-	return a.app.Discovered()
+	return &Analyzer{app: app, opts: opts, mach: interp.NewMachine(app.Compiled())}
 }
 
 // siteInfo resolves the discovery record for an alloc site name from the
@@ -67,20 +59,14 @@ func (a *Analyzer) run(input []byte, opts interp.Options) *interp.Outcome {
 	return a.mach.Run()
 }
 
-// Analyze identifies every tainted allocation site and extracts a Target per
-// site, in seed execution order.
-func (a *Analyzer) Analyze() ([]*Target, error) {
-	return a.AnalyzeContext(context.Background())
-}
-
-// AnalyzeContext is Analyze with cancellation: ctx is checked between per-site
-// symbolic runs and aborts mid-run guest executions through the interpreter's
-// Cancel hook. A cancelled analysis returns (nil, ctx.Err()).
+// AnalyzeContext identifies every tainted allocation site and extracts a
+// Target per site, in seed execution order. ctx is checked between per-site
+// symbolic runs and aborts mid-run guest executions through the
+// interpreter's Cancel hook. A cancelled analysis returns (nil, ctx.Err()).
 func (a *Analyzer) AnalyzeContext(ctx context.Context) ([]*Target, error) {
 	seed := a.app.Format.Seed
 	taintRun := a.run(seed, interp.Options{
 		TrackTaint: true,
-		Fuel:       a.opts.Fuel,
 		Cancel:     ctx.Done(),
 	})
 	if ctx.Err() != nil {
@@ -121,7 +107,6 @@ func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.S
 	relevant := labels.Elems()
 	symRun := a.run(seed, interp.Options{
 		TrackSymbolic: true,
-		Fuel:          a.opts.Fuel,
 		Cancel:        ctx.Done(),
 		SymbolicBytes: func(i int) bool { return labels.Has(i) },
 	})

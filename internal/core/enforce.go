@@ -10,13 +10,13 @@ import (
 	"diode/internal/solver"
 )
 
-// Hunt runs the goal-directed conditional branch enforcement algorithm of
-// Figure 7 against one target site:
+// HuntContext runs the goal-directed conditional branch enforcement
+// algorithm of Figure 7 against one target site:
 //
 //  1. Solve the target constraint β alone; if a generated input triggers the
 //     overflow at the site, done (lines 3–6).
 //  2. Otherwise compress φ, keep the relevant entries (lines 7–8; done once
-//     during Analyze), and repeat: find the first relevant conditional
+//     during analysis), and repeat: find the first relevant conditional
 //     branch where the generated input's path diverges from the seed's,
 //     conjoin that branch's constraint into φ′, and re-solve φ′∧β
 //     (lines 10–16) — until an input triggers the overflow, the constraint
@@ -30,17 +30,14 @@ import (
 // constraints on the new input would mis-handle fields the input generator
 // reconstructs, such as checksums, whose branch conditions mention stale
 // stored values; the concrete re-execution sees the repaired file.)
-func (h *Hunter) Hunt(t *Target) *SiteResult {
-	return h.HuntContext(context.Background(), t)
-}
-
-// HuntContext is Hunt with cancellation: the enforcement loop checks ctx at
-// every iteration boundary, mid-run guest executions abort through the
-// interpreter's Cancel hook, and running CDCL solves and samples stop
-// through the hunter's solver (solver.Solver.StopOn). A cancelled hunt
-// returns promptly with a VerdictUnknown result carrying whatever the loop
-// had established so far (enforced labels, run counts); callers distinguish
-// cancellation from a genuine budget-exhaustion Unknown via ctx.Err().
+//
+// The enforcement loop checks ctx at every iteration boundary, mid-run guest
+// executions abort through the interpreter's Cancel hook, and running CDCL
+// solves and samples stop through the hunter's solver
+// (solver.Solver.StopOn). A cancelled hunt returns promptly with a
+// VerdictUnknown result carrying whatever the loop had established so far
+// (enforced labels, run counts); callers distinguish cancellation from a
+// genuine budget-exhaustion Unknown via ctx.Err().
 func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
 	defer h.sol.StopOn(ctx)()
 	start := time.Now()
@@ -93,7 +90,7 @@ func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
 	// Lines 3–6: the target constraint alone. No models means β itself is
 	// unsatisfiable — unless sampling ran out of conflicts first, which
 	// proves nothing.
-	initial, why := sess.SampleModels(h.opts.InitialAttempts)
+	initial, why := sess.SampleModels(initialAttempts)
 	if len(initial) == 0 {
 		res.Verdict = VerdictUnsat
 		if why == solver.Unknown {
@@ -130,7 +127,7 @@ func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
 	// Lines 9–16: goal-directed branch enforcement.
 	enforced := map[string]bool{}
 	current := lastInput
-	for iter := 0; iter < h.opts.MaxEnforce; iter++ {
+	for iter := 0; iter < maxEnforce; iter++ {
 		// Iteration boundary: the cancellation point of the enforcement loop.
 		if ctx.Err() != nil {
 			res.Verdict = VerdictUnknown
@@ -287,8 +284,8 @@ func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
 	return v
 }
 
-// SuccessRate generates up to n inputs satisfying the constraint and reports
-// how many trigger the overflow at the target site (§5.5/§5.6). The
+// SuccessRateContext generates up to n inputs satisfying the constraint and
+// reports how many trigger the overflow at the target site (§5.5/§5.6). The
 // experiment is batched: one SampleModels session call enumerates all n
 // models up front, then every sampled input is generated and executed on the
 // hunter's single reused machine, with no per-sample setup.
@@ -302,15 +299,11 @@ func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
 // SolverStats before/after brackets a run — so a fix-up regression surfaces
 // as failures in the stats and report output instead of masquerading as a
 // low success rate.
-func (h *Hunter) SuccessRate(t *Target, constraint *bv.Bool, n int) (hits, total int) {
-	return h.SuccessRateContext(context.Background(), t, constraint, n)
-}
-
-// SuccessRateContext is SuccessRate with cancellation: ctx stops the model
-// sampling (solver.Solver.StopOn), is checked between sampled executions and
-// aborts mid-run guest executions through the interpreter's Cancel hook. On
-// cancellation the partial counts gathered so far are returned; callers
-// detect the truncation via ctx.Err().
+//
+// ctx stops the model sampling (solver.Solver.StopOn), is checked between
+// sampled executions and aborts mid-run guest executions through the
+// interpreter's Cancel hook. On cancellation the partial counts gathered so
+// far are returned; callers detect the truncation via ctx.Err().
 func (h *Hunter) SuccessRateContext(ctx context.Context, t *Target, constraint *bv.Bool, n int) (hits, total int) {
 	defer h.sol.StopOn(ctx)()
 	models, _ := h.sol.NewSession(constraint).SampleModels(n)
@@ -336,18 +329,14 @@ func (h *Hunter) SuccessRateContext(ctx context.Context, t *Target, constraint *
 	return hits, total
 }
 
-// EnforcedConstraint rebuilds φ′∧β for a completed hunt (the constraint the
-// final input satisfied), for the §5.6 experiment.
-func EnforcedConstraint(res *SiteResult) *bv.Bool {
-	return EnforcedConstraintFor(res.Target, res.Enforced)
-}
-
 // EnforcedConstraintFor rebuilds φ′∧β from a target and the enforced branch
-// labels in enforcement order. The labels are plain strings, so a completed
-// hunt's constraint can be reconstructed from a serialized job record in a
-// different process (the dispatch layer's success-rate jobs do exactly this);
-// labels without a seed-path entry are skipped, matching the hunt's own
-// constraint construction.
+// labels in enforcement order: for a completed hunt (t = res.Target,
+// enforced = res.Enforced) it is the constraint the final input satisfied,
+// which the §5.6 experiment samples. The labels are plain strings, so a
+// completed hunt's constraint can be reconstructed from a serialized job
+// record in a different process (the dispatch layer's success-rate jobs do
+// exactly this); labels without a seed-path entry are skipped, matching the
+// hunt's own constraint construction.
 func EnforcedConstraintFor(t *Target, enforced []string) *bv.Bool {
 	out := t.Beta
 	for _, label := range enforced {

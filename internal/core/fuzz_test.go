@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"diode/internal/interp"
 )
 
-// FuzzHunt is the cross-layer fuzz target: it drives whole Hunter.Hunt runs —
+// FuzzHunt is the cross-layer fuzz target: it drives whole HuntContext runs —
 // analysis-produced Target, private solver session, input generation, guest
 // execution on the reused compiled machine, trace comparison — from fuzzed
 // (seed, site-index) pairs over every registered application. The engine
@@ -22,7 +23,7 @@ import (
 //     tree-walking interpreter (interp.RunTree), so no reused-machine state
 //     leaked into the verdict.
 //
-// The enforcement budget is reduced so individual fuzz executions stay fast;
+// Hunts run under the fixed production budget (initialAttempts, maxEnforce);
 // a budget-exhausted hunt simply ends VerdictUnknown, which is itself a
 // valid outcome to fuzz through.
 
@@ -40,7 +41,7 @@ var (
 func fuzzHuntTargets() ([]huntPair, error) {
 	fuzzHuntOnce.Do(func() {
 		for _, app := range apps.All() {
-			targets, err := NewAnalyzer(app, Options{}).Analyze()
+			targets, err := NewAnalyzer(app, Options{}).AnalyzeContext(context.Background())
 			if err != nil {
 				fuzzHuntErr = err
 				return
@@ -64,11 +65,8 @@ func FuzzHunt(f *testing.F) {
 			t.Fatalf("analysis: %v", err)
 		}
 		p := pairs[int(idx)%len(pairs)]
-		h := NewHunter(p.app, Options{
-			Seed:     SiteSeed(seed, p.target.Site),
-			Settings: Settings{InitialAttempts: 3, MaxEnforce: 8},
-		})
-		res := h.Hunt(p.target)
+		h := NewHunter(p.app, Options{Seed: SiteSeed(seed, p.target.Site)})
+		res := h.HuntContext(context.Background(), p.target)
 		if res.Verdict != VerdictExposed {
 			return
 		}
@@ -80,10 +78,10 @@ func FuzzHunt(f *testing.F) {
 				t.Fatalf("%s: triggering input fails structural validation: %v", p.target.Site, err)
 			}
 		}
-		// Independent re-execution: the tree-walking oracle, at the Hunter's
-		// default fuel, must reproduce the overflow the hunter's reused
-		// machine observed.
-		out := interp.RunTree(p.app.Program, res.Input, interp.Options{Fuel: Options{}.withDefaults().Fuel})
+		// Independent re-execution: the tree-walking oracle, at the default
+		// fuel every hunt run gets, must reproduce the overflow the hunter's
+		// reused machine observed.
+		out := interp.RunTree(p.app.Program, res.Input, interp.Options{})
 		if ok, _ := triggered(p.target, out); !ok {
 			t.Fatalf("%s: triggering input does not re-trigger on the tree-walking interpreter", p.target.Site)
 		}

@@ -35,7 +35,6 @@ type Hunter struct {
 // hunter's private solver directly; use Options.ForSite to derive the
 // deterministic per-site seed every sweep uses.
 func NewHunter(app *apps.App, opts Options) *Hunter {
-	opts = opts.withDefaults()
 	return &Hunter{
 		app:  app,
 		opts: opts,
@@ -57,7 +56,7 @@ func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }
 // run mid-execution through the interpreter's Cancel hook (the outcome then
 // reads OutCancelled).
 func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranches bool) *interp.Outcome {
-	opts := interp.Options{Fuel: h.opts.Fuel, Cancel: ctx.Done()}
+	opts := interp.Options{Cancel: ctx.Done()}
 	if withBranches {
 		opts.TrackSymbolic = true
 		opts.SymbolicBytes = h.relevantBytes(t)

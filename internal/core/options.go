@@ -11,19 +11,9 @@ import (
 // and the live progress hook, so each knob is declared exactly once. The JSON
 // tags are the diode-worker wire format and the canonical cache-key
 // encoding: renaming one invalidates every stored result. The zero value
-// means the defaults.
+// means the defaults. Everything no sweep varies is a constant instead:
+// initialAttempts and maxEnforce below, and interp.DefaultFuel per guest run.
 type Settings struct {
-	// InitialAttempts is how many distinct target-constraint models are
-	// tried before branch enforcement begins (Figure 7 lines 3–6 try one;
-	// sampling a few more makes the implementation robust to unlucky
-	// draws). Zero means the default (6).
-	InitialAttempts int `json:"initialAttempts,omitempty"`
-	// MaxEnforce bounds the number of enforcement iterations. Zero means
-	// the default (40).
-	MaxEnforce int `json:"maxEnforce,omitempty"`
-	// Fuel bounds guest execution steps per run. Zero means the default
-	// (50 million).
-	Fuel int64 `json:"fuel,omitempty"`
 	// NoTriage disables the static value-range triage (ablation hook): the
 	// Analyzer then works from the raw discovery records and the Hunter
 	// never short-circuits on a triage verdict — every site, including
@@ -33,6 +23,16 @@ type Settings struct {
 	// extended arith surface.
 	NoTriage bool `json:"noTriage,omitempty"`
 }
+
+// The Figure 7 loop's fixed budget.
+const (
+	// initialAttempts is how many distinct target-constraint models are
+	// tried before branch enforcement begins (Figure 7 lines 3–6 try one;
+	// sampling a few more makes the implementation robust to unlucky draws).
+	initialAttempts = 6
+	// maxEnforce bounds the number of enforcement iterations.
+	maxEnforce = 40
+)
 
 // Core expands the settings into full pipeline options with the given seed.
 func (s Settings) Core(seed int64) Options { return Options{Seed: seed, Settings: s} }
@@ -51,19 +51,6 @@ type Options struct {
 	// call back into the Hunter. It is not part of the serializable
 	// Settings.
 	Progress func(iteration int)
-}
-
-func (o Options) withDefaults() Options {
-	if o.InitialAttempts == 0 {
-		o.InitialAttempts = 6
-	}
-	if o.MaxEnforce == 0 {
-		o.MaxEnforce = 40
-	}
-	if o.Fuel == 0 {
-		o.Fuel = 50_000_000
-	}
-	return o
 }
 
 // ForSite returns a copy of o whose Seed is the deterministic per-site hunt

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"diode/internal/apps"
@@ -23,13 +24,13 @@ func huntApp(t *testing.T, short string, seed int64) *AppResult {
 // must reproduce it.
 func huntSites(t *testing.T, app *apps.App, opts Options) *AppResult {
 	t.Helper()
-	targets, err := NewAnalyzer(app, opts).Analyze()
+	targets, err := NewAnalyzer(app, opts).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := &AppResult{App: app}
 	for _, tg := range targets {
-		res.Sites = append(res.Sites, NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg))
+		res.Sites = append(res.Sites, NewHunter(app, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg))
 	}
 	return res
 }
@@ -67,7 +68,7 @@ func checkTriggeringInputs(t *testing.T, res *AppResult) {
 			t.Errorf("%s: exposed without an input", sr.Target.Site)
 			continue
 		}
-		out := interp.Run(res.App.Program, sr.Input, interp.Options{Fuel: 50_000_000})
+		out := interp.Run(res.App.Program, sr.Input, interp.Options{})
 		ok, _ := triggered(sr.Target, out)
 		if !ok {
 			t.Errorf("%s: stored input does not reproduce the overflow", sr.Target.Site)
@@ -157,7 +158,7 @@ func TestSamePathBlocking(t *testing.T) {
 	}
 	for _, app := range apps.All() {
 		opts := Options{Seed: 9}
-		targets, err := NewAnalyzer(app, opts).Analyze()
+		targets, err := NewAnalyzer(app, opts).AnalyzeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

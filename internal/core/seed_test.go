@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				par[i] = NewHunter(app, opts.ForSite(ss.Target.Site)).Hunt(ss.Target)
+				par[i] = NewHunter(app, opts.ForSite(ss.Target.Site)).HuntContext(context.Background(), ss.Target)
 			}()
 		}
 		wg.Wait()

@@ -119,7 +119,8 @@ func (t *Target) seedBranchView() ([]string, map[string]dirSet) {
 }
 
 // PathEntry returns the seed-path entry for a branch label. It replaces the
-// linear scans Hunt and EnforcedConstraint used to perform per iteration.
+// linear scans the hunt loop and EnforcedConstraintFor used to perform per
+// iteration.
 func (t *Target) PathEntry(label string) (trace.Entry, bool) {
 	if t.pathIndex != nil {
 		i, ok := t.pathIndex[label]

@@ -31,38 +31,36 @@ import (
 // now be refuted (unsatisfiable); results also carry the CDCL conflict count.
 const keyVersion = "5"
 
-// Bounds of a JobCache's in-memory LRUs, in entries (not bytes).
-const (
-	maxResults  = 4096
-	maxAnalyses = 64
-)
+// maxAnalyses bounds a JobCache's in-memory analysis LRU, in entries.
+const maxAnalyses = 64
 
-// CacheConfig configures a JobCache. The zero value is a pure in-memory
-// cache.
+// CacheConfig configures a JobCache. The zero value memoizes analyses and
+// caches no results.
 type CacheConfig struct {
 	// Dir enables the on-disk Result store rooted at this directory. Worker
 	// processes and repeated runs pointing at the same directory share it.
-	// Empty keeps results in memory only.
+	// Empty caches no results: every job executes.
 	Dir string
-	// NoResults disables result caching entirely — in-memory and disk — so
-	// every job executes. Analysis memoization remains: it is what keeps a
-	// single sweep from re-deriving targets per site, cache or no cache.
+	// NoResults disables result caching even when Dir is set, so every job
+	// executes. Analysis memoization remains: it is what keeps a single
+	// sweep from re-deriving targets per site, cache or no cache.
 	NoResults bool
 }
 
 // JobCache is the content-addressed cache the whole execution surface
-// threads through: Execute consults it before constructing a Hunter, the
-// Local backend shares one across Runs, worker processes build one from
-// -cache-dir, and the harness planner resolves analysis through it. Keys are
-// derived from content fingerprints (JobKey), never from registry names, so
-// a cache shared across processes — or surviving a program edit — can never
-// serve a stale result. Construction cannot fail: an unusable directory
-// degrades to a cache that misses and stores nothing on disk.
+// threads through: Execute consults its disk store before constructing a
+// Hunter, the Local backend shares one across Runs, worker processes build
+// one from -cache-dir, and the harness planner resolves analysis through it.
+// Analyses and application instances are memoized in memory; results live
+// in the disk store or nowhere. Keys are derived from content fingerprints
+// (JobKey), never from registry names, so a store shared across processes —
+// or surviving a program edit — can never serve a stale result.
+// Construction cannot fail: an unusable directory degrades to a cache that
+// misses and stores nothing on disk.
 type JobCache struct {
-	instances *cache.LRU // app short name → appOut (resolved *apps.App)
-	analyses  *cache.LRU // analysis key → analysisOut (targets)
-	results   *cache.LRU // job key → flight (nil when NoResults)
-	store     *cache.Store
+	instances *cache.LRU   // app short name → appOut (resolved *apps.App)
+	analyses  *cache.LRU   // analysis key → analysisOut (targets)
+	store     *cache.Store // nil when no Dir or NoResults
 	counters  cache.Counters
 }
 
@@ -72,11 +70,8 @@ func NewJobCache(cfg CacheConfig) *JobCache {
 		instances: cache.NewLRU(32),
 		analyses:  cache.NewLRU(maxAnalyses),
 	}
-	if !cfg.NoResults {
-		jc.results = cache.NewLRU(maxResults)
-		if cfg.Dir != "" {
-			jc.store = cache.NewStore(cfg.Dir)
-		}
+	if cfg.Dir != "" && !cfg.NoResults {
+		jc.store = cache.NewStore(cfg.Dir)
 	}
 	return jc
 }
@@ -176,24 +171,24 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// lookupDisk consults the on-disk store, counting a corrupt entry and
+// lookupDisk consults the on-disk store for a successful Result, counting a
+// corrupt entry — a torn frame, or decoded garbage behind a valid one — and
 // treating it as a miss.
-func (c *JobCache) lookupDisk(key string) ([]byte, bool) {
-	if c.store == nil {
-		return nil, false
-	}
+func (c *JobCache) lookupDisk(key string) (Result, bool) {
+	var r Result
 	payload, status := c.store.Get(key)
-	if status == cache.DiskCorrupt {
-		c.counters.Add(cache.Stats{CorruptEntries: 1})
+	switch {
+	case status == cache.DiskMiss:
+		return r, false
+	case status == cache.DiskHit && json.Unmarshal(payload, &r) == nil && r.Err == "":
+		return r, true
 	}
-	return payload, status == cache.DiskHit
+	c.counters.Add(cache.Stats{CorruptEntries: 1})
+	return Result{}, false
 }
 
 // storeDisk writes a successful Result to the on-disk store, best-effort.
 func (c *JobCache) storeDisk(key string, res Result) {
-	if c.store == nil {
-		return
-	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return

@@ -19,10 +19,7 @@ import (
 // adding an options field without a flip case here fails both the test run
 // and `make lint`.
 var optionsKeyFlips = map[string]func(*Options){
-	"InitialAttempts": func(o *Options) { o.InitialAttempts++ },
-	"MaxEnforce":      func(o *Options) { o.MaxEnforce++ },
-	"Fuel":            func(o *Options) { o.Fuel++ },
-	"NoTriage":        func(o *Options) { o.NoTriage = true },
+	"NoTriage": func(o *Options) { o.NoTriage = true },
 }
 
 // jobKeyFlips maps every key-bearing dispatch.Job field, by name, to a
@@ -38,7 +35,7 @@ var jobKeyFlips = map[string]func(*Job){
 	"Seed":     func(j *Job) { j.Seed = 78 },
 	"SampleN":  func(j *Job) { j.SampleN = 11 },
 	"Enforced": func(j *Job) { j.Enforced = j.Enforced[:1] },
-	"Opts":     func(j *Job) { j.Opts.Fuel += 7 },
+	"Opts":     func(j *Job) { j.Opts = Options{NoTriage: true} },
 }
 
 var jobKeyExcluded = map[string]func(*Job){
@@ -71,7 +68,6 @@ func TestJobKeySensitivity(t *testing.T) {
 		ID: 1, Kind: KindSuccessRate, App: "dillo", Site: "png.c@125",
 		SiteKind: "alloc", SitePath: "s3",
 		Seed: 77, SampleN: 10, Enforced: []string{"a", "b"},
-		Opts: Options{InitialAttempts: 2, MaxEnforce: 3, Fuel: 1000},
 	}
 	const fp = "0123abcd"
 	baseKey := JobKey(fp, base)
@@ -89,9 +85,14 @@ func TestJobKeySensitivity(t *testing.T) {
 	for name, f := range jobKeyFlips {
 		cases["job."+name] = mutate(f)
 	}
+	// Options flips must change the key too, but they are kept out of the
+	// collision check: with one options field, flipping it is the job.Opts
+	// flip.
 	for name, f := range optionsKeyFlips {
 		flip := f
-		cases["opts."+name] = mutate(func(j *Job) { flip(&j.Opts) })
+		if mutate(func(j *Job) { flip(&j.Opts) }) == baseKey {
+			t.Errorf("opts.%s flip did not change the key", name)
+		}
 	}
 	// Order-sensitivity of the enforced-label list, beyond presence.
 	cases["job.Enforced-order"] = mutate(func(j *Job) {
@@ -140,9 +141,17 @@ func TestJobKeySensitivity(t *testing.T) {
 // encodes, keys and stores byte-identically — wantHuntKey does not move —
 // and a stream naming a removed field is rejected as corrupt
 // (TestJobStreamRejectsUnknownFields) rather than served a stale result.
+//
+// They moved the same way, again without a keyVersion bump, when the
+// initial-attempt count, the enforcement bound and the guest fuel left the
+// record for constants (6, 40 and interp.DefaultFuel, the values every run
+// already used): the fully populated record now carries only noTriage. The
+// three fields were omitempty and no caller set them, so a default-options
+// job still encodes as {} and wantHuntKey — like every key a stored result
+// sits under — does not move.
 func TestKeyAndWireGolden(t *testing.T) {
-	opts := Options{InitialAttempts: 3, MaxEnforce: 17, Fuel: 123456, NoTriage: true}
-	const wantOpts = `{"initialAttempts":3,"maxEnforce":17,"fuel":123456,"noTriage":true}`
+	opts := Options{NoTriage: true}
+	const wantOpts = `{"noTriage":true}`
 	if got := canonicalOpts(opts); got != wantOpts {
 		t.Errorf("canonicalOpts:\n got %s\nwant %s", got, wantOpts)
 	}
@@ -155,7 +164,7 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "8751c1c471e1c4a3a77ea07b340cd33c74b3ed81ad01c948fc82620ed52752e0"
+	const wantKey = "f6157acad1e3279cab56613c64b28f7f20a804d372ae0c569b6817c3f2476dc6"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}
@@ -201,11 +210,11 @@ func (l *eventLog) count(t EventType) int {
 
 // TestLocalWarmRun checks the warm path on a shared Local backend: a second
 // Collect of the same batch executes nothing — every result is served from
-// the in-memory cache, marked Cached, byte-identical to the cold run, and
+// the disk store, marked Cached, byte-identical to the cold run, and
 // announced by EventCacheHit instead of the started/finished pair.
 func TestLocalWarmRun(t *testing.T) {
 	jobs, _ := huntBatch(t, "dillo", 7)
-	jc := NewJobCache(CacheConfig{})
+	jc := NewJobCache(CacheConfig{Dir: t.TempDir()})
 	coldLog := newEventLog()
 	backend := &Local{Workers: runtime.GOMAXPROCS(0), Cache: jc, Sink: coldLog.sink()}
 	cold, err := Collect(context.Background(), backend, jobs)
@@ -261,42 +270,60 @@ func TestLocalWarmRun(t *testing.T) {
 	}
 }
 
-// TestSingleflightDedup checks that identical jobs inside one batch share a
-// single execution: duplicates either join the in-flight computation or hit
-// the completed entry, so exactly one miss is counted and every duplicate's
-// result is restamped with its own batch ID.
-func TestSingleflightDedup(t *testing.T) {
+// TestIdenticalJobsRestamped checks that identical jobs inside one batch,
+// run concurrently against a shared store, give identical results — whether
+// each executed or read another's stored result — each restamped with its
+// own batch ID.
+func TestIdenticalJobsRestamped(t *testing.T) {
 	jobs, _ := huntBatch(t, "dillo", 3)
-	one := jobs[0]
 	batch := make([]Job, 4)
 	for i := range batch {
-		batch[i] = one
+		batch[i] = jobs[0]
 		batch[i].ID = i
 	}
-	jc := NewJobCache(CacheConfig{})
+	jc := NewJobCache(CacheConfig{Dir: t.TempDir()})
 	results, err := Collect(context.Background(), &Local{Workers: 4, Cache: jc}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := jc.Stats()
-	if stats.Misses != 1 {
-		t.Errorf("%d executions for 4 identical jobs, want 1", stats.Misses)
+	if stats := jc.Stats(); stats.Hits+stats.Misses != int64(len(batch)) || stats.Misses == 0 {
+		t.Errorf("stats %+v, want %d lookups with at least one execution", stats, len(batch))
 	}
-	if stats.Hits != 3 {
-		t.Errorf("%d hits, want 3", stats.Hits)
-	}
-	ids := map[int]bool{}
-	for _, r := range results {
+	results = normalizeResults(results)
+	for i, r := range results {
 		if r.Err != "" {
 			t.Fatalf("job %d: %s", r.JobID, r.Err)
 		}
-		ids[r.JobID] = true
-		if r.Verdict != results[0].Verdict {
-			t.Errorf("duplicate jobs diverged: %q vs %q", r.Verdict, results[0].Verdict)
+		if r.JobID != i {
+			t.Fatalf("results restamped onto IDs %v, want 0..%d", results, len(batch)-1)
+		}
+		r.JobID, r.Cached = 0, false
+		want := results[0]
+		want.Cached = false
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("job %d diverged from job 0:\n got %+v\nwant %+v", i, r, want)
 		}
 	}
-	if len(ids) != 4 {
-		t.Errorf("results restamped onto %d distinct IDs, want 4", len(ids))
+}
+
+// TestStorelessCacheExecutesEveryJob checks that a JobCache without a disk
+// store keeps no results: the same job run twice executes twice, neither
+// result is Cached, and only the analysis is memoized.
+func TestStorelessCacheExecutesEveryJob(t *testing.T) {
+	jobs, _ := huntBatch(t, "dillo", 3)
+	jc := NewJobCache(CacheConfig{})
+	for round := 1; round <= 2; round++ {
+		r, err := Execute(context.Background(), jobs[0], jc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Err != "" || r.Cached {
+			t.Fatalf("round %d: err %q, cached %v", round, r.Err, r.Cached)
+		}
+	}
+	stats := jc.Stats()
+	if stats.Misses != 2 || stats.Hits != 0 || stats.AnalysisRuns != 1 {
+		t.Errorf("stats %+v, want 2 misses, 0 hits and 1 analysis run", stats)
 	}
 }
 
@@ -370,13 +397,14 @@ func TestDiskCorruptionMidSuite(t *testing.T) {
 	}
 }
 
-// TestNoResultsDisablesCaching checks -no-cache semantics: every job
-// executes every time, nothing is marked Cached, and analysis memoization
-// still prevents per-job re-analysis.
+// TestNoResultsDisablesCaching checks -no-cache semantics: even with a
+// store directory configured, every job executes every time, nothing is
+// stored or marked Cached, and analysis memoization still prevents per-job
+// re-analysis.
 func TestNoResultsDisablesCaching(t *testing.T) {
 	jobs, _ := huntBatch(t, "dillo", 7)
 	jobs = jobs[:3]
-	jc := NewJobCache(CacheConfig{NoResults: true})
+	jc := NewJobCache(CacheConfig{Dir: t.TempDir(), NoResults: true})
 	backend := &Local{Workers: 2, Cache: jc}
 	for round := 1; round <= 2; round++ {
 		results, err := Collect(context.Background(), backend, jobs)
@@ -392,8 +420,8 @@ func TestNoResultsDisablesCaching(t *testing.T) {
 		if want := int64(round * len(jobs)); stats.Misses != want {
 			t.Errorf("round %d: Misses = %d, want %d", round, stats.Misses, want)
 		}
-		if stats.Hits != 0 {
-			t.Errorf("round %d: Hits = %d, want 0", round, stats.Hits)
+		if stats.Hits != 0 || stats.Stores != 0 {
+			t.Errorf("round %d: Hits = %d, Stores = %d, want 0", round, stats.Hits, stats.Stores)
 		}
 		if stats.AnalysisRuns != 1 {
 			t.Errorf("round %d: AnalysisRuns = %d, want 1 (memoized)", round, stats.AnalysisRuns)

@@ -18,10 +18,9 @@ func sampleJobs() []Job {
 		{ID: 0, Kind: KindHunt, App: "dillo", Site: "dillo:png.c@203",
 			SiteKind: "alloc", SitePath: "s2.else.s0", Seed: -7},
 		{ID: 1, Kind: KindSamePath, App: "vlc", Site: "vlc:block.c@54", Seed: 99,
-			Opts: Options{MaxEnforce: 3, NoTriage: true}},
+			Opts: Options{NoTriage: true}},
 		{ID: 2, Kind: KindSuccessRate, App: "gifview", Site: "gifview:gif.c@155",
-			Seed: 1 << 60, SampleN: 200, Enforced: []string{"a", "b"},
-			Opts: Options{Fuel: 1000, InitialAttempts: 2}},
+			Seed: 1 << 60, SampleN: 200, Enforced: []string{"a", "b"}},
 	}
 }
 
@@ -42,9 +41,9 @@ func TestJobStreamRoundTrip(t *testing.T) {
 }
 
 // TestJobStreamRejectsUnknownFields pins that a job line naming a field
-// this build lacks — here an options knob that no longer exists — fails the
-// stream instead of running silently with the defaults, both in ReadJobs and
-// in the worker loop.
+// this build lacks — here an options knob that no longer exists, including
+// the budgets that became constants — fails the stream instead of running
+// silently with the defaults, both in ReadJobs and in the worker loop.
 func TestJobStreamRejectsUnknownFields(t *testing.T) {
 	for _, opts := range []string{
 		`{"oneShotSolver":true}`,
@@ -52,6 +51,9 @@ func TestJobStreamRejectsUnknownFields(t *testing.T) {
 		`{"oneShotSampling":true}`,
 		`{"disableCompression":true}`,
 		`{"disableRelevanceFilter":true}`,
+		`{"initialAttempts":3}`,
+		`{"maxEnforce":40}`,
+		`{"fuel":1000}`,
 	} {
 		line := `{"id":1,"kind":"hunt","app":"vlc","site":"vlc:block.c@54","seed":8,"opts":` + opts + "}\n"
 		if _, err := ReadJobs(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "corrupt job stream") {

@@ -144,10 +144,10 @@ type Result struct {
 	Site  string `json:"site"`
 	Err   string `json:"err,omitempty"`
 
-	// Cached reports that the result was served from the job cache (memory,
-	// disk, or a concurrent identical job's execution) rather than executed
-	// for this job. Everything else about a cached result is byte-identical
-	// to executing, including DiscoveryMS — the stored wall-clock replays.
+	// Cached reports that the result was served from the job cache's disk
+	// store rather than executed for this job. Everything else about a
+	// cached result is byte-identical to executing, including DiscoveryMS —
+	// the stored wall-clock replays.
 	Cached bool `json:"cached,omitempty"`
 
 	// Hunt fields.

@@ -37,7 +37,7 @@ type Exec struct {
 	// process (as the -cache-dir flag and the DIODE_WORKER_CACHE_DIR
 	// environment variable): sibling workers and repeated runs pointing at
 	// the same directory serve each other's results. Empty leaves each
-	// worker with a private in-memory cache.
+	// worker without a result cache (every job executes).
 	CacheDir string
 	// NoCache disables result caching in the workers.
 	NoCache bool

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"diode/internal/apps"
@@ -11,32 +10,22 @@ import (
 	"diode/internal/discover"
 )
 
-// flight is the result cache's value type: the Result of one singleflight
-// execution, with err non-nil only for a context cancellation mid-run (the
-// flight then declines retention — see LRU.Do) and cached marking a Result
-// replayed from the on-disk store.
-type flight struct {
-	res    Result
-	err    error
-	cached bool
-}
-
 // Execute runs one job to completion and is the single executor every
 // backend funnels through: the Local backend calls it on pool goroutines,
 // WorkerMain calls it inside spawned diode-worker processes. Before
-// constructing a Hunter it consults the JobCache — an in-memory hit, a disk
-// hit, or a concurrent identical job's flight returns the finished Result
-// (marked Cached, with EventCacheHit emitted) without executing anything:
-// no analysis, no hunt. The returned error is non-nil only when ctx was
-// cancelled before the job finished (the job has no final Result then);
-// every other failure — invalid job, unknown application, analysis error,
-// missing site — comes back as a Result with Err set, so a backend can keep
-// streaming. Error results are never cached.
+// constructing a Hunter it consults the JobCache's disk store, when it has
+// one — a hit returns the stored Result (marked Cached, with EventCacheHit
+// emitted) without executing anything: no analysis, no hunt. A job that
+// executes stores its successful Result there. The returned error is
+// non-nil only when ctx was cancelled before the job finished (the job has
+// no final Result then); every other failure — invalid job, unknown
+// application, analysis error, missing site — comes back as a Result with
+// Err set, so a backend can keep streaming. Error results are never cached.
 //
 // The sink receives EventStarted before work begins, EventIteration per
 // enforcement iteration of a hunt, and EventFinished with the final Result —
 // or a single EventCacheHit instead when the result was served from the
-// cache (event payloads are valid only for the duration of the callback).
+// store (event payloads are valid only for the duration of the callback).
 func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, error) {
 	res := Result{JobID: job.ID, Kind: job.Kind, App: job.App, Site: job.Site}
 	if err := job.Validate(); err != nil {
@@ -44,65 +33,34 @@ func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, err
 		return res, nil
 	}
 	if jc == nil {
-		jc = NewJobCache(CacheConfig{NoResults: true})
+		jc = NewJobCache(CacheConfig{})
 	}
 	app, err := jc.App(job.App)
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
-	if jc.results == nil {
+	if jc.store == nil {
 		jc.counters.Add(cache.Stats{Misses: 1})
 		return run(ctx, job, app, jc, sink)
 	}
 
 	key := JobKey(app.Fingerprint(), job)
-	for {
-		v, hit := jc.results.Do(key, func() (any, bool) {
-			if payload, ok := jc.lookupDisk(key); ok {
-				var r Result
-				if json.Unmarshal(payload, &r) == nil && r.Err == "" {
-					jc.counters.Add(cache.Stats{Hits: 1})
-					return flight{res: r, cached: true}, true
-				}
-				// Decoded garbage behind a valid frame: same defect class as
-				// a torn frame, so count it and fall through to executing.
-				jc.counters.Add(cache.Stats{CorruptEntries: 1})
-			}
-			jc.counters.Add(cache.Stats{Misses: 1})
-			r, err := run(ctx, job, app, jc, sink)
-			if err != nil {
-				return flight{res: r, err: err}, false
-			}
-			if r.Err != "" {
-				return flight{res: r}, false
-			}
-			jc.storeDisk(key, r)
-			return flight{res: r}, true
-		})
-		fl := v.(flight)
-		if fl.err != nil {
-			if ctx.Err() != nil {
-				return res, ctx.Err()
-			}
-			if hit {
-				continue // joined a flight whose executor was cancelled; ours is live — retry
-			}
-			return res, fl.err
-		}
-		r := fl.res
-		// Restamp the batch-local identity: a result replayed from disk (or
-		// another flight) carries the producing job's ID.
+	if r, ok := jc.lookupDisk(key); ok {
+		jc.counters.Add(cache.Stats{Hits: 1})
+		// Restamp the batch-local identity: a stored result carries the
+		// producing job's ID.
 		r.JobID, r.App, r.Site = job.ID, job.App, job.Site
-		if hit && fl.res.Err == "" {
-			jc.counters.Add(cache.Stats{Hits: 1})
-		}
-		if (hit || fl.cached) && r.Err == "" {
-			r.Cached = true
-			sink.emit(Event{Type: EventCacheHit, Job: job, Result: &r})
-		}
+		r.Cached = true
+		sink.emit(Event{Type: EventCacheHit, Job: job, Result: &r})
 		return r, nil
 	}
+	jc.counters.Add(cache.Stats{Misses: 1})
+	r, err := run(ctx, job, app, jc, sink)
+	if err == nil && r.Err == "" {
+		jc.storeDisk(key, r)
+	}
+	return r, err
 }
 
 // run executes the job for real: resolve the analyzed Target through the

@@ -12,8 +12,8 @@ import (
 // Run of the backend (a job's Result is a pure function of its record plus
 // the guest program), so a multi-wave sweep — the harness runs hunts, then
 // same-path + target-only, then enforced rates on one backend — analyzes
-// each application once, and a repeated batch is served from the result
-// cache without hunting at all.
+// each application once, and with a disk store a repeated batch is served
+// without hunting at all.
 type Local struct {
 	// Workers bounds pool concurrency; <1 means one worker.
 	Workers int
@@ -21,14 +21,14 @@ type Local struct {
 	// cache-hit) from the pool goroutines.
 	Sink Sink
 	// Cache is the job cache Execute consults; shared caches make repeated
-	// and concurrent sweeps warm. Nil means a private in-memory cache,
-	// created on first use and kept for the backend's lifetime.
+	// and concurrent sweeps warm. Nil means a private cache without a disk
+	// store, created on first use and kept for the backend's lifetime.
 	Cache *JobCache
 
 	cacheOnce sync.Once
 }
 
-// jobCache resolves the backend's cache, defaulting a private in-memory one.
+// jobCache resolves the backend's cache, defaulting a private store-less one.
 func (l *Local) jobCache() *JobCache {
 	l.cacheOnce.Do(func() {
 		if l.Cache == nil {

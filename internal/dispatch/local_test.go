@@ -19,7 +19,7 @@ func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets, err := core.NewAnalyzer(app, core.Options{}).Analyze()
+	targets, err := core.NewAnalyzer(app, core.Options{}).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		byID[r.JobID] = r
 	}
 	for i, tg := range targets {
-		sr := core.NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg)
+		sr := core.NewHunter(app, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg)
 		got := byID[i]
 		if got.Site != tg.Site {
 			t.Fatalf("job %d is %s, sequential hunt of %s", i, got.Site, tg.Site)

@@ -75,7 +75,7 @@ func newJobDecoder(r io.Reader) *json.Decoder {
 
 // WorkerConfig carries the cache settings of one worker process.
 type WorkerConfig struct {
-	// CacheDir is the shared on-disk result store (empty: memory only).
+	// CacheDir is the shared on-disk result store (empty: no result cache).
 	CacheDir string
 	// NoCache disables result caching.
 	NoCache bool

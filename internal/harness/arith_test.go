@@ -140,8 +140,8 @@ func TestArithPruneNeverMasksExposure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			on := Evaluate(Config{Seed: 21, Arith: true}, []*apps.App{a})
-			off := Evaluate(Config{Seed: 21, Arith: true, Engine: dispatch.Options{NoTriage: true}}, []*apps.App{a})
+			on := EvaluateContext(context.Background(), Config{Seed: 21, Arith: true}, []*apps.App{a})
+			off := EvaluateContext(context.Background(), Config{Seed: 21, Arith: true, Engine: dispatch.Options{NoTriage: true}}, []*apps.App{a})
 			if on[0].Err != nil || off[0].Err != nil {
 				t.Fatal(on[0].Err, off[0].Err)
 			}

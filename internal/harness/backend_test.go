@@ -58,7 +58,7 @@ func TestBackendTableEquality(t *testing.T) {
 	seqCfg := base
 	seqCfg.Workers = 1
 	seqCfg.Parallelism = 1
-	want := normalize(Records(Evaluate(seqCfg, list)))
+	want := normalize(Records(EvaluateContext(context.Background(), seqCfg, list)))
 	if len(want) != len(list) {
 		t.Fatalf("sequential sweep produced %d records, want %d", len(want), len(list))
 	}
@@ -74,7 +74,7 @@ func TestBackendTableEquality(t *testing.T) {
 	for name, backend := range variants {
 		cfg := base
 		cfg.Backend = backend
-		got := normalize(Records(Evaluate(cfg, list)))
+		got := normalize(Records(EvaluateContext(context.Background(), cfg, list)))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s diverged from sequential local:\nseq: %+v\ngot: %+v", name, want, got)
 		}
@@ -105,13 +105,13 @@ func TestHarnessMatchesSchedulerCompat(t *testing.T) {
 		}
 		list = append(list, a)
 	}
-	outcomes := Evaluate(Config{Seed: seed}, list)
+	outcomes := EvaluateContext(context.Background(), Config{Seed: seed}, list)
 	for _, o := range outcomes {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
 		opts := core.Options{Seed: core.SiteSeed(seed, o.App.Short)}
-		targets, err := core.NewAnalyzer(o.App, opts).Analyze()
+		targets, err := core.NewAnalyzer(o.App, opts).AnalyzeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestHarnessMatchesSchedulerCompat(t *testing.T) {
 			t.Fatalf("%s: %d sites vs %d", o.App.Short, len(o.Result.Sites), len(targets))
 		}
 		for i, tg := range targets {
-			sr := core.NewHunter(o.App, opts.ForSite(tg.Site)).Hunt(tg)
+			sr := core.NewHunter(o.App, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg)
 			got := o.Result.Sites[i]
 			if got.Target.Site != sr.Target.Site {
 				t.Fatalf("%s: site order diverged: %s vs %s", o.App.Short, got.Target.Site, sr.Target.Site)

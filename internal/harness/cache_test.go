@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,15 +11,16 @@ import (
 )
 
 // TestWarmSweepLocal is the caching acceptance test on the in-process
-// backend: a warm Evaluate over the paper suite at a fixed seed — sharing the
-// cold run's JobCache — performs zero Analyzer runs and zero hunts (asserted
-// via the cache counters) and renders byte-identical tables.
+// backend: a warm sweep over the paper suite at a fixed seed — sharing the
+// cold run's JobCache and its disk store — performs zero Analyzer runs and
+// zero hunts (asserted via the cache counters) and renders byte-identical
+// tables.
 func TestWarmSweepLocal(t *testing.T) {
 	list := apps.Paper()
-	jc := dispatch.NewJobCache(dispatch.CacheConfig{})
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: t.TempDir()})
 	cfg := Config{Seed: 33, SampleN: 10, SamePath: true, Cache: jc}
 
-	cold := normalize(Records(Evaluate(cfg, list)))
+	cold := normalize(Records(EvaluateContext(context.Background(), cfg, list)))
 	if len(cold) != len(list) {
 		t.Fatalf("cold sweep produced %d records, want %d", len(cold), len(list))
 	}
@@ -27,7 +29,7 @@ func TestWarmSweepLocal(t *testing.T) {
 		t.Fatalf("cold stats %+v, want executions and one analysis per app", coldStats)
 	}
 
-	warm := normalize(Records(Evaluate(cfg, list)))
+	warm := normalize(Records(EvaluateContext(context.Background(), cfg, list)))
 	warmStats := jc.Stats()
 	if got := warmStats.Misses - coldStats.Misses; got != 0 {
 		t.Errorf("warm sweep executed %d hunts, want 0", got)
@@ -58,7 +60,7 @@ func TestWarmSweepLocal(t *testing.T) {
 }
 
 // TestWarmSweepExec is the cross-process caching acceptance test: two
-// Evaluate runs on fresh Exec backends sharing an on-disk cache directory —
+// sweeps on fresh Exec backends sharing an on-disk cache directory —
 // at different worker counts — render byte-identical tables, and the warm
 // run's worker processes perform zero Analyzer runs and zero hunts.
 func TestWarmSweepExec(t *testing.T) {
@@ -77,7 +79,7 @@ func TestWarmSweepExec(t *testing.T) {
 	coldExec.CacheDir = dir
 	coldCfg := base
 	coldCfg.Backend = coldExec
-	cold := normalize(Records(Evaluate(coldCfg, list)))
+	cold := normalize(Records(EvaluateContext(context.Background(), coldCfg, list)))
 	if len(cold) != len(list) {
 		t.Fatalf("cold sweep produced %d records, want %d", len(cold), len(list))
 	}
@@ -91,7 +93,7 @@ func TestWarmSweepExec(t *testing.T) {
 	warmExec.CacheDir = dir
 	warmCfg := base
 	warmCfg.Backend = warmExec
-	warm := normalize(Records(Evaluate(warmCfg, list)))
+	warm := normalize(Records(EvaluateContext(context.Background(), warmCfg, list)))
 	warmStats := warmExec.CacheStats()
 	if warmStats.Misses != 0 {
 		t.Errorf("warm workers executed %d hunts, want 0", warmStats.Misses)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -37,7 +38,7 @@ func TestExtendedClassification(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		outcomes := Evaluate(Config{Seed: seed}, apps.Extended())
+		outcomes := EvaluateContext(context.Background(), Config{Seed: seed}, apps.Extended())
 		for _, o := range outcomes {
 			if o.Err != nil {
 				t.Fatal(o.Err)
@@ -70,7 +71,7 @@ func TestExtendedNeedsEnforcement(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	targets, err := core.NewAnalyzer(app, core.Options{}).Analyze()
+	targets, err := core.NewAnalyzer(app, core.Options{}).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExtendedNeedsEnforcement(t *testing.T) {
 		t.Fatal("screen-buffer site missing from targets")
 	}
 	for _, seed := range seeds {
-		sr := core.NewHunter(app, core.Options{Seed: seed}.ForSite(screen.Site)).Hunt(screen)
+		sr := core.NewHunter(app, core.Options{Seed: seed}.ForSite(screen.Site)).HuntContext(context.Background(), screen)
 		if sr.Verdict != core.VerdictExposed {
 			t.Fatalf("seed %d: gif.c@155 = %v, want exposed", seed, sr.Verdict)
 		}
@@ -106,8 +107,8 @@ func TestExtendedSweepDeterminism(t *testing.T) {
 	parCfg := cfg
 	parCfg.Parallelism = runtime.GOMAXPROCS(0)
 
-	seq := normalize(Records(Evaluate(seqCfg, apps.Extended())))
-	par := normalize(Records(Evaluate(parCfg, apps.Extended())))
+	seq := normalize(Records(EvaluateContext(context.Background(), seqCfg, apps.Extended())))
+	par := normalize(Records(EvaluateContext(context.Background(), parCfg, apps.Extended())))
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel extended sweep diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}

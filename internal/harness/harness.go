@@ -57,12 +57,14 @@ type Config struct {
 	// sink.
 	Sink dispatch.Sink
 	// Cache is the job cache shared by the planner's in-process analysis
-	// and the default Local backend; pass the same cache to repeated
-	// Evaluate calls to make warm sweeps near-free (zero Analyzer runs,
-	// zero hunts). Nil means a fresh in-memory cache per evaluation. It is
-	// not handed to an explicitly configured Backend — construct that
-	// backend with its own cache settings (the planner still analyzes
-	// through it in-process).
+	// and the default Local backend. Analyses are memoized only in memory:
+	// passing the same cache to repeated EvaluateContext calls skips the
+	// Analyzer, while a fresh cache — a new process, even one pointed at a
+	// filled -cache-dir — analyzes every application again. Hunts are
+	// skipped only for results in the cache's disk store. Nil means a fresh
+	// store-less cache per evaluation. It is not handed to an explicitly
+	// configured Backend — construct that backend with its own cache
+	// settings (the planner still analyzes through it in-process).
 	Cache *dispatch.JobCache
 }
 
@@ -114,17 +116,6 @@ type AppOutcome struct {
 	Err   error
 }
 
-// EvaluateAll runs the configured evaluation over every benchmark
-// application and returns per-application outcomes in table order.
-func EvaluateAll(cfg Config) []AppOutcome {
-	return Evaluate(cfg, apps.All())
-}
-
-// Evaluate runs the configured evaluation over the given applications.
-func Evaluate(cfg Config, list []*apps.App) []AppOutcome {
-	return EvaluateContext(context.Background(), cfg, list)
-}
-
 // appPlan is the planner's working state for one application: the locally
 // analyzed targets (the job planner needs the site list and the folder needs
 // the Targets for reconstructed results) plus the folded outputs.
@@ -159,13 +150,15 @@ func (w *wave) add(p *appPlan, site int, j dispatch.Job) {
 	w.refs = append(w.refs, siteRef{plan: p, site: site})
 }
 
-// EvaluateContext plans the sweep as dispatch jobs, runs them on the
-// configured backend in three waves — hunts; same-path + target-only rates;
-// enforced rates (which depend on the target-only outcome, §5.6) — and folds
-// the results. On cancellation it returns promptly with partial outcomes:
-// folded sites keep their verdicts, unfinished sites read as unknown with
-// empty experiment fields, and ctx.Err() tells the caller the sweep was cut
-// short.
+// EvaluateContext runs the configured evaluation over the given
+// applications (apps.All() for the whole benchmark suite) and returns
+// per-application outcomes in list order. It plans the sweep as dispatch
+// jobs, runs them on the configured backend in three waves — hunts;
+// same-path + target-only rates; enforced rates (which depend on the
+// target-only outcome, §5.6) — and folds the results. On cancellation it
+// returns promptly with partial outcomes: folded sites keep their verdicts,
+// unfinished sites read as unknown with empty experiment fields, and
+// ctx.Err() tells the caller the sweep was cut short.
 func EvaluateContext(ctx context.Context, cfg Config, list []*apps.App) []AppOutcome {
 	jc := cfg.Cache
 	if jc == nil {

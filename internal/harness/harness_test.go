@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"diode/internal/apps"
@@ -10,7 +11,7 @@ import (
 // TestEvaluateClassification runs the five-application paper sweep (Table 1)
 // through the harness and checks the totals against the paper.
 func TestEvaluateClassification(t *testing.T) {
-	outcomes := Evaluate(Config{Seed: 21}, apps.Paper())
+	outcomes := EvaluateContext(context.Background(), Config{Seed: 21}, apps.Paper())
 	if len(outcomes) != 5 {
 		t.Fatalf("%d outcomes, want 5", len(outcomes))
 	}
@@ -45,7 +46,7 @@ func TestEvaluateWithExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes := Evaluate(Config{Seed: 5, SampleN: 20, SamePath: true}, []*apps.App{app})
+	outcomes := EvaluateContext(context.Background(), Config{Seed: 5, SampleN: 20, SamePath: true}, []*apps.App{app})
 	if outcomes[0].Err != nil {
 		t.Fatal(outcomes[0].Err)
 	}
@@ -73,14 +74,14 @@ func TestSuccessRateBimodality(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Seed: 17}
-	targets, err := core.NewAnalyzer(app, opts).Analyze()
+	targets, err := core.NewAnalyzer(app, opts).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
 	for _, tg := range targets {
 		rate := func() (int, int) {
-			return core.NewHunter(app, opts.ForSite(tg.Site)).SuccessRate(tg, tg.Beta, n)
+			return core.NewHunter(app, opts.ForSite(tg.Site)).SuccessRateContext(context.Background(), tg, tg.Beta, n)
 		}
 		switch tg.Site {
 		case "vlc:block.c@54":

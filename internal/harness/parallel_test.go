@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -44,8 +45,8 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	parCfg := cfg
 	parCfg.Parallelism = runtime.GOMAXPROCS(0)
 
-	seq := normalize(Records(Evaluate(seqCfg, apps2)))
-	par := normalize(Records(Evaluate(parCfg, apps2)))
+	seq := normalize(Records(EvaluateContext(context.Background(), seqCfg, apps2)))
+	par := normalize(Records(EvaluateContext(context.Background(), parCfg, apps2)))
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel sweep diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}

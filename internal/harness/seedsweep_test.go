@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"diode/internal/apps"
@@ -13,7 +14,7 @@ func TestClassificationStableAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range []int64{1, 21, 77, 1234} {
-		outcomes := Evaluate(Config{Seed: seed}, apps.Paper())
+		outcomes := EvaluateContext(context.Background(), Config{Seed: seed}, apps.Paper())
 		var exposed, unsat, prevented int
 		for _, o := range outcomes {
 			if o.Err != nil {

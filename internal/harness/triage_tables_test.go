@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"diode/internal/apps"
@@ -13,7 +14,7 @@ import (
 // durations are the only non-deterministic bytes in the output).
 func renderTables(t *testing.T, noTriage bool) [3]string {
 	t.Helper()
-	outcomes := EvaluateAll(Config{Seed: 21, Engine: dispatch.Options{NoTriage: noTriage}})
+	outcomes := EvaluateContext(context.Background(), Config{Seed: 21, Engine: dispatch.Options{NoTriage: noTriage}}, apps.All())
 	for _, o := range outcomes {
 		if o.Err != nil {
 			t.Fatal(o.Err)

@@ -35,8 +35,9 @@ import (
 // immediately faulting.
 const RedZone = 64
 
-// DefaultFuel bounds the number of interpreter steps per run.
-const DefaultFuel = 20_000_000
+// DefaultFuel bounds the number of interpreter steps per run. Every
+// analysis and hunt run uses it.
+const DefaultFuel = 50_000_000
 
 // Options configure a run.
 type Options struct {
@@ -61,9 +62,6 @@ type Options struct {
 	// context cancellation reaches mid-run guest executions (the core derives
 	// it from ctx.Done()).
 	Cancel <-chan struct{}
-	// InputVarName returns the symbolic variable name for input byte i.
-	// Nil means the default "in[i]".
-	InputVarName func(offset int) string
 }
 
 // cancelPollInterval is how many branch evaluations pass between polls of
@@ -292,9 +290,6 @@ func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 	}
 	if opts.Fuel == 0 {
 		opts.Fuel = DefaultFuel
-	}
-	if opts.InputVarName == nil {
-		opts.InputVarName = func(i int) string { return fmt.Sprintf("in[%d]", i) }
 	}
 	m := &machine{
 		prog:    prog,
@@ -573,7 +568,7 @@ func (m *machine) readInput(idx value) (value, error) {
 		out.tnt = taint.Single(i).Union(idx.tnt)
 	}
 	if m.opts.TrackSymbolic && (m.opts.SymbolicBytes == nil || m.opts.SymbolicBytes(i)) {
-		out.sym = bv.Var(8, m.opts.InputVarName(i))
+		out.sym = bv.Var(8, fmt.Sprintf("in[%d]", i))
 	}
 	return out, nil
 }

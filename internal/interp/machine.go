@@ -267,9 +267,6 @@ func (m *Machine) taintFor(i int) *taint.Set {
 }
 
 func (m *Machine) inputTerm(i int) *bv.Term {
-	if m.opts.InputVarName != nil {
-		return bv.Var(8, m.opts.InputVarName(i))
-	}
 	for len(m.inTerms) <= i {
 		m.inTerms = append(m.inTerms, bv.Var(8, fmt.Sprintf("in[%d]", len(m.inTerms))))
 	}

@@ -500,25 +500,6 @@ func TestCompiledParityFuelSweepUndefined(t *testing.T) {
 	}
 }
 
-// TestCompiledCustomInputVarName pins that a caller-supplied InputVarName is
-// honored identically on both paths (field-named symbolic variables).
-func TestCompiledCustomInputVarName(t *testing.T) {
-	prog := mustProg(t, lang.Fn("main", nil,
-		lang.AllocAt("b", "t@1", lang.Mul(lang.ZX(32, lang.InAt(0)), lang.ZX(32, lang.InAt(1)))),
-	))
-	opts := interp.Options{
-		TrackSymbolic: true,
-		InputVarName:  func(i int) string { return fmt.Sprintf("/custom/byte%d", i) },
-	}
-	m := interp.NewMachine(interp.Compile(prog))
-	checkParity(t, "custom-name", prog, m, []byte{5, 7}, opts)
-	m.Reset([]byte{5, 7}, opts)
-	out := m.Run()
-	if got := out.Allocs[0].Sym.String(); !strings.Contains(got, "/custom/byte0") {
-		t.Fatalf("custom input var name not used: %s", got)
-	}
-}
-
 // TestMachineReuseMatchesFreshRuns pins the Reset contract: a single Machine
 // run back-to-back over a mixed input/mode sequence produces the same
 // outcomes as a fresh Machine per run.

@@ -106,28 +106,6 @@ func Save(recs []*AppRecord) ([]byte, error) {
 	return json.MarshalIndent(recs, "", "  ")
 }
 
-// Load parses a results database produced by Save. Databases carrying more
-// than one record for the same application are rejected: SiteFor and the
-// table renderers resolve an application to a single record, so a duplicate
-// would make them pick one arbitrarily.
-func Load(data []byte) ([]*AppRecord, error) {
-	var recs []*AppRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("report: corrupt results database: %w", err)
-	}
-	seen := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		if r == nil {
-			return nil, fmt.Errorf("report: corrupt results database: null record")
-		}
-		if seen[r.App] {
-			return nil, fmt.Errorf("report: results database has duplicate records for application %q", r.App)
-		}
-		seen[r.App] = true
-	}
-	return recs, nil
-}
-
 // classCounts tallies a record's sites per classification.
 func classCounts(rec *AppRecord) (exposed, unsat, prevented int) {
 	for _, s := range rec.Sites {

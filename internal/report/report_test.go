@@ -99,49 +99,6 @@ func TestTableExtendedRendersMeasuredOnly(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	recs[0].Sites[0].TargetOnly = Rate{Hits: 190, Total: 200}
-	data, err := Save(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("loaded %d records, want %d", len(got), len(recs))
-	}
-	if got[0].Sites[0].TargetOnly != (Rate{Hits: 190, Total: 200}) {
-		t.Fatalf("rate lost in round trip: %+v", got[0].Sites[0].TargetOnly)
-	}
-	if _, err := Load([]byte("not json")); err == nil {
-		t.Fatal("corrupt database accepted")
-	}
-}
-
-// TestLoadRejectsDuplicateApps: a database with two records for the same
-// application would make SiteFor and the table renderers pick one
-// arbitrarily, so Load must reject it outright.
-func TestLoadRejectsDuplicateApps(t *testing.T) {
-	recs := sampleRecords()
-	dup := *recs[0]
-	data, err := Save(append(recs, &dup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(data); err == nil {
-		t.Fatal("database with duplicate app records accepted")
-	} else if !strings.Contains(err.Error(), recs[0].App) {
-		t.Errorf("duplicate error does not name the application: %v", err)
-	}
-	// A JSON null element must yield an error, not a nil-pointer panic.
-	if _, err := Load([]byte("[null]")); err == nil {
-		t.Fatal("database with a null record accepted")
-	}
-}
-
 func TestRateString(t *testing.T) {
 	if (Rate{}).String() != "N/A" {
 		t.Error("zero rate should render N/A")

@@ -26,25 +26,24 @@ func (r *recordingBackend) Run(_ context.Context, jobs []Job) (<-chan JobResult,
 // TestHuntJobsMatchHarnessJobs pins that every planner cuts the same job for
 // the same site: HuntJobsFor (cmd/diode, the examples) and the harness's
 // wave-1 hunt jobs (diode-tables) must agree record for record — and hence
-// share JobKeys and job-cache entries — when given one application, the
-// same run seed and the same settings.
+// share JobKeys and job-cache entries — when given one application and the
+// same run seed under the default settings.
 func TestHuntJobsMatchHarnessJobs(t *testing.T) {
 	const seed = 5
 	app, err := Application("vlc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	settings := JobOptions{MaxEnforce: 40}
 	rec := &recordingBackend{}
-	out := harness.Evaluate(harness.Config{Seed: seed, Engine: settings, Backend: rec}, []*App{app})
+	out := harness.EvaluateContext(context.Background(), harness.Config{Seed: seed, Backend: rec}, []*App{app})
 	if out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
-	targets, err := NewAnalyzer(app, Options{}).Analyze()
+	targets, err := NewAnalyzer(app, Options{}).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := HuntJobsFor(app, Options{Seed: seed, Settings: settings}, targets)
+	jobs := HuntJobsFor(app, Options{Seed: seed}, targets)
 	if len(jobs) == 0 || len(jobs) != len(rec.jobs) {
 		t.Fatalf("HuntJobsFor planned %d jobs, the harness %d", len(jobs), len(rec.jobs))
 	}
