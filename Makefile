@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke traffic-cover
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke examples-smoke fuzz-smoke worker-smoke traffic-cover
 
 all: check test
 
@@ -123,6 +123,30 @@ triage-smoke:
 		rm -f "bin/$$app.triage"; \
 	done; \
 	echo "triage smoke ok: 7 listings match goldens"
+
+# Examples smoke: build and run the four examples. quickstart, wavhunt and
+# customtarget are deterministic (per-site seeding makes them independent of
+# GOMAXPROCS), so their stdout must match the checked-in goldens under
+# examples/testdata byte for byte. batchaudit's tables carry wall-clock
+# columns, so only its Table 1 total row (whitespace squeezed) is checked.
+# Regenerate a golden with `go run ./examples/NAME > examples/testdata/NAME.golden`.
+examples-smoke:
+	@mkdir -p bin/examples
+	@for ex in quickstart wavhunt customtarget batchaudit; do \
+		$(GO) build -o "bin/examples/$$ex" "./examples/$$ex" || exit 1; \
+	done
+	@for ex in quickstart wavhunt customtarget; do \
+		"bin/examples/$$ex" >"bin/examples/$$ex.out" || exit 1; \
+		cmp "bin/examples/$$ex.out" "examples/testdata/$$ex.golden" || { \
+			echo "examples smoke failed: $$ex output differs from its golden"; \
+			diff "examples/testdata/$$ex.golden" "bin/examples/$$ex.out"; exit 1; }; \
+	done; \
+	bin/examples/batchaudit >bin/examples/batchaudit.out 2>bin/examples/batchaudit.err || { cat bin/examples/batchaudit.err; exit 1; }; \
+	row=$$(sed -n 's/  */ /g; s/ *$$//; /^Total 40 /p' bin/examples/batchaudit.out); \
+	[ "$$row" = "Total 40 | 40 14 | 14 17 | 17 9 | 9" ] || { \
+		echo "examples smoke failed: batchaudit Table 1 total is '$$row'"; cat bin/examples/batchaudit.out; exit 1; }; \
+	rm -rf bin/examples; \
+	echo "examples smoke ok: 3 outputs match goldens; batchaudit: $$row"
 
 # Short live-fuzz pass: the per-format fix-up invariant targets, the
 # cross-layer FuzzHunt engine-robustness target, the dispatch-layer

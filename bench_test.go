@@ -14,6 +14,7 @@ import (
 	"diode/internal/harness"
 	"diode/internal/interp"
 	"diode/internal/lang"
+	"diode/internal/report"
 	"diode/internal/solver"
 )
 
@@ -246,8 +247,8 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 // (paper + extended) sweeps and renders both table families.
 func TestBenchHarnessSmoke(t *testing.T) {
 	outcomes := harness.EvaluateContext(context.Background(), harness.Config{Seed: 1}, apps.All())
-	if len(outcomes) != len(Applications()) {
-		t.Fatalf("%d outcomes, want %d", len(outcomes), len(Applications()))
+	if len(outcomes) != len(apps.All()) {
+		t.Fatalf("%d outcomes, want %d", len(outcomes), len(apps.All()))
 	}
 	for _, o := range outcomes {
 		if o.Err != nil {
@@ -255,12 +256,12 @@ func TestBenchHarnessSmoke(t *testing.T) {
 		}
 	}
 	recs := harness.Records(outcomes)
-	t1 := Table1(PaperApplications(), recs)
+	t1 := report.Table1(apps.Paper(), recs)
 	if len(t1) == 0 {
 		t.Fatal("empty Table 1")
 	}
 	fmt.Println(t1)
-	te := TableExtended(ExtendedApplications(), recs)
+	te := report.TableExtended(apps.Extended(), recs)
 	if len(te) == 0 {
 		t.Fatal("empty extended table")
 	}
@@ -307,12 +308,12 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 				constraints = append(constraints, core.EnforcedConstraintFor(sr.Target, sr.Enforced))
 			}
 			for _, constraint := range constraints {
-				siteOpts := core.Options{Seed: 1}.ForSite(sr.Target.Site)
-				bh, _ := core.NewHunter(app, siteOpts).SuccessRateContext(context.Background(), sr.Target, constraint, 200)
+				seed := core.SiteSeed(1, sr.Target.Site)
+				bh, _ := core.NewHunter(app, core.Options{Seed: seed}).SuccessRateContext(context.Background(), sr.Target, constraint, 200)
 				hits += bh
 
 				// Shared corpus: the same models both hunters sampled.
-				sol := solver.New(solver.Options{Seed: siteOpts.Seed})
+				sol := solver.New(solver.Options{Seed: seed})
 				gen := app.Format.Generator()
 				models, _ := sol.NewSession(constraint).SampleModels(200)
 				for _, m := range models {
@@ -400,15 +401,15 @@ func BenchmarkDispatchLocal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	jobs := HuntJobsFor(app, opts, targets)
+	jobs := dispatch.HuntJobs(app.Short, targets, opts.Seed, opts.Settings)
 	// The jobs' seeds derive per application, then per site (SiteJob).
-	base := core.Options{Seed: core.SiteSeed(opts.Seed, app.Short)}
+	base := core.SiteSeed(opts.Seed, app.Short)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		direct := make([]*core.SiteResult, len(targets))
 		for j, t := range targets {
-			direct[j] = core.NewHunter(app, base.ForSite(t.Site)).HuntContext(context.Background(), t)
+			direct[j] = core.NewHunter(app, core.Options{Seed: core.SiteSeed(base, t.Site)}).HuntContext(context.Background(), t)
 		}
 		directTime := time.Since(t0)
 
@@ -439,12 +440,12 @@ func BenchmarkDispatchLocal(b *testing.B) {
 // benchNormalize zeroes the measured wall-clock fields so cold and warm
 // sweeps compare on content (a cached result replays its stored DiscoveryMS,
 // but the per-sweep AnalysisMS is always measured fresh).
-func benchNormalize(recs []*AppRecord) []*AppRecord {
-	out := make([]*AppRecord, len(recs))
+func benchNormalize(recs []*report.AppRecord) []*report.AppRecord {
+	out := make([]*report.AppRecord, len(recs))
 	for i, r := range recs {
 		c := *r
 		c.AnalysisMS = 0
-		c.Sites = append([]SiteRecord(nil), r.Sites...)
+		c.Sites = append([]report.SiteRecord(nil), r.Sites...)
 		for j := range c.Sites {
 			c.Sites[j].DiscoveryMS = 0
 		}
@@ -497,13 +498,13 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 
 		coldRecs := benchNormalize(harness.Records(coldOut))
 		warmRecs := benchNormalize(harness.Records(warmOut))
-		if a, g := Table1(apps.Paper(), coldRecs), Table1(apps.Paper(), warmRecs); a != g {
+		if a, g := report.Table1(apps.Paper(), coldRecs), report.Table1(apps.Paper(), warmRecs); a != g {
 			b.Fatalf("warm Table 1 differs from cold:\n%s\nvs\n%s", a, g)
 		}
-		if a, g := Table2(apps.Paper(), coldRecs), Table2(apps.Paper(), warmRecs); a != g {
+		if a, g := report.Table2(apps.Paper(), coldRecs), report.Table2(apps.Paper(), warmRecs); a != g {
 			b.Fatalf("warm Table 2 differs from cold:\n%s\nvs\n%s", a, g)
 		}
-		if a, g := TableExtended(apps.Extended(), coldRecs), TableExtended(apps.Extended(), warmRecs); a != g {
+		if a, g := report.TableExtended(apps.Extended(), coldRecs), report.TableExtended(apps.Extended(), warmRecs); a != g {
 			b.Fatalf("warm extended table differs from cold:\n%s\nvs\n%s", a, g)
 		}
 
@@ -573,7 +574,7 @@ func BenchmarkSampleModels(b *testing.B) {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}
-			seed := core.Options{Seed: 1}.ForSite(sr.Target.Site).Seed
+			seed := core.SiteSeed(1, sr.Target.Site)
 			jobs = append(jobs, job{sr.Target.Beta, seed})
 			if sr.EnforcedCount() > 0 {
 				jobs = append(jobs, job{core.EnforcedConstraintFor(sr.Target, sr.Enforced), seed})
@@ -732,7 +733,7 @@ func BenchmarkGuestExecExposed(b *testing.B) {
 			}
 			var inputs [][]byte
 			for _, t := range targets {
-				if r := core.NewHunter(app, opts.ForSite(t.Site)).HuntContext(context.Background(), t); r.Verdict == core.VerdictExposed {
+				if r := core.NewHunter(app, core.Options{Seed: core.SiteSeed(opts.Seed, t.Site)}).HuntContext(context.Background(), t); r.Verdict == core.VerdictExposed {
 					inputs = append(inputs, r.Input)
 				}
 			}

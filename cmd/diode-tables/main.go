@@ -46,7 +46,9 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/dispatch"
 	"diode/internal/harness"
 	"diode/internal/prof"
 	"diode/internal/report"
@@ -103,25 +105,25 @@ func run() (code int) {
 	// One job cache for the whole sweep: the planner's analyses and the
 	// local backend's hunts share it, and -cache-dir makes results persist
 	// so a repeated sweep is served without re-running any hunt.
-	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	cfg := harness.Config{Seed: *seed, Parallelism: *parallel, Workers: *workers, Cache: jc, Arith: *arithWave,
-		Engine: diode.JobOptions{NoTriage: *noTriage}}
-	var appList []*diode.App
+		Engine: dispatch.Options{NoTriage: *noTriage}}
+	var appList []*apps.App
 	switch *table {
 	case "1":
 		// Classification only: no sampling experiments needed.
-		appList = diode.PaperApplications()
+		appList = apps.Paper()
 	case "2":
-		appList = diode.PaperApplications()
+		appList = apps.Paper()
 		cfg.SampleN = *n
 	case "samepath":
-		appList = diode.PaperApplications()
+		appList = apps.Paper()
 		cfg.SamePath = true
 	case "extended":
-		appList = diode.ExtendedApplications()
+		appList = apps.Extended()
 		cfg.SampleN = *n
 	case "all":
-		appList = diode.Applications()
+		appList = apps.All()
 		cfg.SampleN = *n
 		cfg.SamePath = true
 	default:
@@ -129,23 +131,23 @@ func run() (code int) {
 		return 2
 	}
 
-	var sink diode.JobSink
+	var sink dispatch.Sink
 	if *progress {
 		var done atomic.Int64
-		sink = func(ev diode.JobEvent) {
+		sink = func(ev dispatch.Event) {
 			switch ev.Type {
-			case diode.JobStarted:
+			case dispatch.EventStarted:
 				fmt.Fprintf(os.Stderr, "[diode-tables] %s %s started\n", ev.Job.Kind, ev.Job.Site)
-			case diode.JobFinished:
+			case dispatch.EventFinished:
 				fmt.Fprintf(os.Stderr, "[diode-tables] %s %s done (%d jobs finished)\n",
 					ev.Job.Kind, ev.Job.Site, done.Add(1))
-			case diode.JobCacheHit:
+			case dispatch.EventCacheHit:
 				fmt.Fprintf(os.Stderr, "[diode-tables] %s %s cached (%d jobs finished)\n",
 					ev.Job.Kind, ev.Job.Site, done.Add(1))
 			}
 		}
 	}
-	var execBackend *diode.ExecBackend
+	var execBackend *dispatch.Exec
 	switch *backendName {
 	case "local":
 		cfg.Sink = sink
@@ -154,7 +156,7 @@ func run() (code int) {
 		if execWorkers == 0 {
 			execWorkers = runtime.GOMAXPROCS(0)
 		}
-		execBackend = &diode.ExecBackend{Binary: *workerBin, Workers: execWorkers, Sink: sink,
+		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: execWorkers, Sink: sink,
 			CacheDir: *cacheDir, NoCache: *noCache}
 		cfg.Backend = execBackend
 	default:
@@ -196,10 +198,10 @@ func run() (code int) {
 		}
 	} else {
 		if *table == "1" || *table == "all" {
-			fmt.Println(diode.Table1(diode.PaperApplications(), recs))
+			fmt.Println(report.Table1(apps.Paper(), recs))
 		}
 		if *table == "2" || *table == "all" {
-			fmt.Println(diode.Table2(diode.PaperApplications(), recs))
+			fmt.Println(report.Table2(apps.Paper(), recs))
 		}
 		if *table == "samepath" || *table == "all" {
 			fmt.Println("Same-path constraint satisfiability (§5.4; paper: sat only for")
@@ -214,10 +216,10 @@ func run() (code int) {
 			fmt.Println()
 		}
 		if *table == "extended" || *table == "all" {
-			fmt.Println(diode.TableExtended(diode.ExtendedApplications(), recs))
+			fmt.Println(report.TableExtended(apps.Extended(), recs))
 		}
 		if *discoverMode {
-			out, err := diode.TableDiscovered(appList)
+			out, err := report.TableDiscovered(appList)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -225,7 +227,7 @@ func run() (code int) {
 			fmt.Println(out)
 		}
 		if *triageTable {
-			out, err := diode.TableTriage(appList)
+			out, err := report.TableTriage(appList)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -241,14 +243,14 @@ func run() (code int) {
 					if as.Pruned {
 						pruned++
 					}
-					if as.Verdict == diode.VerdictExposed {
+					if as.Verdict == core.VerdictExposed {
 						exposed++
 					}
 				}
 				fmt.Printf("  %-16s %3d sites: %d exposed, %d pruned\n",
 					o.App.Short, len(o.Arith), exposed, pruned)
 				for _, as := range o.Arith {
-					if as.Verdict == diode.VerdictExposed {
+					if as.Verdict == core.VerdictExposed {
 						fmt.Printf("    %-48s %s\n", as.Site.Name, as.ErrorType)
 					}
 				}

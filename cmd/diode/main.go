@@ -43,9 +43,13 @@ import (
 	"strings"
 	"syscall"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/discover"
+	"diode/internal/dispatch"
 	"diode/internal/prof"
 	"diode/internal/report"
+	"diode/internal/solver"
 )
 
 // main delegates to run so every exit path unwinds normally — os.Exit skips
@@ -54,7 +58,7 @@ func main() { os.Exit(run()) }
 
 func run() (code int) {
 	appName := flag.String("app", "dillo",
-		"application: "+strings.Join(diode.ApplicationNames(diode.Applications()), ", "))
+		"application: "+strings.Join(apps.Shorts(apps.All()), ", "))
 	seed := flag.Int64("seed", 1, "random seed for the hunt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent site hunts (1 = sequential; verdicts are identical)")
 	backendName := flag.String("backend", "local", "job backend: local (in-process pool) or exec (spawned diode-worker processes)")
@@ -90,7 +94,7 @@ func run() (code int) {
 		}
 	}()
 
-	app, err := diode.Application(*appName)
+	app, err := apps.ByName(*appName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -116,10 +120,10 @@ func run() (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	settings := diode.JobOptions{NoTriage: *noTriage}
+	settings := dispatch.Options{NoTriage: *noTriage}
 	// The job cache memoizes the analysis and, with -cache-dir, serves whole
 	// job results from disk so repeated runs skip the hunts entirely.
-	jc := diode.NewJobCache(diode.JobCacheConfig{Dir: *cacheDir, NoResults: *noCache})
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	targets, err := jc.Targets(ctx, app, settings)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analysis failed:", err)
@@ -128,7 +132,7 @@ func run() (code int) {
 	// Under -discover the sweep runs in static discovery order rather than
 	// seed-execution order; verdicts are per-site seeded either way, so the
 	// ordering only affects presentation.
-	var discovered []diode.DiscoveredSite
+	var discovered []discover.Site
 	if *discoverMode {
 		discovered, err = app.Discovered()
 		if err != nil {
@@ -140,30 +144,30 @@ func run() (code int) {
 	// One hunt job per analyzed site, seeded from -seed by the same
 	// derivation diode-tables uses, so the two share job-cache entries; the
 	// targets are kept for the verbose per-site introspection below.
-	jobs := diode.HuntJobsFor(app, diode.Options{Seed: *seed, Settings: settings}, targets)
+	jobs := dispatch.HuntJobs(app.Short, targets, *seed, settings)
 
-	var sink diode.JobSink
+	var sink dispatch.Sink
 	if *progress {
-		sink = func(ev diode.JobEvent) {
+		sink = func(ev dispatch.Event) {
 			switch ev.Type {
-			case diode.JobStarted:
+			case dispatch.EventStarted:
 				fmt.Fprintf(os.Stderr, "[diode] %s: hunt started\n", ev.Job.Site)
-			case diode.JobIteration:
+			case dispatch.EventIteration:
 				fmt.Fprintf(os.Stderr, "[diode] %s: enforcement iteration %d\n", ev.Job.Site, ev.Iteration)
-			case diode.JobFinished:
+			case dispatch.EventFinished:
 				fmt.Fprintf(os.Stderr, "[diode] %s: %s\n", ev.Job.Site, ev.Result.Verdict)
-			case diode.JobCacheHit:
+			case dispatch.EventCacheHit:
 				fmt.Fprintf(os.Stderr, "[diode] %s: %s (cached)\n", ev.Job.Site, ev.Result.Verdict)
 			}
 		}
 	}
-	var backend diode.Backend
-	var execBackend *diode.ExecBackend
+	var backend dispatch.Backend
+	var execBackend *dispatch.Exec
 	switch *backendName {
 	case "local":
-		backend = &diode.LocalBackend{Workers: *parallel, Sink: sink, Cache: jc}
+		backend = &dispatch.Local{Workers: *parallel, Sink: sink, Cache: jc}
 	case "exec":
-		execBackend = &diode.ExecBackend{Binary: *workerBin, Workers: *parallel, Sink: sink,
+		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: *parallel, Sink: sink,
 			CacheDir: *cacheDir, NoCache: *noCache}
 		backend = execBackend
 	default:
@@ -171,7 +175,7 @@ func run() (code int) {
 		return 2
 	}
 
-	results, err := diode.RunJobs(ctx, backend, jobs)
+	results, err := dispatch.Collect(ctx, backend, jobs)
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "dispatch failed:", err)
 		return 1
@@ -229,22 +233,18 @@ func run() (code int) {
 		return 0
 	}
 
-	byID := make(map[int]*diode.Target, len(targets))
-	for i := range targets {
-		byID[jobs[i].ID] = targets[i]
-	}
 	fmt.Printf("%s — %d target sites\n\n", app.Name, len(results))
 	exposed := 0
-	var stats diode.SolverStats
+	var stats solver.Stats
 	for _, r := range results {
 		stats.Add(r.Stats)
 		if r.Err != "" {
 			fmt.Printf("site %s: error\n\n", r.Site)
 			continue
 		}
-		t := byID[r.JobID]
+		t := targets[r.JobID] // HuntJobs gives job i the ID i
 		fmt.Printf("site %s: %s", r.Site, r.Verdict)
-		if r.Verdict == diode.VerdictExposed.String() {
+		if r.Verdict == core.VerdictExposed.String() {
 			exposed++
 			fmt.Printf(" (%s, %d branches enforced, %dms)", r.ErrorType, len(r.Enforced), r.DiscoveryMS)
 		}
@@ -257,7 +257,7 @@ func run() (code int) {
 		if *showExpr {
 			fmt.Printf("  target expression: %s\n", t.Expr)
 		}
-		if r.Verdict == diode.VerdictExposed.String() {
+		if r.Verdict == core.VerdictExposed.String() {
 			if len(r.Enforced) > 0 {
 				fmt.Printf("  enforced checks: %s\n", strings.Join(r.Enforced, ", "))
 			}

@@ -4,14 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/discover"
 )
 
 // TestSitesListingFormat pins the -sites output format: a tab-aligned header
 // row, one row per discovered site with the site name first and the kind in
 // column two, matching the discovery listing the golden files pin.
 func TestSitesListingFormat(t *testing.T) {
-	app, err := diode.Application("dillo")
+	app, err := apps.ByName("dillo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +54,21 @@ func TestSitesListingFormat(t *testing.T) {
 			t.Errorf("row %d kind = %q, want %q", i, fields[1], s.Kind)
 		}
 	}
-	// The listing is byte-identical to the facade formatter the goldens pin.
-	if out != diode.FormatDiscovered(sites) {
-		t.Error("sitesListing diverges from FormatDiscovered")
+	// The listing is byte-identical to the discovery formatter the goldens pin.
+	if out != discover.Format(sites) {
+		t.Error("sitesListing diverges from discover.Format")
 	}
 }
 
 // TestDiscoverySummaryCounts pins the -discover footer format.
 func TestDiscoverySummaryCounts(t *testing.T) {
-	sites := []diode.DiscoveredSite{
-		{Name: "a", Kind: diode.SiteKindAlloc},
-		{Name: "b", Kind: diode.SiteKindArith},
-		{Name: "c", Kind: diode.SiteKindArith},
+	sites := []discover.Site{
+		{Name: "a", Kind: discover.KindAlloc},
+		{Name: "b", Kind: discover.KindArith},
+		{Name: "c", Kind: discover.KindArith},
 	}
 	got := discoverySummary(sites, 1)
-	want := "discovery v" + diode.DiscoverVersion + ": 3 sites (1 alloc, 2 arith); 1 of 1 alloc sites reached tainted by the seed input"
+	want := "discovery v" + discover.Version + ": 3 sites (1 alloc, 2 arith); 1 of 1 alloc sites reached tainted by the seed input"
 	if got != want {
 		t.Errorf("summary = %q\nwant      %q", got, want)
 	}
@@ -75,13 +77,13 @@ func TestDiscoverySummaryCounts(t *testing.T) {
 // TestDiscoveryOrderReorders: targets given in reversed order come back in
 // discovery (program-text) order, stably.
 func TestDiscoveryOrderReorders(t *testing.T) {
-	sites := []diode.DiscoveredSite{
-		{Name: "p:f#s0", Kind: diode.SiteKindAlloc},
-		{Name: "p:f#s1.e@*", Kind: diode.SiteKindArith},
-		{Name: "p:f#s2", Kind: diode.SiteKindAlloc},
-		{Name: "p:g#s0", Kind: diode.SiteKindAlloc},
+	sites := []discover.Site{
+		{Name: "p:f#s0", Kind: discover.KindAlloc},
+		{Name: "p:f#s1.e@*", Kind: discover.KindArith},
+		{Name: "p:f#s2", Kind: discover.KindAlloc},
+		{Name: "p:g#s0", Kind: discover.KindAlloc},
 	}
-	targets := []*diode.Target{
+	targets := []*core.Target{
 		{Site: "p:g#s0"}, {Site: "p:f#s2"}, {Site: "p:f#s0"},
 	}
 	discoveryOrder(sites, targets)

@@ -4,29 +4,31 @@ import (
 	"fmt"
 	"sort"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/discover"
 )
 
 // sitesListing returns the -sites output for one application: exactly the
 // discovery listing, so the bytes match the golden files under
 // internal/apps/testdata/discovered and the `make discover-smoke` diff.
-func sitesListing(app *diode.App) (string, error) {
+func sitesListing(app *apps.App) (string, error) {
 	sites, err := app.Discovered()
 	if err != nil {
 		return "", err
 	}
-	return diode.FormatDiscovered(sites), nil
+	return discover.Format(sites), nil
 }
 
 // triageListing returns the -triage output for one application: exactly the
 // triage listing, so the bytes match the golden files under
 // internal/apps/testdata/triage and the `make triage-smoke` diff.
-func triageListing(app *diode.App) (string, error) {
-	sites, err := diode.Triaged(app)
+func triageListing(app *apps.App) (string, error) {
+	sites, err := app.Triaged()
 	if err != nil {
 		return "", err
 	}
-	return diode.FormatTriage(sites), nil
+	return discover.FormatTriage(sites), nil
 }
 
 // discoveryOrder reorders analyzed targets into static discovery order
@@ -34,14 +36,14 @@ func triageListing(app *diode.App) (string, error) {
 // seed-execution order; discovery order is the stable program-text order,
 // so a -discover sweep lists sites the way a reader of the listing expects
 // regardless of which path the seed input took.
-func discoveryOrder(sites []diode.DiscoveredSite, targets []*diode.Target) {
+func discoveryOrder(sites []discover.Site, targets []*core.Target) {
 	order := make(map[string]int, len(sites))
 	for i, s := range sites {
-		if s.Kind == diode.SiteKindAlloc {
+		if s.Kind == discover.KindAlloc {
 			order[s.Name] = i
 		}
 	}
-	rank := func(t *diode.Target) int {
+	rank := func(t *core.Target) int {
 		if r, ok := order[t.Site]; ok {
 			return r
 		}
@@ -52,16 +54,16 @@ func discoveryOrder(sites []diode.DiscoveredSite, targets []*diode.Target) {
 
 // discoverySummary renders the -discover footer: the full static surface
 // next to how much of it the seed input dynamically reaches.
-func discoverySummary(sites []diode.DiscoveredSite, hunted int) string {
+func discoverySummary(sites []discover.Site, hunted int) string {
 	var alloc, arith int
 	for _, s := range sites {
 		switch s.Kind {
-		case diode.SiteKindAlloc:
+		case discover.KindAlloc:
 			alloc++
-		case diode.SiteKindArith:
+		case discover.KindArith:
 			arith++
 		}
 	}
 	return fmt.Sprintf("discovery v%s: %d sites (%d alloc, %d arith); %d of %d alloc sites reached tainted by the seed input",
-		diode.DiscoverVersion, alloc+arith, alloc, arith, hunted, alloc)
+		discover.Version, alloc+arith, alloc, arith, hunted, alloc)
 }

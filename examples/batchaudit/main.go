@@ -7,7 +7,7 @@
 // per (application, site) and the backend fans them out. The default is the
 // in-process LocalBackend shown here with a live progress sink; building
 // cmd/diode-worker and setting harness.Config.Backend to a
-// diode.ExecBackend runs the identical sweep across worker processes with
+// dispatch.Exec runs the identical sweep across worker processes with
 // byte-identical tables — the seam a networked work-queue backend (the
 // paper's §4 deployment) drops into.
 //
@@ -22,8 +22,11 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/dispatch"
 	"diode/internal/harness"
+	"diode/internal/report"
 )
 
 func main() {
@@ -31,28 +34,28 @@ func main() {
 	cfg := harness.Config{
 		Seed:        1,
 		Parallelism: runtime.GOMAXPROCS(0),
-		Sink: func(ev diode.JobEvent) {
-			if ev.Type == diode.JobFinished {
+		Sink: func(ev dispatch.Event) {
+			if ev.Type == dispatch.EventFinished {
 				fmt.Fprintf(os.Stderr, "  [%2d] %-12s %-32s %s\n",
 					hunted.Add(1), ev.Job.Kind, ev.Job.Site, ev.Result.Verdict)
 			}
 		},
 	}
-	outcomes := harness.EvaluateContext(context.Background(), cfg, diode.Applications())
+	outcomes := harness.EvaluateContext(context.Background(), cfg, apps.All())
 	for _, o := range outcomes {
 		if o.Err != nil {
 			log.Fatal(o.Err)
 		}
 	}
 	recs := harness.Records(outcomes)
-	fmt.Print(diode.Table1(diode.PaperApplications(), recs))
+	fmt.Print(report.Table1(apps.Paper(), recs))
 	fmt.Println()
-	fmt.Print(diode.TableExtended(diode.ExtendedApplications(), recs))
+	fmt.Print(report.TableExtended(apps.Extended(), recs))
 
 	fmt.Println("\nDiscovered overflows:")
 	for _, o := range outcomes {
 		for _, sr := range o.Result.Sites {
-			if sr.Verdict == diode.VerdictExposed {
+			if sr.Verdict == core.VerdictExposed {
 				cve := "(extended suite)"
 				if paper, ok := o.App.PaperFor(sr.Target.Site); ok {
 					cve = paper.CVE

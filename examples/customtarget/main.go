@@ -13,8 +13,9 @@ import (
 	"log"
 	"sort"
 
-	"diode"
 	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/dispatch"
 	"diode/internal/field"
 	"diode/internal/formats"
 	. "diode/internal/lang"
@@ -90,16 +91,17 @@ func main() {
 		Format:  buildFormat(),
 	}
 	ctx := context.Background()
-	opts := diode.Options{Seed: 3}
+	const seed = 3
 	// Analyzing through a job cache registers the application with it, so
 	// the hunt jobs below can name an application the registry never heard
 	// of — the same pattern cmd/diode uses for the built-in ones.
-	jc := diode.NewJobCache(diode.JobCacheConfig{})
-	targets, err := jc.Targets(ctx, app, opts.Settings)
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{})
+	targets, err := jc.Targets(ctx, app, dispatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := diode.RunJobs(ctx, &diode.LocalBackend{Cache: jc}, diode.HuntJobsFor(app, opts, targets))
+	jobs := dispatch.HuntJobs(app.Short, targets, seed, dispatch.Options{})
+	results, err := dispatch.Collect(ctx, &dispatch.Local{Cache: jc}, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func main() {
 			log.Fatalf("%s: %s", r.Site, r.Err)
 		}
 		fmt.Printf("%s: %s\n", r.Site, r.Verdict)
-		if r.Verdict != diode.VerdictExposed.String() {
+		if r.Verdict != core.VerdictExposed.String() {
 			continue
 		}
 		fmt.Printf("  error: %s after enforcing %v\n", r.ErrorType, r.Enforced)

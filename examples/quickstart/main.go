@@ -2,9 +2,9 @@
 // PNG pipeline, targeting the image-buffer allocation png.c@203 whose size
 // is rowbytes*height. The hunt itself runs through the job-based dispatch
 // API: analysis plans one serializable hunt job per target site, a backend
-// executes them (swap LocalBackend for ExecBackend and the same jobs run in
-// spawned worker processes), and a progress sink streams the Figure 7
-// enforcement iterations live.
+// executes them (swap dispatch.Local for dispatch.Exec and the same jobs
+// run in spawned worker processes), and a progress sink streams the Figure
+// 7 enforcement iterations live.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -15,28 +15,30 @@ import (
 	"log"
 	"strings"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/dispatch"
 )
 
 func main() {
-	app, err := diode.Application("dillo")
+	app, err := apps.ByName("dillo")
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := diode.Options{Seed: 1}
+	opts := core.Options{Seed: 1}
 
 	// Stages 1–3: taint analysis finds the target sites and relevant input
 	// bytes; symbolic re-execution extracts the target expression and the
 	// branch conditions of every sanity check on the path. The Analyzer runs
 	// once per application; its Targets are immutable.
-	targets, err := diode.NewAnalyzer(app, opts).AnalyzeContext(ctx)
+	targets, err := core.NewAnalyzer(app, opts).AnalyzeContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d target memory allocation sites\n\n", app.Name, len(targets))
 
-	var png203 *diode.Target
+	var png203 *core.Target
 	for _, t := range targets {
 		if t.Site == "dillo:png.c@203" {
 			png203 = t
@@ -63,13 +65,13 @@ func main() {
 	// seed — so the same job produces the same verdict on any backend (and
 	// shares its cache entry with every sweep that hunts this site). The
 	// sink narrates the enforcement loop as it runs.
-	job := diode.SiteJob(diode.JobHunt, app.Short, png203.Info, opts.Seed, opts.Settings)
-	backend := &diode.LocalBackend{Sink: func(ev diode.JobEvent) {
-		if ev.Type == diode.JobIteration {
+	job := dispatch.SiteJob(dispatch.KindHunt, app.Short, png203.Info, opts.Seed, opts.Settings)
+	backend := &dispatch.Local{Sink: func(ev dispatch.Event) {
+		if ev.Type == dispatch.EventIteration {
 			fmt.Printf("  enforcement iteration %d...\n", ev.Iteration)
 		}
 	}}
-	results, err := diode.RunJobs(ctx, backend, []diode.Job{job})
+	results, err := dispatch.Collect(ctx, backend, []dispatch.Job{job})
 	if err != nil || len(results) != 1 {
 		log.Fatalf("dispatch failed: %v", err)
 	}
@@ -79,7 +81,7 @@ func main() {
 	}
 
 	fmt.Printf("verdict: %s\n", result.Verdict)
-	if result.Verdict != diode.VerdictExposed.String() {
+	if result.Verdict != core.VerdictExposed.String() {
 		return
 	}
 	fmt.Printf("enforced sanity checks, in discovery order:\n")

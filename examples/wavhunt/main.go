@@ -12,23 +12,25 @@ import (
 	"runtime"
 	"sort"
 
-	"diode"
+	"diode/internal/apps"
+	"diode/internal/core"
+	"diode/internal/dispatch"
 )
 
 func main() {
-	app, err := diode.Application("vlc")
+	app, err := apps.ByName("vlc")
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := diode.Options{Seed: 7}
-	jc := diode.NewJobCache(diode.JobCacheConfig{})
-	targets, err := jc.Targets(ctx, app, opts.Settings)
+	const seed = 7
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{})
+	targets, err := jc.Targets(ctx, app, dispatch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	backend := &diode.LocalBackend{Workers: runtime.GOMAXPROCS(0), Cache: jc}
-	results, err := diode.RunJobs(ctx, backend, diode.HuntJobsFor(app, opts, targets))
+	backend := &dispatch.Local{Workers: runtime.GOMAXPROCS(0), Cache: jc}
+	results, err := dispatch.Collect(ctx, backend, dispatch.HuntJobs(app.Short, targets, seed, dispatch.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func main() {
 		}
 		paper, _ := app.PaperFor(r.Site)
 		fmt.Printf("%-24s %-12s (paper: %s)\n", r.Site, r.Verdict, paper.CVE)
-		if r.Verdict != diode.VerdictExposed.String() {
+		if r.Verdict != core.VerdictExposed.String() {
 			continue
 		}
 		fmt.Printf("  error: %s, enforced %d branch(es)\n", r.ErrorType, len(r.Enforced))
@@ -54,8 +56,9 @@ func main() {
 	}
 
 	// The CVE-2008-2430 story: count the distinct solutions of the target
-	// constraint. x+2 over a 32-bit field overflows for exactly two values.
-	var wav *diode.Target
+	// constraint with a §5.5 success-rate job, seeded like every other job
+	// for the site. x+2 over a 32-bit field overflows for exactly two values.
+	var wav *core.Target
 	for _, t := range targets {
 		if t.Site == "vlc:wav.c@147" {
 			wav = t
@@ -64,7 +67,12 @@ func main() {
 	if wav == nil {
 		log.Fatal("vlc:wav.c@147 not identified as a target site")
 	}
-	hits, total := diode.NewHunter(app, opts.ForSite(wav.Site)).SuccessRateContext(ctx, wav, wav.Beta, 200)
+	job := dispatch.SiteJob(dispatch.KindSuccessRate, app.Short, wav.Info, seed, dispatch.Options{})
+	job.SampleN = 200
+	rate, err := dispatch.Collect(ctx, backend, []dispatch.Job{job})
+	if err != nil || len(rate) != 1 || rate[0].Err != "" {
+		log.Fatalf("success-rate job failed: %v %+v", err, rate)
+	}
 	fmt.Printf("\nwav.c@147 target-constraint sampling: %d/%d inputs trigger "+
-		"(the constraint has only two solutions; paper reports 2/2)\n", hits, total)
+		"(the constraint has only two solutions; paper reports 2/2)\n", rate[0].Hits, rate[0].Total)
 }

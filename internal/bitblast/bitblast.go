@@ -16,17 +16,18 @@ import (
 )
 
 // Blaster incrementally encodes formulas into a sat.Solver. It is stateful
-// by design: every lowered term, formula and gate is cached under its
-// canonical intern key (bv.Term.ID / bv.Bool.ID), so a Blaster that lives
+// by design: every lowered term and formula is cached under its interned
+// pointer (hash-consing makes pointer equality structural equality), and
+// every gate under its inputs, so a Blaster that lives
 // across many Assert/solve rounds — the incremental-session workload —
 // lowers each shared subterm exactly once, no matter how many asserted
 // formulas mention it. Assert itself is idempotent: re-asserting a formula
 // that is already part of the encoding adds no clauses.
 type Blaster struct {
 	s        *sat.Solver
-	termBits map[uint64][]sat.Lit // term intern id → bits, LSB first
-	boolLit  map[uint64]sat.Lit   // formula intern id → literal
-	asserted map[uint64]bool      // formula intern ids already asserted
+	termBits map[*bv.Term][]sat.Lit // interned term → bits, LSB first
+	boolLit  map[*bv.Bool]sat.Lit   // interned formula → literal
+	asserted map[*bv.Bool]bool      // interned formulas already asserted
 	varBits  map[string][]sat.Lit
 	varTerm  map[string]*bv.Term
 	t, f     sat.Lit // literals fixed to true / false
@@ -47,9 +48,9 @@ const (
 func New(s *sat.Solver) *Blaster {
 	b := &Blaster{
 		s:        s,
-		termBits: make(map[uint64][]sat.Lit),
-		boolLit:  make(map[uint64]sat.Lit),
-		asserted: make(map[uint64]bool),
+		termBits: make(map[*bv.Term][]sat.Lit),
+		boolLit:  make(map[*bv.Bool]sat.Lit),
+		asserted: make(map[*bv.Bool]bool),
 		varBits:  make(map[string][]sat.Lit),
 		varTerm:  make(map[string]*bv.Term),
 		gates:    make(map[gateKey]sat.Lit),
@@ -66,10 +67,10 @@ func New(s *sat.Solver) *Blaster {
 // constraint is already in force), so callers that grow a conjunction
 // incrementally pay only for the conjuncts they have not asserted before.
 func (b *Blaster) Assert(formula *bv.Bool) bool {
-	if b.asserted[formula.ID()] {
+	if b.asserted[formula] {
 		return false
 	}
-	b.asserted[formula.ID()] = true
+	b.asserted[formula] = true
 	l := b.Lit(formula)
 	b.s.AddClause(l)
 	return true
@@ -77,11 +78,11 @@ func (b *Blaster) Assert(formula *bv.Bool) bool {
 
 // Lit returns a literal equivalent to the formula.
 func (b *Blaster) Lit(formula *bv.Bool) sat.Lit {
-	if l, ok := b.boolLit[formula.ID()]; ok {
+	if l, ok := b.boolLit[formula]; ok {
 		return l
 	}
 	l := b.litUncached(formula)
-	b.boolLit[formula.ID()] = l
+	b.boolLit[formula] = l
 	return l
 }
 
@@ -114,14 +115,14 @@ func (b *Blaster) litUncached(formula *bv.Bool) sat.Lit {
 
 // Bits returns the literal vector (LSB first) encoding t.
 func (b *Blaster) Bits(t *bv.Term) []sat.Lit {
-	if bits, ok := b.termBits[t.ID()]; ok {
+	if bits, ok := b.termBits[t]; ok {
 		return bits
 	}
 	bits := b.bitsUncached(t)
 	if len(bits) != int(t.W) {
 		panic("bitblast: width mismatch in encoding")
 	}
-	b.termBits[t.ID()] = bits
+	b.termBits[t] = bits
 	return bits
 }
 
@@ -524,7 +525,7 @@ func (b *Blaster) shifter(xt, yt *bv.Term, kind shiftKind) []sat.Lit {
 
 // Value reads the model value of t after a successful solve.
 func (b *Blaster) Value(t *bv.Term) uint64 {
-	bits, ok := b.termBits[t.ID()]
+	bits, ok := b.termBits[t]
 	if !ok {
 		panic("bitblast: term was not encoded")
 	}

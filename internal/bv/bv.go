@@ -50,13 +50,11 @@ const (
 type Term struct {
 	Kind Kind
 	W    uint8  // result width in bits, 1..64
+	Hi   uint8  // KExtract: high bit index (inclusive)
+	Lo   uint8  // KExtract: low bit index (inclusive)
 	Val  uint64 // KConst: the constant value (already masked to W bits)
 	Name string // KVar: variable name (e.g. "/header/width" or "byte[7]")
 	X, Y *Term  // operands (Y nil for unary ops, both nil for leaves)
-	Hi   uint8  // KExtract: high bit index (inclusive)
-	Lo   uint8  // KExtract: low bit index (inclusive)
-
-	id uint64 // canonical intern id, assigned once under the intern lock
 }
 
 // BoolKind identifies the operator at the root of a Bool.
@@ -81,8 +79,6 @@ type Bool struct {
 	BVal bool  // BConst
 	X, Y *Term // comparison operands
 	A, B *Bool // boolean operands
-
-	id uint64 // canonical intern id, assigned once under the intern lock
 }
 
 // interning tables. Children are interned before parents, so identity of
@@ -105,12 +101,10 @@ type boolKey struct {
 
 var (
 	internMu  sync.Mutex
-	termTab          = make(map[termKey]*Term)
-	boolTab          = make(map[boolKey]*Bool)
-	nextTerm  uint64 = 1 // 0 is reserved so a zero id never aliases a term
-	nextBool  uint64 = 3 // 1 and 2 belong to the boolean constants
-	trueBool         = &Bool{Kind: BConst, BVal: true, id: 1}
-	falseBool        = &Bool{Kind: BConst, BVal: false, id: 2}
+	termTab   = make(map[termKey]*Term)
+	boolTab   = make(map[boolKey]*Bool)
+	trueBool  = &Bool{Kind: BConst, BVal: true}
+	falseBool = &Bool{Kind: BConst, BVal: false}
 )
 
 func intern(t Term) *Term {
@@ -122,8 +116,6 @@ func intern(t Term) *Term {
 	}
 	p := new(Term)
 	*p = t
-	p.id = nextTerm
-	nextTerm++
 	termTab[k] = p
 	return p
 }
@@ -143,8 +135,6 @@ func internBool(b Bool) *Bool {
 	}
 	p := new(Bool)
 	*p = b
-	p.id = nextBool
-	nextBool++
 	boolTab[k] = p
 	return p
 }

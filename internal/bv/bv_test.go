@@ -400,28 +400,28 @@ func TestVarSet(t *testing.T) {
 	}
 }
 
-func TestInternIDs(t *testing.T) {
+// TestInternIdentity pins hash-consing: structurally identical terms and
+// formulas are one pointer, distinct ones are not. The bit-blaster and
+// solver sessions key their caches on these pointers.
+func TestInternIdentity(t *testing.T) {
 	x := Var(16, "id_x")
 	y := Var(16, "id_y")
-	if x.ID() == 0 || y.ID() == 0 {
-		t.Fatal("interned terms must have non-zero ids")
+	if x == y {
+		t.Fatal("distinct terms share a pointer")
 	}
-	if x.ID() == y.ID() {
-		t.Fatal("distinct terms share an id")
-	}
-	if Add(x, y).ID() != Add(x, y).ID() {
-		t.Fatal("structurally identical terms must share an id")
+	if Var(16, "id_x") != x || Add(x, y) != Add(x, y) {
+		t.Fatal("structurally identical terms must be one pointer")
 	}
 	a := Ult(x, y)
 	b := Ult(x, y)
-	if a.ID() != b.ID() || a.ID() == 0 {
-		t.Fatalf("bool ids: %d vs %d", a.ID(), b.ID())
+	if a != b {
+		t.Fatal("structurally identical formulas must be one pointer")
 	}
-	if True().ID() == False().ID() {
-		t.Fatal("boolean constants share an id")
+	if True() == False() || True() != True() {
+		t.Fatal("boolean constants are not two distinct singletons")
 	}
-	if a.ID() == True().ID() || a.ID() == False().ID() {
-		t.Fatal("formula id collides with a constant")
+	if a == True() || a == False() || a == Ult(y, x) {
+		t.Fatal("formula shares a pointer with a different formula")
 	}
 }
 

@@ -131,11 +131,9 @@ func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.S
 	expr := fields.LiftTerm(ev.Sym)
 	beta := bv.OverflowCond(expr)
 
-	// The Target retains the raw branch records past this site's run, but the
-	// outcome's slices are reused machine storage — copy before the next
-	// site's symbolic run overwrites them. (The records' Cond terms are
-	// interned and immutable; only the slice needs detaching.)
-	raw := append([]interp.BranchRecord(nil), symRun.Branches[:ev.BranchMark]...)
+	// The outcome's slices are reused machine storage; newTarget folds the
+	// raw records into the Target without retaining the slice.
+	raw := symRun.Branches[:ev.BranchMark]
 	path := trace.FromBranches(raw)
 	lifted := make(trace.Path, len(path))
 	for i, entry := range path {
@@ -150,16 +148,5 @@ func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.S
 	if err != nil {
 		return nil, err
 	}
-	t := &Target{
-		Site:            site,
-		Info:            info,
-		RelevantBytes:   relevant,
-		Expr:            expr,
-		Beta:            beta,
-		SeedPath:        lifted,
-		RawSeedBranches: raw,
-		DynamicBranches: len(raw),
-	}
-	t.finalize()
-	return t, nil
+	return newTarget(info, relevant, expr, beta, lifted, raw), nil
 }

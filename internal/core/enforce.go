@@ -234,9 +234,9 @@ type dirSet struct{ t, f bool }
 // this is the heart of why DIODE's targeted approach works.
 func (h *Hunter) firstFlipped(t *Target, out *interp.Outcome, enforced map[string]bool) (label string, flipped, followed bool) {
 	// The seed's per-branch direction sets are a pure function of the
-	// Target; the Analyzer precomputes them (Target.finalize) so only the
-	// generated run's trace is folded here, once per iteration.
-	order, seedDirs := t.seedBranchView()
+	// Target; newTarget precomputes them so only the generated run's trace
+	// is folded here, once per iteration.
+	order, seedDirs := t.branchOrder, t.seedDirs
 	genDirs := map[string]dirSet{}
 	for _, br := range out.Branches {
 		d := genDirs[br.Label]

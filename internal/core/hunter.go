@@ -13,9 +13,10 @@ import (
 // Figure 7 against the target sites of one application. Each Hunter owns a
 // private solver, input generator and interp.Machine, so hunts are fully
 // isolated from one another: every per-site hunt gets a fresh Hunter seeded
-// from the run seed and the site name (Options.ForSite), which is what makes
-// parallel and sequential sweeps produce identical verdicts. The guest
-// program itself is executed in the application's shared immutable compiled
+// from the run seed, the application and the site name (the
+// SiteSeed(SiteSeed(seed, app), site) derivation of dispatch.SiteJob),
+// which is what makes parallel and sequential sweeps produce identical
+// verdicts. The guest program itself is executed in the application's shared immutable compiled
 // form (apps.App.Compiled) — compilation is paid once per application, while
 // all mutable execution state stays hunter-private.
 type Hunter struct {
@@ -32,8 +33,8 @@ type Hunter struct {
 }
 
 // NewHunter returns a hunter for the application. opts.Seed seeds the
-// hunter's private solver directly; use Options.ForSite to derive the
-// deterministic per-site seed every sweep uses.
+// hunter's private solver directly; every sweep passes the per-site seed of
+// its dispatch.SiteJob.
 func NewHunter(app *apps.App, opts Options) *Hunter {
 	return &Hunter{
 		app:  app,

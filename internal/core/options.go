@@ -39,9 +39,11 @@ func (s Settings) Core(seed int64) Options { return Options{Seed: seed, Settings
 
 // Options configure the Analyzer and Hunter.
 type Options struct {
-	// Seed seeds all randomness; identical seeds give identical hunts. Each
-	// site's hunt draws from a private solver seeded with
-	// SiteSeed(Seed, site), so results do not depend on hunt order.
+	// Seed seeds all randomness; identical seeds give identical hunts. A
+	// Hunter uses it verbatim for its private solver; every sweep passes
+	// the per-site seed dispatch.SiteJob derives from the run seed,
+	// SiteSeed(SiteSeed(seed, app), site), so results do not depend on hunt
+	// order.
 	Seed int64
 	Settings
 	// Progress, when non-nil, is called at the top of every Figure 7
@@ -53,17 +55,11 @@ type Options struct {
 	Progress func(iteration int)
 }
 
-// ForSite returns a copy of o whose Seed is the deterministic per-site hunt
-// seed. Every per-site hunt is seeded this way.
-func (o Options) ForSite(site string) Options {
-	o.Seed = SiteSeed(o.Seed, site)
-	return o
-}
-
-// SiteSeed derives the deterministic per-site hunt seed from the run seed
-// and the site name. Because every Hunter is seeded this way regardless of
-// which worker picks the site up — or in what order — a parallel sweep
-// produces byte-identical verdicts to a sequential one.
+// SiteSeed mixes a name into a seed. dispatch.SiteJob applies it twice to
+// derive a job's seed from the run seed, SiteSeed(SiteSeed(seed, app),
+// site). Because every Hunter is seeded this way regardless of which worker
+// picks the site up — or in what order — a parallel sweep produces
+// byte-identical verdicts to a sequential one.
 func SiteSeed(seed int64, site string) int64 {
 	h := fnv.New64a()
 	var buf [8]byte

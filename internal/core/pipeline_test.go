@@ -15,22 +15,23 @@ func huntApp(t *testing.T, short string, seed int64) *AppResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return huntSites(t, app, Options{Seed: seed})
+	return huntSites(t, app, seed)
 }
 
 // huntSites is the definition of a verdict: analyze the application once,
-// then hunt every target on its own Hunter seeded with opts.ForSite(site),
+// then hunt every target on its own Hunter seeded with SiteSeed(seed, site),
 // in analysis order. Every fan-out (dispatch backends, the harness sweep)
-// must reproduce it.
-func huntSites(t *testing.T, app *apps.App, opts Options) *AppResult {
+// must reproduce it; dispatch.SiteJob passes SiteSeed(run seed, app) as
+// seed.
+func huntSites(t *testing.T, app *apps.App, seed int64) *AppResult {
 	t.Helper()
-	targets, err := NewAnalyzer(app, opts).AnalyzeContext(context.Background())
+	targets, err := NewAnalyzer(app, Options{}).AnalyzeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := &AppResult{App: app}
 	for _, tg := range targets {
-		res.Sites = append(res.Sites, NewHunter(app, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg))
+		res.Sites = append(res.Sites, NewHunter(app, Options{Seed: SiteSeed(seed, tg.Site)}).HuntContext(context.Background(), tg))
 	}
 	return res
 }
@@ -178,7 +179,7 @@ func TestSamePathBlocking(t *testing.T) {
 			if samePathSat[ps.Site] {
 				want = solver.Sat
 			}
-			if got := NewHunter(app, opts.ForSite(target.Site)).SamePathSatisfiable(target); got != want {
+			if got := NewHunter(app, Options{Seed: SiteSeed(opts.Seed, target.Site)}).SamePathSatisfiable(target); got != want {
 				t.Errorf("%s same-path constraint: %v, want %v", ps.Site, got, want)
 			}
 			if samePathSat[ps.Site] != ps.SamePathSat {

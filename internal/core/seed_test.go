@@ -22,14 +22,11 @@ func TestSiteSeedDerivation(t *testing.T) {
 	if SiteSeed(1, "a") == SiteSeed(1, "b") {
 		t.Error("SiteSeed ignores the site name")
 	}
-	if ForSite := (Options{Seed: 9}).ForSite("x"); ForSite.Seed != SiteSeed(9, "x") {
-		t.Error("Options.ForSite does not derive via SiteSeed")
-	}
 }
 
 // TestSchedulerDeterminism is the acceptance test for per-site seeding:
 // hunting every site concurrently, each on its own Hunter seeded with
-// Options.ForSite, must produce byte-identical verdicts, enforced-branch
+// SiteSeed(seed, site), must produce byte-identical verdicts, enforced-branch
 // lists, triggering inputs and run counts to the sequential definition
 // (huntSites), for every site of multiple applications. Any state shared
 // between Hunters would show up here as a divergence (and under -race).
@@ -39,15 +36,15 @@ func TestSchedulerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Seed: 11}
-		seq := huntSites(t, app, opts)
+		const seed = 11
+		seq := huntSites(t, app, seed)
 		par := make([]*SiteResult, len(seq.Sites))
 		var wg sync.WaitGroup
 		for i, ss := range seq.Sites {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				par[i] = NewHunter(app, opts.ForSite(ss.Target.Site)).HuntContext(context.Background(), ss.Target)
+				par[i] = NewHunter(app, Options{Seed: SiteSeed(seed, ss.Target.Site)}).HuntContext(context.Background(), ss.Target)
 			}()
 		}
 		wg.Wait()

@@ -13,10 +13,11 @@
 //     private solver and input generator so hunts are isolated.
 //
 // A site's verdict is defined by one Hunter, seeded with
-// Options.ForSite(site), hunting that site's Target. Fanning hunts out is
-// not this package's job: internal/dispatch turns each site into a
-// serializable Job and runs it on a backend, and because every hunt is
-// seeded per site (SiteSeed), placement and order never change a verdict.
+// SiteSeed(SiteSeed(seed, app), site) for run seed seed, hunting that
+// site's Target. Fanning hunts out is not this package's job:
+// dispatch.SiteJob turns each site into a serializable Job carrying that
+// seed and a backend runs it, and because every hunt is seeded per site,
+// placement and order never change a verdict.
 package core
 
 import (
@@ -50,21 +51,42 @@ type Target struct {
 	// SeedPath is the compressed, relevance-filtered branch condition
 	// sequence φ the seed followed to the site, over input fields.
 	SeedPath trace.Path
-	// RawSeedBranches is the seed's uncompressed relevant branch record
-	// sequence up to the site (labels + directions), used to locate first
-	// flipped branches by trace comparison.
-	RawSeedBranches []interp.BranchRecord
 	// DynamicBranches is the paper's Y value: the number of dynamic
 	// relevant conditional branch executions on the seed path to the site.
 	DynamicBranches int
 
-	// Derived lookup structures, computed once by the Analyzer (finalize)
-	// so the per-iteration hot paths of the enforcement loop do not rebuild
-	// them. Hand-built Targets may leave them nil; the accessors fall back
-	// to recomputing on the fly.
+	// Lookup structures derived once by newTarget, so the per-iteration
+	// hot paths of the enforcement loop do not rebuild them. The first two
+	// fold the seed's raw relevant branch records up to the site (labels
+	// and directions), which locate first flipped branches by trace
+	// comparison.
 	branchOrder []string          // relevant branch labels in first-occurrence seed order
 	seedDirs    map[string]dirSet // per-label directions the seed run took
 	pathIndex   map[string]int    // label → index into SeedPath
+}
+
+// newTarget builds an analyzed Target from the seed run's raw relevant
+// branch records up to the site (raw) and the lifted seed path, deriving
+// the lookup structures before the Target is shared with concurrent
+// Hunters. It is the only constructor; raw is not retained.
+func newTarget(info discover.Site, relevant []int, expr *bv.Term, beta *bv.Bool, path trace.Path, raw []interp.BranchRecord) *Target {
+	t := &Target{
+		Site:            info.Name,
+		Info:            info,
+		RelevantBytes:   relevant,
+		Expr:            expr,
+		Beta:            beta,
+		SeedPath:        path,
+		DynamicBranches: len(raw),
+	}
+	t.branchOrder, t.seedDirs = seedBranchDirs(raw)
+	t.pathIndex = make(map[string]int, len(path))
+	for i, e := range path {
+		if _, ok := t.pathIndex[e.Label]; !ok {
+			t.pathIndex[e.Label] = i
+		}
+	}
+	return t
 }
 
 // WithInfo returns a shallow copy of the target carrying a different
@@ -75,18 +97,6 @@ func (t *Target) WithInfo(info discover.Site) *Target {
 	out := *t
 	out.Info = info
 	return &out
-}
-
-// finalize computes the derived lookup structures. The Analyzer calls it
-// once per Target, before the Target is shared with concurrent Hunters.
-func (t *Target) finalize() {
-	t.branchOrder, t.seedDirs = seedBranchDirs(t.RawSeedBranches)
-	t.pathIndex = make(map[string]int, len(t.SeedPath))
-	for i, e := range t.SeedPath {
-		if _, ok := t.pathIndex[e.Label]; !ok {
-			t.pathIndex[e.Label] = i
-		}
-	}
 }
 
 // seedBranchDirs folds raw branch records into first-occurrence label order
@@ -109,32 +119,15 @@ func seedBranchDirs(recs []interp.BranchRecord) ([]string, map[string]dirSet) {
 	return order, dirs
 }
 
-// seedBranchView returns the precomputed order and direction sets, deriving
-// them on the fly for Targets that never went through the Analyzer.
-func (t *Target) seedBranchView() ([]string, map[string]dirSet) {
-	if t.seedDirs != nil {
-		return t.branchOrder, t.seedDirs
-	}
-	return seedBranchDirs(t.RawSeedBranches)
-}
-
 // PathEntry returns the seed-path entry for a branch label. It replaces the
 // linear scans the hunt loop and EnforcedConstraintFor used to perform per
 // iteration.
 func (t *Target) PathEntry(label string) (trace.Entry, bool) {
-	if t.pathIndex != nil {
-		i, ok := t.pathIndex[label]
-		if !ok {
-			return trace.Entry{}, false
-		}
-		return t.SeedPath[i], true
+	i, ok := t.pathIndex[label]
+	if !ok {
+		return trace.Entry{}, false
 	}
-	for _, e := range t.SeedPath {
-		if e.Label == label {
-			return e, true
-		}
-	}
-	return trace.Entry{}, false
+	return t.SeedPath[i], true
 }
 
 // Verdict classifies the outcome of a hunt at one site.

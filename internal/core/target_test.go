@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"diode/internal/bv"
+	"diode/internal/discover"
 	"diode/internal/interp"
 	"diode/internal/trace"
 )
 
-// TestTargetDerivedLookups pins the Analyzer-computed lookup structures
-// against the on-the-fly fallback: a finalized Target and a hand-built one
-// must answer PathEntry and the seed-branch view identically.
+// TestTargetDerivedLookups pins the lookup structures newTarget derives:
+// PathEntry finds labels on the seed path, and the seed-branch view folds
+// the raw records into first-occurrence order and per-label directions.
 func TestTargetDerivedLookups(t *testing.T) {
 	x := bv.Var(8, "tg_x")
 	path := trace.Path{
@@ -22,24 +23,22 @@ func TestTargetDerivedLookups(t *testing.T) {
 		{Label: "b", Taken: false},
 		{Label: "a", Taken: false}, // loop head: both directions
 	}
-	plain := &Target{Site: "s", SeedPath: path, RawSeedBranches: raw}
-	final := &Target{Site: "s", SeedPath: path, RawSeedBranches: raw}
-	final.finalize()
+	tg := newTarget(discover.Site{Name: "s"}, nil, nil, nil, path, raw)
 
-	for _, tg := range []*Target{plain, final} {
-		e, ok := tg.PathEntry("b")
-		if !ok || e.Cond != path[1].Cond {
-			t.Fatalf("PathEntry(b) = %v, %v", e, ok)
-		}
-		if _, ok := tg.PathEntry("missing"); ok {
-			t.Fatal("PathEntry found a label that is not on the path")
-		}
-		order, dirs := tg.seedBranchView()
-		if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-			t.Fatalf("branch order = %v", order)
-		}
-		if dirs["a"] != (dirSet{t: true, f: true}) || dirs["b"] != (dirSet{f: true}) {
-			t.Fatalf("direction sets = %v", dirs)
-		}
+	if tg.Site != "s" || tg.DynamicBranches != len(raw) {
+		t.Fatalf("site %q, dynamic branches %d", tg.Site, tg.DynamicBranches)
+	}
+	e, ok := tg.PathEntry("b")
+	if !ok || e.Cond != path[1].Cond {
+		t.Fatalf("PathEntry(b) = %v, %v", e, ok)
+	}
+	if _, ok := tg.PathEntry("missing"); ok {
+		t.Fatal("PathEntry found a label that is not on the path")
+	}
+	if order := tg.branchOrder; len(order) != 2 || order[0] != "a" || order[1] != "b" {
+		t.Fatalf("branch order = %v", order)
+	}
+	if dirs := tg.seedDirs; dirs["a"] != (dirSet{t: true, f: true}) || dirs["b"] != (dirSet{f: true}) {
+		t.Fatalf("direction sets = %v", tg.seedDirs)
 	}
 }

@@ -509,3 +509,30 @@ func TestExecWarmSharedDir(t *testing.T) {
 		t.Errorf("warm exec diverged from cold:\ncold: %+v\nwarm: %+v", a, b)
 	}
 }
+
+// TestExecNoCacheStoresNothing checks that the Exec backend's NoCache
+// reaches its worker processes: with a CacheDir set as well, a batch
+// executes every job and leaves the store empty. A worker that ignored
+// -no-cache would store each result.
+func TestExecNoCacheStoresNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	dir := t.TempDir()
+	jobs, _ := huntBatch(t, "vlc", 7)
+	e := testExec(2, nil)
+	e.CacheDir, e.NoCache = dir, true
+	if _, err := Collect(context.Background(), e, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if cs := e.CacheStats(); cs.Misses != int64(len(jobs)) || cs.Hits != 0 || cs.Stores != 0 {
+		t.Errorf("exec stats %+v, want %d misses and no hits or stores", cs, len(jobs))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("store holds %d entries after a -no-cache run, want 0", len(entries))
+	}
+}

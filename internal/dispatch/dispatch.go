@@ -102,6 +102,20 @@ func SiteJob(kind Kind, app string, site discover.Site, seed int64, opts Options
 	}
 }
 
+// HuntJobs plans one hunt job per analyzed target of the named application
+// (SiteJob at run seed seed): job i hunts targets[i] and has ID i. At the
+// same run seed and options each record, and so each JobKey, equals the job
+// the harness plans for that site, so cmd/diode and diode-tables share
+// job-cache entries.
+func HuntJobs(app string, targets []*core.Target, seed int64, opts Options) []Job {
+	jobs := make([]Job, len(targets))
+	for i, t := range targets {
+		jobs[i] = SiteJob(KindHunt, app, t.Info, seed, opts)
+		jobs[i].ID = i
+	}
+	return jobs
+}
+
 // Validate checks the fields a worker depends on. Backends surface a
 // validation failure as a Result with Err set rather than executing the job.
 func (j Job) Validate() error {

@@ -34,12 +34,12 @@ type Exec struct {
 	// stream.
 	Sink Sink
 	// CacheDir is the shared on-disk result store handed to every worker
-	// process (as the -cache-dir flag and the DIODE_WORKER_CACHE_DIR
-	// environment variable): sibling workers and repeated runs pointing at
-	// the same directory serve each other's results. Empty leaves each
-	// worker without a result cache (every job executes).
+	// process as its -cache-dir flag: sibling workers and repeated runs
+	// pointing at the same directory serve each other's results. Empty
+	// leaves each worker without a result cache (every job executes).
 	CacheDir string
-	// NoCache disables result caching in the workers.
+	// NoCache disables result caching in the workers (their -no-cache
+	// flag).
 	NoCache bool
 
 	counters cache.Counters
@@ -120,17 +120,14 @@ func (e *Exec) runShard(ctx context.Context, bin string, shard []Job, jobByID ma
 		return
 	}
 	var args []string
-	env := append(os.Environ(), e.Env...)
 	if e.CacheDir != "" {
 		args = append(args, "-cache-dir", e.CacheDir)
-		env = append(env, WorkerCacheDirEnv+"="+e.CacheDir)
 	}
 	if e.NoCache {
 		args = append(args, "-no-cache")
-		env = append(env, WorkerNoCacheEnv+"=1")
 	}
 	cmd := exec.CommandContext(ctx, bin, args...)
-	cmd.Env = env
+	cmd.Env = append(os.Environ(), e.Env...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()

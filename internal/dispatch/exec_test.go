@@ -10,13 +10,13 @@ import (
 
 // workerModeEnv switches the test binary into diode-worker mode, so the Exec
 // backend can be exercised hermetically: Exec spawns this very binary with
-// the variable set, and TestMain routes the process into WorkerMain before
-// the test framework starts.
+// the variable set, and TestMain routes the process into WorkerMain, with
+// the worker flags Exec passed, before the test framework starts.
 const workerModeEnv = "DIODE_TEST_WORKER_MODE"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerModeEnv) == "1" {
-		if err := WorkerMain(context.Background(), os.Stdin, os.Stdout, WorkerConfigFromEnv()); err != nil {
+		if err := WorkerMain(context.Background(), os.Args[1:], os.Stdin, os.Stdout); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)

@@ -23,17 +23,12 @@ func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]Job, len(targets))
-	for i, tg := range targets {
-		jobs[i] = SiteJob(KindHunt, short, tg.Info, seed, Options{})
-		jobs[i].ID = i
-	}
-	return jobs, targets
+	return HuntJobs(short, targets, seed, Options{}), targets
 }
 
 // TestLocalMatchesScheduler is the anchor to the definition of a verdict:
 // the Local backend must reproduce a sequential loop of Hunters, each seeded
-// with Options.ForSite from the application's base seed (the derivation
+// with core.SiteSeed from the application's base seed (the derivation
 // SiteJob applies), byte for byte — verdicts, enforced labels, triggering
 // inputs and run counts.
 func TestLocalMatchesScheduler(t *testing.T) {
@@ -47,7 +42,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
 	}
 	app, _ := apps.ByName("dillo")
-	opts := core.Options{Seed: core.SiteSeed(seed, app.Short)}
+	base := core.SiteSeed(seed, app.Short)
 	byID := make(map[int]Result, len(results))
 	for _, r := range results {
 		if r.Err != "" {
@@ -56,7 +51,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		byID[r.JobID] = r
 	}
 	for i, tg := range targets {
-		sr := core.NewHunter(app, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg)
+		sr := core.NewHunter(app, core.Options{Seed: core.SiteSeed(base, tg.Site)}).HuntContext(context.Background(), tg)
 		got := byID[i]
 		if got.Site != tg.Site {
 			t.Fatalf("job %d is %s, sequential hunt of %s", i, got.Site, tg.Site)

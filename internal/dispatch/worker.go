@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"diode/internal/cache"
 )
@@ -73,44 +73,29 @@ func newJobDecoder(r io.Reader) *json.Decoder {
 	return dec
 }
 
-// WorkerConfig carries the cache settings of one worker process.
-type WorkerConfig struct {
-	// CacheDir is the shared on-disk result store (empty: no result cache).
-	CacheDir string
-	// NoCache disables result caching.
-	NoCache bool
-}
-
-// Environment variables mirroring the diode-worker flags. The Exec backend
-// sets them alongside the flags so that worker stand-ins which never parse
-// argv — the test binaries behind the worker-mode TestMain trick — pick the
-// cache configuration up too.
-const (
-	WorkerCacheDirEnv = "DIODE_WORKER_CACHE_DIR"
-	WorkerNoCacheEnv  = "DIODE_WORKER_NO_CACHE"
-)
-
-// WorkerConfigFromEnv reads the worker cache configuration from the
-// environment (the flag defaults of cmd/diode-worker).
-func WorkerConfigFromEnv() WorkerConfig {
-	return WorkerConfig{
-		CacheDir: os.Getenv(WorkerCacheDirEnv),
-		NoCache:  os.Getenv(WorkerNoCacheEnv) == "1",
+// WorkerMain is the body of the diode-worker process: cmd/diode-worker
+// wraps it around its argument list and stdin/stdout, and tests embed it
+// behind an env-var switch so the Exec backend can be exercised without
+// building a separate binary. It parses the worker's two flags from args:
+// -cache-dir names the shared on-disk result store (empty: none), and
+// -no-cache disables result caching. It executes jobs sequentially in
+// arrival order — process-level parallelism is the Exec backend's job —
+// sharing one JobCache across the batch (backed by the -cache-dir store, so
+// sibling workers and repeated runs share results), and flushes every
+// message immediately so the parent observes progress live. At end of batch
+// it reports its cache counters as a stats message. It returns when the job
+// stream ends, or with ctx.Err() after a cancellation (in-flight work aborts
+// through the usual cancellation points).
+func WorkerMain(ctx context.Context, args []string, r io.Reader, w io.Writer) error {
+	fs := flag.NewFlagSet("diode-worker", flag.ContinueOnError)
+	cacheDir := fs.String("cache-dir", "", "shared on-disk result cache directory (empty = no result cache)")
+	noCache := fs.Bool("no-cache", false, "disable result caching")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-// WorkerMain is the body of the diode-worker process (cmd/diode-worker wraps
-// it around stdin/stdout; tests embed it behind an env-var switch so the
-// Exec backend can be exercised without building a separate binary). It
-// executes jobs sequentially in arrival order — process-level parallelism is
-// the Exec backend's job — sharing one JobCache across the batch (backed by
-// cfg.CacheDir when set, so sibling workers and repeated runs share
-// results), and flushes every message immediately so the parent observes
-// progress live. At end of batch it reports its cache counters as a stats
-// message. It returns when the job stream ends, or with ctx.Err() after a
-// cancellation (in-flight work aborts through the usual cancellation
-// points).
-func WorkerMain(ctx context.Context, r io.Reader, w io.Writer, cfg WorkerConfig) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	emit := func(msg wireMsg) error {
@@ -130,7 +115,7 @@ func WorkerMain(ctx context.Context, r io.Reader, w io.Writer, cfg WorkerConfig)
 		}
 	})
 
-	jc := NewJobCache(CacheConfig{Dir: cfg.CacheDir, NoResults: cfg.NoCache})
+	jc := NewJobCache(CacheConfig{Dir: *cacheDir, NoResults: *noCache})
 	dec := newJobDecoder(r)
 	for {
 		var job Job

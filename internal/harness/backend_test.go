@@ -20,7 +20,7 @@ const workerModeEnv = "DIODE_TEST_WORKER_MODE"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerModeEnv) == "1" {
-		if err := dispatch.WorkerMain(context.Background(), os.Stdin, os.Stdout, dispatch.WorkerConfigFromEnv()); err != nil {
+		if err := dispatch.WorkerMain(context.Background(), os.Args[1:], os.Stdin, os.Stdout); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -92,7 +92,7 @@ func TestBackendTableEquality(t *testing.T) {
 
 // TestHarnessMatchesSchedulerCompat anchors the planner/folder to the
 // definition of a verdict: for each application, a sequential loop of
-// Hunters, each seeded with Options.ForSite at the harness's derived per-app
+// Hunters, each seeded with core.SiteSeed from the harness's derived per-app
 // seed, must produce the same verdicts, enforced counts, error types and
 // inputs the job-based sweep folds into its records.
 func TestHarnessMatchesSchedulerCompat(t *testing.T) {
@@ -119,7 +119,7 @@ func TestHarnessMatchesSchedulerCompat(t *testing.T) {
 			t.Fatalf("%s: %d sites vs %d", o.App.Short, len(o.Result.Sites), len(targets))
 		}
 		for i, tg := range targets {
-			sr := core.NewHunter(o.App, opts.ForSite(tg.Site)).HuntContext(context.Background(), tg)
+			sr := core.NewHunter(o.App, core.Options{Seed: core.SiteSeed(opts.Seed, tg.Site)}).HuntContext(context.Background(), tg)
 			got := o.Result.Sites[i]
 			if got.Target.Site != sr.Target.Site {
 				t.Fatalf("%s: site order diverged: %s vs %s", o.App.Short, got.Target.Site, sr.Target.Site)

@@ -85,7 +85,7 @@ func TestExtendedNeedsEnforcement(t *testing.T) {
 		t.Fatal("screen-buffer site missing from targets")
 	}
 	for _, seed := range seeds {
-		sr := core.NewHunter(app, core.Options{Seed: seed}.ForSite(screen.Site)).HuntContext(context.Background(), screen)
+		sr := core.NewHunter(app, core.Options{Seed: core.SiteSeed(seed, screen.Site)}).HuntContext(context.Background(), screen)
 		if sr.Verdict != core.VerdictExposed {
 			t.Fatalf("seed %d: gif.c@155 = %v, want exposed", seed, sr.Verdict)
 		}

@@ -81,7 +81,7 @@ func TestSuccessRateBimodality(t *testing.T) {
 	const n = 40
 	for _, tg := range targets {
 		rate := func() (int, int) {
-			return core.NewHunter(app, opts.ForSite(tg.Site)).SuccessRateContext(context.Background(), tg, tg.Beta, n)
+			return core.NewHunter(app, core.Options{Seed: core.SiteSeed(opts.Seed, tg.Site)}).SuccessRateContext(context.Background(), tg, tg.Beta, n)
 		}
 		switch tg.Site {
 		case "vlc:block.c@54":

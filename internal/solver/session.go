@@ -41,12 +41,12 @@ import (
 // core Hunter opens one per hunt).
 type Session struct {
 	sol   *Solver
-	rng   *rand.Rand      // private stream: sessionSeed(parent seed, ordinal)
-	cur   *bv.Bool        // conjunction of everything asserted so far
-	conj  []*bv.Bool      // deduped conjuncts in assertion order
-	ids   map[uint64]bool // intern ids of conj entries
-	vars  bv.VarSet       // union of the conjuncts' free variables
-	names []string        // sorted names of vars, refreshed when a variable arrives
+	rng   *rand.Rand        // private stream: sessionSeed(parent seed, ordinal)
+	cur   *bv.Bool          // conjunction of everything asserted so far
+	conj  []*bv.Bool        // deduped conjuncts in assertion order
+	seen  map[*bv.Bool]bool // conj entries (interned, so pointer-keyed)
+	vars  bv.VarSet         // union of the conjuncts' free variables
+	names []string          // sorted names of vars, refreshed when a variable arrives
 
 	engine        *sat.Solver
 	bl            *bitblast.Blaster
@@ -131,7 +131,7 @@ func (s *Solver) NewSession(beta *bv.Bool) *Session {
 		sol:  s,
 		rng:  rand.New(rand.NewSource(sessionSeed(s.opts.Seed, s.sessions.Add(1)))),
 		cur:  bv.True(),
-		ids:  make(map[uint64]bool),
+		seen: make(map[*bv.Bool]bool),
 		vars: make(bv.VarSet),
 	}
 	ss.Assert(beta)
@@ -153,10 +153,10 @@ func (ss *Session) Assert(cond *bv.Bool) {
 			}
 			continue
 		}
-		if ss.ids[c.ID()] {
+		if ss.seen[c] {
 			continue
 		}
-		ss.ids[c.ID()] = true
+		ss.seen[c] = true
 		ss.conj = append(ss.conj, c)
 		ss.cur = bv.AndB(ss.cur, c)
 		for name, v := range bv.BoolVars(c) {
