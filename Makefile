@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke examples-smoke fuzz-smoke worker-smoke traffic-cover
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke examples-smoke fuzz-smoke worker-smoke traffic-cover perfbench-test
 
 all: check test
 
@@ -46,6 +46,14 @@ lint: vet staticcheck diodelint
 	fi
 
 check: lint build
+
+# The sweep benchmark (perfbench/, declared in BENCHMARK.json) is a module of
+# its own, so `go build ./...` and `go test ./...` never compile it. This
+# vets and tests it against the checkout's packages, so an internal API
+# change that breaks it fails here rather than when the benchmark is run.
+# About 10 s. Mirrors the CI step.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # One iteration of every benchmark — includes BenchmarkSuccessRateBatched,
 # whose tree-walker-vs-batched corpus hit-parity assertion runs even at 1x.

@@ -8,6 +8,21 @@
 // Tseitin-encoded to CNF and decided here. The solver supports randomized
 // decision polarity so that repeated solves sample diverse models, which the
 // paper's §5.5/§5.6 experiments (200 generated inputs per constraint) need.
+//
+// Every clause lives in one per-solver arena, a []Lit slab, as a header word
+// (its size shifted left by two, a freed bit and a learnt bit), its literals
+// and, for a learnt clause, two words holding the bits of its float64
+// activity. A clause is named by a cref, the offset of its header. Watch
+// lists, per-variable reasons and the learnt list hold crefs, so none of
+// them holds a pointer: the garbage collector never scans them and
+// propagation writes them without write barriers. Adding a clause appends
+// to the arena, and deleting a learnt clause only marks it freed. Once freed
+// words exceed half the arena, the solver copies the live clauses, in arena
+// order, into a fresh arena and rewrites every cref: in each watch list in
+// place, so list order is kept, in the reasons and in the learnt list. The
+// search reads crefs only for identity, never for their value, so
+// compaction leaves the search trajectory unchanged. A cref is 32 bits, and
+// a clause that would place the arena past 2^32 words panics.
 package sat
 
 // Var is a variable index, starting at 0.
@@ -52,20 +67,3 @@ const (
 	lTrue
 	lFalse
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
-func (v lbool) not() lbool {
-	switch v {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}

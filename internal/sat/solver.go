@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -27,11 +29,23 @@ func (r Result) String() string {
 	return "unknown"
 }
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// cref names a clause: the offset of its header word in the solver's arena.
+type cref uint32
+
+// crefUndef is the "no clause" reference: the reason of a decision, an
+// assumption, a unit or an unassigned variable, and propagate's "no
+// conflict".
+const crefUndef cref = math.MaxUint32
+
+// A clause's header word is size<<hdrShift | hdrFreed | hdrLearnt. Its size
+// literals follow it, and a learnt clause ends with actWords words holding
+// the bits of its float64 activity.
+const (
+	hdrLearnt = 1
+	hdrFreed  = 2
+	hdrShift  = 2
+	actWords  = 2
+)
 
 // Options configure a Solver.
 type Options struct {
@@ -54,16 +68,19 @@ type Options struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	opts    Options
-	rng     *rand.Rand
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // indexed by literal; clauses in which that literal is watched
+	opts        Options
+	rng         *rand.Rand
+	arena       []Lit // every clause, header then literals (see the package doc)
+	wasted      int   // words of freed clauses still in arena
+	compactions int   // times compact has rebuilt arena
+	numClauses  int   // problem clauses attached
+	learnts     []cref
+	watches     [][]watcher // indexed by literal; clauses in which that literal is watched
 
-	assigns []lbool   // per var
-	level   []int32   // per var
-	reason  []*clause // per var
-	phase   []bool    // saved polarity per var
+	vals   []lbool // per literal
+	level  []int32 // per var
+	reason []cref  // per var
+	phase  []bool  // saved polarity per var
 
 	trail    []Lit
 	trailLim []int32
@@ -77,6 +94,7 @@ type Solver struct {
 	claInc    float64
 	seen      []bool
 	scratch   []Lit // normalize's sort buffer, reused across clauses
+	learnt    []Lit // analyze's learnt clause, reused across conflicts
 	unsatRoot bool  // a top-level conflict was derived
 
 	// statistics
@@ -86,8 +104,11 @@ type Solver struct {
 	maxLearnts   float64
 }
 
+// watcher is one entry of a watch list. It holds no pointer, so watch
+// lists are never scanned by the garbage collector and propagate writes them
+// without write barriers.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -115,10 +136,10 @@ func New(opts Options) *Solver {
 
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -128,11 +149,11 @@ func (s *Solver) NewVar() Var {
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses currently attached
 // (excluding learned clauses and root-level units).
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.numClauses }
 
 // NumLearnts returns the number of learned clauses currently retained. On a
 // persistent instance this is the knowledge carried over into the next
@@ -161,15 +182,101 @@ func (s *Solver) SetDecisionFocus(vars []Var, conflicts int64) {
 	s.focusEnd = s.Conflicts + conflicts
 }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// varValue is the value of v's positive literal.
+func (s *Solver) varValue(v Var) lbool { return s.vals[PosLit(v)] }
+
+// size returns the number of literals of clause c.
+func (s *Solver) size(c cref) int { return int(uint32(s.arena[c]) >> hdrShift) }
+
+// lits returns clause c's literals, aliasing the arena.
+func (s *Solver) lits(c cref) []Lit {
+	start := int(c) + 1
+	return s.arena[start : start+s.size(c)]
+}
+
+// words returns the arena words clause c occupies, header included.
+func (s *Solver) words(c cref) int {
+	return 1 + s.size(c) + int(s.arena[c]&hdrLearnt)*actWords
+}
+
+// alloc appends a clause to the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	n := 1 + len(lits)
+	hdr := uint32(len(lits)) << hdrShift
+	if learnt {
+		n += actWords
+		hdr |= hdrLearnt
 	}
-	if l.Sign() {
-		return v.not()
+	if !arenaFits(len(s.arena), len(lits), n) {
+		panic(fmt.Sprintf("sat: clause arena full: a %d-literal clause at word %d would pass the 2^32-word limit of a clause reference", len(lits), len(s.arena)))
 	}
-	return v
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(hdr))
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0)
+	}
+	return c
+}
+
+// arenaFits reports whether a clause of size literals, n words in all, can
+// go at arena offset used: the size must fit its header and every cref
+// must stay below crefUndef.
+func arenaFits(used, size, n int) bool {
+	return size < 1<<(32-hdrShift) && uint64(used)+uint64(n) <= uint64(crefUndef)
+}
+
+// claActivity returns learnt clause c's activity.
+func (s *Solver) claActivity(c cref) float64 {
+	i := int(c) + 1 + s.size(c)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+func (s *Solver) setClaActivity(c cref, a float64) {
+	i := int(c) + 1 + s.size(c)
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// free marks clause c dead; its words stay in the arena until compact.
+func (s *Solver) free(c cref) {
+	s.arena[c] |= hdrFreed
+	s.wasted += s.words(c)
+}
+
+// compact rebuilds the arena from its live clauses, copied in arena order,
+// and remaps every reference: watchers in place, so each watch list keeps
+// its order, then reasons and learnts. None of them names a freed clause:
+// detach drops a freed clause's watchers, and reduceDB frees no reason and
+// keeps no freed clause in learnts.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	for c := 0; c < len(s.arena); {
+		n := s.words(cref(c))
+		if s.arena[c]&hdrFreed == 0 {
+			to = append(to, s.arena[c:c+n]...)
+			s.arena[c+1] = Lit(len(to) - n) // forwarding address, over the first literal
+		}
+		c += n
+	}
+	fwd := func(c cref) cref { return cref(s.arena[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = fwd(ws[i].c)
+		}
+	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = fwd(r)
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = fwd(c)
+	}
+	s.arena, s.wasted = to, 0
+	s.compactions++
 }
 
 // AddClause adds a clause over the given literals. It returns false if the
@@ -194,16 +301,15 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsatRoot = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.unsatRoot = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.numClauses++
+	s.attach(s.alloc(out, false))
 	return true
 }
 
@@ -239,17 +345,20 @@ func (s *Solver) normalize(lits []Lit) (out []Lit, keep bool) {
 	return out, true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, c.lits[0]})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	l0, l1 := lits[0], lits[1]
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{c, l1})
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{c, l0})
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Neg(), c)
-	s.removeWatch(c.lits[1].Neg(), c)
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.removeWatch(lits[0].Neg(), c)
+	s.removeWatch(lits[1].Neg(), c)
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
 		if ws[i].c == c {
@@ -260,16 +369,17 @@ func (s *Solver) removeWatch(l Lit, c *clause) {
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Sign())
+	s.vals[l], s.vals[l.Neg()] = lTrue, lFalse
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; it returns a conflicting clause or
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p was just assigned true, so ¬p became false
 		s.qhead++
@@ -277,32 +387,37 @@ func (s *Solver) propagate() *clause {
 		falsified := p.Neg()
 		// watches[p] holds the clauses in which ¬p is a watched literal
 		// (attach registers each watched literal l under watches[¬l]).
+		// Watchers that stay are compacted to the front in their order.
 		ws := s.watches[p]
-		kept := ws[:0]
-		var confl *clause
+		kept := 0
+		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			// Fast path: the blocker literal is already true.
 			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+				ws[kept] = w
+				kept++
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the falsified literal is lits[1].
-			if c.lits[0] == falsified {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falsified {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+				ws[kept] = watcher{c, first}
+				kept++
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for j := 2; j < len(c.lits); j++ {
-				if s.value(c.lits[j]) != lFalse {
-					c.lits[1], c.lits[j] = c.lits[j], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, first})
+			for j := 2; j < len(lits); j++ {
+				if s.value(lits[j]) != lFalse {
+					lits[1], lits[j] = lits[j], lits[1]
+					nw := lits[1].Neg()
+					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					found = true
 					break
 				}
@@ -311,30 +426,29 @@ func (s *Solver) propagate() *clause {
 				continue // watch moved; drop from this list
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
+			ws[kept] = watcher{c, first}
+			kept++
 			if s.value(first) == lFalse {
 				confl = c
-				// Copy remaining watchers back and stop.
-				for i++; i < len(ws); i++ {
-					kept = append(kept, ws[i])
-				}
+				// Keep the remaining watchers and stop.
+				kept += copy(ws[kept:], ws[i+1:])
 				s.qhead = len(s.trail)
 				break
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p] = kept
-		if confl != nil {
+		s.watches[p] = ws[:kept]
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
-// analyze performs first-UIP conflict analysis and returns the learnt clause
-// (first literal is the asserting literal) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
-	learnt := []Lit{LitUndef} // slot 0 reserved for the asserting literal
+// analyze performs first-UIP conflict analysis. It leaves the learnt clause
+// in s.learnt, asserting literal first, and returns the backtrack level.
+func (s *Solver) analyze(confl cref) int32 {
+	learnt := append(s.learnt[:0], LitUndef) // slot 0 reserved for the asserting literal
 	counter := 0
 	p := LitUndef
 	index := len(s.trail) - 1
@@ -345,8 +459,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 		if p != LitUndef {
 			start = 1 // skip the propagated literal itself in reason clauses
 		}
-		for j := start; j < len(confl.lits); j++ {
-			q := confl.lits[j]
+		lits := s.lits(confl)
+		for j := start; j < len(lits); j++ {
+			q := lits[j]
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -389,7 +504,8 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	for _, l := range learnt {
 		s.seen[l.Var()] = false
 	}
-	return learnt, bt
+	s.learnt = learnt
+	return bt
 }
 
 func (s *Solver) bumpVar(v Var) {
@@ -403,11 +519,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > rescaleAt {
+func (s *Solver) bumpClause(c cref) {
+	a := s.claActivity(c) + s.claInc
+	s.setClaActivity(c, a)
+	if a > rescaleAt {
 		for _, lc := range s.learnts {
-			lc.activity *= rescaleBy
+			s.setClaActivity(lc, s.claActivity(lc)*rescaleBy)
 		}
 		s.claInc *= rescaleBy
 	}
@@ -419,10 +536,11 @@ func (s *Solver) cancelUntil(lvl int32) {
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Sign() // l is the true literal
+		s.vals[l], s.vals[l.Neg()] = lUndef, lUndef
+		s.reason[v] = crefUndef
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -434,7 +552,7 @@ func (s *Solver) decide() bool {
 	var v Var = -1
 	if s.Conflicts < s.focusEnd {
 		for _, f := range s.focus {
-			if s.assigns[f] == lUndef {
+			if s.varValue(f) == lUndef {
 				v = f
 				break
 			}
@@ -445,7 +563,7 @@ func (s *Solver) decide() bool {
 			return false
 		}
 		cand := s.order.removeMax()
-		if s.assigns[cand] == lUndef {
+		if s.varValue(cand) == lUndef {
 			v = cand
 		}
 	}
@@ -455,25 +573,35 @@ func (s *Solver) decide() bool {
 	}
 	s.Decisions++
 	s.trailLim = append(s.trailLim, int32(len(s.trail)))
-	s.uncheckedEnqueue(MkLit(v, !pol), nil)
+	s.uncheckedEnqueue(MkLit(v, !pol), crefUndef)
 	return true
 }
 
+// reduceDB deletes the less active half of the learnt clauses, sparing
+// binary clauses and reasons, and compacts the arena once freed clauses
+// fill more than half of it.
 func (s *Solver) reduceDB() {
+	// The sort is unstable: learnts' order going in, and this algorithm,
+	// decide which of equally active clauses go.
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.learnts[i].activity < s.learnts[j].activity
+		return s.claActivity(s.learnts[i]) < s.claActivity(s.learnts[j])
 	})
 	kept := s.learnts[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		locked := s.reason[c.lits[0].Var()] == c && s.value(c.lits[0]) == lTrue
-		if i < limit && len(c.lits) > 2 && !locked {
+		lits := s.lits(c)
+		locked := s.reason[lits[0].Var()] == c && s.value(lits[0]) == lTrue
+		if i < limit && len(lits) > 2 && !locked {
 			s.detach(c)
+			s.free(c)
 			continue
 		}
 		kept = append(kept, c)
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
 // luby returns the i-th element (1-based) of the Luby restart sequence
@@ -513,7 +641,7 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) Result {
 		return Unsat
 	}
 	s.cancelUntil(0) // invalidate any previous model; start from the root
-	if c := s.propagate(); c != nil {
+	if s.propagate() != crefUndef {
 		s.unsatRoot = true
 		return Unsat
 	}
@@ -537,7 +665,7 @@ func (s *Solver) SolveContinue() Result {
 // search is the CDCL main loop, entered with the current trail consistent or
 // carrying a pending conflict (which the first propagate surfaces).
 func (s *Solver) search(assumps []Lit) Result {
-	s.maxLearnts = float64(len(s.clauses)) * learntFrac
+	s.maxLearnts = float64(s.numClauses) * learntFrac
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
 	}
@@ -548,7 +676,7 @@ func (s *Solver) search(assumps []Lit) Result {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Conflicts++
 			conflictsThisRestart++
 			if s.opts.Stop != nil && s.opts.Stop.Load() {
@@ -559,12 +687,11 @@ func (s *Solver) search(assumps []Lit) Result {
 				s.unsatRoot = true
 				return Unsat
 			}
-			learnt, bt := s.analyze(confl)
-			s.cancelUntil(bt)
-			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+			s.cancelUntil(s.analyze(confl))
+			if learnt := s.learnt; len(learnt) == 1 {
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -594,11 +721,11 @@ func (s *Solver) search(assumps []Lit) Result {
 				return Unsat
 			default:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.uncheckedEnqueue(p, nil)
+				s.uncheckedEnqueue(p, crefUndef)
 			}
 			continue
 		}
-		if len(s.trail) == len(s.assigns) {
+		if len(s.trail) == s.NumVars() {
 			return Sat // full assignment, consistent
 		}
 		if conflictsThisRestart >= budget {
@@ -629,14 +756,14 @@ func (s *Solver) CancelToRoot() {
 // successful solve. Unassigned variables (possible only before solving)
 // report false.
 func (s *Solver) ModelValue(v Var) bool {
-	return s.assigns[v] == lTrue
+	return s.varValue(v) == lTrue
 }
 
 // Model returns the full model as a slice indexed by variable.
 func (s *Solver) Model() []bool {
-	m := make([]bool, len(s.assigns))
-	for i := range m {
-		m[i] = s.assigns[i] == lTrue
+	m := make([]bool, s.NumVars())
+	for v := range m {
+		m[v] = s.varValue(Var(v)) == lTrue
 	}
 	return m
 }
@@ -655,8 +782,8 @@ func (s *Solver) PartialRestart(rng *rand.Rand, flip float64) {
 	if len(s.trailLim) > 0 {
 		s.cancelUntil(int32(rng.Intn(len(s.trailLim) + 1)))
 	}
-	for v := range s.assigns {
-		if s.assigns[v] == lUndef && (flip >= 1 || rng.Float64() < flip) {
+	for v := range s.phase {
+		if s.varValue(Var(v)) == lUndef && (flip >= 1 || rng.Float64() < flip) {
 			s.phase[v] = rng.Intn(2) == 0
 		}
 	}
@@ -670,7 +797,7 @@ func (s *Solver) PartialRestart(rng *rand.Rand, flip float64) {
 // model, so undirected flips mostly buy conflicts without diversity.
 func (s *Solver) PerturbPhases(rng *rand.Rand, flip float64, vars []Var) {
 	for _, v := range vars {
-		if s.assigns[v] == lUndef && (flip >= 1 || rng.Float64() < flip) {
+		if s.varValue(v) == lUndef && (flip >= 1 || rng.Float64() < flip) {
 			s.phase[v] = rng.Intn(2) == 0
 		}
 	}

@@ -232,10 +232,12 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 //     Solver.StopOn) before either, so fewer than k models prove nothing.
 //
 // The default strategy (Options.Sampling = SamplingRestart) draws each model
-// by a cheap randomized restart of the persistent engine — re-randomized
-// decision polarities and variable activities, backtrack to the root — so no
-// blocking clauses accumulate and every solve searches the unencumbered
-// formula. Once restartSampleStale consecutive restarts rediscover known
+// by a cheap partial restart of the persistent engine — backtrack to a random
+// level of the previous model's trail (sat.Solver.PartialRestart), flip the
+// freed input-bit phases at restartFlipProb (PerturbPhases), and resume from
+// the kept prefix with random polarity 0 (polarityRestartSample), so only the
+// perturbed input bits steer the completion. No blocking clauses accumulate
+// and every solve searches the unencumbered formula. Once restartSampleStale consecutive restarts rediscover known
 // models, sampling falls back to guard-literal blocking enumeration, which
 // alone can certify that the solution set is exhausted (the §5.5 two-solution
 // constraints end here). Under SamplingBlocking the canonical

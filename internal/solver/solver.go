@@ -14,11 +14,13 @@
 //
 // Session.SampleModels implements the §5.5/§5.6 experiments: up to k *distinct*
 // models of a constraint. The default strategy is restart sampling — between
-// models the persistent engine re-randomizes decision polarities and variable
-// activities and re-solves from the root, which keeps every solve cheap — and
-// guard-literal blocking enumeration remains as the fallback that certifies
-// exhaustion once restarts stop producing fresh models (and as the reference
-// strategy tests and BenchmarkSampleModels select, Options.Sampling).
+// models the persistent engine backtracks to a random level of the previous
+// model's trail, flips some of the freed input-bit phases and resumes the
+// search from the kept prefix with every other decision on its saved phase,
+// which keeps every solve cheap — and guard-literal blocking enumeration
+// remains as the fallback that certifies exhaustion once restarts stop
+// producing fresh models (and as the reference strategy tests and
+// BenchmarkSampleModels select, Options.Sampling).
 //
 // The unit of solving is the Session: an incremental context over a
 // monotonically growing conjunction, holding one persistent CDCL engine and
@@ -82,11 +84,13 @@ type Sampling int
 // Sampling strategies.
 const (
 	// SamplingRestart (the default) keeps one persistent engine and performs
-	// a cheap randomized restart between samples — re-randomized decision
-	// polarities and variable activities, backtrack to the root — instead of
-	// asserting a blocking clause and re-solving from scratch. Guard-literal
-	// blocking is still used, but only to *certify* exhaustion when restarts
-	// stop producing fresh models.
+	// a cheap randomized partial restart between samples — backtrack to a
+	// random level of the previous model's trail, perturb the saved phases of
+	// the freed input bits, resume from the kept prefix at random polarity 0
+	// — instead of asserting a blocking clause and re-solving from scratch.
+	// Variable activities and the other saved phases are left alone.
+	// Guard-literal blocking is still used, but only to *certify* exhaustion
+	// when restarts stop producing fresh models.
 	SamplingRestart Sampling = iota
 	// SamplingBlocking is the canonical enumerate-and-block sequence: every
 	// found model is blocked through a guard literal and the engine re-solves
