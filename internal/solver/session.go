@@ -237,11 +237,12 @@ func (ss *Session) Solve() (bv.Assignment, Verdict) {
 // freed input-bit phases at restartFlipProb (PerturbPhases), and resume from
 // the kept prefix with random polarity 0 (polarityRestartSample), so only the
 // perturbed input bits steer the completion. No blocking clauses accumulate
-// and every solve searches the unencumbered formula. Once restartSampleStale consecutive restarts rediscover known
-// models, sampling falls back to guard-literal blocking enumeration, which
-// alone can certify that the solution set is exhausted (the §5.5 two-solution
-// constraints end here). Under SamplingBlocking the canonical
-// enumerate-and-block sequence runs from the start.
+// and every solve searches the unencumbered formula. Once restartSampleStale
+// consecutive restarts rediscover known models, sampling falls back to
+// guard-literal blocking enumeration, which alone can certify that the
+// solution set is exhausted (the §5.5 two-solution constraints end here).
+// Under SamplingBlocking the canonical enumerate-and-block sequence runs from
+// the start.
 //
 // Neither strategy narrows later solves: restarts add no clauses, and the
 // blocking clauses are guarded by fresh literals activated through
