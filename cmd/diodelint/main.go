@@ -18,7 +18,7 @@
 //     dispatch loop. An opcode the compiler can emit but the loop does not
 //     handle falls through to the unknown-opcode error at runtime; this
 //     catches it at lint time. Boundary markers (consts whose value is just
-//     an alias of another op* constant, e.g. opColdBase) are exempt.
+//     an alias of another op* constant) are exempt.
 //
 // Usage:
 //
@@ -242,7 +242,7 @@ func mapKeys(f *ast.File, varName string) map[string]bool {
 }
 
 // opcodeConsts returns every op*-named constant, excluding boundary markers
-// whose value is a bare alias of another op* constant (e.g. opColdBase).
+// whose value is a bare alias of another op* constant.
 func opcodeConsts(f *ast.File) map[string]bool {
 	ops := make(map[string]bool)
 	for _, decl := range f.Decls {

@@ -72,7 +72,7 @@ func FuzzAbsintSoundness(f *testing.F) {
 		}
 		as := table[int(data[0])%len(table)]
 		input := data[1:]
-		out := interp.Run(as.app.Program, input, interp.Options{Fuel: 2_000_000})
+		out := interp.Run(as.app.Program, input, interp.Options{Fuel: 133_000})
 		for _, ev := range out.Allocs {
 			site, ok := as.sites[ev.Site]
 			if !ok {

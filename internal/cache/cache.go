@@ -1,9 +1,8 @@
 // Package cache is the content-addressed caching layer under the dispatch
 // surface: canonical fingerprints for guest programs and their input formats,
-// a singleflight-deduplicating in-memory LRU (analyses and application
-// instances), an optional on-disk result store with
-// corruption-as-miss semantics, and the hit/miss counters the stats surfaces
-// report. Every job Result is a pure function of its serialized record plus
+// a singleflight-deduplicating in-memory LRU (analyses), an optional on-disk
+// result store with corruption-as-miss semantics, and the hit/miss counters
+// the stats surfaces report. Every job Result is a pure function of its serialized record plus
 // the guest program (the dispatch layer's determinism seam), which is what
 // makes outputs safe to key by content: a cache key changes exactly when a
 // result could.

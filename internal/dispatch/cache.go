@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strconv"
+	"sync"
 
 	"diode/internal/absint"
 	"diode/internal/apps"
@@ -29,7 +30,10 @@ import (
 // Version 5: restart sampling's input-bit decision focus lapses inside a
 // draw, so a β sampling used to exhaust its conflict budget on (unknown) can
 // now be refuted (unsatisfiable); results also carry the CDCL conflict count.
-const keyVersion = "5"
+// Version 6: guest fuel counts control transfers (branch decisions and
+// calls) instead of AST nodes, so a run that exhausts its fuel can stop at a
+// different point.
+const keyVersion = "6"
 
 // maxAnalyses bounds a JobCache's in-memory analysis LRU, in entries.
 const maxAnalyses = 64
@@ -51,24 +55,26 @@ type CacheConfig struct {
 // threads through: Execute consults its disk store before constructing a
 // Hunter, the Local backend shares one across Runs, worker processes build
 // one from -cache-dir, and the harness planner resolves analysis through it.
-// Analyses and application instances are memoized in memory; results live
-// in the disk store or nowhere. Keys are derived from content fingerprints
-// (JobKey), never from registry names, so a store shared across processes —
-// or surviving a program edit — can never serve a stale result.
+// Analyses are memoized in memory and applications registered by Targets
+// are kept for the cache's lifetime; results live in the disk store or
+// nowhere. Keys are derived from content fingerprints (JobKey), never from
+// registry names, so a store shared across processes — or surviving a
+// program edit — can never serve a stale result.
 // Construction cannot fail: an unusable directory degrades to a cache that
 // misses and stores nothing on disk.
 type JobCache struct {
-	instances *cache.LRU   // app short name → appOut (resolved *apps.App)
-	analyses  *cache.LRU   // analysis key → analysisOut (targets)
-	store     *cache.Store // nil when no Dir or NoResults
-	counters  cache.Counters
+	mu         sync.Mutex
+	registered map[string]*apps.App // short name → first application Targets saw under it
+	analyses   *cache.LRU           // analysis key → analysisOut (targets)
+	store      *cache.Store         // nil when no Dir or NoResults
+	counters   cache.Counters
 }
 
 // NewJobCache returns a cache for the given configuration.
 func NewJobCache(cfg CacheConfig) *JobCache {
 	jc := &JobCache{
-		instances: cache.NewLRU(32),
-		analyses:  cache.NewLRU(maxAnalyses),
+		registered: make(map[string]*apps.App),
+		analyses:   cache.NewLRU(maxAnalyses),
 	}
 	if cfg.Dir != "" && !cfg.NoResults {
 		jc.store = cache.NewStore(cfg.Dir)
@@ -79,29 +85,23 @@ func NewJobCache(cfg CacheConfig) *JobCache {
 // Stats returns a snapshot of the cache's activity counters.
 func (c *JobCache) Stats() cache.Stats { return c.counters.Snapshot() }
 
-// appOut and analysisOut embed errors in LRU values so a singleflight waiter
-// can distinguish real outcomes from cancellations (see LRU.Do).
-type appOut struct {
-	app *apps.App
-	err error
-}
-
+// analysisOut embeds errors in LRU values so a singleflight waiter can
+// distinguish real outcomes from cancellations (see LRU.Do).
 type analysisOut struct {
 	targets []*core.Target
 	err     error
 }
 
-// App resolves a short registry name to an application, memoizing the
-// instance so its sync.Once-guarded compiled form and fingerprint warm up
-// once per cache rather than once per job (registry constructors build fresh
-// instances per call).
+// App resolves a short name to an application: one a caller registered by
+// passing it to Targets, else the shared registry instance (apps.ByName).
 func (c *JobCache) App(short string) (*apps.App, error) {
-	v, _ := c.instances.Do(short, func() (any, bool) {
-		a, err := apps.ByName(short)
-		return appOut{app: a, err: err}, err == nil
-	})
-	out := v.(appOut)
-	return out.app, out.err
+	c.mu.Lock()
+	a, ok := c.registered[short]
+	c.mu.Unlock()
+	if ok {
+		return a, nil
+	}
+	return apps.ByName(short)
 }
 
 // Targets returns the application's analyzed target sites, running the
@@ -112,9 +112,13 @@ func (c *JobCache) App(short string) (*apps.App, error) {
 // memoized: a later call under a live context re-analyzes, including a
 // singleflight waiter whose own context outlived the analyzing goroutine's.
 func (c *JobCache) Targets(ctx context.Context, app *apps.App, opts Options) ([]*core.Target, error) {
-	// Register the caller's instance so subsequent by-name resolution (jobs
-	// naming the same application) reuses it and its warmed sync.Once state.
-	c.instances.Do(app.Short, func() (any, bool) { return appOut{app: app}, true })
+	// Register the caller's instance so jobs naming the same application
+	// resolve to it, custom applications outside the registry included.
+	c.mu.Lock()
+	if _, ok := c.registered[app.Short]; !ok {
+		c.registered[app.Short] = app
+	}
+	c.mu.Unlock()
 	key := cache.Key("analysis", keyVersion, app.Fingerprint(), canonicalOpts(opts))
 	for {
 		v, hit := c.analyses.Do(key, func() (any, bool) {

@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"diode/internal/apps"
+	"diode/internal/discover"
 )
 
 // optionsKeyFlips maps every options field (core.Settings, which
@@ -128,10 +131,11 @@ func TestJobKeySensitivity(t *testing.T) {
 // workers) without failing any behavioral test; a deliberate change must
 // bump keyVersion and update these strings.
 //
-// Both keys moved with keyVersion "5": restart sampling's decision focus
-// now lapses inside a draw, so a β whose sampling used to run out of
-// conflicts (unknown) can now be refuted (unsatisfiable), and a result
-// stored under version 4 can differ for unchanged inputs.
+// Both keys moved with keyVersion "6": guest fuel now counts control
+// transfers (branch decisions and calls) rather than AST nodes, so a run
+// that exhausts its fuel can stop at a different point, and a result stored
+// under version 5 could differ for unchanged inputs. (Version "5" moved them
+// when restart sampling's decision focus began to lapse inside a draw.)
 //
 // The fully populated record's wantOpts, wantKey and wantWire moved without
 // a keyVersion bump when the four ablation switches (solverMode,
@@ -164,12 +168,12 @@ func TestKeyAndWireGolden(t *testing.T) {
 		SiteKind: "alloc", SitePath: "s7.then.s2", Seed: -8070450532247928832,
 		SampleN: 200, Enforced: []string{"png.c@140", "png.c@155"}, Opts: opts,
 	}
-	const wantKey = "f6157acad1e3279cab56613c64b28f7f20a804d372ae0c569b6817c3f2476dc6"
+	const wantKey = "8914c7dc8e62bccd03947694121e4712fd30c051f35b57347d460fa79fedaefa"
 	if got := JobKey("0123456789abcdef", job); got != wantKey {
 		t.Errorf("JobKey = %s, want %s", got, wantKey)
 	}
 	hunt := Job{ID: 1, Kind: KindHunt, App: "vlc", Site: "vlc:wav.c@147", SiteKind: "alloc", SitePath: "s1", Seed: 42}
-	const wantHuntKey = "796f1adc50e42838c5d51f911ba8f82e8f9cffe69ef0b4c07cef3473714babb7"
+	const wantHuntKey = "cf7eb55bd72583c7b21c359c953db993bed7f5ed6b47ca174a544f09a25620dc"
 	if got := JobKey("fedcba9876543210", hunt); got != wantHuntKey {
 		t.Errorf("JobKey (default options) = %s, want %s", got, wantHuntKey)
 	}
@@ -206,6 +210,55 @@ func (l *eventLog) count(t EventType) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.counts[t]
+}
+
+// TestJobCacheKeepsRegisteredApps pins that an application registered
+// through Targets stays resolvable by name for the cache's lifetime, however
+// many other applications pass through the cache after it. Here 40 arith
+// probe programs do, as an arith wave's analyses would.
+func TestJobCacheKeepsRegisteredApps(t *testing.T) {
+	ctx := context.Background()
+	base, err := apps.ByName("gifview")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := &apps.App{Name: "gifview (custom)", Short: "custom-gifview", Program: base.Program, Format: base.Format}
+	jc := NewJobCache(CacheConfig{})
+	targets, err := jc.Targets(ctx, custom, Options{})
+	if err != nil || len(targets) == 0 {
+		t.Fatalf("custom analysis: %d targets, err %v", len(targets), err)
+	}
+	probes := 0
+	for _, short := range []string{"gifview", "vlc"} {
+		a, err := apps.ByName(short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, err := a.Discovered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sites {
+			if s.Kind != discover.KindArith || probes == 40 {
+				continue
+			}
+			p, err := a.Probe(s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jc.Targets(ctx, p, Options{}); err != nil {
+				t.Fatalf("probe %s: %v", p.Short, err)
+			}
+			probes++
+		}
+	}
+	if probes != 40 {
+		t.Fatalf("analyzed %d probes, want 40", probes)
+	}
+	res, err := Execute(ctx, SiteJob(KindHunt, custom.Short, targets[0].Info, 1, Options{}), jc, nil)
+	if err != nil || res.Err != "" {
+		t.Fatalf("job on the registered application after 40 probe analyses: err %v, result error %q", err, res.Err)
+	}
 }
 
 // TestLocalWarmRun checks the warm path on a shared Local backend: a second

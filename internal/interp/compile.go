@@ -79,8 +79,7 @@ func Compile(prog *lang.Program) *Compiled {
 		for _, s := range src.Body {
 			l.stmt(s)
 		}
-		// Implicit end-of-body return. Charge 0: the tree-walker charges
-		// nothing for falling off the end of a block.
+		// Implicit end-of-body return.
 		l.emit(instr{op: opRetVoid})
 		l.f.numSlots = len(l.f.slotNames)
 	}
@@ -98,13 +97,6 @@ type litKey struct {
 }
 
 // lowerer compiles one procedure into its flat instruction stream.
-//
-// pending is the fuel-parity accumulator: the tree-walker charges each node's
-// step in pre-order, so a parent's step is counted into pending and attached
-// to the charge of the *first* instruction emitted for its subtree. Every
-// instruction's observable effects come after its charges, which makes the
-// lumped subtraction byte-identical to the tree's step-at-a-time accounting
-// (see the package comment in threaded.go).
 type lowerer struct {
 	c       *Compiled
 	globals map[string]int32
@@ -112,7 +104,6 @@ type lowerer struct {
 	locals  map[string]int32
 	strIdx  map[string]uint16
 	litIdx  map[litKey]int32
-	pending int // pre-order step charges not yet attached to an instruction
 	depth   int // current value-stack depth
 	bdepth  int // current bool-stack depth
 }
@@ -138,14 +129,6 @@ func (l *lowerer) pushB() {
 	if l.bdepth > l.f.maxBools {
 		l.f.maxBools = l.bdepth
 	}
-}
-
-// take consumes the pending pre-order charges plus extra steps of the
-// instruction being emitted.
-func (l *lowerer) take(extra int) uint16 {
-	p := l.pending + extra
-	l.pending = 0
-	return uint16(p)
 }
 
 func (l *lowerer) localSlot(name string) int32 {
@@ -189,8 +172,8 @@ func (l *lowerer) litRef(x lang.Lit) (int32, uint8) {
 	return i, refLit
 }
 
-// leafRef resolves a leaf operand (literal or variable) whose step charge the
-// caller batches into a fused instruction.
+// leafRef resolves a leaf operand (literal or variable) of a fused
+// instruction.
 func (l *lowerer) leafRef(e lang.Expr) (int32, uint8, bool) {
 	switch x := e.(type) {
 	case lang.Lit:
@@ -222,7 +205,6 @@ func (l *lowerer) str(s string) uint16 {
 }
 
 func (l *lowerer) stmt(s lang.Stmt) {
-	l.pending++ // the statement's own pre-order step
 	switch st := s.(type) {
 	case lang.Assign:
 		l.assign(st)
@@ -249,9 +231,6 @@ func (l *lowerer) stmt(s lang.Stmt) {
 			l.patch(br)
 		}
 	case lang.While:
-		// The While statement's own step is charged once, before the loop
-		// head, so back edges do not recharge it.
-		l.emit(instr{op: opCharge, charge: l.take(0)})
 		head := l.here()
 		if lp, ok := l.matchStoreLoop(st); ok {
 			l.f.loops = append(l.f.loops, lp)
@@ -273,12 +252,12 @@ func (l *lowerer) stmt(s lang.Stmt) {
 			l.emit(instr{op: opRetPop})
 			l.depth--
 		} else {
-			l.emit(instr{op: opRetVoid, charge: l.take(0)})
+			l.emit(instr{op: opRetVoid})
 		}
 	case lang.AbortStmt:
-		l.emit(instr{op: opAbortStmt, charge: l.take(0), aux: l.str(st.Msg)})
+		l.emit(instr{op: opAbortStmt, aux: l.str(st.Msg)})
 	case lang.WarnStmt:
-		l.emit(instr{op: opWarnStmt, charge: l.take(0), aux: l.str(st.Msg)})
+		l.emit(instr{op: opWarnStmt, aux: l.str(st.Msg)})
 	default:
 		panic(fmt.Sprintf("interp: Compile: unknown statement %T", s))
 	}
@@ -292,12 +271,12 @@ func (l *lowerer) assign(st lang.Assign) {
 	switch e := st.E.(type) {
 	case lang.Lit, lang.VarRef:
 		a, ak, _ := l.leafRef(e)
-		l.emit(instr{op: opAssignRef, flg: ak | dk<<4, charge: l.take(1), a: a, dst: dst})
+		l.emit(instr{op: opAssignRef, flg: ak | dk<<4, a: a, dst: dst})
 		return
 	case lang.Bin:
 		if a, ak, ok := l.leafRef(e.A); ok {
 			if b, bk, ok2 := l.leafRef(e.B); ok2 {
-				l.emit(instr{op: opAssignBin, sub: uint8(e.Op), flg: ak | bk<<2 | dk<<4, charge: l.take(3), a: a, b: b, dst: dst})
+				l.emit(instr{op: opAssignBin, sub: uint8(e.Op), flg: ak | bk<<2 | dk<<4, a: a, b: b, dst: dst})
 				return
 			}
 		}
@@ -305,7 +284,7 @@ func (l *lowerer) assign(st lang.Assign) {
 		if a, b, ok := matchLoadZX(e); ok {
 			ai, ak, _ := l.leafRef(a)
 			bi, bk, _ := l.leafRef(b)
-			l.emit(instr{op: opAssignLoadZX, w: e.W, flg: ak | bk<<2 | dk<<4, charge: l.take(5), a: ai, b: bi, dst: dst})
+			l.emit(instr{op: opAssignLoadZX, w: e.W, flg: ak | bk<<2 | dk<<4, a: ai, b: bi, dst: dst})
 			return
 		}
 		if a, ak, ok := l.leafRef(e.A); ok {
@@ -313,7 +292,7 @@ func (l *lowerer) assign(st lang.Assign) {
 			if e.Signed {
 				f |= flgBit
 			}
-			l.emit(instr{op: opAssignCvt, w: e.W, flg: f, charge: l.take(2), a: a, dst: dst})
+			l.emit(instr{op: opAssignCvt, w: e.W, flg: f, a: a, dst: dst})
 			return
 		}
 	}
@@ -337,12 +316,10 @@ func (l *lowerer) store(st lang.Store) {
 			o, ko, _ := l.leafRef(offE)
 			v, kv, _ := l.leafRef(st.Val)
 			f := kp | ko<<2 | kv<<4
-			extra := 3
 			if zx {
 				f |= flgZX
-				extra = 4
 			}
-			l.emit(instr{op: opStoreRef, flg: f, charge: l.take(extra), a: p, b: o, dst: v})
+			l.emit(instr{op: opStoreRef, flg: f, a: p, b: o, dst: v})
 			return
 		}
 	}
@@ -358,27 +335,25 @@ func (l *lowerer) store(st lang.Store) {
 func (l *lowerer) pushExpr(e lang.Expr) {
 	switch x := e.(type) {
 	case lang.Lit:
-		l.emit(instr{op: opPushLit, w: x.W, charge: l.take(1), imm: x.V & bv.Mask(x.W)})
+		l.emit(instr{op: opPushLit, w: x.W, imm: x.V & bv.Mask(x.W)})
 		l.pushV()
 	case lang.VarRef:
 		a, k := l.varRef(x.Name)
-		l.emit(instr{op: opPushRef, flg: k, charge: l.take(1), a: a})
+		l.emit(instr{op: opPushRef, flg: k, a: a})
 		l.pushV()
 	case lang.Bin:
 		if a, ak, ok := l.leafRef(x.A); ok {
 			if b, bk, ok2 := l.leafRef(x.B); ok2 {
-				l.emit(instr{op: opPushBin, sub: uint8(x.Op), flg: ak | bk<<2, charge: l.take(3), a: a, b: b})
+				l.emit(instr{op: opPushBin, sub: uint8(x.Op), flg: ak | bk<<2, a: a, b: b})
 				l.pushV()
 				return
 			}
 		}
-		l.pending++
 		l.pushExpr(x.A)
 		l.pushExpr(x.B)
 		l.emit(instr{op: opBinPop, sub: uint8(x.Op)})
 		l.depth--
 	case lang.Un:
-		l.pending++
 		l.pushExpr(x.A)
 		var f uint8
 		if x.Neg {
@@ -389,11 +364,10 @@ func (l *lowerer) pushExpr(e lang.Expr) {
 		if a, b, ok := matchLoadZX(x); ok {
 			ai, ak, _ := l.leafRef(a)
 			bi, bk, _ := l.leafRef(b)
-			l.emit(instr{op: opPushLoadZX, w: x.W, flg: ak | bk<<2, charge: l.take(5), a: ai, b: bi})
+			l.emit(instr{op: opPushLoadZX, w: x.W, flg: ak | bk<<2, a: ai, b: bi})
 			l.pushV()
 			return
 		}
-		l.pending++
 		l.pushExpr(x.A)
 		var f uint8
 		if x.Signed {
@@ -401,14 +375,12 @@ func (l *lowerer) pushExpr(e lang.Expr) {
 		}
 		l.emit(instr{op: opCvtPop, w: x.W, flg: f})
 	case lang.InByte:
-		l.pending++
 		l.pushExpr(x.Idx)
 		l.emit(instr{op: opInBytePop})
 	case lang.InLen:
-		l.emit(instr{op: opPushInLen, charge: l.take(1)})
+		l.emit(instr{op: opPushInLen})
 		l.pushV()
 	case lang.LoadExpr:
-		l.pending++
 		l.pushExpr(x.Ptr)
 		l.pushExpr(x.Off)
 		l.emit(instr{op: opLoadPop})
@@ -418,14 +390,10 @@ func (l *lowerer) pushExpr(e lang.Expr) {
 		if !ok {
 			panic("interp: Compile: " + l.f.name + " calls undefined function " + x.Fn)
 		}
-		// The call's own step precedes argument evaluation in the tree, so it
-		// rides on the first argument's first instruction; a zero-argument
-		// call carries it itself.
-		l.pending++
 		for _, a := range x.Args {
 			l.pushExpr(a)
 		}
-		l.emit(instr{op: opCall, charge: l.take(0), a: callee.idx, aux: uint16(len(x.Args))})
+		l.emit(instr{op: opCall, a: callee.idx, aux: uint16(len(x.Args))})
 		l.depth -= len(x.Args)
 		l.pushV()
 	default:
@@ -436,7 +404,7 @@ func (l *lowerer) pushExpr(e lang.Expr) {
 // matchLoadZX recognizes the guests' hottest expression shape — an unsigned
 // widening of an input byte addressed by a two-leaf sum,
 // ZX(w, In(Add(leaf, leaf))) — for the opPushLoadZX/opAssignLoadZX
-// superinstruction covering all five step charges.
+// superinstruction.
 func matchLoadZX(x lang.Cvt) (lang.Expr, lang.Expr, bool) {
 	if x.Signed {
 		return nil, nil, false
@@ -459,7 +427,7 @@ func (l *lowerer) condBranch(label string, cond lang.BoolExpr) int32 {
 	if cmp, ok := cond.(lang.Cmp); ok && isLeaf(cmp.A) && isLeaf(cmp.B) {
 		a, ak, _ := l.leafRef(cmp.A)
 		b, bk, _ := l.leafRef(cmp.B)
-		return l.emit(instr{op: opJcc, sub: uint8(cmp.Op), flg: ak | bk<<2, charge: l.take(3), aux: l.str(label), a: a, b: b})
+		return l.emit(instr{op: opJcc, sub: uint8(cmp.Op), flg: ak | bk<<2, aux: l.str(label), a: a, b: b})
 	}
 	l.lowerBool(cond)
 	l.bdepth--
@@ -473,27 +441,23 @@ func (l *lowerer) lowerBool(b lang.BoolExpr) {
 		if x.V {
 			f = flgBit
 		}
-		l.emit(instr{op: opPushBool, flg: f, charge: l.take(1)})
+		l.emit(instr{op: opPushBool, flg: f})
 		l.pushB()
 	case lang.Cmp:
-		l.pending++
 		l.pushExpr(x.A)
 		l.pushExpr(x.B)
 		l.emit(instr{op: opCmpPop, sub: uint8(x.Op)})
 		l.depth -= 2
 		l.pushB()
 	case lang.NotE:
-		l.pending++
 		l.lowerBool(x.A)
 		l.emit(instr{op: opNotPop})
 	case lang.AndE:
-		l.pending++
 		l.lowerBool(x.A)
 		l.lowerBool(x.B)
 		l.emit(instr{op: opAndPop})
 		l.bdepth--
 	case lang.OrE:
-		l.pending++
 		l.lowerBool(x.A)
 		l.lowerBool(x.B)
 		l.emit(instr{op: opOrPop})
@@ -576,22 +540,18 @@ func (l *lowerer) matchStoreLoop(st lang.While) (storeLoop, bool) {
 	lp.sub = bin.Op == lang.OpSub
 	lp.k = kl.V & bv.Mask(kl.W)
 	lp.kw = kl.W
-	condC := 1 + condA.charge + condB.charge
-	storeC := 1 + 1 + off.charge + 1
-	const incrC = 4 // assign + binop + variable + literal steps
-	lp.perIter = condC + storeC + incrC
 	return lp, true
 }
 
 // loopOperand classifies a loop-condition or offset operand for the bulk
-// store loop, recording the tree step charges one evaluation costs.
+// store loop.
 func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 	switch x := e.(type) {
 	case lang.Lit:
-		return loopOp{kind: lkLit, litV: x.V & bv.Mask(x.W), litW: x.W, charge: 1}, true
+		return loopOp{kind: lkLit, litV: x.V & bv.Mask(x.W), litW: x.W}, true
 	case lang.VarRef:
 		s, g := l.varSlotOf(x.Name)
-		return loopOp{kind: lkVar, slot: s, global: g, charge: 1}, true
+		return loopOp{kind: lkVar, slot: s, global: g}, true
 	case lang.Bin:
 		switch {
 		case x.Op == lang.OpMul:
@@ -604,7 +564,7 @@ func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 				return loopOp{}, false
 			}
 			s, g := l.varSlotOf(vr.Name)
-			return loopOp{kind: lkVar, slot: s, global: g, mul: true, coef: cl.V & bv.Mask(cl.W), coefW: cl.W, charge: 3}, true
+			return loopOp{kind: lkVar, slot: s, global: g, mul: true, coef: cl.V & bv.Mask(cl.W), coefW: cl.W}, true
 		case allowZX && x.Op == lang.OpAdd:
 			cv, ok := x.A.(lang.Cvt)
 			if !ok || cv.Signed || cv.W != 64 {
@@ -620,7 +580,6 @@ func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 			}
 			base.kind = lkZXAdd
 			base.addend = al.V
-			base.charge = 3 + base.charge // add + zx + literal steps
 			return base, true
 		}
 	case lang.Cvt:
@@ -630,7 +589,6 @@ func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 				return loopOp{}, false
 			}
 			base.kind = lkZX
-			base.charge = 1 + base.charge
 			return base, true
 		}
 	}

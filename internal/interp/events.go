@@ -14,7 +14,7 @@ const (
 	OutRejected                     // the program aborted (sanity check rejected the input)
 	OutSegv                         // simulated SIGSEGV: access far outside any block
 	OutAbrt                         // simulated SIGABRT: allocator detected heap corruption
-	OutFuel                         // step budget exhausted
+	OutFuel                         // fuel budget exhausted (Options.Fuel)
 	OutError                        // guest-program runtime error (authoring bug)
 	OutCancelled                    // the run was cancelled via Options.Cancel
 )
@@ -97,7 +97,7 @@ type Outcome struct {
 	Allocs   []AllocEvent
 	MemErrs  []MemError
 	Branches []BranchRecord // φ, recorded only in symbolic mode
-	Steps    int64
+	Steps    int64          // fuel units used (see Options.Fuel)
 }
 
 // ErrorsAt reports whether any memory error (or fatal signal attribution) in

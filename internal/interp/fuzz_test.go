@@ -33,7 +33,7 @@ func FuzzMachineParity(f *testing.F) {
 			// only slow the fuzzer down without covering new behavior.
 			input = input[:8192]
 		}
-		opts := interp.Options{Fuel: 60_000}
+		opts := interp.Options{Fuel: 4_000}
 		switch mode % 4 {
 		case 1:
 			opts.TrackTaint = true

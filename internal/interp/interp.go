@@ -35,9 +35,11 @@ import (
 // immediately faulting.
 const RedZone = 64
 
-// DefaultFuel bounds the number of interpreter steps per run. Every
-// analysis and hunt run uses it.
-const DefaultFuel = 50_000_000
+// DefaultFuel bounds the fuel units per run (see Options.Fuel). Every
+// analysis and hunt run uses it. The guests retire about 15 AST nodes per
+// unit, so the bound allows about 50M nodes of guest work, far above the
+// 94k units the largest paper-sweep run at seeds 1–3 uses.
+const DefaultFuel = 3_500_000
 
 // Options configure a run.
 type Options struct {
@@ -50,25 +52,62 @@ type Options struct {
 	// means every byte (when TrackSymbolic is set). This is the paper's
 	// "relevant input bytes" optimization.
 	SymbolicBytes func(offset int) bool
-	// Fuel bounds interpreter steps; 0 means DefaultFuel.
+	// Fuel bounds the run in units of control transfers: one unit per
+	// conditional-branch decision (an If or While condition, charged once
+	// its value is known and before its branch record) and one per call
+	// (charged at entry, after the arguments are evaluated). Every loop
+	// iteration and every recursion pays a unit, so the bound is total;
+	// straight-line code costs nothing and is bounded by the program's size.
+	// The unit that exhausts the budget ends the run with OutFuel and
+	// Outcome.Steps == Fuel. 0 means DefaultFuel.
 	Fuel int64
-	// Cancel, when non-nil, aborts the run once the channel is closed: the
-	// interpreter polls it on the branch hot path (every conditional
-	// evaluation, rate-limited to once per cancelPollInterval fuel-charged
-	// branches) — the same periodic boundary the fuel budget is enforced on —
-	// and ends the run with OutCancelled. Any long-running guest execution
-	// passes through a loop-head branch every iteration, so cancellation is
+	// Cancel, when non-nil, aborts the run once the channel is closed. The
+	// fuel charge polls it each time the units used reach a multiple of
+	// cancelPollInterval and ends the run with OutCancelled. Any
+	// long-running guest pays fuel every loop iteration, so cancellation is
 	// observed promptly without taxing straight-line execution. This is how
 	// context cancellation reaches mid-run guest executions (the core derives
 	// it from ctx.Done()).
 	Cancel <-chan struct{}
 }
 
-// cancelPollInterval is how many branch evaluations pass between polls of
+// cancelPollInterval is how many fuel units pass between polls of
 // Options.Cancel. Polling a channel costs a few nanoseconds; rate-limiting
-// keeps the branch hot path unaffected while still observing cancellation
-// within microseconds of guest time.
+// keeps the charge cheap while still observing cancellation within
+// microseconds of guest time.
 const cancelPollInterval = 1024
+
+// meter is a run's fuel account, the one definition of the fuel unit both
+// engines charge through (see Options.Fuel).
+type meter struct {
+	fuel   int64 // units left
+	budget int64 // Options.Fuel
+	cancel <-chan struct{}
+}
+
+func newMeter(opts Options) meter {
+	return meter{fuel: opts.Fuel, budget: opts.Fuel, cancel: opts.Cancel}
+}
+
+// tick charges one unit at a control transfer, reporting errFuel when it
+// exhausts the budget and errCancel when a due poll finds Cancel closed.
+func (mt *meter) tick() error {
+	mt.fuel--
+	if mt.fuel <= 0 {
+		return errFuel
+	}
+	if mt.cancel != nil && (mt.budget-mt.fuel)%cancelPollInterval == 0 {
+		select {
+		case <-mt.cancel:
+			return errCancel
+		default:
+		}
+	}
+	return nil
+}
+
+// used is the units charged so far: Outcome.Steps.
+func (mt *meter) used() int64 { return mt.budget - mt.fuel }
 
 // value is the ⟨v, w⟩ pair of the semantics: a concrete machine integer with
 // width, its symbolic expression (nil when the value does not depend on
@@ -234,10 +273,10 @@ type frame struct {
 
 // machine is one execution in progress.
 type machine struct {
+	meter
 	prog    *lang.Program
 	input   []byte
 	opts    Options
-	fuel    int64
 	frames  []frame
 	blocks  map[uint64]*block
 	canary  *block           // first block whose red zone was clobbered
@@ -249,10 +288,6 @@ type machine struct {
 	returning bool
 	retVal    value
 	hasRet    bool
-
-	// cancelPoll counts down branch evaluations until the next poll of
-	// opts.Cancel (see cancelPollInterval).
-	cancelPoll int
 }
 
 // Control-flow sentinels distinguished from real errors.
@@ -295,14 +330,14 @@ func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 		prog:    prog,
 		input:   input,
 		opts:    opts,
-		fuel:    opts.Fuel,
+		meter:   newMeter(opts),
 		blocks:  make(map[uint64]*block),
 		globals: make(map[string]value),
 	}
 	main := prog.Funcs["main"]
 	m.frames = append(m.frames, frame{vars: make(map[string]value)})
 	err := m.execBlock(main.Body)
-	m.out.Steps = opts.Fuel - m.fuel
+	m.out.Steps = m.used()
 	switch {
 	case err == nil || errors.Is(err, errAbort):
 		if errors.Is(err, errAbort) {
@@ -327,14 +362,6 @@ func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 
 func (m *machine) top() *frame { return &m.frames[len(m.frames)-1] }
 
-func (m *machine) step() error {
-	m.fuel--
-	if m.fuel <= 0 {
-		return errFuel
-	}
-	return nil
-}
-
 // --- statement execution ---
 
 func (m *machine) execBlock(b lang.Block) error {
@@ -350,9 +377,6 @@ func (m *machine) execBlock(b lang.Block) error {
 }
 
 func (m *machine) execStmt(s lang.Stmt) error {
-	if err := m.step(); err != nil {
-		return err
-	}
 	switch st := s.(type) {
 	case lang.Assign:
 		v, err := m.eval(st.E)
@@ -507,9 +531,6 @@ func (m *machine) execStore(st lang.Store) error {
 // --- expression evaluation ---
 
 func (m *machine) eval(e lang.Expr) (value, error) {
-	if err := m.step(); err != nil {
-		return value{}, err
-	}
 	switch x := e.(type) {
 	case lang.Lit:
 		return value{v: x.V & bv.Mask(x.W), w: x.W}, nil
@@ -609,6 +630,9 @@ func (m *machine) call(x lang.CallExpr) (value, error) {
 			return value{}, err
 		}
 		f.vars[p] = av
+	}
+	if err := m.tick(); err != nil {
+		return value{}, err
 	}
 	m.frames = append(m.frames, f)
 	err := m.execBlock(callee.Body)
@@ -792,23 +816,15 @@ func convert(w uint8, signed bool, a value) value {
 
 // --- boolean evaluation and branch recording ---
 
-// evalCondBranch evaluates a branch condition, appends to φ when the
-// condition is input-dependent, and returns the direction taken. It is the
-// cancellation point: every loop iteration passes through here, so a closed
-// Options.Cancel channel is observed within cancelPollInterval branches.
+// evalCondBranch evaluates a branch condition, charges the decision's fuel
+// unit, appends to φ when the condition is input-dependent, and returns the
+// direction taken.
 func (m *machine) evalCondBranch(label string, c lang.BoolExpr) (bool, error) {
-	if m.opts.Cancel != nil {
-		if m.cancelPoll--; m.cancelPoll <= 0 {
-			m.cancelPoll = cancelPollInterval
-			select {
-			case <-m.opts.Cancel:
-				return false, errCancel
-			default:
-			}
-		}
-	}
 	taken, sym, _, err := m.evalBool(c)
 	if err != nil {
+		return false, err
+	}
+	if err := m.tick(); err != nil {
 		return false, err
 	}
 	if m.opts.TrackSymbolic && sym != nil {
@@ -828,9 +844,6 @@ func (m *machine) evalCondBranch(label string, c lang.BoolExpr) (bool, error) {
 // evalBool returns the concrete truth value, the symbolic condition (nil when
 // input-independent) and the taint of the condition.
 func (m *machine) evalBool(c lang.BoolExpr) (bool, *bv.Bool, *taint.Set, error) {
-	if err := m.step(); err != nil {
-		return false, nil, nil, err
-	}
 	switch x := c.(type) {
 	case lang.BoolLit:
 		return x.V, nil, nil, nil

@@ -32,7 +32,7 @@ type Machine struct {
 	code  *Compiled
 	input []byte
 	opts  Options
-	fuel  int64
+	meter
 
 	frames  []cframe // frame stack; frames[fp] is the active frame
 	fp      int
@@ -57,10 +57,6 @@ type Machine struct {
 	// default "in[i]" naming) interned symbolic variables.
 	inTaints []*taint.Set
 	inTerms  []*bv.Term
-
-	// cancelPoll counts down branch evaluations until the next poll of
-	// opts.Cancel (see cancelPollInterval).
-	cancelPoll int
 }
 
 // eventPoolCap bounds the event-slice capacity a Machine retains across
@@ -119,7 +115,7 @@ func (m *Machine) Reset(input []byte, opts Options) {
 	}
 	m.input = input
 	m.opts = opts
-	m.fuel = opts.Fuel
+	m.meter = newMeter(opts)
 	m.fp = -1
 	m.globals.ensure(m.code.numGlobals)
 	// Recycle a bounded number of blocks in allocation order (block IDs are
@@ -160,7 +156,6 @@ func (m *Machine) Reset(input []byte, opts Options) {
 		Warnings: recycleEvents(m.out.Warnings),
 	}
 	m.plain = !opts.TrackTaint
-	m.cancelPoll = 0
 	m.ready = true
 }
 
@@ -173,7 +168,7 @@ func (m *Machine) Run() *Outcome {
 	}
 	m.ready = false
 	err := m.exec()
-	m.out.Steps = m.opts.Fuel - m.fuel
+	m.out.Steps = m.used()
 	switch {
 	case err == nil || errors.Is(err, errAbort):
 		if errors.Is(err, errAbort) {

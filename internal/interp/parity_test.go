@@ -6,6 +6,8 @@ package interp_test
 // reused interp.Machine must produce byte-identical Outcomes — same outcome
 // kind, same step count (fuel parity), same allocation/branch/memcheck event
 // sequences with identical symbolic expressions and taint labels.
+// TestFuelUnits pins the fuel unit itself, which both sides of the
+// differential tests share.
 
 import (
 	"fmt"
@@ -50,18 +52,19 @@ func dumpOutcome(o *interp.Outcome) string {
 // capped well below the interpreter default: the seeds finish in a fraction
 // of it, corrupted inputs that loop reach the fuel-exhaustion outcome quickly
 // (itself a parity case), and step-count equality makes the cap bite at the
-// exact same point on both paths.
+// exact same point on both paths. low-fuel's 33 units stop 28 of the 44 app
+// (input) pairs mid-parse.
 func parityModes() map[string]interp.Options {
 	return map[string]interp.Options{
-		"plain":    {Fuel: 300_000},
-		"taint":    {TrackTaint: true, Fuel: 300_000},
-		"symbolic": {TrackSymbolic: true, Fuel: 300_000},
+		"plain":    {Fuel: 20_000},
+		"taint":    {TrackTaint: true, Fuel: 20_000},
+		"symbolic": {TrackSymbolic: true, Fuel: 20_000},
 		"sym-restricted": {
 			TrackSymbolic: true,
-			Fuel:          300_000,
+			Fuel:          20_000,
 			SymbolicBytes: func(i int) bool { return i%2 == 0 },
 		},
-		"low-fuel": {TrackSymbolic: true, Fuel: 500},
+		"low-fuel": {TrackSymbolic: true, Fuel: 33},
 	}
 }
 
@@ -277,8 +280,8 @@ func TestCompiledParityFusion(t *testing.T) {
 		)),
 		// Affine offsets: Mul-scaled loop variable wrapped in ZX(64, ·) —
 		// the scaled-index idiom the matcher accepts — striding far enough
-		// to segfault mid-loop, so the bail must not consume the bailing
-		// iteration's charges.
+		// to segfault mid-loop, so the bail must not debit the bailing
+		// iteration's unit.
 		"memset-affine-segv": mustProg(t, lang.Fn("main", nil,
 			lang.AllocAt("buf", "t@1", lang.U32(64)),
 			lang.Let("i", lang.U32(0)),
@@ -336,8 +339,7 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.AllocAt("sz", "t@2", lang.ZX(32, lang.Load(lang.V("buf"), lang.U32(3)))),
 		)),
 		// Undefined operands inside fused forms: the fused instructions
-		// must charge exactly the steps the tree-walker takes before the
-		// failing read.
+		// must report the same failing read as the tree-walker.
 		"undef-in-fused-bin": mustProg(t, lang.Fn("main", nil,
 			lang.Let("a", lang.U32(1)),
 			lang.Let("x", lang.Add(lang.V("a"), lang.V("nope"))),
@@ -354,10 +356,9 @@ func TestCompiledParityFusion(t *testing.T) {
 				checkParity(t, fmt.Sprintf("%s input#%d mode=%s", name, i, mode), prog, m, input, opts)
 			}
 		}
-		// A live, never-closed Cancel channel: the bulk loop must yield to
-		// the generic branch exactly when the rate-limited poll is due.
+		// A live, never-closed Cancel channel must not change the outcome.
 		never := make(chan struct{})
-		checkParity(t, name+" cancel-never-closed", prog, m, []byte{0xFF}, interp.Options{Fuel: 300_000, Cancel: never})
+		checkParity(t, name+" cancel-never-closed", prog, m, []byte{0xFF}, interp.Options{Fuel: 20_000, Cancel: never})
 	}
 
 	// One Machine runs an input-sized far fill long, short, long, empty.
@@ -379,18 +380,17 @@ func TestCompiledParityFusion(t *testing.T) {
 	m := interp.NewMachine(interp.Compile(reuse))
 	for _, mode := range []string{"plain", "symbolic"} {
 		for i, input := range [][]byte{{0xFF}, {5}, {0xFF}, nil} {
-			opts := interp.Options{Fuel: 300_000, TrackSymbolic: mode == "symbolic"}
+			opts := interp.Options{Fuel: 20_000, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("far-reuse run#%d mode=%s", i, mode), reuse, m, input, opts)
 		}
 	}
 }
 
 // TestCompiledParityFuelSweep runs a program mixing fused and generic shapes
-// under every fuel value up to past its natural step count, in plain and
-// symbolic modes. Step-count parity means exhaustion must bite at the identical point
-// on both interpreters for every single cutoff — the strongest check on the
-// lowerer's charge-attachment rule (charges lumped onto fused instructions
-// must equal the tree-walker's pre-order step accounting at every prefix).
+// (a bulk store loop, fused loads and branches, a generic store and a call) under
+// every fuel value up to past its natural unit count, in plain and symbolic
+// modes. Exhaustion must bite at the identical point on both interpreters for
+// every single cutoff, the bulk loop's per-iteration debit included.
 func TestCompiledParityFuelSweep(t *testing.T) {
 	prog := mustProg(t,
 		lang.Fn("bump", []string{"v"},
@@ -413,8 +413,12 @@ func TestCompiledParityFuelSweep(t *testing.T) {
 	)
 	m := interp.NewMachine(interp.Compile(prog))
 	input := []byte{1, 9, 5}
+	full := interp.RunTree(prog, input, interp.Options{})
+	if full.Kind != interp.OutOK || len(full.Allocs) != 2 {
+		t.Fatalf("program did not reach its last allocation:\n%s", dumpOutcome(full))
+	}
 	for _, mode := range []string{"plain", "symbolic"} {
-		for fuel := int64(1); fuel <= 400; fuel++ {
+		for fuel := int64(1); fuel <= full.Steps+4; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, input, opts)
 		}
@@ -452,10 +456,10 @@ func TestCompiledParityFuelSweepFarCells(t *testing.T) {
 
 // TestCompiledParityFuelSweepUndefined puts an undefined variable in each
 // operand position of every multi-read fused shape and sweeps every fuel
-// cutoff up to past the tree's step count. A fused instruction reads all its
-// leaves before charging, so each cutoff pins both how many steps it charges
-// ahead of the failing read and which of fuel exhaustion or the
-// undefined-variable error wins.
+// cutoff up to past the tree's unit count. A fused instruction reads all its
+// leaves before reporting the first undefined one, so each shape pins which
+// read fails; opJcc, which also charges, pins that the failing read wins over
+// the branch's unit.
 func TestCompiledParityFuelSweepUndefined(t *testing.T) {
 	u, a := lang.V("nope"), lang.V("a")
 	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
@@ -495,6 +499,117 @@ func TestCompiledParityFuelSweepUndefined(t *testing.T) {
 			for fuel := int64(1); fuel <= full.Steps+4; fuel++ {
 				opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", name, fuel, mode), prog, m, input, opts)
+			}
+		}
+	}
+}
+
+// TestFuelUnits pins the fuel unit on both engines, whose differential tests
+// cannot catch a miscount they share: straight-line code of any length costs
+// nothing, each conditional-branch decision and each call's entry costs one
+// unit, and the unit that exhausts the budget ends the run with
+// Steps == Fuel.
+func TestFuelUnits(t *testing.T) {
+	straight := func(n int) *lang.Program {
+		body := []lang.Stmt{lang.AllocAt("buf", "t@1", lang.U32(16))}
+		for i := uint64(0); i < uint64(n); i++ {
+			body = append(body,
+				lang.Let("x", lang.Add(lang.ZX(32, lang.InAt(i)), lang.U32(i))),
+				lang.Put(lang.V("buf"), lang.U32(i%16), lang.U8(i)),
+				lang.Let("y", lang.Mul(lang.ZX(32, lang.Load(lang.V("buf"), lang.U32(i%16))), lang.V("x"))),
+			)
+		}
+		return mustProg(t, lang.Fn("main", nil, body...))
+	}
+	// whileK runs k iterations of a loop whose shape the lowerer turns into
+	// a bulk store loop (fill), a fused loop head (count) or a generic
+	// branch (generic).
+	whileK := func(shape string, k uint64) *lang.Program {
+		cond := lang.Ult(lang.V("i"), lang.U32(k))
+		body := []lang.Stmt{lang.Let("i", lang.Add(lang.V("i"), lang.U32(1)))}
+		switch shape {
+		case "fill":
+			body = append([]lang.Stmt{lang.Put(lang.V("buf"), lang.U32(0), lang.U8(1))}, body...)
+		case "generic":
+			cond = lang.And(cond, lang.Not(lang.Ult(lang.V("i"), lang.U32(0))))
+		}
+		return mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(256)),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("w", cond, body...),
+		))
+	}
+	callsC := func(c int) *lang.Program {
+		body := []lang.Stmt{lang.Let("x", lang.U32(1))}
+		for i := 0; i < c; i++ {
+			body = append(body, lang.Let("x", lang.Call("inc", lang.Call("id", lang.V("x")))))
+		}
+		return mustProg(t,
+			lang.Fn("id", []string{"v"}, lang.Ret(lang.V("v"))),
+			lang.Fn("inc", []string{"v"}, lang.Ret(lang.Add(lang.V("v"), lang.U32(1)))),
+			lang.Fn("main", nil, body...),
+		)
+	}
+	type unitCase struct {
+		prog *lang.Program
+		want int64
+	}
+	cases := map[string]unitCase{}
+	for _, n := range []int{0, 1, 10, 200} {
+		cases[fmt.Sprintf("straight-%d", n)] = unitCase{straight(n), 0}
+	}
+	for _, shape := range []string{"fill", "count", "generic"} {
+		for _, k := range []uint64{0, 1, 7, 200} {
+			cases[fmt.Sprintf("%s-while-%d", shape, k)] = unitCase{whileK(shape, k), int64(k) + 1}
+		}
+	}
+	for _, c := range []int{1, 3, 50} {
+		cases[fmt.Sprintf("calls-%d", c)] = unitCase{callsC(c), 2 * int64(c)}
+	}
+	cases["if"] = unitCase{mustProg(t, lang.Fn("main", nil,
+		lang.Let("x", lang.ZX(32, lang.InAt(0))),
+		lang.IfElse("c", lang.Ult(lang.V("x"), lang.U32(9)), lang.Block{lang.Warn("lt")}, lang.Block{lang.Warn("ge")}),
+	)), 1}
+	modes := map[string]interp.Options{"plain": {}, "symbolic": {TrackSymbolic: true}}
+	for name, c := range cases {
+		m := interp.NewMachine(interp.Compile(c.prog))
+		for mode, opts := range modes {
+			m.Reset([]byte{3}, opts)
+			for engine, out := range map[string]*interp.Outcome{
+				"tree":    interp.RunTree(c.prog, []byte{3}, opts),
+				"machine": m.Run(),
+			} {
+				if out.Kind != interp.OutOK || out.Steps != c.want {
+					t.Errorf("%s %s mode=%s: %v after %d units, want ok after %d", name, engine, mode, out.Kind, out.Steps, c.want)
+				}
+			}
+		}
+	}
+
+	burners := map[string]*lang.Program{
+		"fill":    whileK("fill", 0xFFFFFFFF),
+		"count":   whileK("count", 0xFFFFFFFF),
+		"generic": whileK("generic", 0xFFFFFFFF),
+		"recursion": mustProg(t,
+			lang.Fn("f", nil, lang.Ret(lang.Call("f"))),
+			lang.Fn("main", nil, lang.Do(lang.Call("f"))),
+		),
+	}
+	for name, prog := range burners {
+		m := interp.NewMachine(interp.Compile(prog))
+		for _, fuel := range []int64{1, 2, 3, 1000, 5000} {
+			for mode, opts := range modes {
+				opts.Fuel = fuel
+				m.Reset(nil, opts)
+				for engine, out := range map[string]*interp.Outcome{
+					"tree":    interp.RunTree(prog, nil, opts),
+					"machine": m.Run(),
+				} {
+					if out.Kind != interp.OutFuel || out.Steps != fuel {
+						t.Errorf("burner %s %s mode=%s fuel=%d: %v after %d units, want fuel-exhausted after %d",
+							name, engine, mode, fuel, out.Kind, out.Steps, fuel)
+					}
+				}
 			}
 		}
 	}

@@ -13,28 +13,16 @@ import (
 // control flow — every exceptional exit travels as an ordinary error return
 // out of exec, and the hot path allocates nothing.
 //
-// Fuel parity with the tree-walker is byte-exact and rests on one rule: the
-// tree charges each AST node's step in pre-order (parent before children), so
-// the lowerer keeps a running "pending" count of charged-but-not-yet-attached
-// steps and attaches the whole run to the *first* instruction emitted for the
-// subtree. Every instruction performs its observable effects (variable-read
-// errors, memory events, branch records) strictly after its charges, so
-// charging the lump in one subtraction is indistinguishable from the tree's
-// step-by-step accounting: if fuel runs out inside the lump, the tree would
-// have exhausted inside the same effect-free run, and both report
-// Steps == Fuel. Fused instructions whose leaf reads the tree interleaves
-// with charges (opAssignBin and friends, at opColdBase and above) manage
-// their own fuel: a leaf read has no effects, so each reads all its leaves
-// first, then charges once (chargeExact) the steps the tree would have
-// charged before its first undefined read, and only then reports that read.
+// Fuel (see Options.Fuel) is charged at the same points as in the
+// tree-walker and nowhere else: opBranch and opJcc once the condition's value
+// is known and before the branch record, and opCall at entry, with its
+// arguments already evaluated. The instruction stream, its fusions included,
+// carries no fuel bookkeeping. The bulk store loop debits one unit for each
+// iteration it retires in place of the loop head's branch.
 
-// Instruction opcodes. Ops below opColdBase have a single trailing effect (or
-// none), so the dispatch loop's shared top-of-loop handler charges in.charge
-// before dispatch; ops at/after opColdBase read several leaves the tree
-// charges one by one and do their own fuel accounting.
+// Instruction opcodes.
 const (
-	opCharge uint8 = iota // charge-only (the While statement's own step)
-	opJmp
+	opJmp uint8 = iota
 	opPushLit
 	opPushRef
 	opPushInLen
@@ -58,24 +46,16 @@ const (
 	opBranch // pop condition; record branch event; jump to dst when false
 	opAbortStmt
 	opWarnStmt
-	opAssignRef // dst = leaf
-	opAssignCvt // dst = ZX/SX(w, leaf)
+	opAssignRef    // dst = leaf
+	opAssignCvt    // dst = ZX/SX(w, leaf)
+	opAssignBin    // dst = leaf <op> leaf
+	opPushBin      // push leaf <op> leaf (add/cmp-immediate shapes)
+	opJcc          // fused Cmp(leaf, leaf) + branch loop head
+	opStoreRef     // Store(leaf, leaf | ZX(64, leaf), leaf)
+	opPushLoadZX   // push ZX(w, In(leaf + leaf))
+	opAssignLoadZX // dst = ZX(w, In(leaf + leaf))
+	opStoreLoop    // bulk memset-style loop body (descriptor in imm)
 )
-
-const (
-	opAssignBin    uint8 = opAssignCvt + 1 + iota // dst = leaf <op> leaf
-	opPushBin                                     // push leaf <op> leaf (add/cmp-immediate shapes)
-	opJcc                                         // fused Cmp(leaf, leaf) + branch loop head
-	opStoreRef                                    // Store(leaf, leaf | ZX(64, leaf), leaf)
-	opPushLoadZX                                  // push ZX(w, In(leaf + leaf))
-	opAssignLoadZX                                // dst = ZX(w, In(leaf + leaf))
-	opStoreLoop                                   // bulk memset-style loop body (descriptor in imm)
-)
-
-// opColdBase splits the opcode space: everything below has at most a single
-// trailing effect and is charged by the dispatch loop's shared handler;
-// everything at or above manages its own fuel accounting.
-const opColdBase = opAssignBin
 
 // Operand reference kinds (two bits each in instr.flg).
 const (
@@ -95,15 +75,14 @@ const (
 
 // instr is one direct-threaded instruction: 32 bytes, pointer-free.
 type instr struct {
-	op     uint8
-	sub    uint8  // lang.BinOp / lang.CmpOp subcode
-	w      uint8  // width operand (conversions, literals)
-	flg    uint8  // ref kinds + flags, see above
-	charge uint16 // fuel steps attached to this instruction
-	aux    uint16 // index into cFunc.strs (labels, sites, messages); arg count for opCall
-	a, b   int32  // operand refs; function index for opCall
-	dst    int32  // destination slot ref or branch target
-	imm    uint64 // literal value (opPushLit), loop-descriptor index (opStoreLoop)
+	op   uint8
+	sub  uint8  // lang.BinOp / lang.CmpOp subcode
+	w    uint8  // width operand (conversions, literals)
+	flg  uint8  // ref kinds + flags, see above
+	aux  uint16 // index into cFunc.strs (labels, sites, messages); arg count for opCall
+	a, b int32  // operand refs; function index for opCall
+	dst  int32  // destination slot ref or branch target
+	imm  uint64 // literal value (opPushLit), loop-descriptor index (opStoreLoop)
 }
 
 // bval is a bool-stack entry: the concrete truth value plus the symbolic
@@ -128,8 +107,7 @@ func widthErr(op fmt.Stringer, aw, bw uint8) error {
 // refVal resolves an operand reference against the active frame (g is the
 // machine's global frame). ok=false means undefined variable; the caller
 // reports it via undefRef. This is the dispatch loop's only operand access,
-// kept small enough to inline — the undefined-variable error is the sole
-// observable effect and is raised by the caller after its charges.
+// kept small enough to inline.
 func refVal(fn *cFunc, g, fr *cframe, kind uint8, idx int32) (value, bool) {
 	if kind == refLit {
 		return fn.lits[idx], true
@@ -165,48 +143,15 @@ func (m *Machine) setRef(fr *cframe, kind uint8, idx int32, v value) {
 	fr.set[idx] = true
 }
 
-// chargeExact charges n consecutive effect-free steps, reporting false on
-// fuel exhaustion (at which point fuel is pinned to 0, so Steps == Fuel
-// exactly as in the tree-walker).
-func (m *Machine) chargeExact(n int64) bool {
-	m.fuel -= n
-	if m.fuel <= 0 {
-		m.fuel = 0
-		return false
-	}
-	return true
-}
-
-// leafFault ends a two-leaf fused instruction that read an undefined leaf:
-// it charges the steps the tree-walker takes before its first undefined
-// read (all of in.charge, less the second leaf's step when the first leaf is
-// undefined), then reports that read. refVal has no effects, so reading both
-// leaves before charging is indistinguishable from the tree's interleaving.
+// leafFault ends a two-leaf fused instruction that read an undefined leaf,
+// reporting the first undefined read as the tree-walker's left-to-right
+// evaluation does. refVal has no effects, so reading both leaves first is
+// indistinguishable from the tree's order.
 func (m *Machine) leafFault(fn *cFunc, in *instr, okA bool) error {
-	n := int64(in.charge)
 	if !okA {
-		n--
-	}
-	switch {
-	case !m.chargeExact(n):
-		return errFuel
-	case !okA:
 		return m.undefRef(fn, in.flg&3, in.a)
 	}
 	return m.undefRef(fn, (in.flg>>2)&3, in.b)
-}
-
-// pollCancel mirrors the tree-walker's rate-limited cancellation poll.
-func (m *Machine) pollCancel() error {
-	if m.cancelPoll--; m.cancelPoll <= 0 {
-		m.cancelPoll = cancelPollInterval
-		select {
-		case <-m.opts.Cancel:
-			return errCancel
-		default:
-		}
-	}
-	return nil
 }
 
 // storeMem performs the Store effect sequence (event, canary, segv, cell
@@ -257,13 +202,7 @@ func (m *Machine) exec() error {
 	var pc int32
 	for {
 		in := &code[pc]
-		if in.charge != 0 && in.op < opColdBase && !m.chargeExact(int64(in.charge)) {
-			return errFuel
-		}
 		switch in.op {
-		case opCharge:
-			// charge handled above
-
 		case opJmp:
 			pc = in.dst
 			continue
@@ -374,6 +313,9 @@ func (m *Machine) exec() error {
 			sp--
 
 		case opCall:
+			if err := m.tick(); err != nil {
+				return err
+			}
 			callee := m.code.funcList[in.a]
 			nargs := int(in.aux)
 			base := sp - nargs
@@ -483,19 +425,11 @@ func (m *Machine) exec() error {
 			bstack[bsp-1] = bval{v: cv, sym: sym}
 
 		case opBranch:
-			// The cancellation point: every loop iteration passes through a
-			// branch, so a closed Options.Cancel is observed within
-			// cancelPollInterval branches. The tree-walker polls before the
-			// condition evaluates rather than after; the cadence (one
-			// countdown per branch evaluation) is identical, so uncancelled
-			// runs are byte-identical.
-			if m.opts.Cancel != nil {
-				if err := m.pollCancel(); err != nil {
-					return err
-				}
-			}
 			bsp--
 			t := bstack[bsp]
+			if err := m.tick(); err != nil {
+				return err
+			}
 			if m.opts.TrackSymbolic && t.sym != nil {
 				cond := t.sym
 				if !t.v {
@@ -539,9 +473,6 @@ func (m *Machine) exec() error {
 			if !okA || !okB {
 				return m.leafFault(fn, in, okA)
 			}
-			if !m.chargeExact(int64(in.charge)) {
-				return errFuel
-			}
 			if a.w != b.w {
 				return widthErr(lang.BinOp(in.sub), a.w, b.w)
 			}
@@ -571,18 +502,10 @@ func (m *Machine) exec() error {
 			}
 
 		case opJcc:
-			if m.opts.Cancel != nil {
-				if err := m.pollCancel(); err != nil {
-					return err
-				}
-			}
 			a, okA := refVal(fn, g, fr, in.flg&3, in.a)
 			b, okB := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
 			if !okA || !okB {
 				return m.leafFault(fn, in, okA)
-			}
-			if !m.chargeExact(int64(in.charge)) {
-				return errFuel
 			}
 			if a.w != b.w {
 				return widthErr(lang.CmpOp(in.sub), a.w, b.w)
@@ -604,6 +527,9 @@ func (m *Machine) exec() error {
 			default:
 				cv = loopCmp(lang.CmpOp(in.sub), a.v, b.v, a.w)
 			}
+			if err := m.tick(); err != nil {
+				return err
+			}
 			if m.opts.TrackSymbolic && (a.sym != nil || b.sym != nil) {
 				cond := symCmp(lang.CmpOp(in.sub), a.term(), b.term())
 				if !cv {
@@ -621,26 +547,10 @@ func (m *Machine) exec() error {
 			}
 
 		case opStoreRef:
-			// Charges: pending + ptr(1) + off(1, +1 when ZX-wrapped) + val(1).
-			// All three reads come first; the tree charges up to the first
-			// undefined one.
-			zx := int64(0)
-			if in.flg&flgZX != 0 {
-				zx = 1
-			}
 			ptr, okP := refVal(fn, g, fr, in.flg&3, in.a)
 			off, okO := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
 			val, okV := refVal(fn, g, fr, (in.flg>>4)&3, in.dst)
-			n := int64(in.charge)
 			switch {
-			case !okP:
-				n -= 2 + zx
-			case !okO:
-				n--
-			}
-			switch {
-			case !m.chargeExact(n):
-				return errFuel
 			case !okP:
 				return m.undefRef(fn, in.flg&3, in.a)
 			case !okO:
@@ -648,7 +558,7 @@ func (m *Machine) exec() error {
 			case !okV:
 				return m.undefRef(fn, (in.flg>>4)&3, in.dst)
 			}
-			if zx != 0 {
+			if in.flg&flgZX != 0 {
 				off = convert(64, false, off)
 			}
 			if err := m.storeMem(ptr.v, off.v, val); err != nil {
@@ -660,9 +570,6 @@ func (m *Machine) exec() error {
 			b, okB := refVal(fn, g, fr, (in.flg>>2)&3, in.b)
 			if !okA || !okB {
 				return m.leafFault(fn, in, okA)
-			}
-			if !m.chargeExact(int64(in.charge)) {
-				return errFuel
 			}
 			if a.w != b.w {
 				return widthErr(lang.OpAdd, a.w, b.w)
@@ -698,8 +605,8 @@ func (m *Machine) exec() error {
 		case opStoreLoop:
 			m.runStoreLoop(fr, &fn.loops[in.imm])
 			// Falls through to the generic loop head at pc+1, which
-			// re-evaluates the condition with exact charges (and handles the
-			// exit, any memory event, or fuel exhaustion precisely).
+			// re-evaluates the condition (and handles the exit, any memory
+			// event, or fuel exhaustion precisely).
 
 		default:
 			return fmt.Errorf("interp: unknown opcode %d", in.op)
@@ -731,7 +638,6 @@ type loopOp struct {
 	litV   uint64
 	litW   uint8
 	addend uint64
-	charge int64 // tree step charges for one evaluation of this operand
 }
 
 // storeLoop describes a matched canonical memset-style loop:
@@ -757,7 +663,6 @@ type storeLoop struct {
 	sub       bool // i = i - k instead of i = i + k
 	k         uint64
 	kw        uint8
-	perIter   int64 // total tree step charges of one full iteration
 }
 
 // resOp is a loop operand resolved against the loop's invariants: either a
@@ -873,11 +778,13 @@ func loopCmp(op lang.CmpOp, a, b uint64, w uint8) bool {
 
 // runStoreLoop executes as many fast iterations of a matched memset-style
 // loop as can be proven observation-free: in-bounds stores (dense prefix or
-// far log alike), condition true, fuel strictly above the per-iteration
-// charge, and no cancellation poll due. Every anomaly bails — before
-// consuming any of the bailing iteration's charges — to the generic lowered
-// loop that follows, which reproduces events, errors, exits and fuel
-// exhaustion exactly.
+// far log alike), condition true, and fuel left after the iteration's unit.
+// Each iteration debits the unit its loop-head branch would charge. Every
+// anomaly bails, before the bailing iteration's unit is debited, to the
+// generic lowered loop that follows, which reproduces events, errors, exits
+// and fuel exhaustion exactly. The bulk loop does not poll Options.Cancel:
+// it retires at most the remaining fuel's iterations, milliseconds of work,
+// before the generic loop head charges (and polls) again.
 func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 	if !m.plain {
 		return // taint/symbolic runs observe every store; generic path only
@@ -922,21 +829,11 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			return
 		}
 	}
-	poll := m.opts.Cancel != nil
 	dense := uint64(len(b.dense))
 	ran := false
-	for {
-		if m.fuel <= lp.perIter {
-			break
-		}
-		if poll {
-			if m.cancelPoll <= 1 {
-				break // let the generic branch hit the poll exactly
-			}
-			m.cancelPoll--
-		}
+	for m.fuel > 1 { // the unit that exhausts is the generic loop head's
 		if !loopCmp(lp.cmp, condA.eval(iv), condB.eval(iv), condA.w) {
-			break // generic re-evaluates the exit condition with charges
+			break // generic re-evaluates the exit condition
 		}
 		ov := off.eval(iv)
 		if ov >= b.size {
@@ -960,7 +857,7 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			}
 			iv = nv
 		}
-		m.fuel -= lp.perIter
+		m.fuel--
 		ran = true
 	}
 	if ran {
