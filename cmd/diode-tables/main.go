@@ -15,8 +15,8 @@
 // Usage:
 //
 //	diode-tables [-table all|1|2|samepath|extended] [-n 200] [-seed 1]
-//	             [-parallel N] [-workers N] [-backend local|exec] [-worker BIN]
-//	             [-cache-dir DIR] [-no-cache] [-json] [-progress] [-db out.json]
+//	             [-parallel N] [-backend local|exec] [-worker BIN]
+//	             [-cache-dir DIR] [-json] [-progress] [-db out.json]
 //	             [-discover] [-triage] [-no-triage] [-arith]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -32,7 +32,12 @@
 // -cache-dir points at a shared on-disk result cache: a repeated sweep
 // against the same directory serves every job from the cache (byte-identical
 // tables, no hunts; each application is still analyzed in-process to plan
-// the jobs) and reports hit/miss counters on stderr.
+// the jobs) and reports hit/miss counters on stderr. Without it no result is
+// cached.
+//
+// -parallel is the number of concurrent jobs, as on cmd/diode: the size of
+// the in-process pool, or the number of worker processes under -backend
+// exec.
 package main
 
 import (
@@ -62,15 +67,13 @@ func run() (code int) {
 	table := flag.String("table", "all", "which table to produce: all, 1, 2, samepath, extended")
 	n := flag.Int("n", 200, "inputs per success-rate experiment (0 disables; paper uses 200)")
 	seed := flag.Int64("seed", 1, "base random seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "pool multiplier for -backend local (apps × this many concurrent jobs; rows are identical at any setting). -backend exec sizes by -workers instead")
-	workers := flag.Int("workers", 0, "worker count: apps per wave for -backend local (0 = one per app), processes for -backend exec (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent jobs: in-process pool size, or worker processes for -backend exec (rows are identical at any setting)")
 	backendName := flag.String("backend", "local", "job backend: local (in-process pool) or exec (spawned diode-worker processes)")
 	workerBin := flag.String("worker", "", "diode-worker binary for -backend exec (default: sibling of this binary, then $PATH)")
 	jsonOut := flag.Bool("json", false, "emit one report.AppRecord JSON line per application instead of tables")
 	progress := flag.Bool("progress", false, "stream live job progress to stderr")
 	dbOut := flag.String("db", "", "also write the results database to this file")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = no result cache)")
-	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
 	discoverMode := flag.Bool("discover", false, "append the statically discovered-site table after the selected tables")
 	triageTable := flag.Bool("triage", false, "append the static value-range triage table after the selected tables")
 	arithWave := flag.Bool("arith", false, "also hunt the discovered arith sites (probe transform) and append a per-application summary; dillo's wave allocates gigabytes of guest memory")
@@ -105,8 +108,8 @@ func run() (code int) {
 	// One job cache for the whole sweep: the planner's analyses and the
 	// local backend's hunts share it, and -cache-dir makes results persist
 	// so a repeated sweep is served without re-running any hunt.
-	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir, NoResults: *noCache})
-	cfg := harness.Config{Seed: *seed, Parallelism: *parallel, Workers: *workers, Cache: jc, Arith: *arithWave,
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir})
+	cfg := harness.Config{Seed: *seed, Workers: *parallel, Cache: jc, Arith: *arithWave,
 		Engine: dispatch.Options{NoTriage: *noTriage}}
 	var appList []*apps.App
 	switch *table {
@@ -152,12 +155,7 @@ func run() (code int) {
 	case "local":
 		cfg.Sink = sink
 	case "exec":
-		execWorkers := *workers
-		if execWorkers == 0 {
-			execWorkers = runtime.GOMAXPROCS(0)
-		}
-		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: execWorkers, Sink: sink,
-			CacheDir: *cacheDir, NoCache: *noCache}
+		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: *parallel, Sink: sink, CacheDir: *cacheDir}
 		cfg.Backend = execBackend
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q (local, exec)\n", *backendName)

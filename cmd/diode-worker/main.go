@@ -14,12 +14,12 @@
 //
 // Usage:
 //
-//	diode-worker [-cache-dir DIR] [-no-cache] < jobs.jsonl > results.jsonl
+//	diode-worker [-cache-dir DIR] < jobs.jsonl > results.jsonl
 //
-// -cache-dir points at the shared on-disk result store; -no-cache disables
-// result caching. A SIGINT/SIGTERM cancels the in-flight job at its next
-// cancellation point and exits non-zero; results already written remain
-// valid.
+// -cache-dir points at the shared on-disk result store; without it no
+// result is cached and every job executes. A SIGINT/SIGTERM cancels the
+// in-flight job at its next cancellation point and exits non-zero; results
+// already written remain valid.
 package main
 
 import (

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	diode -app dillo [-seed 1] [-parallel N] [-backend local|exec] [-worker BIN]
-//	      [-cache-dir DIR] [-no-cache] [-expr] [-v] [-json] [-progress]
+//	      [-cache-dir DIR] [-expr] [-v] [-json] [-progress]
 //	      [-sites] [-triage] [-no-triage] [-discover]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -28,7 +28,7 @@
 // -cache-dir points at a shared on-disk result cache: a repeated run against
 // the same directory serves every hunt from the cache (byte-identical
 // output, no hunts; the application is still analyzed in-process) and
-// reports hit/miss counters on stderr.
+// reports hit/miss counters on stderr. Without it no result is cached.
 package main
 
 import (
@@ -68,7 +68,6 @@ func run() (code int) {
 	jsonOut := flag.Bool("json", false, "emit one report.SiteRecord JSON line per site instead of the text report")
 	progress := flag.Bool("progress", false, "stream live job progress (started/iteration/verdict) to stderr")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory shared across runs (empty = no result cache)")
-	noCache := flag.Bool("no-cache", false, "disable result caching (analysis is still memoized in-process)")
 	sitesMode := flag.Bool("sites", false, "list the statically discovered sites (name, kind, function, taint, expression) and exit without hunting")
 	triageMode := flag.Bool("triage", false, "list the discovered sites with their static value-range triage (verdict, bounds) and exit without hunting")
 	noTriage := flag.Bool("no-triage", false, "ablation: disable the static triage (no hunt short-circuits; arith sites all hunt)")
@@ -123,7 +122,7 @@ func run() (code int) {
 	settings := dispatch.Options{NoTriage: *noTriage}
 	// The job cache memoizes the analysis and, with -cache-dir, serves whole
 	// job results from disk so repeated runs skip the hunts entirely.
-	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir, NoResults: *noCache})
+	jc := dispatch.NewJobCache(dispatch.CacheConfig{Dir: *cacheDir})
 	targets, err := jc.Targets(ctx, app, settings)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analysis failed:", err)
@@ -167,8 +166,7 @@ func run() (code int) {
 	case "local":
 		backend = &dispatch.Local{Workers: *parallel, Sink: sink, Cache: jc}
 	case "exec":
-		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: *parallel, Sink: sink,
-			CacheDir: *cacheDir, NoCache: *noCache}
+		execBackend = &dispatch.Exec{Binary: *workerBin, Workers: *parallel, Sink: sink, CacheDir: *cacheDir}
 		backend = execBackend
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q (local, exec)\n", *backendName)

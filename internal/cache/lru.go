@@ -78,18 +78,6 @@ func (l *LRU) Do(key string, fn func() (any, bool)) (val any, hit bool) {
 	return v, false
 }
 
-// Remove drops a completed entry (invalidation). An in-flight computation is
-// left alone — its flight cannot be interrupted, and it decides its own
-// retention when it completes.
-func (l *LRU) Remove(key string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e, ok := l.entries[key]; ok && e.elem != nil {
-		l.order.Remove(e.elem)
-		delete(l.entries, key)
-	}
-}
-
 // Len returns the number of retained (completed) entries.
 func (l *LRU) Len() int {
 	l.mu.Lock()

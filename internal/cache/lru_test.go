@@ -132,18 +132,6 @@ func TestLRUNoKeepWaiters(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	l := NewLRU(4)
-	l.Do("k", compute(1))
-	l.Remove("k")
-	if l.Len() != 0 {
-		t.Fatalf("Len=%d after Remove, want 0", l.Len())
-	}
-	if _, hit := l.Do("k", compute(2)); hit {
-		t.Error("removed entry still hit")
-	}
-}
-
 func TestLRUMinimumCapacity(t *testing.T) {
 	l := NewLRU(0) // clamped to 1
 	l.Do("a", compute(1))

@@ -47,7 +47,9 @@ type CacheConfig struct {
 	Dir string
 	// NoResults disables result caching even when Dir is set, so every job
 	// executes. Analysis memoization remains: it is what keeps a single
-	// sweep from re-deriving targets per site, cache or no cache.
+	// sweep from re-deriving targets per site, cache or no cache. No command
+	// sets it (leaving Dir empty caches no results); it stays only because
+	// the perfbench sweep benchmark names it.
 	NoResults bool
 }
 

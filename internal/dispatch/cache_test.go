@@ -17,10 +17,9 @@ import (
 // optionsKeyFlips maps every options field (core.Settings, which
 // dispatch.Options names), by name, to a mutation that must change the cache
 // key. TestJobKeySensitivity walks the struct by reflection and fails on any
-// field without an entry, and the diodelint options-coverage analyzer checks
-// the same property statically against the core.Settings declaration — so
-// adding an options field without a flip case here fails both the test run
-// and `make lint`.
+// field without an entry and on any entry that names no field, so adding,
+// renaming or deleting an options field without a cache-key decision here
+// fails the test run.
 var optionsKeyFlips = map[string]func(*Options){
 	"NoTriage": func(o *Options) { o.NoTriage = true },
 }
@@ -28,8 +27,8 @@ var optionsKeyFlips = map[string]func(*Options){
 // jobKeyFlips maps every key-bearing dispatch.Job field, by name, to a
 // mutation that must change the cache key; jobKeyExcluded lists the fields
 // deliberately outside the key, each checked to NOT change it. Every Job
-// field must appear in exactly one of the two (enforced below by reflection
-// and statically by diodelint).
+// field must appear in exactly one of the two, and every key must name a
+// field (both enforced below by reflection).
 var jobKeyFlips = map[string]func(*Job){
 	"Kind":     func(j *Job) { j.Kind = KindHunt },
 	"Site":     func(j *Job) { j.Site = "png.c@126" },
@@ -49,9 +48,23 @@ var jobKeyExcluded = map[string]func(*Job){
 // TestJobKeySensitivity checks the cache-key contract: every job field that
 // can influence a Result changes the key, and the batch-local ID does not.
 // Field coverage is enforced structurally: each field of Options and Job
-// must have an entry in the flip tables above.
+// must have an entry in the flip tables above, and each entry must name a
+// field — a stale key would leave its flip testing nothing.
 func TestJobKeySensitivity(t *testing.T) {
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+	optT, jobT := reflect.TypeOf(Options{}), reflect.TypeOf(Job{})
+	for k := range optionsKeyFlips {
+		if _, ok := optT.FieldByName(k); !ok {
+			t.Errorf("optionsKeyFlips[%q] names no Options field", k)
+		}
+	}
+	for table, flips := range map[string]map[string]func(*Job){"jobKeyFlips": jobKeyFlips, "jobKeyExcluded": jobKeyExcluded} {
+		for k := range flips {
+			if _, ok := jobT.FieldByName(k); !ok {
+				t.Errorf("%s[%q] names no Job field", table, k)
+			}
+		}
+	}
+	for _, f := range reflect.VisibleFields(optT) {
 		if f.Anonymous {
 			continue // an embedded struct: its promoted fields are visited too
 		}
@@ -59,7 +72,7 @@ func TestJobKeySensitivity(t *testing.T) {
 			t.Errorf("Options.%s has no flip case in optionsKeyFlips", f.Name)
 		}
 	}
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Job{})) {
+	for _, f := range reflect.VisibleFields(jobT) {
 		_, flips := jobKeyFlips[f.Name]
 		_, excluded := jobKeyExcluded[f.Name]
 		if flips == excluded {
@@ -450,7 +463,7 @@ func TestDiskCorruptionMidSuite(t *testing.T) {
 	}
 }
 
-// TestNoResultsDisablesCaching checks -no-cache semantics: even with a
+// TestNoResultsDisablesCaching checks CacheConfig.NoResults: even with a
 // store directory configured, every job executes every time, nothing is
 // stored or marked Cached, and analysis memoization still prevents per-job
 // re-analysis.
@@ -560,32 +573,5 @@ func TestExecWarmSharedDir(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("warm exec diverged from cold:\ncold: %+v\nwarm: %+v", a, b)
-	}
-}
-
-// TestExecNoCacheStoresNothing checks that the Exec backend's NoCache
-// reaches its worker processes: with a CacheDir set as well, a batch
-// executes every job and leaves the store empty. A worker that ignored
-// -no-cache would store each result.
-func TestExecNoCacheStoresNothing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	dir := t.TempDir()
-	jobs, _ := huntBatch(t, "vlc", 7)
-	e := testExec(2, nil)
-	e.CacheDir, e.NoCache = dir, true
-	if _, err := Collect(context.Background(), e, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if cs := e.CacheStats(); cs.Misses != int64(len(jobs)) || cs.Hits != 0 || cs.Stores != 0 {
-		t.Errorf("exec stats %+v, want %d misses and no hits or stores", cs, len(jobs))
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("store holds %d entries after a -no-cache run, want 0", len(entries))
 	}
 }

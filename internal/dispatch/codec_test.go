@@ -60,7 +60,7 @@ func TestJobStreamRejectsUnknownFields(t *testing.T) {
 			t.Errorf("ReadJobs(opts %s) = %v, want a corrupt job stream error", opts, err)
 		}
 		var out bytes.Buffer
-		err := WorkerMain(context.Background(), []string{"-no-cache"}, strings.NewReader(line), &out)
+		err := WorkerMain(context.Background(), nil, strings.NewReader(line), &out)
 		if err == nil || !strings.Contains(err.Error(), "corrupt job stream") {
 			t.Errorf("WorkerMain(opts %s) = %v, want a corrupt job stream error", opts, err)
 		}

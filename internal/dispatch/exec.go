@@ -38,9 +38,6 @@ type Exec struct {
 	// pointing at the same directory serve each other's results. Empty
 	// leaves each worker without a result cache (every job executes).
 	CacheDir string
-	// NoCache disables result caching in the workers (their -no-cache
-	// flag).
-	NoCache bool
 
 	counters cache.Counters
 }
@@ -122,9 +119,6 @@ func (e *Exec) runShard(ctx context.Context, bin string, shard []Job, jobByID ma
 	var args []string
 	if e.CacheDir != "" {
 		args = append(args, "-cache-dir", e.CacheDir)
-	}
-	if e.NoCache {
-		args = append(args, "-no-cache")
 	}
 	cmd := exec.CommandContext(ctx, bin, args...)
 	cmd.Env = append(os.Environ(), e.Env...)

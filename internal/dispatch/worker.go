@@ -76,9 +76,9 @@ func newJobDecoder(r io.Reader) *json.Decoder {
 // WorkerMain is the body of the diode-worker process: cmd/diode-worker
 // wraps it around its argument list and stdin/stdout, and tests embed it
 // behind an env-var switch so the Exec backend can be exercised without
-// building a separate binary. It parses the worker's two flags from args:
-// -cache-dir names the shared on-disk result store (empty: none), and
-// -no-cache disables result caching. It executes jobs sequentially in
+// building a separate binary. It parses the worker's one flag from args:
+// -cache-dir names the shared on-disk result store (empty: no result
+// cache, so every job executes). It executes jobs sequentially in
 // arrival order — process-level parallelism is the Exec backend's job —
 // sharing one JobCache across the batch (backed by the -cache-dir store, so
 // sibling workers and repeated runs share results), and flushes every
@@ -89,7 +89,6 @@ func newJobDecoder(r io.Reader) *json.Decoder {
 func WorkerMain(ctx context.Context, args []string, r io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("diode-worker", flag.ContinueOnError)
 	cacheDir := fs.String("cache-dir", "", "shared on-disk result cache directory (empty = no result cache)")
-	noCache := fs.Bool("no-cache", false, "disable result caching")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -115,7 +114,7 @@ func WorkerMain(ctx context.Context, args []string, r io.Reader, w io.Writer) er
 		}
 	})
 
-	jc := NewJobCache(CacheConfig{Dir: *cacheDir, NoResults: *noCache})
+	jc := NewJobCache(CacheConfig{Dir: *cacheDir})
 	dec := newJobDecoder(r)
 	for {
 		var job Job

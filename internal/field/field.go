@@ -90,15 +90,6 @@ func MustMap(specs []Spec) *Map {
 // Specs returns the field specs in offset order.
 func (m *Map) Specs() []Spec { return m.specs }
 
-// FieldFor returns the spec covering the byte offset, if any.
-func (m *Map) FieldFor(off int) (Spec, bool) {
-	i, ok := m.byByte[off]
-	if !ok {
-		return Spec{}, false
-	}
-	return m.specs[i], true
-}
-
 // Var returns the bv variable for a field.
 func (s Spec) Var() *bv.Term { return bv.Var(s.Width(), s.Name) }
 

@@ -149,10 +149,4 @@ func TestLiftBoolAndSeedAssignment(t *testing.T) {
 	if got { // 0x0100 > 0x0500 is false
 		t.Fatal("lifted condition evaluated incorrectly")
 	}
-	if fieldSpec, ok := m.FieldFor(1); !ok || fieldSpec.Name != "/w" {
-		t.Fatal("FieldFor failed")
-	}
-	if _, ok := m.FieldFor(5); ok {
-		t.Fatal("FieldFor reported a field for an uncovered byte")
-	}
 }

@@ -37,6 +37,8 @@ type Config struct {
 	Workers int
 	// Parallelism multiplies the default Local backend's pool so a sweep
 	// runs apps × sites concurrently. Verdicts are identical at any setting.
+	// No command sets it (diode-tables -parallel sets Workers); it stays
+	// only because the perfbench sweep benchmark names it.
 	Parallelism int
 	// Arith extends the sweep to the discovered arith-node surface: after
 	// the alloc waves, every discovered arith site is hunted end-to-end via

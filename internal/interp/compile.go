@@ -264,8 +264,8 @@ func (l *lowerer) stmt(s lang.Stmt) {
 }
 
 // assign lowers an assignment, fusing the common right-hand shapes (leaf
-// copy, leaf binop — the add-immediate idiom — leaf conversion, and the
-// ZX(w, In(leaf+leaf)) superinstruction) into single instructions.
+// copy, leaf binop — the add-immediate idiom — and the ZX(w, In(leaf+leaf))
+// superinstruction) into single instructions.
 func (l *lowerer) assign(st lang.Assign) {
 	dst, dk := l.varRef(st.Var)
 	switch e := st.E.(type) {
@@ -285,14 +285,6 @@ func (l *lowerer) assign(st lang.Assign) {
 			ai, ak, _ := l.leafRef(a)
 			bi, bk, _ := l.leafRef(b)
 			l.emit(instr{op: opAssignLoadZX, w: e.W, flg: ak | bk<<2 | dk<<4, a: ai, b: bi, dst: dst})
-			return
-		}
-		if a, ak, ok := l.leafRef(e.A); ok {
-			f := ak | dk<<4
-			if e.Signed {
-				f |= flgBit
-			}
-			l.emit(instr{op: opAssignCvt, w: e.W, flg: f, a: a, dst: dst})
 			return
 		}
 	}

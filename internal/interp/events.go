@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"errors"
+
 	"diode/internal/bv"
 	"diode/internal/taint"
 )
@@ -100,13 +102,25 @@ type Outcome struct {
 	Steps    int64          // fuel units used (see Options.Fuel)
 }
 
-// ErrorsAt reports whether any memory error (or fatal signal attribution) in
-// the outcome involves a block allocated at the given site.
-func (o *Outcome) ErrorsAt(site string) bool {
-	for _, e := range o.MemErrs {
-		if e.Site == site {
-			return true
-		}
+// classify records how a run ended from the error its engine returned:
+// Kind, and Err for a guest runtime error. The tree-walker and the Machine
+// both end a run through it.
+func (o *Outcome) classify(err error) {
+	switch {
+	case err == nil:
+		o.Kind = OutOK
+	case errors.Is(err, errAbort):
+		o.Kind = OutRejected
+	case errors.Is(err, errSegv):
+		o.Kind = OutSegv
+	case errors.Is(err, errAbrt):
+		o.Kind = OutAbrt
+	case errors.Is(err, errFuel):
+		o.Kind = OutFuel
+	case errors.Is(err, errCancel):
+		o.Kind = OutCancelled
+	default:
+		o.Kind = OutError
+		o.Err = err
 	}
-	return false
 }

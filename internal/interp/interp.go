@@ -338,25 +338,7 @@ func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 	m.frames = append(m.frames, frame{vars: make(map[string]value)})
 	err := m.execBlock(main.Body)
 	m.out.Steps = m.used()
-	switch {
-	case err == nil || errors.Is(err, errAbort):
-		if errors.Is(err, errAbort) {
-			m.out.Kind = OutRejected
-		} else {
-			m.out.Kind = OutOK
-		}
-	case errors.Is(err, errSegv):
-		m.out.Kind = OutSegv
-	case errors.Is(err, errAbrt):
-		m.out.Kind = OutAbrt
-	case errors.Is(err, errFuel):
-		m.out.Kind = OutFuel
-	case errors.Is(err, errCancel):
-		m.out.Kind = OutCancelled
-	default:
-		m.out.Kind = OutError
-		m.out.Err = err
-	}
+	m.out.classify(err)
 	return &m.out
 }
 

@@ -188,8 +188,8 @@ func TestSegvFarOutOfBounds(t *testing.T) {
 	if out.Kind != OutSegv {
 		t.Fatalf("outcome = %v, want SIGSEGV", out.Kind)
 	}
-	if !out.ErrorsAt("site@1") {
-		t.Fatal("SIGSEGV not attributed to the block's site")
+	if len(out.MemErrs) != 1 || out.MemErrs[0].Site != "site@1" {
+		t.Fatalf("SIGSEGV not attributed to the block's site: %+v", out.MemErrs)
 	}
 }
 

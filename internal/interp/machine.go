@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -169,25 +168,7 @@ func (m *Machine) Run() *Outcome {
 	m.ready = false
 	err := m.exec()
 	m.out.Steps = m.used()
-	switch {
-	case err == nil || errors.Is(err, errAbort):
-		if errors.Is(err, errAbort) {
-			m.out.Kind = OutRejected
-		} else {
-			m.out.Kind = OutOK
-		}
-	case errors.Is(err, errSegv):
-		m.out.Kind = OutSegv
-	case errors.Is(err, errAbrt):
-		m.out.Kind = OutAbrt
-	case errors.Is(err, errFuel):
-		m.out.Kind = OutFuel
-	case errors.Is(err, errCancel):
-		m.out.Kind = OutCancelled
-	default:
-		m.out.Kind = OutError
-		m.out.Err = err
-	}
+	m.out.classify(err)
 	return &m.out
 }
 

@@ -348,6 +348,42 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.Let("x", lang.ZX(32, lang.InByte{Idx: lang.Add(lang.V("nope"), lang.U32(1))})),
 		)),
 	}
+	// An undefined variable in each operand position of every multi-read
+	// fused shape. A fused instruction reads all its leaves before reporting
+	// the first undefined one, so each shape pins which read fails.
+	u, a := lang.V("nope"), lang.V("a")
+	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
+	for name, fused := range map[string]lang.Stmt{
+		"assign-bin-first":     lang.Let("x", lang.Add(u, a)),
+		"assign-bin-second":    lang.Let("x", lang.Add(a, u)),
+		"push-bin-first":       lang.AllocAt("b", "t@2", lang.Add(u, lang.U32(1))),
+		"push-bin-second":      lang.AllocAt("b", "t@2", lang.Add(a, u)),
+		"jcc-first":            lang.IfThen("c", lang.Ult(u, a), lang.Warn("then")),
+		"jcc-second":           lang.IfThen("c", lang.Ult(a, u), lang.Warn("then")),
+		"store-ptr":            lang.Put(u, a, lang.U8(1)),
+		"store-ptr-before-zx":  lang.Put(u, lang.ZX(64, a), lang.U8(1)),
+		"store-off":            lang.Put(lang.V("buf"), u, lang.U8(1)),
+		"store-zx-off":         lang.Put(lang.V("buf"), lang.ZX(64, u), lang.U8(1)),
+		"store-val":            lang.Put(lang.V("buf"), a, u),
+		"store-val-after-zx":   lang.Put(lang.V("buf"), lang.ZX(64, a), u),
+		"assign-loadzx-first":  lang.Let("x", loadZX(u, a)),
+		"assign-loadzx-second": lang.Let("x", loadZX(a, u)),
+		"push-loadzx-first":    lang.AllocAt("b", "t@2", loadZX(u, a)),
+		"push-loadzx-second":   lang.AllocAt("b", "t@2", loadZX(a, u)),
+	} {
+		prog := mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(16)),
+			lang.Let("a", lang.ZX(32, lang.InAt(0))),
+			lang.Put(lang.V("buf"), lang.V("a"), lang.U8(7)),
+			fused,
+			lang.Let("after", lang.U32(1)),
+		))
+		if out := interp.RunTree(prog, []byte{5}, interp.Options{}); out.Err == nil || !strings.Contains(out.Err.Error(), `"nope"`) {
+			t.Fatalf("undef-%s: want the undefined-variable error, got:\n%s", name, dumpOutcome(out))
+		}
+		progs["undef-"+name] = prog
+	}
+
 	inputs := [][]byte{nil, {0}, {5}, {40}, {0xFF}}
 	for name, prog := range progs {
 		m := interp.NewMachine(interp.Compile(prog))
@@ -450,56 +486,6 @@ func TestCompiledParityFuelSweepFarCells(t *testing.T) {
 		for fuel := int64(1); fuel <= full.Steps+8; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, nil, opts)
-		}
-	}
-}
-
-// TestCompiledParityFuelSweepUndefined puts an undefined variable in each
-// operand position of every multi-read fused shape and sweeps every fuel
-// cutoff up to past the tree's unit count. A fused instruction reads all its
-// leaves before reporting the first undefined one, so each shape pins which
-// read fails; opJcc, which also charges, pins that the failing read wins over
-// the branch's unit.
-func TestCompiledParityFuelSweepUndefined(t *testing.T) {
-	u, a := lang.V("nope"), lang.V("a")
-	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
-	shapes := map[string]lang.Stmt{
-		"assign-bin-first":     lang.Let("x", lang.Add(u, a)),
-		"assign-bin-second":    lang.Let("x", lang.Add(a, u)),
-		"push-bin-first":       lang.AllocAt("b", "t@2", lang.Add(u, lang.U32(1))),
-		"push-bin-second":      lang.AllocAt("b", "t@2", lang.Add(a, u)),
-		"jcc-first":            lang.IfThen("c", lang.Ult(u, a), lang.Warn("then")),
-		"jcc-second":           lang.IfThen("c", lang.Ult(a, u), lang.Warn("then")),
-		"store-ptr":            lang.Put(u, a, lang.U8(1)),
-		"store-ptr-before-zx":  lang.Put(u, lang.ZX(64, a), lang.U8(1)),
-		"store-off":            lang.Put(lang.V("buf"), u, lang.U8(1)),
-		"store-zx-off":         lang.Put(lang.V("buf"), lang.ZX(64, u), lang.U8(1)),
-		"store-val":            lang.Put(lang.V("buf"), a, u),
-		"store-val-after-zx":   lang.Put(lang.V("buf"), lang.ZX(64, a), u),
-		"assign-loadzx-first":  lang.Let("x", loadZX(u, a)),
-		"assign-loadzx-second": lang.Let("x", loadZX(a, u)),
-		"push-loadzx-first":    lang.AllocAt("b", "t@2", loadZX(u, a)),
-		"push-loadzx-second":   lang.AllocAt("b", "t@2", loadZX(a, u)),
-	}
-	for name, fused := range shapes {
-		prog := mustProg(t, lang.Fn("main", nil,
-			lang.AllocAt("buf", "t@1", lang.U32(16)),
-			lang.Let("a", lang.ZX(32, lang.InAt(0))),
-			lang.Put(lang.V("buf"), lang.V("a"), lang.U8(7)),
-			fused,
-			lang.Let("after", lang.U32(1)),
-		))
-		m := interp.NewMachine(interp.Compile(prog))
-		input := []byte{2, 9}
-		full := interp.RunTree(prog, input, interp.Options{})
-		if full.Err == nil || !strings.Contains(full.Err.Error(), `"nope"`) {
-			t.Fatalf("%s: want the undefined-variable error, got:\n%s", name, dumpOutcome(full))
-		}
-		for _, mode := range []string{"plain", "symbolic"} {
-			for fuel := int64(1); fuel <= full.Steps+4; fuel++ {
-				opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
-				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", name, fuel, mode), prog, m, input, opts)
-			}
 		}
 	}
 }

@@ -47,7 +47,6 @@ const (
 	opAbortStmt
 	opWarnStmt
 	opAssignRef    // dst = leaf
-	opAssignCvt    // dst = ZX/SX(w, leaf)
 	opAssignBin    // dst = leaf <op> leaf
 	opPushBin      // push leaf <op> leaf (add/cmp-immediate shapes)
 	opJcc          // fused Cmp(leaf, leaf) + branch loop head
@@ -459,13 +458,6 @@ func (m *Machine) exec() error {
 				return m.undefRef(fn, in.flg&3, in.a)
 			}
 			m.setRef(fr, (in.flg>>4)&3, in.dst, v)
-
-		case opAssignCvt:
-			a, ok := refVal(fn, g, fr, in.flg&3, in.a)
-			if !ok {
-				return m.undefRef(fn, in.flg&3, in.a)
-			}
-			m.setRef(fr, (in.flg>>4)&3, in.dst, convert(in.w, in.flg&flgBit != 0, a))
 
 		case opAssignBin, opPushBin:
 			a, okA := refVal(fn, g, fr, in.flg&3, in.a)

@@ -82,23 +82,6 @@ func (s *Set) Union(t *Set) *Set {
 	return &Set{words: out}
 }
 
-// Intersects reports whether s and t share a label.
-func (s *Set) Intersects(t *Set) bool {
-	if s == nil || t == nil {
-		return false
-	}
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of labels in the set.
 func (s *Set) Len() int {
 	if s == nil {

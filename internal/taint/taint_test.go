@@ -49,15 +49,6 @@ func TestUnionImmutability(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := Single(5).Union(Single(100))
-	b := Single(100).Union(Single(300))
-	c := Single(7)
-	if !a.Intersects(b) || b.Intersects(c) || a.Intersects(nil) {
-		t.Fatal("intersects misbehaves")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := Single(5).Union(Single(64))
 	b := Single(64).Union(Single(5))

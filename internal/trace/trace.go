@@ -85,14 +85,3 @@ func (p Path) Labels() []string {
 	}
 	return out
 }
-
-// DynamicCount returns the total number of dynamic branch occurrences folded
-// into p (the paper's "total relevant conditional branches on the path",
-// Table 2's Y value).
-func (p Path) DynamicCount() int {
-	n := 0
-	for _, e := range p {
-		n += e.Count
-	}
-	return n
-}

@@ -112,11 +112,11 @@ func TestFromBranchesAndDynamicCount(t *testing.T) {
 		{Label: "l", Taken: false, Cond: bv.NotB(bv.Ult(x, bv.Const(8, 3)))},
 	}
 	p := FromBranches(recs)
-	if len(p) != 2 || p.DynamicCount() != 2 {
+	if len(p) != 2 || p[0].Count != 1 || p[1].Count != 1 {
 		t.Fatalf("path = %v", p)
 	}
 	c := Compress(p)
-	if len(c) != 1 || c.DynamicCount() != 2 {
-		t.Fatalf("compressed = %v count=%d", c, c.DynamicCount())
+	if len(c) != 1 || c[0].Count != 2 {
+		t.Fatalf("compressed = %v", c)
 	}
 }
