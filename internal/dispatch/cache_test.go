@@ -3,10 +3,13 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,39 +48,103 @@ var jobKeyExcluded = map[string]func(*Job){
 	"App": func(j *Job) { j.App = "other" }, // the fingerprint is the identity
 }
 
-// TestJobKeySensitivity checks the cache-key contract: every job field that
-// can influence a Result changes the key, and the batch-local ID does not.
-// Field coverage is enforced structurally: each field of Options and Job
-// must have an entry in the flip tables above, and each entry must name a
-// field — a stale key would leave its flip testing nothing.
-func TestJobKeySensitivity(t *testing.T) {
-	optT, jobT := reflect.TypeOf(Options{}), reflect.TypeOf(Job{})
-	for k := range optionsKeyFlips {
+// flipTableProblems checks flip tables against the struct types they cover:
+// every field of optT needs an optionsKey entry, every field of jobT needs an
+// entry in exactly one of jobFlip and jobExcluded, and every key of the three
+// must name a field of its type — a stale key would leave its flip testing
+// nothing. An embedded struct is not a field of its own; its promoted fields
+// are. It returns one line per violation, sorted.
+func flipTableProblems(optT, jobT reflect.Type, optionsKey, jobFlip, jobExcluded map[string]bool) []string {
+	var out []string
+	for k := range optionsKey {
 		if _, ok := optT.FieldByName(k); !ok {
-			t.Errorf("optionsKeyFlips[%q] names no Options field", k)
+			out = append(out, fmt.Sprintf("optionsKeyFlips[%q] names no Options field", k))
 		}
 	}
-	for table, flips := range map[string]map[string]func(*Job){"jobKeyFlips": jobKeyFlips, "jobKeyExcluded": jobKeyExcluded} {
-		for k := range flips {
+	for table, keys := range map[string]map[string]bool{"jobKeyFlips": jobFlip, "jobKeyExcluded": jobExcluded} {
+		for k := range keys {
 			if _, ok := jobT.FieldByName(k); !ok {
-				t.Errorf("%s[%q] names no Job field", table, k)
+				out = append(out, fmt.Sprintf("%s[%q] names no Job field", table, k))
 			}
 		}
 	}
 	for _, f := range reflect.VisibleFields(optT) {
-		if f.Anonymous {
-			continue // an embedded struct: its promoted fields are visited too
-		}
-		if _, ok := optionsKeyFlips[f.Name]; !ok {
-			t.Errorf("Options.%s has no flip case in optionsKeyFlips", f.Name)
+		if !f.Anonymous && !optionsKey[f.Name] {
+			out = append(out, fmt.Sprintf("Options.%s has no flip case in optionsKeyFlips", f.Name))
 		}
 	}
 	for _, f := range reflect.VisibleFields(jobT) {
-		_, flips := jobKeyFlips[f.Name]
-		_, excluded := jobKeyExcluded[f.Name]
-		if flips == excluded {
-			t.Errorf("Job.%s must be in exactly one of jobKeyFlips / jobKeyExcluded", f.Name)
+		if !f.Anonymous && jobFlip[f.Name] == jobExcluded[f.Name] {
+			out = append(out, fmt.Sprintf("Job.%s must be in exactly one of jobKeyFlips / jobKeyExcluded", f.Name))
 		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// tableKeys returns the key set of a flip table.
+func tableKeys[F any](table map[string]F) map[string]bool {
+	keys := make(map[string]bool, len(table))
+	for k := range table {
+		keys[k] = true
+	}
+	return keys
+}
+
+// TestFlipTableCheckClean pins that consistent tables pass, with an options
+// type whose embedded struct contributes its promoted field, not itself.
+func TestFlipTableCheckClean(t *testing.T) {
+	type inner struct{ Seed int }
+	type opts struct {
+		Fuel int
+		inner
+	}
+	type job struct {
+		ID   int
+		Site string
+	}
+	if problems := flipTableProblems(reflect.TypeOf(opts{}), reflect.TypeOf(job{}),
+		map[string]bool{"Seed": true, "Fuel": true},
+		map[string]bool{"Site": true},
+		map[string]bool{"ID": true}); len(problems) != 0 {
+		t.Fatalf("consistent tables flagged: %v", problems)
+	}
+}
+
+// TestFlipTableCheckViolations pins every failure mode: an options field
+// with no entry, a stale options key, a Job field in both tables, a Job
+// field in neither, and a stale Job key.
+func TestFlipTableCheckViolations(t *testing.T) {
+	type opts struct{ Seed, Orphan int }
+	type job struct {
+		ID   int
+		Site string
+		Kind int
+	}
+	got := strings.Join(flipTableProblems(reflect.TypeOf(opts{}), reflect.TypeOf(job{}),
+		map[string]bool{"Seed": true, "Renamed": true},
+		map[string]bool{"Site": true, "ID": true},
+		map[string]bool{"ID": true, "Gone": true}), "\n")
+	want := strings.Join([]string{
+		"Job.ID must be in exactly one of jobKeyFlips / jobKeyExcluded",
+		"Job.Kind must be in exactly one of jobKeyFlips / jobKeyExcluded",
+		"Options.Orphan has no flip case in optionsKeyFlips",
+		`jobKeyExcluded["Gone"] names no Job field`,
+		`optionsKeyFlips["Renamed"] names no Options field`,
+	}, "\n")
+	if got != want {
+		t.Errorf("violations:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestJobKeySensitivity checks the cache-key contract: every job field that
+// can influence a Result changes the key, and the batch-local ID does not.
+// Field coverage is enforced structurally: flipTableProblems must find the
+// flip tables above complete for Options and Job, with no stale key.
+func TestJobKeySensitivity(t *testing.T) {
+	for _, p := range flipTableProblems(reflect.TypeOf(Options{}), reflect.TypeOf(Job{}),
+		tableKeys(optionsKeyFlips), tableKeys(jobKeyFlips), tableKeys(jobKeyExcluded)) {
+		t.Error(p)
 	}
 
 	base := Job{
@@ -573,5 +640,24 @@ func TestExecWarmSharedDir(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("warm exec diverged from cold:\ncold: %+v\nwarm: %+v", a, b)
+	}
+}
+
+// TestExecNoCacheStoresNothing checks that an Exec without a CacheDir caches
+// nothing: its workers get no -cache-dir, so running the same batch twice
+// executes every job both times, with no hit and no store.
+func TestExecNoCacheStoresNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	jobs, _ := huntBatch(t, "vlc", 7)
+	e := testExec(2, nil)
+	for run := 1; run <= 2; run++ {
+		if _, err := Collect(context.Background(), e, jobs); err != nil {
+			t.Fatal(err)
+		}
+		if cs := e.CacheStats(); cs.Misses != int64(run*len(jobs)) || cs.Hits != 0 || cs.Stores != 0 {
+			t.Errorf("after run %d exec stats %+v, want %d misses and no hits or stores", run, cs, run*len(jobs))
+		}
 	}
 }

@@ -348,39 +348,7 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.Let("x", lang.ZX(32, lang.InByte{Idx: lang.Add(lang.V("nope"), lang.U32(1))})),
 		)),
 	}
-	// An undefined variable in each operand position of every multi-read
-	// fused shape. A fused instruction reads all its leaves before reporting
-	// the first undefined one, so each shape pins which read fails.
-	u, a := lang.V("nope"), lang.V("a")
-	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
-	for name, fused := range map[string]lang.Stmt{
-		"assign-bin-first":     lang.Let("x", lang.Add(u, a)),
-		"assign-bin-second":    lang.Let("x", lang.Add(a, u)),
-		"push-bin-first":       lang.AllocAt("b", "t@2", lang.Add(u, lang.U32(1))),
-		"push-bin-second":      lang.AllocAt("b", "t@2", lang.Add(a, u)),
-		"jcc-first":            lang.IfThen("c", lang.Ult(u, a), lang.Warn("then")),
-		"jcc-second":           lang.IfThen("c", lang.Ult(a, u), lang.Warn("then")),
-		"store-ptr":            lang.Put(u, a, lang.U8(1)),
-		"store-ptr-before-zx":  lang.Put(u, lang.ZX(64, a), lang.U8(1)),
-		"store-off":            lang.Put(lang.V("buf"), u, lang.U8(1)),
-		"store-zx-off":         lang.Put(lang.V("buf"), lang.ZX(64, u), lang.U8(1)),
-		"store-val":            lang.Put(lang.V("buf"), a, u),
-		"store-val-after-zx":   lang.Put(lang.V("buf"), lang.ZX(64, a), u),
-		"assign-loadzx-first":  lang.Let("x", loadZX(u, a)),
-		"assign-loadzx-second": lang.Let("x", loadZX(a, u)),
-		"push-loadzx-first":    lang.AllocAt("b", "t@2", loadZX(u, a)),
-		"push-loadzx-second":   lang.AllocAt("b", "t@2", loadZX(a, u)),
-	} {
-		prog := mustProg(t, lang.Fn("main", nil,
-			lang.AllocAt("buf", "t@1", lang.U32(16)),
-			lang.Let("a", lang.ZX(32, lang.InAt(0))),
-			lang.Put(lang.V("buf"), lang.V("a"), lang.U8(7)),
-			fused,
-			lang.Let("after", lang.U32(1)),
-		))
-		if out := interp.RunTree(prog, []byte{5}, interp.Options{}); out.Err == nil || !strings.Contains(out.Err.Error(), `"nope"`) {
-			t.Fatalf("undef-%s: want the undefined-variable error, got:\n%s", name, dumpOutcome(out))
-		}
+	for name, prog := range undefinedReadProgs(t) {
 		progs["undef-"+name] = prog
 	}
 
@@ -420,6 +388,54 @@ func TestCompiledParityFusion(t *testing.T) {
 			checkParity(t, fmt.Sprintf("far-reuse run#%d mode=%s", i, mode), reuse, m, input, opts)
 		}
 	}
+}
+
+// undefinedReadProgs puts an undefined variable in each operand position of
+// every multi-read fused shape. A fused instruction reads all its leaves
+// before reporting the first undefined one, so each shape pins which read
+// fails. Each program first runs a three-trip loop that charges four fuel
+// units, so a fuel sweep stops some runs before the failing read and some
+// at it.
+func undefinedReadProgs(t *testing.T) map[string]*lang.Program {
+	t.Helper()
+	u, a := lang.V("nope"), lang.V("a")
+	loadZX := func(x, y lang.Expr) lang.Expr { return lang.ZX(32, lang.InByte{Idx: lang.Add(x, y)}) }
+	progs := map[string]*lang.Program{}
+	for name, fused := range map[string]lang.Stmt{
+		"assign-bin-first":     lang.Let("x", lang.Add(u, a)),
+		"assign-bin-second":    lang.Let("x", lang.Add(a, u)),
+		"push-bin-first":       lang.AllocAt("b", "t@2", lang.Add(u, lang.U32(1))),
+		"push-bin-second":      lang.AllocAt("b", "t@2", lang.Add(a, u)),
+		"jcc-first":            lang.IfThen("c", lang.Ult(u, a), lang.Warn("then")),
+		"jcc-second":           lang.IfThen("c", lang.Ult(a, u), lang.Warn("then")),
+		"store-ptr":            lang.Put(u, a, lang.U8(1)),
+		"store-ptr-before-zx":  lang.Put(u, lang.ZX(64, a), lang.U8(1)),
+		"store-off":            lang.Put(lang.V("buf"), u, lang.U8(1)),
+		"store-zx-off":         lang.Put(lang.V("buf"), lang.ZX(64, u), lang.U8(1)),
+		"store-val":            lang.Put(lang.V("buf"), a, u),
+		"store-val-after-zx":   lang.Put(lang.V("buf"), lang.ZX(64, a), u),
+		"assign-loadzx-first":  lang.Let("x", loadZX(u, a)),
+		"assign-loadzx-second": lang.Let("x", loadZX(a, u)),
+		"push-loadzx-first":    lang.AllocAt("b", "t@2", loadZX(u, a)),
+		"push-loadzx-second":   lang.AllocAt("b", "t@2", loadZX(a, u)),
+	} {
+		prog := mustProg(t, lang.Fn("main", nil,
+			lang.AllocAt("buf", "t@1", lang.U32(16)),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("warm", lang.Ult(lang.V("i"), lang.U32(3)),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+			lang.Let("a", lang.ZX(32, lang.InAt(0))),
+			lang.Put(lang.V("buf"), lang.V("a"), lang.U8(7)),
+			fused,
+			lang.Let("after", lang.U32(1)),
+		))
+		if out := interp.RunTree(prog, []byte{5}, interp.Options{}); out.Err == nil || !strings.Contains(out.Err.Error(), `"nope"`) || out.Steps < 4 {
+			t.Fatalf("%s: want the undefined-variable error after the loop's 4 units, got:\n%s", name, dumpOutcome(out))
+		}
+		progs[name] = prog
+	}
+	return progs
 }
 
 // TestCompiledParityFuelSweep runs a program mixing fused and generic shapes
@@ -486,6 +502,24 @@ func TestCompiledParityFuelSweepFarCells(t *testing.T) {
 		for fuel := int64(1); fuel <= full.Steps+8; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, nil, opts)
+		}
+	}
+}
+
+// TestCompiledParityFuelSweepUndefined sweeps every fuel cutoff through the
+// undefined-read programs, from inside their charged loop to past the
+// failing read. opJcc, which also charges, pins that the failing read wins
+// over the branch's unit when the budget runs out exactly there.
+func TestCompiledParityFuelSweepUndefined(t *testing.T) {
+	input := []byte{2, 9}
+	for name, prog := range undefinedReadProgs(t) {
+		m := interp.NewMachine(interp.Compile(prog))
+		full := interp.RunTree(prog, input, interp.Options{})
+		for _, mode := range []string{"plain", "symbolic"} {
+			for fuel := int64(1); fuel <= full.Steps+2; fuel++ {
+				opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", name, fuel, mode), prog, m, input, opts)
+			}
 		}
 	}
 }
