@@ -3,8 +3,20 @@ package apps
 import (
 	"testing"
 
+	"diode/internal/bv"
+	"diode/internal/field"
 	"diode/internal/interp"
 )
+
+// everyByte is a Symbolic table reading input bytes 0..n-1 through m: each
+// byte as its field-level term, or as in[i] where no field of m covers it.
+func everyByte(m *field.Map, n int) []*bv.Term {
+	offsets := make([]int, n)
+	for i := range offsets {
+		offsets[i] = i
+	}
+	return m.InputTerms(offsets)
+}
 
 // TestSeedsRunClean: every application must process its seed input with no
 // overflow, no memory errors and a normal exit — the paper's premise that
@@ -154,7 +166,7 @@ func TestRegistrySplit(t *testing.T) {
 // symbolic size expression to every tainted site.
 func TestSymbolicRunRecordsTargets(t *testing.T) {
 	for _, a := range All() {
-		out := interp.Run(a.Program, a.Format.Seed, interp.Options{TrackSymbolic: true})
+		out := interp.Run(a.Program, a.Format.Seed, interp.Options{Symbolic: everyByte(a.Format.Fields, len(a.Format.Seed))})
 		if out.Kind != interp.OutOK {
 			t.Fatalf("%s: symbolic run outcome %v", a.Short, out.Kind)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diode/internal/bv"
+	"diode/internal/field"
 	"diode/internal/formats"
 	"diode/internal/interp"
 )
@@ -33,7 +34,7 @@ func TestGIFViewMultiFrame(t *testing.T) {
 	}
 
 	m := interp.NewMachine(app.Compiled())
-	m.Reset(multi, interp.Options{TrackSymbolic: true})
+	m.Reset(multi, interp.Options{Symbolic: everyByte(field.MustMap(nil), len(multi))})
 	out := m.Run()
 	if out.Kind != interp.OutOK {
 		t.Fatalf("two-frame parse ended %v (%s, err=%v)", out.Kind, out.AbortMsg, out.Err)

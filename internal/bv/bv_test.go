@@ -368,21 +368,6 @@ func TestPrintPaperVocabulary(t *testing.T) {
 	}
 }
 
-func TestSubstitute(t *testing.T) {
-	x := Var(32, "sub_x")
-	y := Var(32, "sub_y")
-	e := Add(Mul(x, y), Const(32, 7))
-	got := SubstituteTerm(e, map[string]*Term{"sub_x": Const(32, 3), "sub_y": Const(32, 5)})
-	if v, ok := IsConst(got); !ok || v != 22 {
-		t.Fatalf("substitution did not fold: %s", got)
-	}
-	// Partial substitution keeps the other variable.
-	got = SubstituteTerm(e, map[string]*Term{"sub_x": Const(32, 1)})
-	if got != Add(y, Const(32, 7)) {
-		t.Fatalf("partial substitution: got %s", got)
-	}
-}
-
 func TestVarSet(t *testing.T) {
 	x := Var(32, "vs_x")
 	y := Var(8, "vs_y")

@@ -73,113 +73,3 @@ func collectBoolVars(b *Bool, vs VarSet, seen map[*Term]bool) {
 		collectBoolVars(b.B, vs, seen)
 	}
 }
-
-// SubstituteTerm rewrites every variable occurrence in t using repl; variables
-// absent from repl are left in place. The rewrite is structure-preserving and
-// re-simplifies through the interning constructors.
-func SubstituteTerm(t *Term, repl map[string]*Term) *Term {
-	s := &substituter{repl: repl, tmemo: make(map[*Term]*Term), bmemo: make(map[*Bool]*Bool)}
-	return s.term(t)
-}
-
-// SubstituteBool rewrites every variable occurrence in b using repl.
-func SubstituteBool(b *Bool, repl map[string]*Term) *Bool {
-	s := &substituter{repl: repl, tmemo: make(map[*Term]*Term), bmemo: make(map[*Bool]*Bool)}
-	return s.formula(b)
-}
-
-type substituter struct {
-	repl  map[string]*Term
-	tmemo map[*Term]*Term
-	bmemo map[*Bool]*Bool
-}
-
-func (s *substituter) term(t *Term) *Term {
-	if got, ok := s.tmemo[t]; ok {
-		return got
-	}
-	out := s.termUncached(t)
-	s.tmemo[t] = out
-	return out
-}
-
-func (s *substituter) termUncached(t *Term) *Term {
-	switch t.Kind {
-	case KConst:
-		return t
-	case KVar:
-		if r, ok := s.repl[t.Name]; ok {
-			if r.W != t.W {
-				panic("bv: substitution width mismatch for " + t.Name)
-			}
-			return r
-		}
-		return t
-	case KNot:
-		return Not(s.term(t.X))
-	case KNeg:
-		return Neg(s.term(t.X))
-	case KAdd:
-		return Add(s.term(t.X), s.term(t.Y))
-	case KSub:
-		return Sub(s.term(t.X), s.term(t.Y))
-	case KMul:
-		return Mul(s.term(t.X), s.term(t.Y))
-	case KUDiv:
-		return UDiv(s.term(t.X), s.term(t.Y))
-	case KURem:
-		return URem(s.term(t.X), s.term(t.Y))
-	case KAnd:
-		return And(s.term(t.X), s.term(t.Y))
-	case KOr:
-		return Or(s.term(t.X), s.term(t.Y))
-	case KXor:
-		return Xor(s.term(t.X), s.term(t.Y))
-	case KShl:
-		return Shl(s.term(t.X), s.term(t.Y))
-	case KLShr:
-		return LShr(s.term(t.X), s.term(t.Y))
-	case KAShr:
-		return AShr(s.term(t.X), s.term(t.Y))
-	case KZExt:
-		return ZExt(t.W, s.term(t.X))
-	case KSExt:
-		return SExt(t.W, s.term(t.X))
-	case KExtract:
-		return Extract(t.Hi, t.Lo, s.term(t.X))
-	}
-	panic("bv: unknown term kind in substitution")
-}
-
-func (s *substituter) formula(b *Bool) *Bool {
-	if got, ok := s.bmemo[b]; ok {
-		return got
-	}
-	out := s.formulaUncached(b)
-	s.bmemo[b] = out
-	return out
-}
-
-func (s *substituter) formulaUncached(b *Bool) *Bool {
-	switch b.Kind {
-	case BConst:
-		return b
-	case BEq:
-		return Eq(s.term(b.X), s.term(b.Y))
-	case BUlt:
-		return Ult(s.term(b.X), s.term(b.Y))
-	case BUle:
-		return Ule(s.term(b.X), s.term(b.Y))
-	case BSlt:
-		return Slt(s.term(b.X), s.term(b.Y))
-	case BSle:
-		return Sle(s.term(b.X), s.term(b.Y))
-	case BNot:
-		return NotB(s.formula(b.A))
-	case BAnd:
-		return AndB(s.formula(b.A), s.formula(b.B))
-	case BOr:
-		return OrB(s.formula(b.A), s.formula(b.B))
-	}
-	panic("bv: unknown bool kind in substitution")
-}

@@ -14,8 +14,10 @@ import (
 
 // Analyzer performs stages 1–3 of the pipeline for one application: the
 // taint run that identifies target sites and relevant bytes, then one
-// symbolic run per site (restricted to that site's relevant bytes, §4.2) to
-// extract the target expression and the branch condition sequence.
+// symbolic run per site to extract the target expression and the branch
+// condition sequence. The symbolic run reads only the site's relevant bytes
+// symbolically (§4.2), each as its field-level term (field.Map.InputTerms),
+// so both come out over input fields with no rewriting pass.
 //
 // Analysis runs once per application; the Targets it produces are immutable
 // and safe to share across concurrent Hunters. The Analyzer triggers the
@@ -105,10 +107,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context) ([]*Target, error) {
 func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.Set) (*Target, error) {
 	seed := a.app.Format.Seed
 	relevant := labels.Elems()
+	symbolic := a.app.Format.Fields.InputTerms(relevant)
 	symRun := a.run(seed, interp.Options{
-		TrackSymbolic: true,
-		Cancel:        ctx.Done(),
-		SymbolicBytes: func(i int) bool { return labels.Has(i) },
+		Symbolic: symbolic,
+		Cancel:   ctx.Done(),
 	})
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
@@ -127,26 +129,16 @@ func (a *Analyzer) analyzeSite(ctx context.Context, site string, labels *taint.S
 		return nil, fmt.Errorf("core: site %s lost its symbolic size in stage 2", site)
 	}
 
-	fields := a.app.Format.Fields
-	expr := fields.LiftTerm(ev.Sym)
-	beta := bv.OverflowCond(expr)
-
+	// The run read the relevant bytes as field terms, so the expression and
+	// the branch conditions are over input fields as recorded.
+	beta := bv.OverflowCond(ev.Sym)
 	// The outcome's slices are reused machine storage; newTarget folds the
 	// raw records into the Target without retaining the slice.
 	raw := symRun.Branches[:ev.BranchMark]
-	path := trace.FromBranches(raw)
-	lifted := make(trace.Path, len(path))
-	for i, entry := range path {
-		lifted[i] = trace.Entry{
-			Label: entry.Label,
-			Cond:  fields.LiftBool(entry.Cond),
-			Count: entry.Count,
-		}
-	}
-	lifted = trace.Relevant(trace.Compress(lifted), beta)
+	path := trace.Relevant(trace.Compress(trace.FromBranches(raw)), beta)
 	info, err := a.siteInfo(site)
 	if err != nil {
 		return nil, err
 	}
-	return newTarget(info, relevant, expr, beta, lifted, raw), nil
+	return newTarget(info, relevant, symbolic, ev.Sym, beta, path, raw), nil
 }

@@ -25,11 +25,6 @@ type Hunter struct {
 	sol  *solver.Solver
 	gen  *inputgen.Generator
 	mach *interp.Machine
-
-	// relevant memoizes the SymbolicBytes predicate for the last target, so
-	// the per-iteration instrumented runs of one hunt share it.
-	relevantFor *Target
-	relevantFn  func(int) bool
 }
 
 // NewHunter returns a hunter for the application. opts.Seed seeds the
@@ -59,25 +54,10 @@ func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }
 func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranches bool) *interp.Outcome {
 	opts := interp.Options{Cancel: ctx.Done()}
 	if withBranches {
-		opts.TrackSymbolic = true
-		opts.SymbolicBytes = h.relevantBytes(t)
+		opts.Symbolic = t.symbolic
 	}
 	h.mach.Reset(input, opts)
 	return h.mach.Run()
-}
-
-// relevantBytes returns (and memoizes) the target's relevant-byte predicate.
-func (h *Hunter) relevantBytes(t *Target) func(int) bool {
-	if h.relevantFor == t {
-		return h.relevantFn
-	}
-	labels := make(map[int]bool, len(t.RelevantBytes))
-	for _, b := range t.RelevantBytes {
-		labels[b] = true
-	}
-	h.relevantFor = t
-	h.relevantFn = func(i int) bool { return labels[i] }
-	return h.relevantFn
 }
 
 // triggered reports whether the outcome contains an overflowing allocation

@@ -43,8 +43,9 @@ type Target struct {
 	// RelevantBytes are the seed-input byte offsets that influence the
 	// target value (stage 1).
 	RelevantBytes []int
-	// Expr is the symbolic target expression over input fields (stage 2+3,
-	// after Hachoir lifting).
+	// Expr is the symbolic target expression over input fields (stages 2–3),
+	// recorded by a run that read each relevant byte as its field-level
+	// term.
 	Expr *bv.Term
 	// Beta is the target constraint overflow(Expr).
 	Beta *bv.Bool
@@ -63,13 +64,20 @@ type Target struct {
 	branchOrder []string          // relevant branch labels in first-occurrence seed order
 	seedDirs    map[string]dirSet // per-label directions the seed run took
 	pathIndex   map[string]int    // label → index into SeedPath
+
+	// symbolic is the interp.Options.Symbolic table the analysis ran with:
+	// the relevant bytes, each as its field-level term. The Hunter's
+	// branch-trace runs read inputs through it too, so their branch records
+	// are exactly the seed run's relevant branches.
+	symbolic []*bv.Term
 }
 
-// newTarget builds an analyzed Target from the seed run's raw relevant
-// branch records up to the site (raw) and the lifted seed path, deriving
-// the lookup structures before the Target is shared with concurrent
-// Hunters. It is the only constructor; raw is not retained.
-func newTarget(info discover.Site, relevant []int, expr *bv.Term, beta *bv.Bool, path trace.Path, raw []interp.BranchRecord) *Target {
+// newTarget builds an analyzed Target from the symbolic table the analysis
+// ran with, the seed run's raw relevant branch records up to the site (raw)
+// and the seed path, deriving the lookup structures before the Target is
+// shared with concurrent Hunters. It is the only constructor; raw is not
+// retained.
+func newTarget(info discover.Site, relevant []int, symbolic []*bv.Term, expr *bv.Term, beta *bv.Bool, path trace.Path, raw []interp.BranchRecord) *Target {
 	t := &Target{
 		Site:            info.Name,
 		Info:            info,
@@ -78,6 +86,7 @@ func newTarget(info discover.Site, relevant []int, expr *bv.Term, beta *bv.Bool,
 		Beta:            beta,
 		SeedPath:        path,
 		DynamicBranches: len(raw),
+		symbolic:        symbolic,
 	}
 	t.branchOrder, t.seedDirs = seedBranchDirs(raw)
 	t.pathIndex = make(map[string]int, len(path))

@@ -23,7 +23,7 @@ func TestTargetDerivedLookups(t *testing.T) {
 		{Label: "b", Taken: false},
 		{Label: "a", Taken: false}, // loop head: both directions
 	}
-	tg := newTarget(discover.Site{Name: "s"}, nil, nil, nil, path, raw)
+	tg := newTarget(discover.Site{Name: "s"}, nil, nil, nil, nil, path, raw)
 
 	if tg.Site != "s" || tg.DynamicBranches != len(raw) {
 		t.Fatalf("site %q, dynamic branches %d", tg.Site, tg.DynamicBranches)

@@ -1,15 +1,15 @@
 // Package field is the repo's Hachoir substitute (§4.2, §4.4): it maps byte
 // ranges of an input file to named input fields (e.g. bytes 16–19 of an SPNG
-// file are "/header/width", big-endian), and rewrites the per-byte symbolic
-// expressions the interpreter records into expressions over whole-field
-// variables.
+// file are "/header/width", big-endian), and names each input byte by a term
+// over its field's variable, which is what a symbolic run reads the byte as.
 //
-// The rewrite substitutes each input-byte variable in[i] with the extract of
-// the corresponding byte of its field's variable. For a big-endian 32-bit
-// field this produces exactly the byte-swizzle structure (BvAnd/UShr/Shl over
-// HachField(32,...)) shown in the paper's §2 example target expression.
-// Solving then assigns whole fields, and package inputgen writes field values
-// back into the file.
+// Byte i of a field reads as the extract of the corresponding byte of the
+// field's variable (Map.InputTerms); a byte no field covers reads as its own
+// 8-bit variable in[i]. For a big-endian 32-bit field the program's
+// reassembly of the bytes then records exactly the byte-swizzle structure
+// (BvAnd/UShr/Shl over HachField(32,...)) shown in the paper's §2 example
+// target expression. Solving then assigns whole fields, and package inputgen
+// writes field values back into the file.
 package field
 
 import (
@@ -106,8 +106,8 @@ func (s Spec) byteExtract(off int) *bv.Term {
 	return bv.Extract(lo+7, lo, s.Var())
 }
 
-// InputVarName returns the canonical per-byte variable name used by the
-// interpreter.
+// InputVarName returns the canonical name of the variable an input byte no
+// field covers reads as (InputTerms), in[off].
 func InputVarName(off int) string { return fmt.Sprintf("in[%d]", off) }
 
 // ParseInputVar parses a canonical per-byte variable name produced by
@@ -142,45 +142,31 @@ func ParseInputVar(name string) (int, bool) {
 	return off, true
 }
 
-// replacements builds the substitution from per-byte variables to field-byte
-// extracts for the byte offsets in use.
-func (m *Map) replacements(offsets []int) map[string]*bv.Term {
-	repl := make(map[string]*bv.Term)
+// InputTerms returns the table a symbolic run reads input bytes through
+// (interp.Options.Symbolic): entry off holds, for each listed offset, the
+// 8-bit extract of the covering field's variable, or the raw byte variable
+// InputVarName(off) for a byte no field covers (raw-byte mode, §4.4).
+// Entries for unlisted offsets are nil, so those bytes stay concrete. The
+// table has length max(offsets)+1.
+func (m *Map) InputTerms(offsets []int) []*bv.Term {
+	n := 0
+	for _, off := range offsets {
+		n = max(n, off+1)
+	}
+	terms := make([]*bv.Term, n)
 	for _, off := range offsets {
 		if i, ok := m.byByte[off]; ok {
-			repl[InputVarName(off)] = m.specs[i].byteExtract(off)
+			terms[off] = m.specs[i].byteExtract(off)
+		} else {
+			terms[off] = bv.Var(8, InputVarName(off))
 		}
 	}
-	return repl
-}
-
-// offsetsOf extracts the byte offsets of per-byte variables in a VarSet.
-func offsetsOf(vs bv.VarSet) []int {
-	var out []int
-	for name := range vs {
-		if off, ok := ParseInputVar(name); ok {
-			out = append(out, off)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// LiftTerm rewrites a per-byte symbolic term into a field-level term. Bytes
-// not covered by any field keep their per-byte variables (raw-byte mode,
-// §4.4).
-func (m *Map) LiftTerm(t *bv.Term) *bv.Term {
-	return bv.SubstituteTerm(t, m.replacements(offsetsOf(bv.TermVars(t))))
-}
-
-// LiftBool rewrites a per-byte formula into a field-level formula.
-func (m *Map) LiftBool(b *bv.Bool) *bv.Bool {
-	return bv.SubstituteBool(b, m.replacements(offsetsOf(bv.BoolVars(b))))
+	return terms
 }
 
 // SeedAssignment reads the concrete value of every field (and of the raw
 // bytes not covered by fields) from a seed input file. The result binds every
-// variable a lifted expression can mention, so lifted expressions can be
+// variable an InputTerms entry can mention, so recorded expressions can be
 // evaluated against the seed.
 func (m *Map) SeedAssignment(input []byte) bv.Assignment {
 	asn := make(bv.Assignment)

@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"diode/internal/bv"
+	"diode/internal/interp"
+	"diode/internal/lang"
 )
 
 func mustMap(t *testing.T, specs []Spec) *Map {
@@ -90,23 +92,81 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLiftRoundTrip: lifting per-byte reads of a field and evaluating under a
-// field assignment must reproduce the field value — for both byte orders.
+// run executes a one-function guest whose body is stmts on input, reading
+// the input through the Symbolic table terms.
+func run(t *testing.T, input []byte, terms []*bv.Term, stmts ...lang.Stmt) *interp.Outcome {
+	t.Helper()
+	p := lang.NewProgram("field-test")
+	p.AddFunc(lang.Fn("main", nil, stmts...))
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	out := interp.Run(p, input, interp.Options{Symbolic: terms})
+	if out.Kind != interp.OutOK {
+		t.Fatalf("guest ended %v (%v)", out.Kind, out.Err)
+	}
+	return out
+}
+
+// reassemble is the parser-style 32-bit reassembly of bytes off..off+3, most
+// significant first for BE and last for LE.
+func reassemble(order Endian, off uint64) lang.Expr {
+	b := func(i uint64) lang.Expr { return lang.ZX(32, lang.InAt(off+i)) }
+	if order == LittleEndian {
+		return lang.BitOr(lang.BitOr(b(0), lang.Shl(b(1), lang.U32(8))),
+			lang.BitOr(lang.Shl(b(2), lang.U32(16)), lang.Shl(b(3), lang.U32(24))))
+	}
+	return lang.BitOr(lang.BitOr(lang.Shl(b(0), lang.U32(24)), lang.Shl(b(1), lang.U32(16))),
+		lang.BitOr(lang.Shl(b(2), lang.U32(8)), b(3)))
+}
+
+// TestInputTerms pins the table InputTerms builds: each covered byte reads
+// as its byte of the field variable in the field's byte order, an uncovered
+// byte and a byte past every field read as in[i], unlisted offsets are nil,
+// and the table ends at the largest listed offset.
+func TestInputTerms(t *testing.T) {
+	m := mustMap(t, []Spec{
+		{Name: "/be", Offset: 0, Size: 4, Order: BigEndian},
+		{Name: "/le", Offset: 4, Size: 2, Order: LittleEndian},
+		{Name: "/b", Offset: 8, Size: 1},
+	})
+	be, le, b := bv.Var(32, "/be"), bv.Var(16, "/le"), bv.Var(8, "/b")
+	want := []*bv.Term{
+		0:  bv.Extract(31, 24, be),
+		3:  bv.Extract(7, 0, be),
+		4:  bv.Extract(7, 0, le),
+		5:  bv.Extract(15, 8, le),
+		6:  bv.Var(8, InputVarName(6)), // between fields
+		8:  b,
+		12: bv.Var(8, InputVarName(12)), // past every field
+	}
+	got := m.InputTerms([]int{12, 0, 3, 4, 5, 6, 8})
+	if len(got) != len(want) {
+		t.Fatalf("table length %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("byte %d reads as %v, want %v", i, got[i], want[i])
+		}
+	}
+	if empty := m.InputTerms(nil); empty == nil || len(empty) != 0 {
+		t.Errorf("InputTerms(nil) = %#v, want an empty non-nil table", empty)
+	}
+}
+
+// TestLiftRoundTrip: a symbolic run that reads a field's bytes through
+// InputTerms records its reassembly over the field variable alone, and the
+// recorded expression evaluates to the field value under a field
+// assignment, for both byte orders.
 func TestLiftRoundTrip(t *testing.T) {
 	for _, order := range []Endian{BigEndian, LittleEndian} {
 		m := mustMap(t, []Spec{{Name: "/v", Offset: 4, Size: 4, Order: order}})
-		// Parser-style reassembly of the 4 bytes (most significant first for
-		// BE, last for LE).
-		b := func(i int) *bv.Term { return bv.ZExt(32, bv.Var(8, InputVarName(i))) }
-		var expr *bv.Term
-		if order == BigEndian {
-			expr = bv.Or(bv.Or(bv.Shl(b(4), bv.Const(32, 24)), bv.Shl(b(5), bv.Const(32, 16))),
-				bv.Or(bv.Shl(b(6), bv.Const(32, 8)), b(7)))
-		} else {
-			expr = bv.Or(bv.Or(b(4), bv.Shl(b(5), bv.Const(32, 8))),
-				bv.Or(bv.Shl(b(6), bv.Const(32, 16)), bv.Shl(b(7), bv.Const(32, 24))))
+		input := make([]byte, 8)
+		out := run(t, input, m.InputTerms([]int{4, 5, 6, 7}), lang.AllocAt("buf", "t@1", reassemble(order, 4)))
+		lifted := out.Allocs[0].Sym
+		if names := bv.TermVars(lifted).Names(); len(names) != 1 || names[0] != "/v" {
+			t.Fatalf("order=%v: expression ranges over %v, want [/v]", order, names)
 		}
-		lifted := m.LiftTerm(expr)
 		f := func(v uint64) bool {
 			v &= 0xFFFFFFFF
 			got, err := bv.Assignment{"/v": v}.Eval(lifted)
@@ -118,17 +178,23 @@ func TestLiftRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLiftLeavesUncoveredBytes: a byte no field covers reads as its own
+// per-byte variable (raw-byte mode, §4.4).
 func TestLiftLeavesUncoveredBytes(t *testing.T) {
 	m := mustMap(t, []Spec{{Name: "/v", Offset: 0, Size: 2, Order: BigEndian}})
-	raw := bv.Var(8, InputVarName(9)) // byte 9 is not covered
-	lifted := m.LiftTerm(bv.Add(raw, bv.Const(8, 1)))
-	vars := bv.TermVars(lifted)
-	if _, ok := vars[InputVarName(9)]; !ok {
-		t.Fatalf("uncovered byte variable rewritten: %v", vars.Names())
+	input := make([]byte, 10)
+	out := run(t, input, m.InputTerms([]int{0, 9}), // byte 9 is not covered
+		lang.AllocAt("buf", "t@1", lang.Add(lang.ZX(32, lang.InAt(9)), lang.ZX(32, lang.InAt(0)))))
+	names := bv.TermVars(out.Allocs[0].Sym).Names()
+	if len(names) != 2 || names[0] != "/v" || names[1] != InputVarName(9) {
+		t.Fatalf("expression ranges over %v, want [/v %s]", names, InputVarName(9))
 	}
 }
 
-func TestLiftBoolAndSeedAssignment(t *testing.T) {
+// TestFieldBranchAndSeedAssignment: SeedAssignment binds every variable an
+// InputTerms entry can mention, and a branch condition recorded over a
+// field's bytes evaluates under it as the seed run decided it.
+func TestFieldBranchAndSeedAssignment(t *testing.T) {
 	m := mustMap(t, []Spec{{Name: "/w", Offset: 0, Size: 2, Order: BigEndian}})
 	input := []byte{0x01, 0x02, 0xFF}
 	asn := m.SeedAssignment(input)
@@ -138,15 +204,22 @@ func TestLiftBoolAndSeedAssignment(t *testing.T) {
 	if asn[InputVarName(2)] != 0xFF {
 		t.Fatalf("raw byte binding = %#x", asn[InputVarName(2)])
 	}
-	// A condition over the field's bytes lifts and evaluates consistently.
-	b0 := bv.ZExt(16, bv.Var(8, InputVarName(0)))
-	cond := bv.Ugt(bv.Shl(b0, bv.Const(16, 8)), bv.Const(16, 0x0500))
-	lifted := m.LiftBool(cond)
-	got, err := asn.EvalBool(lifted)
+	out := run(t, input, m.InputTerms([]int{0, 1, 2}),
+		lang.IfThen("big", lang.Ugt(lang.Shl(lang.ZX(16, lang.InAt(0)), lang.U16(8)), lang.U16(0x0500)),
+			lang.Warn("big")),
+	)
+	if len(out.Branches) != 1 || out.Branches[0].Taken {
+		t.Fatalf("branches = %+v, want one not-taken record", out.Branches)
+	}
+	if vars := bv.BoolVars(out.Branches[0].Cond).Names(); len(vars) != 1 || vars[0] != "/w" {
+		t.Fatalf("condition ranges over %v, want [/w]", vars)
+	}
+	// The record holds the direction taken: ¬(0x0100 > 0x0500).
+	got, err := asn.EvalBool(out.Branches[0].Cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got { // 0x0100 > 0x0500 is false
-		t.Fatal("lifted condition evaluated incorrectly")
+	if !got {
+		t.Fatal("seed does not satisfy its own recorded branch condition")
 	}
 }

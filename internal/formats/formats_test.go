@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"diode/internal/bv"
+	"diode/internal/interp"
+	"diode/internal/lang"
 )
 
 func all() []*Format {
@@ -196,42 +198,36 @@ func TestSTIFFixupSurvivesBadIFD(t *testing.T) {
 }
 
 // TestLiftProducesFieldExpressions checks the Hachoir role end to end: a
-// per-byte expression over a big-endian field's bytes lifts to an expression
-// over the field variable whose evaluation matches the byte-level reassembly.
+// symbolic run that reads a big-endian field's bytes through the format's
+// InputTerms table records the program's reassembly of them as an
+// expression over the field variable, whose evaluation matches the
+// byte-level reassembly.
 func TestLiftProducesFieldExpressions(t *testing.T) {
 	f := SPNG()
 	// width = (in[16]<<24)|(in[17]<<16)|(in[18]<<8)|in[19], as Dillo reads it.
-	b := func(i int) *bv.Term { return bv.ZExt(32, bv.Var(8, bv32name(i))) }
-	expr := bv.Or(
-		bv.Or(bv.Shl(b(16), bv.Const(32, 24)), bv.Shl(b(17), bv.Const(32, 16))),
-		bv.Or(bv.Shl(b(18), bv.Const(32, 8)), b(19)),
-	)
-	lifted := f.Fields.LiftTerm(expr)
+	b := func(i uint64) lang.Expr { return lang.ZX(32, lang.InAt(i)) }
+	p := lang.NewProgram("spng-width")
+	p.AddFunc(lang.Fn("main", nil, lang.AllocAt("buf", "t@1", lang.BitOr(
+		lang.BitOr(lang.Shl(b(16), lang.U32(24)), lang.Shl(b(17), lang.U32(16))),
+		lang.BitOr(lang.Shl(b(18), lang.U32(8)), b(19)),
+	))))
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	out := interp.Run(p, f.Seed, interp.Options{Symbolic: f.Fields.InputTerms([]int{16, 17, 18, 19})})
+	if out.Kind != interp.OutOK {
+		t.Fatalf("guest ended %v (%v)", out.Kind, out.Err)
+	}
+	lifted := out.Allocs[0].Sym
 	vars := bv.TermVars(lifted)
-	if _, ok := vars["/ihdr/width"]; !ok {
-		t.Fatalf("lifted expression does not mention /ihdr/width: %s", lifted)
+	if _, ok := vars["/ihdr/width"]; !ok || len(vars) != 1 {
+		t.Fatalf("expression does not range over /ihdr/width alone: %s", lifted)
 	}
 	v, err := bv.Assignment{"/ihdr/width": 0xDEADBEEF}.Eval(lifted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 0xDEADBEEF {
-		t.Fatalf("lifted big-endian reassembly = %#x, want 0xDEADBEEF", v)
+		t.Fatalf("big-endian reassembly = %#x, want 0xDEADBEEF", v)
 	}
-}
-
-func bv32name(i int) string { return "in[" + itoa(i) + "]" }
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
 }

@@ -48,7 +48,8 @@ func (g *Generator) Generate(seed []byte, asn bv.Assignment) ([]byte, error) {
 		}
 		spec.Write(out, v)
 	}
-	// Raw-byte mode for variables not lifted to fields. Names must be exact
+	// Raw-byte mode for the bytes no field covers, which symbolic runs read
+	// as their own variables (field.Map.InputTerms). Names must be exact
 	// canonical in[i] forms (ParseInputVar), and patches are applied in sorted
 	// name order so the result never depends on map iteration order.
 	var raw []string

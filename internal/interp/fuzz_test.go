@@ -28,7 +28,7 @@ func FuzzMachineParity(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, appIdx byte, input []byte, mode byte) {
 		app := all[int(appIdx)%len(all)]
-		if len(input) > 8192 {
+		if len(input) > maxInput {
 			// Guests never index past their format's reach; oversized inputs
 			// only slow the fuzzer down without covering new behavior.
 			input = input[:8192]
@@ -38,10 +38,9 @@ func FuzzMachineParity(f *testing.F) {
 		case 1:
 			opts.TrackTaint = true
 		case 2:
-			opts.TrackSymbolic = true
+			opts.Symbolic = everyByte
 		case 3:
-			opts.TrackSymbolic = true
-			opts.SymbolicBytes = func(i int) bool { return i%2 == 0 }
+			opts.Symbolic = evenBytes
 		}
 		m := interp.NewMachine(app.Compiled())
 		for round := 0; round < 2; round++ {

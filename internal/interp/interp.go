@@ -12,7 +12,9 @@
 //     operand (the relevant input bytes).
 //   - Symbolic-recording mode (§4.2): only operations on designated relevant
 //     bytes build symbolic expressions, mirroring the paper's staging that
-//     keeps recording tractable.
+//     keeps recording tractable. The caller names each relevant byte by the
+//     term it reads as (Options.Symbolic), so expressions come out over the
+//     input fields the Hachoir substitute (package field) names.
 //   - Memcheck (§4.6): allocations are bounds-tracked with a red zone.
 //     Out-of-bounds accesses within the red zone are recorded as
 //     InvalidRead/InvalidWrite and execution continues (clobbering allocator
@@ -45,13 +47,14 @@ const DefaultFuel = 3_500_000
 type Options struct {
 	// TrackTaint enables per-byte taint propagation (stage 1).
 	TrackTaint bool
-	// TrackSymbolic enables symbolic recording and branch-trace capture
-	// (stage 2). Implies taint tracking.
-	TrackSymbolic bool
-	// SymbolicBytes restricts which input bytes get symbolic variables; nil
-	// means every byte (when TrackSymbolic is set). This is the paper's
-	// "relevant input bytes" optimization.
-	SymbolicBytes func(offset int) bool
+	// Symbolic, when non-nil, enables symbolic recording and branch-trace
+	// capture (stage 2) and implies taint tracking. Input byte i reads as
+	// the term Symbolic[i] when the table has a non-nil entry there, and as
+	// a concrete value otherwise: the table names only the relevant input
+	// bytes (the paper's staging optimization), and names each one by its
+	// field-level term (field.Map.InputTerms), so recorded expressions and
+	// branch conditions are over input fields as recorded.
+	Symbolic []*bv.Term
 	// Fuel bounds the run in units of control transfers: one unit per
 	// conditional-branch decision (an If or While condition, charged once
 	// its value is known and before its branch record) and one per call
@@ -320,7 +323,7 @@ func Run(prog *lang.Program, input []byte, opts Options) *Outcome {
 // Outcomes against it, and benchmarks and perfbench replay inputs on it.
 // Production code runs on Run or a reused Machine.
 func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
-	if opts.TrackSymbolic {
+	if opts.Symbolic != nil {
 		opts.TrackTaint = true
 	}
 	if opts.Fuel == 0 {
@@ -570,8 +573,8 @@ func (m *machine) readInput(idx value) (value, error) {
 	if m.opts.TrackTaint {
 		out.tnt = taint.Single(i).Union(idx.tnt)
 	}
-	if m.opts.TrackSymbolic && (m.opts.SymbolicBytes == nil || m.opts.SymbolicBytes(i)) {
-		out.sym = bv.Var(8, fmt.Sprintf("in[%d]", i))
+	if i < len(m.opts.Symbolic) {
+		out.sym = m.opts.Symbolic[i]
 	}
 	return out, nil
 }
@@ -809,7 +812,7 @@ func (m *machine) evalCondBranch(label string, c lang.BoolExpr) (bool, error) {
 	if err := m.tick(); err != nil {
 		return false, err
 	}
-	if m.opts.TrackSymbolic && sym != nil {
+	if m.opts.Symbolic != nil && sym != nil {
 		cond := sym
 		if !taken {
 			cond = bv.NotB(cond)

@@ -4,8 +4,19 @@ import (
 	"testing"
 
 	"diode/internal/bv"
+	"diode/internal/field"
 	"diode/internal/lang"
 )
+
+// rawBytes is a Symbolic table naming input bytes 0..n-1 by their raw
+// per-byte variables in[i]: what a format with no fields reads as.
+func rawBytes(n int) []*bv.Term {
+	offsets := make([]int, n)
+	for i := range offsets {
+		offsets[i] = i
+	}
+	return field.MustMap(nil).InputTerms(offsets)
+}
 
 func mustProg(t *testing.T, fns ...*lang.Func) *lang.Program {
 	t.Helper()
@@ -76,7 +87,7 @@ func TestSymbolicExpressionExtraction(t *testing.T) {
 		lang.AllocAt("buf", "t@1",
 			lang.Mul(lang.ZX(32, lang.InAt(0)), lang.U32(4))),
 	))
-	out := Run(p, []byte{9}, Options{TrackSymbolic: true})
+	out := Run(p, []byte{9}, Options{Symbolic: rawBytes(1)})
 	ev := out.Allocs[0]
 	if ev.Sym == nil {
 		t.Fatal("no symbolic size recorded")
@@ -102,7 +113,7 @@ func TestBranchRecording(t *testing.T) {
 		),
 		lang.AllocAt("buf", "t@1", lang.V("x")),
 	))
-	out := Run(p, []byte{7}, Options{TrackSymbolic: true})
+	out := Run(p, []byte{7}, Options{Symbolic: rawBytes(1)})
 	if out.Kind != OutOK {
 		t.Fatalf("outcome %v", out.Kind)
 	}
@@ -234,7 +245,7 @@ func TestProceduresAndReturn(t *testing.T) {
 			lang.AllocAt("b", "t@1", lang.ZX(32, lang.V("v"))),
 		),
 	)
-	out := Run(p, []byte{0x12, 0x34}, Options{TrackSymbolic: true})
+	out := Run(p, []byte{0x12, 0x34}, Options{Symbolic: rawBytes(2)})
 	if out.Kind != OutOK {
 		t.Fatalf("outcome %v (%v)", out.Kind, out.Err)
 	}
@@ -281,22 +292,43 @@ func TestFuelExhaustion(t *testing.T) {
 	}
 }
 
-func TestSymbolicBytesRestriction(t *testing.T) {
-	// Only byte 0 is designated relevant: expressions over byte 1 stay
-	// concrete (the paper's staging optimization).
+// TestSymbolicTableRestriction: only the bytes the Symbolic table names by a
+// non-nil term read symbolically; a nil entry and a byte past the table's end
+// stay concrete (the paper's staging optimization).
+func TestSymbolicTableRestriction(t *testing.T) {
 	p := mustProg(t, lang.Fn("main", nil,
 		lang.AllocAt("a", "t@1", lang.ZX(32, lang.InAt(0))),
 		lang.AllocAt("b", "t@2", lang.ZX(32, lang.InAt(1))),
+		lang.AllocAt("c", "t@3", lang.ZX(32, lang.InAt(2))),
 	))
-	out := Run(p, []byte{3, 4}, Options{
-		TrackSymbolic: true,
-		SymbolicBytes: func(i int) bool { return i == 0 },
-	})
-	if out.Allocs[0].Sym == nil {
-		t.Fatal("byte 0 should be symbolic")
-	}
-	if out.Allocs[1].Sym != nil {
-		t.Fatal("byte 1 should stay concrete")
+	in := []byte{3, 4, 5}
+	x := bv.Var(8, "restrict_x")
+	for name, c := range map[string]struct {
+		table []*bv.Term
+		sym   [3]bool
+	}{
+		"first":     {[]*bv.Term{x}, [3]bool{true, false, false}},
+		"nil-entry": {[]*bv.Term{nil, x}, [3]bool{false, true, false}},
+		"empty":     {[]*bv.Term{}, [3]bool{false, false, false}},
+	} {
+		for engine, out := range map[string]*Outcome{
+			"tree":    RunTree(p, in, Options{Symbolic: c.table}),
+			"machine": Run(p, in, Options{Symbolic: c.table}),
+		} {
+			for i, ev := range out.Allocs {
+				if (ev.Sym != nil) != c.sym[i] {
+					t.Errorf("%s %s: byte %d symbolic = %v, want %v", name, engine, i, ev.Sym != nil, c.sym[i])
+				}
+				if c.sym[i] && ev.Sym != bv.ZExt(32, x) {
+					t.Errorf("%s %s: byte %d read as %s, want the table's term", name, engine, i, ev.Sym)
+				}
+				// A non-nil table turns taint on even where no byte is
+				// symbolic.
+				if !ev.Taint.Has(i) {
+					t.Errorf("%s %s: byte %d untainted", name, engine, i)
+				}
+			}
+		}
 	}
 }
 

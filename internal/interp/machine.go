@@ -1,10 +1,8 @@
 package interp
 
 import (
-	"fmt"
 	"slices"
 
-	"diode/internal/bv"
 	"diode/internal/taint"
 )
 
@@ -15,7 +13,7 @@ import (
 // string-keyed maps, an explicit value/bool/call stack instead of Go-level
 // recursion, and all per-run storage reused across Reset/Run cycles — frame
 // slots, the operand stacks, block bookkeeping, the outcome's event slices,
-// and the per-input-byte taint-label and symbolic-variable caches. One
+// and the per-input-byte taint-label cache. One
 // Machine executing the same program thousands of times — the Figure 7
 // enforcement loop, the §5.5/§5.6 success-rate sweeps — therefore pays
 // allocation and name-resolution costs once instead of per run; a plain-mode
@@ -52,10 +50,8 @@ type Machine struct {
 	ready bool
 	plain bool // run tracks neither taint nor symbolic state
 
-	// Per-input-byte caches, valid across runs: taint label sets and (for the
-	// default "in[i]" naming) interned symbolic variables.
+	// Per-input-byte taint label sets, valid across runs.
 	inTaints []*taint.Set
-	inTerms  []*bv.Term
 }
 
 // eventPoolCap bounds the event-slice capacity a Machine retains across
@@ -106,7 +102,7 @@ func NewMachine(c *Compiled) *Machine {
 // opts, recycling all storage from the previous run. It invalidates the
 // Outcome of the previous Run.
 func (m *Machine) Reset(input []byte, opts Options) {
-	if opts.TrackSymbolic {
+	if opts.Symbolic != nil {
 		opts.TrackTaint = true
 	}
 	if opts.Fuel == 0 {
@@ -217,8 +213,8 @@ func (m *Machine) newBlock(site string, size uint64) *block {
 	return b
 }
 
-// readInput mirrors the tree-walker's input access, with the taint-label and
-// symbolic-variable caches making repeated runs allocation-free.
+// readInput mirrors the tree-walker's input access, with the taint-label
+// cache making repeated runs allocation-free.
 func (m *Machine) readInput(idx value) value {
 	i := int(idx.v)
 	if i < 0 || i >= len(m.input) {
@@ -229,8 +225,8 @@ func (m *Machine) readInput(idx value) value {
 	if m.opts.TrackTaint {
 		out.tnt = m.taintFor(i).Union(idx.tnt)
 	}
-	if m.opts.TrackSymbolic && (m.opts.SymbolicBytes == nil || m.opts.SymbolicBytes(i)) {
-		out.sym = m.inputTerm(i)
+	if i < len(m.opts.Symbolic) {
+		out.sym = m.opts.Symbolic[i]
 	}
 	return out
 }
@@ -240,11 +236,4 @@ func (m *Machine) taintFor(i int) *taint.Set {
 		m.inTaints = append(m.inTaints, taint.Single(len(m.inTaints)))
 	}
 	return m.inTaints[i]
-}
-
-func (m *Machine) inputTerm(i int) *bv.Term {
-	for len(m.inTerms) <= i {
-		m.inTerms = append(m.inTerms, bv.Var(8, fmt.Sprintf("in[%d]", len(m.inTerms))))
-	}
-	return m.inTerms[i]
 }

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"diode/internal/apps"
+	"diode/internal/bv"
+	"diode/internal/field"
 	"diode/internal/formats"
 	"diode/internal/interp"
 	"diode/internal/lang"
@@ -56,16 +58,30 @@ func dumpOutcome(o *interp.Outcome) string {
 // (input) pairs mid-parse.
 func parityModes() map[string]interp.Options {
 	return map[string]interp.Options{
-		"plain":    {Fuel: 20_000},
-		"taint":    {TrackTaint: true, Fuel: 20_000},
-		"symbolic": {TrackSymbolic: true, Fuel: 20_000},
-		"sym-restricted": {
-			TrackSymbolic: true,
-			Fuel:          20_000,
-			SymbolicBytes: func(i int) bool { return i%2 == 0 },
-		},
-		"low-fuel": {TrackSymbolic: true, Fuel: 33},
+		"plain":          {Fuel: 20_000},
+		"taint":          {TrackTaint: true, Fuel: 20_000},
+		"symbolic":       {Symbolic: everyByte, Fuel: 20_000},
+		"sym-restricted": {Symbolic: evenBytes, Fuel: 20_000},
+		"low-fuel":       {Symbolic: everyByte, Fuel: 33},
 	}
+}
+
+// maxInput bounds the inputs the parity tests and FuzzMachineParity run.
+const maxInput = 8192
+
+// everyByte and evenBytes are the Symbolic tables of the symbolic modes:
+// every input byte, or the even-offset ones, read as its raw per-byte
+// variable in[i] (field.InputVarName), as over a format with no fields.
+var everyByte, evenBytes = rawBytes(func(int) bool { return true }), rawBytes(func(i int) bool { return i%2 == 0 })
+
+func rawBytes(keep func(int) bool) []*bv.Term {
+	var offsets []int
+	for i := 0; i < maxInput; i++ {
+		if keep(i) {
+			offsets = append(offsets, i)
+		}
+	}
+	return field.MustMap(nil).InputTerms(offsets)
 }
 
 func checkParity(t *testing.T, name string, prog *lang.Program, m *interp.Machine, input []byte, opts interp.Options) {
@@ -384,7 +400,10 @@ func TestCompiledParityFusion(t *testing.T) {
 	m := interp.NewMachine(interp.Compile(reuse))
 	for _, mode := range []string{"plain", "symbolic"} {
 		for i, input := range [][]byte{{0xFF}, {5}, {0xFF}, nil} {
-			opts := interp.Options{Fuel: 20_000, TrackSymbolic: mode == "symbolic"}
+			opts := interp.Options{Fuel: 20_000}
+			if mode == "symbolic" {
+				opts.Symbolic = everyByte
+			}
 			checkParity(t, fmt.Sprintf("far-reuse run#%d mode=%s", i, mode), reuse, m, input, opts)
 		}
 	}
@@ -471,7 +490,10 @@ func TestCompiledParityFuelSweep(t *testing.T) {
 	}
 	for _, mode := range []string{"plain", "symbolic"} {
 		for fuel := int64(1); fuel <= full.Steps+4; fuel++ {
-			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+			opts := interp.Options{Fuel: fuel}
+			if mode == "symbolic" {
+				opts.Symbolic = everyByte
+			}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, input, opts)
 		}
 	}
@@ -500,7 +522,10 @@ func TestCompiledParityFuelSweepFarCells(t *testing.T) {
 	}
 	for _, mode := range []string{"plain", "symbolic"} {
 		for fuel := int64(1); fuel <= full.Steps+8; fuel++ {
-			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+			opts := interp.Options{Fuel: fuel}
+			if mode == "symbolic" {
+				opts.Symbolic = everyByte
+			}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, nil, opts)
 		}
 	}
@@ -517,7 +542,10 @@ func TestCompiledParityFuelSweepUndefined(t *testing.T) {
 		full := interp.RunTree(prog, input, interp.Options{})
 		for _, mode := range []string{"plain", "symbolic"} {
 			for fuel := int64(1); fuel <= full.Steps+2; fuel++ {
-				opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
+				opts := interp.Options{Fuel: fuel}
+				if mode == "symbolic" {
+					opts.Symbolic = everyByte
+				}
 				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", name, fuel, mode), prog, m, input, opts)
 			}
 		}
@@ -590,7 +618,7 @@ func TestFuelUnits(t *testing.T) {
 		lang.Let("x", lang.ZX(32, lang.InAt(0))),
 		lang.IfElse("c", lang.Ult(lang.V("x"), lang.U32(9)), lang.Block{lang.Warn("lt")}, lang.Block{lang.Warn("ge")}),
 	)), 1}
-	modes := map[string]interp.Options{"plain": {}, "symbolic": {TrackSymbolic: true}}
+	modes := map[string]interp.Options{"plain": {}, "symbolic": {Symbolic: everyByte}}
 	for name, c := range cases {
 		m := interp.NewMachine(interp.Compile(c.prog))
 		for mode, opts := range modes {

@@ -429,7 +429,7 @@ func (m *Machine) exec() error {
 			if err := m.tick(); err != nil {
 				return err
 			}
-			if m.opts.TrackSymbolic && t.sym != nil {
+			if m.opts.Symbolic != nil && t.sym != nil {
 				cond := t.sym
 				if !t.v {
 					cond = bv.NotB(cond)
@@ -522,7 +522,7 @@ func (m *Machine) exec() error {
 			if err := m.tick(); err != nil {
 				return err
 			}
-			if m.opts.TrackSymbolic && (a.sym != nil || b.sym != nil) {
+			if m.opts.Symbolic != nil && (a.sym != nil || b.sym != nil) {
 				cond := symCmp(lang.CmpOp(in.sub), a.term(), b.term())
 				if !cv {
 					cond = bv.NotB(cond)
