@@ -105,6 +105,10 @@ type App struct {
 
 	probeMu sync.Mutex
 	probes  map[string]*App
+
+	// base is the application a Probe instance was derived from; nil for a
+	// registry application.
+	base *App
 }
 
 // Compiled returns the application's guest program in slot-resolved compiled
@@ -161,8 +165,15 @@ func (a *App) Triaged() ([]discover.Site, error) {
 
 // Sites returns the site list every pipeline stage works from: the triaged
 // list, or the raw discovery records under the NoTriage ablation. A triage
-// failure is returned, never papered over with the untriaged records.
+// failure is returned, never papered over with the untriaged records. A
+// Probe instance returns its base application's list: its probe allocation
+// carries the arith site's name, so the arith site's record is the one its
+// hunt reports, and the probe program itself is never discovered or
+// triaged.
 func (a *App) Sites(noTriage bool) ([]discover.Site, error) {
+	if a.base != nil {
+		return a.base.Sites(noTriage)
+	}
 	if noTriage {
 		return a.Discovered()
 	}
@@ -171,8 +182,8 @@ func (a *App) Sites(noTriage bool) ([]discover.Site, error) {
 
 // Probe returns the derived application that hunts the named arith site:
 // the guest program instrumented with a probe allocation at the arith node
-// (discover.Probe), sharing the original's format but with no paper
-// expectations. Instances are memoized per site, so the derived program's
+// (discover.Probe), sharing the original's format and site list (Sites) but
+// with no paper expectations. Instances are memoized per site, so the derived program's
 // compiled form, fingerprint and analyses warm up once. The derived Short
 // is suffixed with the site so a cache that indexes instances by short name
 // can never shadow the base application with a probe variant. Safe for
@@ -201,7 +212,7 @@ func (a *App) Probe(site string) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &App{Name: a.Name, Short: a.Short + "!" + site, Program: prog, Format: a.Format}
+	p := &App{Name: a.Name, Short: a.Short + "!" + site, Program: prog, Format: a.Format, base: a}
 	if a.probes == nil {
 		a.probes = make(map[string]*App)
 	}

@@ -93,3 +93,60 @@ func TestDiscoveredDeterministicAcrossInstances(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteNamesUnique: no two discovered sites of an application share a
+// name, whatever their kinds, so a name alone finds a site's record (the
+// Analyzer resolves a probe program's arith target by its name).
+func TestSiteNamesUnique(t *testing.T) {
+	for _, a := range All() {
+		sites, err := a.Discovered()
+		if err != nil {
+			t.Fatalf("%s: %v", a.Short, err)
+		}
+		kinds := make(map[string]discover.Kind, len(sites))
+		for _, s := range sites {
+			if k, dup := kinds[s.Name]; dup {
+				t.Errorf("%s: site name %s is both %s and %s", a.Short, s.Name, k, s.Kind)
+			}
+			kinds[s.Name] = s.Kind
+		}
+	}
+}
+
+// TestProbeSitesAreBase: a probe program's site list is its base
+// application's, under both triage settings, so probe programs are never
+// discovered or triaged themselves.
+func TestProbeSitesAreBase(t *testing.T) {
+	a := VLC()
+	sites, err := a.Sites(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arith string
+	for _, s := range sites {
+		if s.Kind == discover.KindArith {
+			arith = s.Name
+			break
+		}
+	}
+	p, err := a.Probe(arith)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noTriage := range []bool{false, true} {
+		want, err := a.Sites(noTriage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Sites(noTriage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || len(got) != len(want) || &got[0] != &want[0] {
+			t.Errorf("noTriage=%v: probe site list is not the base's (%d sites, base %d)", noTriage, len(got), len(want))
+		}
+	}
+	if p.discovered != nil || p.triaged != nil {
+		t.Error("Sites ran discovery or triage over the probe program")
+	}
+}

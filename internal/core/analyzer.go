@@ -35,18 +35,21 @@ func NewAnalyzer(app *apps.App, opts Options) *Analyzer {
 	return &Analyzer{app: app, opts: opts, mach: interp.NewMachine(app.Compiled())}
 }
 
-// siteInfo resolves the discovery record for an alloc site name from the
+// siteInfo resolves the discovery record for a site name from the
 // application's site list (apps.App.Sites), so Targets carry the static
-// verdict and bounds for the Hunter's short-circuits. Static discovery
-// over-approximates the dynamic taint run, so every analyzed site should be
-// found; a site it misses gets a minimal record.
+// verdict and bounds for the Hunter's short-circuits. Site names are unique
+// across kinds, so the name alone finds the record: an alloc site's in an
+// application, the arith site's in a probe program, whose probe allocation
+// carries that name and whose site list is its base application's. Static
+// discovery over-approximates the dynamic taint run, so every analyzed site
+// should be found; a site it misses gets a minimal record.
 func (a *Analyzer) siteInfo(site string) (discover.Site, error) {
 	sites, err := a.app.Sites(a.opts.NoTriage)
 	if err != nil {
 		return discover.Site{}, err
 	}
 	for _, s := range sites {
-		if s.Kind == discover.KindAlloc && s.Name == site {
+		if s.Name == site {
 			return s, nil
 		}
 	}

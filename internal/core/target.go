@@ -98,16 +98,6 @@ func newTarget(info discover.Site, relevant []int, symbolic []*bv.Term, expr *bv
 	return t
 }
 
-// WithInfo returns a shallow copy of the target carrying a different
-// discovery record. The dispatch layer re-stamps probe-program targets with
-// the original arith site's record (kind, path, triage) so the Hunter and
-// reports see the arith site, not the synthetic probe allocation.
-func (t *Target) WithInfo(info discover.Site) *Target {
-	out := *t
-	out.Info = info
-	return &out
-}
-
 // seedBranchDirs folds raw branch records into first-occurrence label order
 // and the per-label direction set.
 func seedBranchDirs(recs []interp.BranchRecord) ([]string, map[string]dirSet) {

@@ -74,21 +74,20 @@ func Execute(ctx context.Context, job Job, jc *JobCache, sink Sink) (Result, err
 // arith site's name, so analysis extracts the overflow constraint at the
 // arith node and triggered() observes its wrap. The probe program has its
 // own fingerprint, so its analysis and results occupy their own cache
-// entries. The resolved Target is re-stamped with the original program's
-// site record so the Hunter's triage short-circuits and the reports see the
-// arith site, not the synthetic probe allocation.
+// entries. Its site list is the original program's, so the resolved Target
+// carries the arith site's record for the Hunter's triage short-circuits
+// and the reports.
 func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (Result, error) {
 	res := Result{JobID: job.ID, Kind: job.Kind, App: job.App, Site: job.Site}
-	execApp := app
 	if job.SiteKind == string(discover.KindArith) {
 		probe, err := app.Probe(job.Site)
 		if err != nil {
 			res.Err = err.Error()
 			return res, nil
 		}
-		execApp = probe
+		app = probe
 	}
-	targets, err := jc.Targets(ctx, execApp, job.Opts)
+	targets, err := jc.Targets(ctx, app, job.Opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return res, ctx.Err()
@@ -107,16 +106,6 @@ func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (
 		res.Err = fmt.Sprintf("dispatch: application %q has no target site %q", job.App, job.Site)
 		return res, nil
 	}
-	if execApp != app {
-		info, ok, err := originalSite(app, job)
-		if err != nil {
-			res.Err = err.Error()
-			return res, nil
-		}
-		if ok {
-			t = t.WithInfo(info)
-		}
-	}
 
 	sink.emit(Event{Type: EventStarted, Job: job})
 	opts := job.Opts.Core(job.Seed)
@@ -125,7 +114,7 @@ func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (
 			sink(Event{Type: EventIteration, Job: job, Iteration: i})
 		}
 	}
-	h := core.NewHunter(execApp, opts)
+	h := core.NewHunter(app, opts)
 	switch job.Kind {
 	case KindHunt:
 		sr := h.HuntContext(ctx, t)
@@ -153,19 +142,4 @@ func run(ctx context.Context, job Job, app *apps.App, jc *JobCache, sink Sink) (
 	res.Stats = h.SolverStats()
 	sink.emit(Event{Type: EventFinished, Job: job, Result: &res})
 	return res, nil
-}
-
-// originalSite resolves the base program's site record for a job's site
-// (apps.App.Sites) for re-stamping probe-program targets.
-func originalSite(app *apps.App, job Job) (discover.Site, bool, error) {
-	sites, err := app.Sites(job.Opts.NoTriage)
-	if err != nil {
-		return discover.Site{}, false, err
-	}
-	for _, s := range sites {
-		if s.Name == job.Site {
-			return s, true, nil
-		}
-	}
-	return discover.Site{}, false, nil
 }
