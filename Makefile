@@ -7,7 +7,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint vet staticcheck staticcheck-install check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke examples-smoke fuzz-smoke worker-smoke traffic-cover perfbench-test
+.PHONY: all build test race lint vet staticcheck staticcheck-install check bench-smoke threaded-gate cache-smoke discover-smoke triage-smoke examples-smoke fuzz-smoke worker-smoke traffic-cover perfbench-test bench-pairs
 
 all: check test
 
@@ -216,3 +216,19 @@ traffic-cover:
 	$(GO) tool covdata func -i "$$cov/data" | awk '$$NF == "0.0%" && $$1 !~ /^diode\/perfbench\//' >"$$cov/uncovered.txt"; \
 	cat "$$cov/uncovered.txt"; \
 	echo "traffic-cover: $$(wc -l <"$$cov/uncovered.txt") functions no workload executes"
+
+# Paired benchmark comparison, the measurement a change reports against its
+# parent: `make bench-pairs BASE=<rev> WORKLOAD=<name> PAIRS=<n> SECONDS=<s>`
+# exports BASE with git archive into .bench_build/base-<rev> and runs
+# perfbench PAIRS times in the export and in the checkout, alternating which
+# side goes first. It prints each run's digest and end-to-end metrics, then
+# per metric the medians, the base quartile spread and how many pairs the
+# change read lower. SEED (default 1) picks the workload seed. Not a CI step;
+# everything it writes stays under .bench_build/.
+WORKLOAD ?= paper-sweep
+PAIRS ?= 5
+SECONDS ?= 30
+SEED ?= 1
+bench-pairs:
+	@[ -n "$(BASE)" ] || { echo "bench-pairs: set BASE=<rev>"; exit 2; }
+	bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
