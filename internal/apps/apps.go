@@ -183,11 +183,11 @@ func (a *App) Sites(noTriage bool) ([]discover.Site, error) {
 // Probe returns the derived application that hunts the named arith site:
 // the guest program instrumented with a probe allocation at the arith node
 // (discover.Probe), sharing the original's format and site list (Sites) but
-// with no paper expectations. Instances are memoized per site, so the derived program's
-// compiled form, fingerprint and analyses warm up once. The derived Short
-// is suffixed with the site so a cache that indexes instances by short name
-// can never shadow the base application with a probe variant. Safe for
-// concurrent use.
+// with no paper expectations. Instances are memoized per site, so the
+// derived program's compiled form, fingerprint and analyses warm up once.
+// The derived Short is suffixed with the site so a cache that indexes
+// instances by short name can never shadow the base application with a
+// probe variant. Safe for concurrent use.
 func (a *App) Probe(site string) (*App, error) {
 	a.probeMu.Lock()
 	defer a.probeMu.Unlock()

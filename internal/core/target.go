@@ -67,8 +67,9 @@ type Target struct {
 
 	// symbolic is the interp.Options.Symbolic table the analysis ran with:
 	// the relevant bytes, each as its field-level term. The Hunter's
-	// branch-trace runs read inputs through it too, so their branch records
-	// are exactly the seed run's relevant branches.
+	// branch-trace runs read inputs through it too, so they record a branch
+	// exactly when its operands depend on a relevant byte, as the seed run
+	// did.
 	symbolic []*bv.Term
 }
 

@@ -47,13 +47,12 @@ const DefaultFuel = 3_500_000
 type Options struct {
 	// TrackTaint enables per-byte taint propagation (stage 1).
 	TrackTaint bool
-	// Symbolic, when non-nil, enables symbolic recording and branch-trace
+	// Symbolic, when non-nil, turns on symbolic recording and branch-trace
 	// capture (stage 2) and implies taint tracking. Input byte i reads as
-	// the term Symbolic[i] when the table has a non-nil entry there, and as
-	// a concrete value otherwise: the table names only the relevant input
-	// bytes (the paper's staging optimization), and names each one by its
-	// field-level term (field.Map.InputTerms), so recorded expressions and
-	// branch conditions are over input fields as recorded.
+	// the term Symbolic[i] where the table has a non-nil entry, and
+	// concretely elsewhere: the core names the relevant bytes only (the
+	// paper's staging optimization), each by its field-level term
+	// (field.Map.InputTerms).
 	Symbolic []*bv.Term
 	// Fuel bounds the run in units of control transfers: one unit per
 	// conditional-branch decision (an If or While condition, charged once
