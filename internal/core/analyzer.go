@@ -17,7 +17,7 @@ import (
 // symbolic run per site to extract the target expression and the branch
 // condition sequence. The symbolic run reads only the site's relevant bytes
 // symbolically (§4.2), each as its field-level term (field.Map.InputTerms),
-// so both come out over input fields with no rewriting pass.
+// so both come out over input fields.
 //
 // Analysis runs once per application; the Targets it produces are immutable
 // and safe to share across concurrent Hunters. The Analyzer triggers the
