@@ -8,9 +8,9 @@ import (
 	"diode/internal/lang"
 )
 
-// rawBytes is a Symbolic table naming input bytes 0..n-1 by their raw
+// byteVars is a Symbolic table naming input bytes 0..n-1 by their raw
 // per-byte variables in[i]: what a format with no fields reads as.
-func rawBytes(n int) []*bv.Term {
+func byteVars(n int) []*bv.Term {
 	offsets := make([]int, n)
 	for i := range offsets {
 		offsets[i] = i
@@ -87,7 +87,7 @@ func TestSymbolicExpressionExtraction(t *testing.T) {
 		lang.AllocAt("buf", "t@1",
 			lang.Mul(lang.ZX(32, lang.InAt(0)), lang.U32(4))),
 	))
-	out := Run(p, []byte{9}, Options{Symbolic: rawBytes(1)})
+	out := Run(p, []byte{9}, Options{Symbolic: byteVars(1)})
 	ev := out.Allocs[0]
 	if ev.Sym == nil {
 		t.Fatal("no symbolic size recorded")
@@ -113,7 +113,7 @@ func TestBranchRecording(t *testing.T) {
 		),
 		lang.AllocAt("buf", "t@1", lang.V("x")),
 	))
-	out := Run(p, []byte{7}, Options{Symbolic: rawBytes(1)})
+	out := Run(p, []byte{7}, Options{Symbolic: byteVars(1)})
 	if out.Kind != OutOK {
 		t.Fatalf("outcome %v", out.Kind)
 	}
@@ -245,7 +245,7 @@ func TestProceduresAndReturn(t *testing.T) {
 			lang.AllocAt("b", "t@1", lang.ZX(32, lang.V("v"))),
 		),
 	)
-	out := Run(p, []byte{0x12, 0x34}, Options{Symbolic: rawBytes(2)})
+	out := Run(p, []byte{0x12, 0x34}, Options{Symbolic: byteVars(2)})
 	if out.Kind != OutOK {
 		t.Fatalf("outcome %v (%v)", out.Kind, out.Err)
 	}
