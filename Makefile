@@ -223,12 +223,11 @@ traffic-cover:
 # perfbench PAIRS times in the export and in the checkout, alternating which
 # side goes first. It prints each run's digest and end-to-end metrics, then
 # per metric the medians, the base quartile spread and how many pairs the
-# change read lower. SEED (default 1) picks the workload seed. Not a CI step;
-# everything it writes stays under .bench_build/.
+# change read lower. Runs use seed 1. Not a CI step; everything it writes
+# stays under .bench_build/.
 WORKLOAD ?= paper-sweep
 PAIRS ?= 5
 SECONDS ?= 30
-SEED ?= 1
 bench-pairs:
 	@[ -n "$(BASE)" ] || { echo "bench-pairs: set BASE=<rev>"; exit 2; }
-	bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
+	bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"

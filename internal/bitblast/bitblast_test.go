@@ -15,14 +15,16 @@ func solveEq(t *testing.T, expr *bv.Term, asn bv.Assignment, want uint64) bool {
 	t.Helper()
 	engine := sat.New(sat.Options{})
 	bl := New(engine)
+	goal := bv.Eq(expr, bv.Const(expr.W, want))
+	vars := bv.BoolVars(goal)
 	for name, v := range asn {
-		vt := bv.TermVars(expr)[name]
+		vt := vars[name]
 		if vt == nil {
 			continue
 		}
 		bl.Assert(bv.Eq(vt, bv.Const(vt.W, v)))
 	}
-	bl.Assert(bv.Eq(expr, bv.Const(expr.W, want)))
+	bl.Assert(goal)
 	return engine.SolveUnderAssumptions(nil) == sat.Sat
 }
 

@@ -376,11 +376,11 @@ func TestVarSet(t *testing.T) {
 	if len(vars) != 2 || vars["vs_x"] != x || vars["vs_y"] != y {
 		t.Fatalf("vars = %v", vars.Names())
 	}
-	other := TermVars(Add(x, x))
+	other := BoolVars(Eq(Add(x, x), Const(32, 1)))
 	if !vars.Intersects(other) {
 		t.Error("expected shared variable")
 	}
-	if vars.Intersects(TermVars(Var(8, "vs_z"))) {
+	if vars.Intersects(BoolVars(Eq(Var(8, "vs_z"), Const(8, 1)))) {
 		t.Error("unexpected shared variable")
 	}
 }

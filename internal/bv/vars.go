@@ -2,7 +2,7 @@ package bv
 
 import "sort"
 
-// VarSet is the set of free variables of a term or formula, keyed by name.
+// VarSet is the set of free variables of a formula, keyed by name.
 // All occurrences of a name have a single width (enforced by interning
 // discipline in this codebase: a name is always created at one width).
 type VarSet map[string]*Term
@@ -29,13 +29,6 @@ func (vs VarSet) Intersects(other VarSet) bool {
 		}
 	}
 	return false
-}
-
-// TermVars returns the free variables of t.
-func TermVars(t *Term) VarSet {
-	vs := make(VarSet)
-	collectTermVars(t, vs, make(map[*Term]bool))
-	return vs
 }
 
 // BoolVars returns the free variables of b.

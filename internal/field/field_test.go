@@ -108,6 +108,11 @@ func run(t *testing.T, input []byte, terms []*bv.Term, stmts ...lang.Stmt) *inte
 	return out
 }
 
+// exprVars returns the free variables of the expression e.
+func exprVars(e *bv.Term) bv.VarSet {
+	return bv.BoolVars(bv.Eq(e, bv.Const(e.W, 0)))
+}
+
 // reassemble is the parser-style 32-bit reassembly of bytes off..off+3, most
 // significant first for BE and last for LE.
 func reassemble(order Endian, off uint64) lang.Expr {
@@ -164,7 +169,7 @@ func TestLiftRoundTrip(t *testing.T) {
 		input := make([]byte, 8)
 		out := run(t, input, m.InputTerms([]int{4, 5, 6, 7}), lang.AllocAt("buf", "t@1", reassemble(order, 4)))
 		lifted := out.Allocs[0].Sym
-		if names := bv.TermVars(lifted).Names(); len(names) != 1 || names[0] != "/v" {
+		if names := exprVars(lifted).Names(); len(names) != 1 || names[0] != "/v" {
 			t.Fatalf("order=%v: expression ranges over %v, want [/v]", order, names)
 		}
 		f := func(v uint64) bool {
@@ -185,7 +190,7 @@ func TestLiftLeavesUncoveredBytes(t *testing.T) {
 	input := make([]byte, 10)
 	out := run(t, input, m.InputTerms([]int{0, 9}), // byte 9 is not covered
 		lang.AllocAt("buf", "t@1", lang.Add(lang.ZX(32, lang.InAt(9)), lang.ZX(32, lang.InAt(0)))))
-	names := bv.TermVars(out.Allocs[0].Sym).Names()
+	names := exprVars(out.Allocs[0].Sym).Names()
 	if len(names) != 2 || names[0] != "/v" || names[1] != InputVarName(9) {
 		t.Fatalf("expression ranges over %v, want [/v %s]", names, InputVarName(9))
 	}

@@ -219,7 +219,7 @@ func TestLiftProducesFieldExpressions(t *testing.T) {
 		t.Fatalf("guest ended %v (%v)", out.Kind, out.Err)
 	}
 	lifted := out.Allocs[0].Sym
-	vars := bv.TermVars(lifted)
+	vars := bv.BoolVars(bv.Eq(lifted, bv.Const(lifted.W, 0)))
 	if _, ok := vars["/ihdr/width"]; !ok || len(vars) != 1 {
 		t.Fatalf("expression does not range over /ihdr/width alone: %s", lifted)
 	}

@@ -31,7 +31,7 @@ func FuzzMachineParity(f *testing.F) {
 		if len(input) > maxInput {
 			// Guests never index past their format's reach; oversized inputs
 			// only slow the fuzzer down without covering new behavior.
-			input = input[:8192]
+			input = input[:maxInput]
 		}
 		opts := interp.Options{Fuel: 4_000}
 		switch mode % 4 {

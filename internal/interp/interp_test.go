@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 
 	"diode/internal/bv"
@@ -324,7 +325,7 @@ func TestSymbolicTableRestriction(t *testing.T) {
 				}
 				// A non-nil table turns taint on even where no byte is
 				// symbolic.
-				if !ev.Taint.Has(i) {
+				if !slices.Contains(ev.Taint.Elems(), i) {
 					t.Errorf("%s %s: byte %d untainted", name, engine, i)
 				}
 			}

@@ -40,14 +40,6 @@ func Single(i int) *Set {
 	return &Set{words: words}
 }
 
-// Has reports whether label i is in the set.
-func (s *Set) Has(i int) bool {
-	if s == nil || i < 0 || i/64 >= len(s.words) {
-		return false
-	}
-	return s.words[i/64]&(1<<uint(i%64)) != 0
-}
-
 // Union returns the union of s and t, reusing an operand when possible.
 func (s *Set) Union(t *Set) *Set {
 	if s.Empty() {

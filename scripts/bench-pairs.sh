@@ -1,22 +1,23 @@
 #!/usr/bin/env bash
 # Paired benchmark comparison of the checkout against a base revision:
 #
-#   bash scripts/bench-pairs.sh BASE WORKLOAD PAIRS SECONDS [SEED]
+#   bash scripts/bench-pairs.sh BASE WORKLOAD PAIRS SECONDS
 #
 # (or `make bench-pairs BASE=<rev> WORKLOAD=<name> PAIRS=<n> SECONDS=<s>`).
 # BASE is exported with `git archive` into .bench_build/base-<rev>, then
-# each pair runs `bash perfbench/run.sh` once in the export ("base") and
-# once in the checkout ("change"), alternating which side goes first. It
+# each pair runs `bash perfbench/run.sh` at seed 1 once in the export
+# ("base") and once in the checkout ("change"), alternating which side goes
+# first. It
 # prints one line per run (side, verdict digest, the six end-to-end
 # metrics), then per metric the base median, the base quartiles and their
 # spread, the change median, and in how many pairs the change read lower.
 # Everything it writes stays under .bench_build/.
 set -euo pipefail
 if [ $# -lt 4 ]; then
-	echo "usage: $0 BASE WORKLOAD PAIRS SECONDS [SEED]" >&2
+	echo "usage: $0 BASE WORKLOAD PAIRS SECONDS" >&2
 	exit 2
 fi
-base=$1 workload=$2 pairs=$3 seconds=$4 seed=${5:-1}
+base=$1 workload=$2 pairs=$3 seconds=$4
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 rev=$(git rev-parse --short "$base^{commit}")
@@ -33,7 +34,7 @@ results="$root/.bench_build/pairs-$rev-$workload.txt"
 # one SIDE DIR runs the workload in DIR and appends "SIDE DIGEST m1..m6".
 one() {
 	local side=$1 dir=$2 out
-	out=$(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>&1) || {
+	out=$(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 2>&1) || {
 		printf '%s\n' "$out" >&2
 		echo "bench-pairs: $side run failed" >&2
 		exit 1
