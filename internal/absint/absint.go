@@ -2,8 +2,7 @@ package absint
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"diode/internal/lang"
 )
@@ -16,10 +15,11 @@ import (
 // of which guards held — which is what makes a fold to "unsatisfiable"
 // sound for any seed path.
 type Analysis struct {
-	guarded, unguarded map[string]Value
+	guarded, unguarded map[point]Value
 }
 
-func pointKey(fn, path string) string { return fn + "\x00" + path }
+// point is a recorded position: a function and a node path in it.
+type point struct{ fn, path string }
 
 // Analyze runs both fixpoints over the program (finalizing it first if
 // needed) and returns the recorded per-point values. The analysis is
@@ -45,14 +45,14 @@ func Analyze(p *lang.Program) (*Analysis, error) {
 // segments, e.g. "s3.size.a"). ok is false when no execution reaches the
 // point — vacuously safe, since no concrete value ever exists there.
 func (a *Analysis) ValueAt(fn, path string) (Value, bool) {
-	v, ok := a.guarded[pointKey(fn, path)]
+	v, ok := a.guarded[point{fn, path}]
 	return v, ok && !v.Bot
 }
 
 // ValueAtNoGuards is ValueAt for the unguarded pass, whose joins ignore
 // branch conditions entirely.
 func (a *Analysis) ValueAtNoGuards(fn, path string) (Value, bool) {
-	v, ok := a.unguarded[pointKey(fn, path)]
+	v, ok := a.unguarded[point{fn, path}]
 	return v, ok && !v.Bot
 }
 
@@ -76,32 +76,41 @@ type interpreter struct {
 	refine bool // apply branch-guard meets (the guarded pass)
 	names  []string
 
-	globals map[string]Value   // flow-insensitive join of all writes
-	params  map[string][]Value // per function, joined across call sites
-	rets    map[string]Value   // joined return values
-	reached map[string]bool
-
-	counts  map[string]int // per-summary widening counters
+	globals []summary // by global slot: the join of all writes
+	fns     map[string]*fnSummary
 	changed bool
 
 	recording bool
-	points    map[string]Value
+	points    map[point]Value
 }
 
-func run(p *lang.Program, refine bool) (map[string]Value, error) {
+// summary is a flow-insensitive value and the number of times it has
+// changed; after summaryWidenAfter changes, growth widens.
+type summary struct {
+	v       Value
+	changes int
+}
+
+// fnSummary holds one function's summaries.
+type fnSummary struct {
+	params  []summary // joined across call sites
+	ret     summary   // joined return values
+	reached bool
+}
+
+func run(p *lang.Program, refine bool) (map[point]Value, error) {
 	z := &interpreter{
 		p:       p,
 		refine:  refine,
-		globals: make(map[string]Value),
-		params:  make(map[string][]Value),
-		rets:    make(map[string]Value),
-		reached: map[string]bool{"main": true},
-		counts:  make(map[string]int),
-		points:  make(map[string]Value),
+		globals: summaries(len(p.Globals())),
+		fns:     make(map[string]*fnSummary, len(p.Funcs)),
+		points:  make(map[point]Value),
 	}
-	for n := range p.Funcs {
+	for n, f := range p.Funcs {
 		z.names = append(z.names, n)
+		z.fns[n] = &fnSummary{params: summaries(len(f.Params)), ret: summary{v: bottom()}}
 	}
+	z.fns["main"].reached = true
 	sortStrings(z.names)
 	for round := 0; ; round++ {
 		if round > maxRounds {
@@ -123,9 +132,17 @@ func run(p *lang.Program, refine bool) (map[string]Value, error) {
 	return z.points, nil
 }
 
+func summaries(n int) []summary {
+	s := make([]summary, n)
+	for i := range s {
+		s[i].v = bottom()
+	}
+	return s
+}
+
 func (z *interpreter) pass() error {
 	for _, n := range z.names {
-		if z.reached[n] {
+		if z.fns[n].reached {
 			if err := z.function(n); err != nil {
 				return err
 			}
@@ -136,14 +153,13 @@ func (z *interpreter) pass() error {
 
 func (z *interpreter) function(name string) error {
 	f := z.p.Funcs[name]
-	st := &state{vars: make(map[string]Value, len(f.Params)+8)}
-	ps := z.params[name]
-	for i, pn := range f.Params {
-		v := bottom()
-		if i < len(ps) {
-			v = ps[i]
-		}
-		st.vars[pn] = v
+	n := len(f.Locals())
+	st := &state{vals: make([]Value, n), set: make([]bool, n)}
+	for i := range st.vals {
+		st.vals[i] = bottom()
+	}
+	for i, p := range z.fns[name].params {
+		st.vals[i], st.set[i] = p.v, true
 	}
 	if err := z.block(f, f.Body, st, ""); err != nil {
 		return err
@@ -151,25 +167,22 @@ func (z *interpreter) function(name string) error {
 	if !st.bot {
 		// Falling off the end of a procedure returns the zero 32-bit
 		// value (interp's call fallthrough).
-		z.joinRet(name, Const(32, 0))
+		z.join(&z.fns[name].ret, Const(32, 0))
 	}
 	return nil
 }
 
 // state is the abstract store of one function activation: local variables
-// and a reachability flag. A variable absent from vars was never assigned
-// on any path — a concrete read there kills the run, so reads yield Bot.
+// by frame slot and a reachability flag. A slot never assigned on any path
+// holds Bot with set false: a concrete read there kills the run.
 type state struct {
-	vars map[string]Value
+	vals []Value
+	set  []bool
 	bot  bool
 }
 
 func (s *state) clone() *state {
-	c := &state{vars: make(map[string]Value, len(s.vars)), bot: s.bot}
-	for k, v := range s.vars {
-		c.vars[k] = v
-	}
-	return c
+	return &state{vals: slices.Clone(s.vals), set: slices.Clone(s.set), bot: s.bot}
 }
 
 func joinStates(a, b *state) *state {
@@ -179,121 +192,70 @@ func joinStates(a, b *state) *state {
 	if b.bot {
 		return a.clone()
 	}
-	out := &state{vars: make(map[string]Value, len(a.vars))}
-	for k, va := range a.vars {
-		if vb, ok := b.vars[k]; ok {
-			out.vars[k] = Join(va, vb)
-		} else {
-			out.vars[k] = va
-		}
-	}
-	for k, vb := range b.vars {
-		if _, ok := a.vars[k]; !ok {
-			out.vars[k] = vb
+	out := a.clone()
+	for i, ok := range b.set {
+		if ok {
+			out.vals[i] = Join(out.vals[i], b.vals[i])
+			out.set[i] = true
 		}
 	}
 	return out
 }
 
+// widenStates widens the slots both states assigned and keeps next's
+// others; a slot only old assigned drops out.
 func widenStates(old, next *state) *state {
 	if old.bot || next.bot {
 		return joinStates(old, next)
 	}
-	out := &state{vars: make(map[string]Value, len(next.vars))}
-	for k, nv := range next.vars {
-		if ov, ok := old.vars[k]; ok {
-			out.vars[k] = Widen(ov, nv)
-		} else {
-			out.vars[k] = nv
+	out := next.clone()
+	for i, ok := range out.set {
+		if ok && old.set[i] {
+			out.vals[i] = Widen(old.vals[i], out.vals[i])
 		}
 	}
 	return out
 }
 
 func statesEqual(a, b *state) bool {
-	if a.bot != b.bot {
-		return false
+	if a.bot || b.bot {
+		return a.bot == b.bot
 	}
-	if a.bot {
-		return true
-	}
-	if len(a.vars) != len(b.vars) {
-		return false
-	}
-	for k, av := range a.vars {
-		if bv, ok := b.vars[k]; !ok || av != bv {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.set, b.set) && slices.Equal(a.vals, b.vals)
 }
 
-func (z *interpreter) getVar(st *state, name string) Value {
-	if strings.HasPrefix(name, "g_") {
-		if v, ok := z.globals[name]; ok {
-			return v
-		}
-		return bottom() // never written anywhere: a concrete read dies
+func (z *interpreter) getVar(f *lang.Func, st *state, name string) Value {
+	slot, global := f.Slot(name)
+	if global {
+		return z.globals[slot].v // Bot if never written anywhere
 	}
-	if v, ok := st.vars[name]; ok {
-		return v
-	}
-	return bottom() // never assigned on any path: a concrete read dies
+	return st.vals[slot]
 }
 
-func (z *interpreter) setVar(st *state, name string, v Value) {
-	if strings.HasPrefix(name, "g_") {
+func (z *interpreter) setVar(f *lang.Func, st *state, name string, v Value) {
+	slot, global := f.Slot(name)
+	if global {
 		// Globals are flow-insensitive: one program-wide join of every
 		// write, so cross-procedure flows need no in/out plumbing.
-		old := z.globals[name]
-		if _, ok := z.globals[name]; !ok {
-			old = bottom()
-		}
-		if next, changed := z.joinVal(old, "g\x00"+name, v); changed {
-			z.globals[name] = next
-		}
+		z.join(&z.globals[slot], v)
 		return
 	}
-	st.vars[name] = v
+	st.vals[slot], st.set[slot] = v, true
 }
 
-// joinVal joins v into a summary value, switching to widening once the
-// summary has changed summaryWidenAfter times, and flags the fixpoint.
-func (z *interpreter) joinVal(old Value, key string, v Value) (Value, bool) {
-	next := Join(old, v)
-	if z.counts[key] >= summaryWidenAfter {
-		next = Widen(old, v)
+// join joins v into s, switching to widening once s has changed
+// summaryWidenAfter times, and flags the fixpoint.
+func (z *interpreter) join(s *summary, v Value) {
+	next := Join(s.v, v)
+	if s.changes >= summaryWidenAfter {
+		next = Widen(s.v, v)
 	}
-	if next == old {
-		return old, false
+	if next == s.v {
+		return
 	}
-	z.counts[key]++
+	s.v = next
+	s.changes++
 	z.changed = true
-	return next, true
-}
-
-func (z *interpreter) joinParam(fn string, i int, v Value) {
-	ps := z.params[fn]
-	if ps == nil {
-		ps = make([]Value, len(z.p.Funcs[fn].Params))
-		for j := range ps {
-			ps[j] = bottom()
-		}
-		z.params[fn] = ps
-	}
-	if next, changed := z.joinVal(ps[i], "p\x00"+fn+"\x00"+strconv.Itoa(i), v); changed {
-		ps[i] = next
-	}
-}
-
-func (z *interpreter) joinRet(fn string, v Value) {
-	old, ok := z.rets[fn]
-	if !ok {
-		old = bottom()
-	}
-	if next, changed := z.joinVal(old, "r\x00"+fn, v); changed {
-		z.rets[fn] = next
-	}
 }
 
 func joinPath(prefix, seg string) string {
@@ -318,11 +280,11 @@ func (z *interpreter) block(f *lang.Func, b lang.Block, st *state, prefix string
 func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state, path string) error {
 	switch x := s.(type) {
 	case lang.Assign:
-		z.setVar(st, x.Var, z.eval(f, st, x.E, path, "e", true))
+		z.setVar(f, st, x.Var, z.eval(f, st, x.E, path, "e", true))
 	case lang.Alloc:
 		z.eval(f, st, x.Size, path, "size", true)
 		// The allocated pointer is an arbitrary unwrapped 64-bit address.
-		z.setVar(st, x.Var, Value{W: 64, Hi: ^uint64(0)})
+		z.setVar(f, st, x.Var, Value{W: 64, Hi: ^uint64(0)})
 	case lang.Store:
 		z.eval(f, st, x.Ptr, path, "ptr", true)
 		z.eval(f, st, x.Off, path, "off", true)
@@ -347,10 +309,10 @@ func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state, path string) er
 		z.eval(f, st, x.E, path, "e", true)
 	case lang.Return:
 		if x.E != nil {
-			z.joinRet(f.Name, z.eval(f, st, x.E, path, "ret", true))
+			z.join(&z.fns[f.Name].ret, z.eval(f, st, x.E, path, "ret", true))
 		} else {
 			// A bare return yields the caller's zero 32-bit value.
-			z.joinRet(f.Name, Const(32, 0))
+			z.join(&z.fns[f.Name].ret, Const(32, 0))
 		}
 		st.bot = true
 	case lang.AbortStmt:
@@ -402,7 +364,7 @@ func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, sp, ep string, 
 	case lang.Lit:
 		v = Const(x.W, x.V)
 	case lang.VarRef:
-		v = z.getVar(st, x.Name)
+		v = z.getVar(f, st, x.Name)
 	case lang.Bin:
 		a := z.eval(f, st, x.A, sp, ep+".a", rec)
 		b := z.eval(f, st, x.B, sp, ep+".b", rec)
@@ -423,26 +385,23 @@ func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, sp, ep string, 
 		// Stored cells keep their width and wrapped flag verbatim.
 		v = anyTop()
 	case lang.CallExpr:
+		callee := z.fns[x.Fn]
 		for i, arg := range x.Args {
 			av := z.eval(f, st, arg, sp, fmt.Sprintf("%s.%d", ep, i), rec)
 			if !st.bot {
-				z.joinParam(x.Fn, i, av)
+				z.join(&callee.params[i], av)
 			}
 		}
-		if !st.bot && !z.reached[x.Fn] {
-			z.reached[x.Fn] = true
+		if !st.bot && !callee.reached {
+			callee.reached = true
 			z.changed = true
 		}
-		if rv, ok := z.rets[x.Fn]; ok {
-			v = rv
-		} else {
-			// No summarized return yet (or the callee never returns):
-			// the continuation is unreachable until one appears.
-			v = bottom()
-		}
+		// Bot while no return is summarized yet (or the callee never
+		// returns): the continuation is unreachable until one appears.
+		v = callee.ret.v
 	}
 	if z.recording && rec && !st.bot {
-		k := pointKey(f.Name, sp+"."+ep)
+		k := point{f.Name, sp + "." + ep}
 		if old, ok := z.points[k]; ok {
 			z.points[k] = Join(old, v)
 		} else {

@@ -1,10 +1,6 @@
 package absint
 
-import (
-	"strings"
-
-	"diode/internal/lang"
-)
+import "diode/internal/lang"
 
 // refineBool meets the state with the assumption that b evaluates to want.
 // Only conjunctions of comparisons refine (disjunctions taken true, or
@@ -173,19 +169,18 @@ func (z *interpreter) applyRefined(f *lang.Func, st *state, e lang.Expr, c Value
 	}
 	switch t := e.(type) {
 	case lang.VarRef:
-		if strings.HasPrefix(t.Name, "g_") {
-			return // globals are flow-insensitive; no local meet
-		}
-		cur, ok := st.vars[t.Name]
-		if !ok {
+		slot, global := f.Slot(t.Name)
+		if global || !st.set[slot] {
+			// Globals are flow-insensitive, and a never-assigned slot
+			// has no value to narrow: no local meet.
 			return
 		}
-		nv := cur.meet(c)
+		nv := st.vals[slot].meet(c)
 		if nv.Bot {
 			st.bot = true
 			return
 		}
-		st.vars[t.Name] = nv
+		st.vals[slot] = nv
 	case lang.Cvt:
 		inner := z.eval(f, st, t.A, "", "", false)
 		if inner.Bot || inner.W == 0 || t.W < inner.W {

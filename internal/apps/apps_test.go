@@ -6,6 +6,7 @@ import (
 	"diode/internal/bv"
 	"diode/internal/field"
 	"diode/internal/interp"
+	"diode/internal/lang"
 )
 
 // everyByte is a Symbolic table reading input bytes 0..n-1 through m: each
@@ -105,9 +106,11 @@ func TestPaperTablesConsistent(t *testing.T) {
 func TestPaperSitesMatchPrograms(t *testing.T) {
 	for _, a := range All() {
 		progSites := map[string]bool{}
-		for _, s := range a.Program.Sites() {
-			progSites[s] = true
-		}
+		a.Program.WalkStmts(func(_ *lang.Func, _ string, s lang.Stmt) {
+			if al, ok := s.(lang.Alloc); ok {
+				progSites[al.Site] = true
+			}
+		})
 		for _, ps := range a.Paper {
 			if !progSites[ps.Site] {
 				t.Errorf("%s: paper row %s has no allocation site in the program", a.Short, ps.Site)

@@ -523,15 +523,6 @@ func (b *Blaster) shifter(xt, yt *bv.Term, kind shiftKind) []sat.Lit {
 	return out
 }
 
-// Value reads the model value of t after a successful solve.
-func (b *Blaster) Value(t *bv.Term) uint64 {
-	bits, ok := b.termBits[t]
-	if !ok {
-		panic("bitblast: term was not encoded")
-	}
-	return b.bitsValue(bits)
-}
-
 func (b *Blaster) bitsValue(bits []sat.Lit) uint64 {
 	var v uint64
 	for i, l := range bits {

@@ -77,10 +77,3 @@ func (l *LRU) Do(key string, fn func() (any, bool)) (val any, hit bool) {
 	close(e.done)
 	return v, false
 }
-
-// Len returns the number of retained (completed) entries.
-func (l *LRU) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.order.Len()
-}

@@ -12,6 +12,13 @@ func mustNotRun(t *testing.T) func() (any, bool) {
 	return func() (any, bool) { t.Error("fn ran on a retained entry"); return nil, false }
 }
 
+// retained counts l's completed entries.
+func retained(l *LRU) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.order.Len()
+}
+
 func TestLRUHitMiss(t *testing.T) {
 	l := NewLRU(4)
 	v, hit := l.Do("k", compute(7))
@@ -22,8 +29,8 @@ func TestLRUHitMiss(t *testing.T) {
 	if !hit || v.(int) != 7 {
 		t.Fatalf("second Do: v=%v hit=%v, want 7/true", v, hit)
 	}
-	if l.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", l.Len())
+	if retained(l) != 1 {
+		t.Fatalf("Len=%d, want 1", retained(l))
 	}
 }
 
@@ -38,8 +45,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal("a evicted prematurely")
 	}
 	l.Do("c", compute(3))
-	if l.Len() != 2 {
-		t.Fatalf("Len=%d, want 2", l.Len())
+	if retained(l) != 2 {
+		t.Fatalf("Len=%d, want 2", retained(l))
 	}
 	if _, hit := l.Do("b", compute(-2)); hit {
 		t.Error("b survived eviction; want it to be the LRU victim")
@@ -62,8 +69,8 @@ func TestLRUNoKeep(t *testing.T) {
 			t.Fatalf("call %d: v=%v hit=%v", i, v, hit)
 		}
 	}
-	if runs != 3 || l.Len() != 0 {
-		t.Fatalf("runs=%d Len=%d, want 3 runs and nothing retained", runs, l.Len())
+	if runs != 3 || retained(l) != 0 {
+		t.Fatalf("runs=%d Len=%d, want 3 runs and nothing retained", runs, retained(l))
 	}
 }
 
@@ -127,15 +134,15 @@ func TestLRUNoKeepWaiters(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(release)
 	<-done
-	if l.Len() != 0 {
-		t.Errorf("Len=%d after keep=false flight, want 0", l.Len())
+	if retained(l) != 0 {
+		t.Errorf("Len=%d after keep=false flight, want 0", retained(l))
 	}
 }
 
 func TestLRUMinimumCapacity(t *testing.T) {
 	l := NewLRU(0) // clamped to 1
 	l.Do("a", compute(1))
-	if l.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", l.Len())
+	if retained(l) != 1 {
+		t.Fatalf("Len=%d, want 1", retained(l))
 	}
 }

@@ -38,10 +38,20 @@ func huntSites(t *testing.T, app *apps.App, seed int64) *AppResult {
 
 // checkClassification compares measured verdicts against the paper's
 // Table 1 rows for one application.
+// resultFor returns res's result for the named site.
+func resultFor(res *AppResult, site string) (*SiteResult, bool) {
+	for _, s := range res.Sites {
+		if s.Target.Site == site {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
 func checkClassification(t *testing.T, res *AppResult) {
 	t.Helper()
 	for _, ps := range res.App.Paper {
-		sr, ok := res.ResultFor(ps.Site)
+		sr, ok := resultFor(res, ps.Site)
 		if !ok {
 			t.Errorf("%s: no result for site %s", res.App.Short, ps.Site)
 			continue
@@ -86,12 +96,12 @@ func TestVLCFullPipeline(t *testing.T) {
 	checkTriggeringInputs(t, res)
 
 	// wav.c@147 (x+2) must be exposed without enforcing any branch.
-	sr, _ := res.ResultFor("vlc:wav.c@147")
+	sr, _ := resultFor(res, "vlc:wav.c@147")
 	if sr.Verdict != VerdictExposed || sr.EnforcedCount() != 0 {
 		t.Errorf("wav.c@147: verdict %v enforced %d, want exposed/0", sr.Verdict, sr.EnforcedCount())
 	}
 	// messages.c@355 needs enforcement (the paper reports 2).
-	sr, _ = res.ResultFor("vlc:messages.c@355")
+	sr, _ = resultFor(res, "vlc:messages.c@355")
 	if sr.Verdict != VerdictExposed {
 		t.Fatalf("messages.c@355: %v", sr.Verdict)
 	}
@@ -110,7 +120,7 @@ func TestSwfPlayFullPipeline(t *testing.T) {
 		"swfplay:jpeg_rgb_decoder.c@253",
 		"swfplay:jpeg_rgb_decoder.c@257",
 	} {
-		sr, _ := res.ResultFor(site)
+		sr, _ := resultFor(res, site)
 		if sr.Verdict != VerdictExposed || sr.EnforcedCount() != 0 {
 			t.Errorf("%s: verdict %v enforced %d, want exposed with 0 enforced",
 				site, sr.Verdict, sr.EnforcedCount())
@@ -137,7 +147,7 @@ func TestDilloFullPipeline(t *testing.T) {
 
 	// png.c@203 (the §2 example) must require branch enforcement: the five
 	// sanity checks force a detour (the paper enforces 4).
-	sr, _ := res.ResultFor("dillo:png.c@203")
+	sr, _ := resultFor(res, "dillo:png.c@203")
 	if sr.Verdict != VerdictExposed {
 		t.Fatalf("png.c@203: %v", sr.Verdict)
 	}

@@ -194,13 +194,3 @@ type AppResult struct {
 	Analysis time.Duration
 	Sites    []*SiteResult
 }
-
-// ResultFor returns the site result for the named site.
-func (r *AppResult) ResultFor(site string) (*SiteResult, bool) {
-	for _, s := range r.Sites {
-		if s.Target.Site == site {
-			return s, true
-		}
-	}
-	return nil, false
-}

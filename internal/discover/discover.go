@@ -159,35 +159,40 @@ func FormatTriage(sites []Site) string {
 type analysis struct {
 	p *lang.Program
 
+	globals facts            // by global slot
+	locals  map[string]facts // func -> facts by frame slot
+
 	// Forward taint: is this value attacker-influenced?
-	globals    map[string]bool            // g_-prefixed variables
-	locals     map[string]map[string]bool // func -> var -> tainted
-	returns    map[string]bool            // func -> return tainted
-	memTainted bool                       // any store of a tainted value
+	returns    map[string]bool // func -> return tainted
+	memTainted bool            // any store of a tainted value
 
 	// Backward sinks: does this value flow into an alloc size or a
 	// memory index?
-	sinkGlobals map[string]bool
-	sinkLocals  map[string]map[string]bool
 	sinkReturns map[string]bool
 	memSink     bool // some load feeds a sink, so stored values do too
 
 	changed bool
 }
 
+// facts are the taint and sink bits of a set of variable slots.
+type facts struct {
+	tainted, sink []bool
+}
+
+func newFacts(n int) facts {
+	return facts{tainted: make([]bool, n), sink: make([]bool, n)}
+}
+
 func newAnalysis(p *lang.Program) *analysis {
 	a := &analysis{
 		p:           p,
-		globals:     make(map[string]bool),
-		locals:      make(map[string]map[string]bool),
+		globals:     newFacts(len(p.Globals())),
+		locals:      make(map[string]facts, len(p.Funcs)),
 		returns:     make(map[string]bool),
-		sinkGlobals: make(map[string]bool),
-		sinkLocals:  make(map[string]map[string]bool),
 		sinkReturns: make(map[string]bool),
 	}
-	for name := range p.Funcs {
-		a.locals[name] = make(map[string]bool)
-		a.sinkLocals[name] = make(map[string]bool)
+	for name, f := range p.Funcs {
+		a.locals[name] = newFacts(len(f.Locals()))
 	}
 	return a
 }
@@ -209,42 +214,24 @@ func (a *analysis) solve() {
 	}
 }
 
-func isGlobal(name string) bool { return strings.HasPrefix(name, "g_") }
-
-func (a *analysis) tainted(f *lang.Func, name string) bool {
-	if isGlobal(name) {
-		return a.globals[name]
+// slot returns the facts holding the variable name read or written in f,
+// and its index there.
+func (a *analysis) slot(f *lang.Func, name string) (facts, int) {
+	i, global := f.Slot(name)
+	if global {
+		return a.globals, i
 	}
-	return a.locals[f.Name][name]
+	return a.locals[f.Name], i
 }
 
-func (a *analysis) setTainted(fn, name string) {
-	m := a.globals
-	if !isGlobal(name) {
-		m = a.locals[fn]
-	}
-	if !m[name] {
-		m[name] = true
-		a.changed = true
-	}
+func (a *analysis) tainted(f *lang.Func, name string) bool {
+	fs, i := a.slot(f, name)
+	return fs.tainted[i]
 }
 
 func (a *analysis) sinkVar(f *lang.Func, name string) bool {
-	if isGlobal(name) {
-		return a.sinkGlobals[name]
-	}
-	return a.sinkLocals[f.Name][name]
-}
-
-func (a *analysis) setSinkVar(fn, name string) {
-	m := a.sinkGlobals
-	if !isGlobal(name) {
-		m = a.sinkLocals[fn]
-	}
-	if !m[name] {
-		m[name] = true
-		a.changed = true
-	}
+	fs, i := a.slot(f, name)
+	return fs.sink[i]
 }
 
 func (a *analysis) set(m map[string]bool, key string) {
@@ -287,10 +274,10 @@ func (a *analysis) eval(f *lang.Func, e lang.Expr) bool {
 		a.eval(f, x.Off)
 		return a.memTainted
 	case lang.CallExpr:
-		callee := a.p.Funcs[x.Fn]
 		for i, arg := range x.Args {
+			// Argument i binds the callee's frame slot i.
 			if a.eval(f, arg) {
-				a.setTainted(x.Fn, callee.Params[i])
+				a.setBit(&a.locals[x.Fn].tainted[i])
 			}
 		}
 		return a.returns[x.Fn]
@@ -319,7 +306,8 @@ func (a *analysis) taintPass() {
 		switch x := s.(type) {
 		case lang.Assign:
 			if a.eval(f, x.E) {
-				a.setTainted(f.Name, x.Var)
+				fs, i := a.slot(f, x.Var)
+				a.setBit(&fs.tainted[i])
 			}
 		case lang.Alloc:
 			// The allocated pointer is untainted; only the size matters.
@@ -352,7 +340,8 @@ func (a *analysis) scan(f *lang.Func, e lang.Expr, sink bool) {
 	switch x := e.(type) {
 	case lang.VarRef:
 		if sink {
-			a.setSinkVar(f.Name, x.Name)
+			fs, i := a.slot(f, x.Name)
+			a.setBit(&fs.sink[i])
 		}
 	case lang.Bin:
 		a.scan(f, x.A, sink)
@@ -371,12 +360,11 @@ func (a *analysis) scan(f *lang.Func, e lang.Expr, sink bool) {
 		a.scan(f, x.Ptr, false)
 		a.scan(f, x.Off, true)
 	case lang.CallExpr:
-		callee := a.p.Funcs[x.Fn]
 		if sink {
 			a.set(a.sinkReturns, x.Fn)
 		}
 		for i, arg := range x.Args {
-			a.scan(f, arg, a.sinkLocals[x.Fn][callee.Params[i]])
+			a.scan(f, arg, a.locals[x.Fn].sink[i])
 		}
 	}
 }
@@ -539,10 +527,9 @@ func (a *analysis) emit(f *lang.Func, stmtPath, exprPath string, e lang.Expr, si
 		a.emit(f, stmtPath, exprPath+".ptr", x.Ptr, false, out)
 		a.emit(f, stmtPath, exprPath+".off", x.Off, true, out)
 	case lang.CallExpr:
-		callee := a.p.Funcs[x.Fn]
 		for i, arg := range x.Args {
 			a.emit(f, stmtPath, fmt.Sprintf("%s.%d", exprPath, i), arg,
-				a.sinkLocals[x.Fn][callee.Params[i]], out)
+				a.locals[x.Fn].sink[i], out)
 		}
 	}
 }

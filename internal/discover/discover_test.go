@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"diode/internal/interp"
 	. "diode/internal/lang"
 )
 
@@ -152,6 +153,30 @@ func TestGlobalTaint(t *testing.T) {
 	sites := mustSites(t, p)
 	if got := names(sites, KindAlloc); !reflect.DeepEqual(got, []string{"b@1"}) {
 		t.Fatalf("alloc sites = %v", got)
+	}
+}
+
+// A "g_"-named parameter binds a frame slot, as it does in interp: the
+// argument's taint does not reach the global of that name, which the
+// callee's body reads.
+func TestGlobalNamedParameter(t *testing.T) {
+	p := NewProgram("x")
+	p.AddFunc(Fn("alloc", []string{"g_n"},
+		AllocAt("buf", "b@1", V("g_n")),
+		RetVoid(),
+	))
+	p.AddFunc(Fn("main", nil,
+		Let("g_n", U32(8)),
+		Do(Call("alloc", ZX(32, InAt(0)))),
+	))
+	if got := names(mustSites(t, p), KindAlloc); len(got) != 0 {
+		t.Fatalf("alloc sites = %v, want none", got)
+	}
+	for _, run := range []func(*Program, []byte, interp.Options) *interp.Outcome{interp.Run, interp.RunTree} {
+		out := run(p, []byte{200}, interp.Options{TrackTaint: true})
+		if len(out.Allocs) != 1 || out.Allocs[0].Size != 8 || !out.Allocs[0].Taint.Empty() {
+			t.Fatalf("run allocs = %+v, want one untainted 8-cell block", out.Allocs)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"diode/internal/bv"
 	"diode/internal/lang"
@@ -18,34 +17,32 @@ import (
 // concurrent Machines — the Analyzer compiles each application once and every
 // site's Hunter executes the same Compiled on a private Machine.
 type Compiled struct {
-	funcs       map[string]*cFunc
-	funcList    []*cFunc // opCall targets by index
-	main        *cFunc
-	numGlobals  int
-	globalNames []string // global slot index → variable name
+	prog     *lang.Program // global slots and every slot's name
+	funcs    map[string]*cFunc
+	funcList []*cFunc // opCall targets by index
+	main     *cFunc
 }
 
 // cFunc is one compiled procedure: its instruction stream plus the constant
 // pools the instructions index into.
 type cFunc struct {
-	name      string
-	idx       int32
-	params    []int32 // parameter binding slots (always local, in order)
-	numSlots  int
-	slotNames []string // local slot index → variable name (error messages)
-	code      []instr
-	lits      []value     // pre-masked literal operands (refLit)
-	strs      []string    // labels, allocation sites, abort/warn messages
-	loops     []storeLoop // bulk-loop descriptors (opStoreLoop)
-	maxStack  int         // value-stack slots this function needs above its base
-	maxBools  int         // bool-stack slots this function needs above its base
+	src      *lang.Func // slot resolution; parameter i binds frame slot i
+	idx      int32
+	numSlots int
+	code     []instr
+	lits     []value     // pre-masked literal operands (refLit)
+	strs     []string    // labels, allocation sites, abort/warn messages
+	loops    []storeLoop // bulk-loop descriptors (opStoreLoop)
+	maxStack int         // value-stack slots this function needs above its base
+	maxBools int         // bool-stack slots this function needs above its base
 }
 
-// Compile lowers a finalized program into its direct-threaded form. It panics
-// on a program that Finalize would reject (no main, calls to undefined
-// functions); run Program.Finalize first.
+// Compile lowers a finalized program into its direct-threaded form, taking
+// every variable's slot from the program's Finalize resolution. It panics
+// on a program that has not been finalized; run Program.Finalize first.
 func Compile(prog *lang.Program) *Compiled {
 	c := &Compiled{
+		prog:  prog,
 		funcs: make(map[string]*cFunc, len(prog.Funcs)),
 	}
 	names := make([]string, 0, len(prog.Funcs))
@@ -55,35 +52,24 @@ func Compile(prog *lang.Program) *Compiled {
 	sort.Strings(names)
 	// Shells first so mutually recursive calls resolve to stable indices.
 	for i, n := range names {
-		f := &cFunc{name: n, idx: int32(i)}
+		src := prog.Funcs[n]
+		f := &cFunc{src: src, idx: int32(i), numSlots: len(src.Locals())}
 		c.funcs[n] = f
 		c.funcList = append(c.funcList, f)
 	}
-	globals := map[string]int32{}
-	for _, n := range names {
-		src := prog.Funcs[n]
+	for _, f := range c.funcList {
 		l := &lowerer{
-			c:       c,
-			globals: globals,
-			f:       c.funcs[n],
-			locals:  map[string]int32{},
-			strIdx:  map[string]uint16{},
-			litIdx:  map[litKey]int32{},
+			c:      c,
+			f:      f,
+			strIdx: map[string]uint16{},
+			litIdx: map[litKey]int32{},
 		}
-		for _, p := range src.Params {
-			// Parameters bind into local slots unconditionally, mirroring the
-			// tree-walker's call semantics (a "g_"-named parameter lands in
-			// the frame, where the prefix rule never reads it).
-			l.f.params = append(l.f.params, l.localSlot(p))
-		}
-		for _, s := range src.Body {
+		for _, s := range f.src.Body {
 			l.stmt(s)
 		}
 		// Implicit end-of-body return.
 		l.emit(instr{op: opRetVoid})
-		l.f.numSlots = len(l.f.slotNames)
 	}
-	c.numGlobals = len(c.globalNames)
 	c.main = c.funcs["main"]
 	if c.main == nil {
 		panic("interp: Compile: program " + prog.Name + " has no main (not finalized?)")
@@ -98,14 +84,12 @@ type litKey struct {
 
 // lowerer compiles one procedure into its flat instruction stream.
 type lowerer struct {
-	c       *Compiled
-	globals map[string]int32
-	f       *cFunc
-	locals  map[string]int32
-	strIdx  map[string]uint16
-	litIdx  map[litKey]int32
-	depth   int // current value-stack depth
-	bdepth  int // current bool-stack depth
+	c      *Compiled
+	f      *cFunc
+	strIdx map[string]uint16
+	litIdx map[litKey]int32
+	depth  int // current value-stack depth
+	bdepth int // current bool-stack depth
 }
 
 func (l *lowerer) emit(i instr) int32 {
@@ -131,34 +115,13 @@ func (l *lowerer) pushB() {
 	}
 }
 
-func (l *lowerer) localSlot(name string) int32 {
-	if i, ok := l.locals[name]; ok {
-		return i
-	}
-	i := int32(len(l.f.slotNames))
-	l.locals[name] = i
-	l.f.slotNames = append(l.f.slotNames, name)
-	return i
-}
-
-// varRef resolves a variable reference: names with the "g_" prefix share the
-// program-wide global slot table, everything else is function-local.
+// varRef returns a variable's resolved slot and its operand kind.
 func (l *lowerer) varRef(name string) (int32, uint8) {
-	if strings.HasPrefix(name, "g_") {
-		i, ok := l.globals[name]
-		if !ok {
-			i = int32(len(l.c.globalNames))
-			l.globals[name] = i
-			l.c.globalNames = append(l.c.globalNames, name)
-		}
-		return i, refGlobal
+	slot, global := l.f.src.Slot(name)
+	if global {
+		return int32(slot), refGlobal
 	}
-	return l.localSlot(name), refLocal
-}
-
-func (l *lowerer) varSlotOf(name string) (int32, bool) {
-	i, k := l.varRef(name)
-	return i, k == refGlobal
+	return int32(slot), refLocal
 }
 
 func (l *lowerer) litRef(x lang.Lit) (int32, uint8) {
@@ -380,7 +343,7 @@ func (l *lowerer) pushExpr(e lang.Expr) {
 	case lang.CallExpr:
 		callee, ok := l.c.funcs[x.Fn]
 		if !ok {
-			panic("interp: Compile: " + l.f.name + " calls undefined function " + x.Fn)
+			panic("interp: Compile: " + l.f.src.Name + " calls undefined function " + x.Fn)
 		}
 		for _, a := range x.Args {
 			l.pushExpr(a)
@@ -521,12 +484,12 @@ func (l *lowerer) matchStoreLoop(st lang.While) (storeLoop, bool) {
 		if v.Name == asg.Var {
 			return lp, false
 		}
-		lp.valSlot, lp.valGlobal = l.varSlotOf(v.Name)
+		lp.valSlot, lp.valGlobal = l.f.src.Slot(v.Name)
 	default:
 		return lp, false
 	}
-	lp.ptrSlot, lp.ptrGlobal = l.varSlotOf(ptr.Name)
-	lp.ivSlot, lp.ivGlobal = l.varSlotOf(asg.Var)
+	lp.ptrSlot, lp.ptrGlobal = l.f.src.Slot(ptr.Name)
+	lp.ivSlot, lp.ivGlobal = l.f.src.Slot(asg.Var)
 	lp.cmp = cmp.Op
 	lp.condA, lp.condB, lp.off = condA, condB, off
 	lp.sub = bin.Op == lang.OpSub
@@ -542,7 +505,7 @@ func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 	case lang.Lit:
 		return loopOp{kind: lkLit, litV: x.V & bv.Mask(x.W), litW: x.W}, true
 	case lang.VarRef:
-		s, g := l.varSlotOf(x.Name)
+		s, g := l.f.src.Slot(x.Name)
 		return loopOp{kind: lkVar, slot: s, global: g}, true
 	case lang.Bin:
 		switch {
@@ -555,7 +518,7 @@ func (l *lowerer) loopOperand(e lang.Expr, allowZX bool) (loopOp, bool) {
 			if !ok {
 				return loopOp{}, false
 			}
-			s, g := l.varSlotOf(vr.Name)
+			s, g := l.f.src.Slot(vr.Name)
 			return loopOp{kind: lkVar, slot: s, global: g, mul: true, coef: cl.V & bv.Mask(cl.W), coefW: cl.W}, true
 		case allowZX && x.Op == lang.OpAdd:
 			cv, ok := x.A.(lang.Cvt)

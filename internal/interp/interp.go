@@ -25,7 +25,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"diode/internal/bv"
 	"diode/internal/lang"
@@ -282,7 +281,7 @@ type machine struct {
 	frames  []frame
 	blocks  map[uint64]*block
 	canary  *block           // first block whose red zone was clobbered
-	globals map[string]value // variables named "g_*" are program-wide
+	globals map[string]value // lang.IsGlobal variables, program-wide
 	nextID  uint64
 	out     Outcome
 
@@ -457,10 +456,10 @@ func (m *machine) execAlloc(st lang.Alloc) error {
 	return nil
 }
 
-// setVar assigns a variable; names beginning with "g_" are globals shared by
+// setVar assigns a variable; lang.IsGlobal names are globals shared by
 // every procedure (the guest applications' file-scope state).
 func (m *machine) setVar(name string, v value) {
-	if strings.HasPrefix(name, "g_") {
+	if lang.IsGlobal(name) {
 		m.globals[name] = v
 		return
 	}
@@ -468,7 +467,7 @@ func (m *machine) setVar(name string, v value) {
 }
 
 func (m *machine) getVar(name string) (value, bool) {
-	if strings.HasPrefix(name, "g_") {
+	if lang.IsGlobal(name) {
 		v, ok := m.globals[name]
 		return v, ok
 	}

@@ -112,7 +112,7 @@ func (m *Machine) Reset(input []byte, opts Options) {
 	m.opts = opts
 	m.meter = newMeter(opts)
 	m.fp = -1
-	m.globals.ensure(m.code.numGlobals)
+	m.globals.ensure(len(m.code.prog.Globals()))
 	// Recycle a bounded number of blocks in allocation order (block IDs are
 	// dense, so this is deterministic — map iteration order would recycle a
 	// random subset and defeat the capacity-aware reuse in newBlock); a

@@ -125,10 +125,11 @@ func refVal(fn *cFunc, g, fr *cframe, kind uint8, idx int32) (value, bool) {
 //
 //go:noinline
 func (m *Machine) undefRef(fn *cFunc, kind uint8, idx int32) error {
-	name := fn.slotNames[idx]
+	names := fn.src.Locals()
 	if kind == refGlobal {
-		name = m.code.globalNames[idx]
+		names = m.code.prog.Globals()
 	}
+	name := names[idx]
 	return fmt.Errorf("interp: undefined variable %q", name)
 }
 
@@ -324,9 +325,10 @@ func (m *Machine) exec() error {
 			}
 			nf := &m.frames[m.fp]
 			nf.ensure(callee.numSlots)
-			for i, slot := range callee.params {
-				nf.vals[slot] = stack[base+i]
-				nf.set[slot] = true
+			// Argument i binds frame slot i (lang's parameter slots).
+			copy(nf.vals, stack[base:sp])
+			for i := range nargs {
+				nf.set[i] = true
 			}
 			sp = base
 			if need := sp + callee.maxStack; need > len(stack) {
@@ -624,7 +626,7 @@ type loopOp struct {
 	kind   uint8
 	global bool
 	mul    bool // base is Mul(VarRef, Lit(coef))
-	slot   int32
+	slot   int
 	coef   uint64
 	coefW  uint8
 	litV   uint64
@@ -640,17 +642,17 @@ type loopOp struct {
 // lowered loop (which immediately follows the opStoreLoop instruction) on
 // any condition the fast path cannot reproduce exactly.
 type storeLoop struct {
-	ptrSlot   int32
+	ptrSlot   int
 	ptrGlobal bool
 	off       loopOp
 	valIsLit  bool
 	val       value // pre-masked literal (valIsLit)
-	valSlot   int32
+	valSlot   int
 	valGlobal bool
 	cmp       lang.CmpOp
 	condA     loopOp
 	condB     loopOp
-	ivSlot    int32
+	ivSlot    int
 	ivGlobal  bool
 	sub       bool // i = i - k instead of i = i + k
 	k         uint64
@@ -684,7 +686,7 @@ func (r *resOp) eval(iv uint64) uint64 {
 	return v
 }
 
-func (m *Machine) readSlot(fr *cframe, global bool, slot int32) (value, bool) {
+func (m *Machine) readSlot(fr *cframe, global bool, slot int) (value, bool) {
 	if global {
 		if !m.globals.set[slot] {
 			return value{}, false
@@ -700,7 +702,7 @@ func (m *Machine) readSlot(fr *cframe, global bool, slot int32) (value, bool) {
 // resolveLoopOp fixes a loop operand against the current frame. ok=false
 // means the fast path cannot run (undefined variable, width mismatch) and the
 // generic loop must take over to reproduce the exact error.
-func (m *Machine) resolveLoopOp(op *loopOp, fr *cframe, ivSlot int32, ivGlobal bool, iw uint8) (resOp, bool) {
+func (m *Machine) resolveLoopOp(op *loopOp, fr *cframe, ivSlot int, ivGlobal bool, iw uint8) (resOp, bool) {
 	if op.kind == lkLit {
 		return resOp{v: op.litV, w: op.litW}, true
 	}

@@ -11,7 +11,10 @@
 // package interp, which implements the paper's Figures 4–6 semantics.
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Width is an operand width in bits: 8, 16, 32 or 64.
 type Width = uint8
@@ -224,16 +227,9 @@ type Func struct {
 	Name   string
 	Params []string
 	Body   Block
-}
 
-// AllocSite records one allocation statement found during Finalize: the
-// (hand-assigned or synthesized) site name, the enclosing function, and the
-// stable node path of the Alloc statement within that function. Sites are
-// recorded in traversal order, which is deterministic.
-type AllocSite struct {
-	Name string
-	Func string
-	Path string
+	slots  map[string]int // variable name → frame slot, or global slot for IsGlobal names
+	locals []string       // frame slot → variable name
 }
 
 // Program is a set of procedures with a distinguished entry point "main".
@@ -241,10 +237,41 @@ type Program struct {
 	Name  string
 	Funcs map[string]*Func
 
-	finalized  bool
-	sites      map[string]bool
-	allocSites []AllocSite
+	finalized   bool
+	sites       map[string]bool
+	globals     []string       // global slot → variable name
+	globalSlots map[string]int // variable name → global slot
 }
+
+// IsGlobal reports whether a variable name denotes a program-wide global:
+// every name beginning with "g_" (the guest applications' file-scope
+// state). Any other name is local to its procedure's frame.
+func IsGlobal(name string) bool { return strings.HasPrefix(name, "g_") }
+
+// Slot returns the storage slot Finalize resolved for a variable named in
+// f: an index into Program.Globals when global is true, else a frame slot
+// (an index into f.Locals). A parameter binds frame slot i for its
+// position i even when its name is global; a reference to that name
+// elsewhere in the body reads the global. Slot panics on a name f never
+// mentions, which includes every name before Finalize.
+func (f *Func) Slot(name string) (slot int, global bool) {
+	slot, ok := f.slots[name]
+	if !ok {
+		panic(fmt.Sprintf("lang: %s has no variable %q (program not finalized?)", f.Name, name))
+	}
+	return slot, IsGlobal(name)
+}
+
+// Locals returns f's frame slots' variable names: the parameters first, in
+// order, then every other non-global name in order of first occurrence
+// (an assignment's target before its right-hand side). The slice is
+// shared and must not be modified.
+func (f *Func) Locals() []string { return f.locals }
+
+// Globals returns the program's global variable names by global slot, in
+// order of first occurrence (functions sorted by name). The slice is
+// shared and must not be modified.
+func (p *Program) Globals() []string { return p.globals }
 
 // NewProgram returns an empty program with the given name.
 func NewProgram(name string) *Program {
@@ -261,8 +288,10 @@ func (p *Program) AddFunc(f *Func) {
 
 // Finalize assigns labels to unlabeled branches and site names to unnamed
 // allocations (deterministically, by traversal order), assigns every
-// statement a stable node path, validates call targets and checks
-// allocation-site uniqueness. It must be called once before execution.
+// statement a stable node path, validates call targets, checks
+// allocation-site uniqueness and resolves every variable to its slot (see
+// Func.Slot). It must be called once before execution; later calls are
+// no-ops.
 func (p *Program) Finalize() error {
 	if p.finalized {
 		return nil
@@ -271,7 +300,8 @@ func (p *Program) Finalize() error {
 		return fmt.Errorf("lang: program %s has no main", p.Name)
 	}
 	p.sites = make(map[string]bool)
-	p.allocSites = nil
+	p.globals = nil
+	p.globalSlots = make(map[string]int)
 	names := make([]string, 0, len(p.Funcs))
 	for n := range p.Funcs {
 		names = append(names, n)
@@ -279,6 +309,13 @@ func (p *Program) Finalize() error {
 	sortStrings(names)
 	for _, n := range names {
 		f := p.Funcs[n]
+		f.slots = make(map[string]int)
+		f.locals = append([]string(nil), f.Params...)
+		for i, name := range f.Params {
+			if !IsGlobal(name) {
+				f.slots[name] = i
+			}
+		}
 		ctr := 0
 		if err := p.walkBlock(f, f.Body, &ctr, ""); err != nil {
 			return err
@@ -288,23 +325,23 @@ func (p *Program) Finalize() error {
 	return nil
 }
 
-// Sites returns the allocation-site names in the program.
-func (p *Program) Sites() []string {
-	out := make([]string, 0, len(p.sites))
-	for s := range p.sites {
-		out = append(out, s)
+// resolve gives name its slot in f at its first occurrence there.
+func (p *Program) resolve(f *Func, name string) {
+	if _, ok := f.slots[name]; ok {
+		return
 	}
-	sortStrings(out)
-	return out
-}
-
-// AllocSites returns the allocation sites in traversal order (functions
-// sorted by name, statements in program order). Finalize must have
-// succeeded first; before that the slice is empty.
-func (p *Program) AllocSites() []AllocSite {
-	out := make([]AllocSite, len(p.allocSites))
-	copy(out, p.allocSites)
-	return out
+	if !IsGlobal(name) {
+		f.slots[name] = len(f.locals)
+		f.locals = append(f.locals, name)
+		return
+	}
+	g, ok := p.globalSlots[name]
+	if !ok {
+		g = len(p.globals)
+		p.globalSlots[name] = g
+		p.globals = append(p.globals, name)
+	}
+	f.slots[name] = g
 }
 
 // WalkStmts visits every statement of every function in deterministic
@@ -362,6 +399,9 @@ func (p *Program) walkStmt(f *Func, sp *Stmt, ctr *int, path string) error {
 			s.Label = fmt.Sprintf("%s:%s#%d", p.Name, f.Name, *ctr)
 		}
 		*ctr++
+		if err := p.checkBool(f, s.Cond); err != nil {
+			return err
+		}
 		if err := p.walkBlock(f, s.Then, ctr, path+".then"); err != nil {
 			return err
 		}
@@ -374,6 +414,9 @@ func (p *Program) walkStmt(f *Func, sp *Stmt, ctr *int, path string) error {
 			s.Label = fmt.Sprintf("%s:%s#%d", p.Name, f.Name, *ctr)
 		}
 		*ctr++
+		if err := p.checkBool(f, s.Cond); err != nil {
+			return err
+		}
 		if err := p.walkBlock(f, s.Body, ctr, path+".body"); err != nil {
 			return err
 		}
@@ -388,12 +431,11 @@ func (p *Program) walkStmt(f *Func, sp *Stmt, ctr *int, path string) error {
 			return fmt.Errorf("lang: duplicate allocation site %q", s.Site)
 		}
 		p.sites[s.Site] = true
-		p.allocSites = append(p.allocSites, AllocSite{Name: s.Site, Func: f.Name, Path: path})
 		*sp = s
-		if err := p.checkExpr(f, s.Size); err != nil {
-			return err
-		}
+		p.resolve(f, s.Var)
+		return p.checkExpr(f, s.Size)
 	case Assign:
+		p.resolve(f, s.Var)
 		return p.checkExpr(f, s.E)
 	case Store:
 		for _, e := range []Expr{s.Ptr, s.Off, s.Val} {
@@ -411,8 +453,11 @@ func (p *Program) walkStmt(f *Func, sp *Stmt, ctr *int, path string) error {
 	return nil
 }
 
+// checkExpr validates the calls in e and resolves the variables it reads.
 func (p *Program) checkExpr(f *Func, e Expr) error {
 	switch x := e.(type) {
+	case VarRef:
+		p.resolve(f, x.Name)
 	case CallExpr:
 		callee, ok := p.Funcs[x.Fn]
 		if !ok {
@@ -443,6 +488,29 @@ func (p *Program) checkExpr(f *Func, e Expr) error {
 			return err
 		}
 		return p.checkExpr(f, x.Off)
+	}
+	return nil
+}
+
+func (p *Program) checkBool(f *Func, b BoolExpr) error {
+	switch x := b.(type) {
+	case Cmp:
+		if err := p.checkExpr(f, x.A); err != nil {
+			return err
+		}
+		return p.checkExpr(f, x.B)
+	case NotE:
+		return p.checkBool(f, x.A)
+	case AndE:
+		if err := p.checkBool(f, x.A); err != nil {
+			return err
+		}
+		return p.checkBool(f, x.B)
+	case OrE:
+		if err := p.checkBool(f, x.A); err != nil {
+			return err
+		}
+		return p.checkBool(f, x.B)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package lang
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestFinalizeRequiresMain(t *testing.T) {
 	p := NewProgram("x")
@@ -70,7 +73,7 @@ func TestFinalizeAutoNamesMissingSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "x:main#s1.then.s0"
-	if sites := p.Sites(); len(sites) != 1 || sites[0] != want {
+	if sites := allocSites(p); len(sites) != 1 || sites[0] != want {
 		t.Fatalf("sites = %v, want [%s]", sites, want)
 	}
 	// A second program with the same shape synthesizes the same name.
@@ -84,7 +87,7 @@ func TestFinalizeAutoNamesMissingSite(t *testing.T) {
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if sites := q.Sites(); sites[0] != want {
+	if sites := allocSites(q); sites[0] != want {
 		t.Fatalf("auto-naming not deterministic: %v", sites)
 	}
 }
@@ -103,20 +106,29 @@ func TestAllocSitesTraversalOrder(t *testing.T) {
 	if err := p.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	got := p.AllocSites()
 	// Functions are walked sorted by name: main before zfirst.
-	want := []AllocSite{
-		{Name: "m@1", Func: "main", Path: "s1"},
-		{Name: "z@1", Func: "zfirst", Path: "s0"},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("alloc sites = %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("alloc site %d = %+v, want %+v", i, got[i], want[i])
+	var got []string
+	p.WalkStmts(func(f *Func, path string, s Stmt) {
+		if a, ok := s.(Alloc); ok {
+			got = append(got, a.Site+" "+f.Name+" "+path)
 		}
+	})
+	want := []string{"m@1 main s1", "z@1 zfirst s0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("alloc sites = %q, want %q", got, want)
 	}
+}
+
+// allocSites lists the site names of p's Alloc statements in WalkStmts
+// order.
+func allocSites(p *Program) []string {
+	var out []string
+	p.WalkStmts(func(_ *Func, _ string, s Stmt) {
+		if a, ok := s.(Alloc); ok {
+			out = append(out, a.Site)
+		}
+	})
+	return out
 }
 
 func TestWalkStmtsPaths(t *testing.T) {
@@ -169,21 +181,6 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-func TestSitesListing(t *testing.T) {
-	p := NewProgram("x")
-	p.AddFunc(Fn("main", nil,
-		AllocAt("a", "z@2", U32(4)),
-		AllocAt("b", "a@1", U32(4)),
-	))
-	if err := p.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	sites := p.Sites()
-	if len(sites) != 2 || sites[0] != "a@1" || sites[1] != "z@2" {
-		t.Fatalf("sites = %v", sites)
-	}
-}
-
 func TestFinalizeIdempotent(t *testing.T) {
 	p := NewProgram("x")
 	p.AddFunc(Fn("main", nil, AllocAt("a", "s@1", U32(4))))
@@ -193,4 +190,92 @@ func TestFinalizeIdempotent(t *testing.T) {
 	if err := p.Finalize(); err != nil {
 		t.Fatalf("second finalize: %v", err)
 	}
+}
+
+func TestFinalizeResolvesSlots(t *testing.T) {
+	p := NewProgram("x")
+	p.AddFunc(Fn("f", []string{"a", "g_p", "b"},
+		Let("c", Add(V("b"), V("a"))),
+		IfThen("", Ult(V("d0"), V("g_p")), Let("g_q", V("c"))),
+		Loop("", Ult(V("e"), U32(3)), AllocAt("buf", "f@1", V("e"))),
+		Ret(V("g_p")),
+	))
+	p.AddFunc(Fn("main", nil,
+		Let("g_q", U32(1)),
+		Let("x", Call("f", V("g_q"), U32(2), V("x0"))),
+	))
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	f, main := p.Funcs["f"], p.Funcs["main"]
+	// Parameters take slots 0..n-1, a "g_" one included; other locals
+	// follow at first occurrence, an assignment's target first.
+	wantLocals := []string{"a", "g_p", "b", "c", "d0", "e", "buf"}
+	if got := f.Locals(); !slices.Equal(got, wantLocals) {
+		t.Fatalf("f locals = %q, want %q", got, wantLocals)
+	}
+	if got, want := main.Locals(), []string{"x", "x0"}; !slices.Equal(got, want) {
+		t.Fatalf("main locals = %q, want %q", got, want)
+	}
+	// Globals are numbered program-wide, functions sorted by name: f's
+	// reference to g_p comes first.
+	if got, want := p.Globals(), []string{"g_p", "g_q"}; !slices.Equal(got, want) {
+		t.Fatalf("globals = %q, want %q", got, want)
+	}
+	for _, c := range []struct {
+		f      *Func
+		name   string
+		slot   int
+		global bool
+	}{
+		{f, "a", 0, false},
+		{f, "b", 2, false},
+		{f, "buf", 6, false},
+		{f, "g_p", 0, true}, // the body's reads of the parameter's name see the global
+		{f, "g_q", 1, true},
+		{main, "g_q", 1, true},
+		{main, "x0", 1, false},
+	} {
+		slot, global := c.f.Slot(c.name)
+		if slot != c.slot || global != c.global {
+			t.Errorf("%s.Slot(%q) = %d, %v; want %d, %v", c.f.Name, c.name, slot, global, c.slot, c.global)
+		}
+	}
+
+	// A second Finalize keeps the resolution.
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Locals(); !slices.Equal(got, wantLocals) {
+		t.Fatalf("locals after second Finalize = %q", got)
+	}
+
+	// A clone edited the way discover.Probe edits one resolves the
+	// inserted statement's new local when it is finalized.
+	q := p.Clone()
+	qf := q.Funcs["f"]
+	qf.Body = append(Block{Let("t", Mul(V("a"), V("b")))}, qf.Body...)
+	if err := q.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := qf.Locals(), append([]string{"a", "g_p", "b", "t"}, wantLocals[3:]...); !slices.Equal(got, want) {
+		t.Fatalf("clone locals = %q, want %q", got, want)
+	}
+	if slot, global := qf.Slot("t"); slot != 3 || global {
+		t.Fatalf("clone Slot(t) = %d, %v; want 3, false", slot, global)
+	}
+	if got := f.Locals(); !slices.Equal(got, wantLocals) {
+		t.Fatalf("finalizing the clone changed the original: %q", got)
+	}
+}
+
+func TestSlotPanicsBeforeFinalize(t *testing.T) {
+	p := NewProgram("x")
+	p.AddFunc(Fn("main", nil, Let("a", U32(1))))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Slot on an unfinalized program did not panic")
+		}
+	}()
+	p.Funcs["main"].Slot("a")
 }

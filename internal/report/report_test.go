@@ -2,10 +2,12 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"diode/internal/apps"
+	"diode/internal/lang"
 )
 
 func sampleRecords() []*AppRecord {
@@ -59,7 +61,14 @@ func extendedRecords() []*AppRecord {
 	var recs []*AppRecord
 	for _, app := range apps.Extended() {
 		rec := &AppRecord{App: app.Short, AnalysisMS: 4}
-		for i, site := range app.Program.Sites() {
+		var sites []string
+		app.Program.WalkStmts(func(_ *lang.Func, _ string, s lang.Stmt) {
+			if al, ok := s.(lang.Alloc); ok {
+				sites = append(sites, al.Site)
+			}
+		})
+		slices.Sort(sites)
+		for i, site := range sites {
 			class := apps.ClassExposed
 			sr := SiteRecord{App: app.Short, Site: site, Enforced: 2 + i, RelevantDynamic: 11}
 			if i%2 == 1 {

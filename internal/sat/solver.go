@@ -151,10 +151,6 @@ func (s *Solver) NewVar() Var {
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.level) }
 
-// NumClauses returns the number of problem clauses currently attached
-// (excluding learned clauses and root-level units).
-func (s *Solver) NumClauses() int { return s.numClauses }
-
 // NumLearnts returns the number of learned clauses currently retained. On a
 // persistent instance this is the knowledge carried over into the next
 // Solve/SolveUnderAssumptions call.
@@ -743,13 +739,6 @@ func (s *Solver) search(assumps []Lit) Result {
 			return Sat // no unassigned vars left
 		}
 	}
-}
-
-// CancelToRoot undoes all decisions, returning the solver to decision level
-// zero so that further clauses can be added (incremental solving). The model
-// of a prior solve becomes invalid.
-func (s *Solver) CancelToRoot() {
-	s.cancelUntil(0)
 }
 
 // ModelValue returns the value of v in the model found by the last

@@ -407,7 +407,6 @@ func TestIncrementalBlocking(t *testing.T) {
 			t.Fatalf("model %v repeated despite blocking", m)
 		}
 		seen[m] = true
-		s.CancelToRoot()
 		var block []Lit
 		for v, val := range map[Var]bool{a: m[0], b: m[1]} {
 			block = append(block, MkLit(v, val))
@@ -430,7 +429,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	if got := s.SolveUnderAssumptions(nil); got != Sat {
 		t.Fatalf("solve = %v, want sat", got)
 	}
-	// No CancelToRoot: AddClause must handle the leftover decision levels.
+	// AddClause must handle the leftover decision levels.
 	if !s.AddClause(NegLit(a)) {
 		t.Fatal("¬a rejected")
 	}

@@ -74,18 +74,6 @@ func (s *Set) Union(t *Set) *Set {
 	return &Set{words: out}
 }
 
-// Len returns the number of labels in the set.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Elems returns the labels in ascending order.
 func (s *Set) Elems() []int {
 	if s == nil {
@@ -100,30 +88,4 @@ func (s *Set) Elems() []int {
 		}
 	}
 	return out
-}
-
-// Equal reports whether the two sets contain the same labels.
-func (s *Set) Equal(t *Set) bool {
-	a, b := s, t
-	if a.Empty() && b.Empty() {
-		return true
-	}
-	if a.Empty() != b.Empty() {
-		return false
-	}
-	long, short := a.words, b.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	for i := range short {
-		if long[i] != short[i] {
-			return false
-		}
-	}
-	for i := len(short); i < len(long); i++ {
-		if long[i] != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,17 +17,17 @@ func TestEmptyAndSingle(t *testing.T) {
 		t.Fatal("nil set must be empty")
 	}
 	s := Single(70)
-	if s.Empty() || !has(s, 70) || has(s, 69) || s.Len() != 1 {
+	if s.Empty() || !has(s, 70) || has(s, 69) || len(s.Elems()) != 1 {
 		t.Fatalf("Single(70) misbehaves: %v", s.Elems())
 	}
-	if has(nilSet, 0) || nilSet.Len() != 0 || nilSet.Elems() != nil {
+	if has(nilSet, 0) || nilSet.Elems() != nil {
 		t.Fatal("nil set accessors")
 	}
 }
 
 func TestUnionBasics(t *testing.T) {
 	a := Single(1).Union(Single(65))
-	if a.Len() != 2 || !has(a, 1) || !has(a, 65) {
+	if !slices.Equal(a.Elems(), []int{1, 65}) {
 		t.Fatalf("union = %v", a.Elems())
 	}
 	var nilSet *Set
@@ -37,7 +38,7 @@ func TestUnionBasics(t *testing.T) {
 		t.Fatal("union with empty should reuse operand")
 	}
 	// Subset union reuses the superset.
-	if got := a.Union(Single(1)); !got.Equal(a) {
+	if got := a.Union(Single(1)); got != a {
 		t.Fatalf("subset union = %v", got.Elems())
 	}
 }
@@ -46,10 +47,10 @@ func TestUnionImmutability(t *testing.T) {
 	a := Single(3)
 	b := Single(200)
 	u := a.Union(b)
-	if a.Len() != 1 || b.Len() != 1 {
+	if !slices.Equal(a.Elems(), []int{3}) || !slices.Equal(b.Elems(), []int{200}) {
 		t.Fatal("operands mutated")
 	}
-	if u.Len() != 2 {
+	if !slices.Equal(u.Elems(), []int{3, 200}) {
 		t.Fatal("union wrong")
 	}
 }
@@ -57,14 +58,10 @@ func TestUnionImmutability(t *testing.T) {
 func TestEqual(t *testing.T) {
 	a := Single(5).Union(Single(64))
 	b := Single(64).Union(Single(5))
-	if !a.Equal(b) {
+	if !slices.Equal(a.Elems(), b.Elems()) {
 		t.Fatal("order-independent equality failed")
 	}
-	var nilSet *Set
-	if !nilSet.Equal(nil) {
-		t.Fatal("nil == nil")
-	}
-	if a.Equal(Single(5)) {
+	if slices.Equal(a.Elems(), Single(5).Elems()) {
 		t.Fatal("different sets equal")
 	}
 }
@@ -91,8 +88,10 @@ func TestUnionProperty(t *testing.T) {
 func TestElemsProperty(t *testing.T) {
 	f := func(xs []uint16) bool {
 		var s *Set
+		added := map[int]bool{}
 		for _, x := range xs {
 			s = s.Union(Single(int(x % 1024)))
+			added[int(x%1024)] = true
 		}
 		elems := s.Elems()
 		for i, e := range elems {
@@ -103,7 +102,7 @@ func TestElemsProperty(t *testing.T) {
 				return false
 			}
 		}
-		return s.Len() == len(elems)
+		return len(added) == len(elems)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

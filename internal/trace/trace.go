@@ -76,12 +76,3 @@ func (p Path) Conds() *bv.Bool {
 	}
 	return out
 }
-
-// Labels returns the entry labels in order.
-func (p Path) Labels() []string {
-	out := make([]string, len(p))
-	for i, e := range p {
-		out[i] = e.Label
-	}
-	return out
-}

@@ -28,7 +28,7 @@ func TestCompressCoalescesByLabel(t *testing.T) {
 		t.Fatalf("compressed length = %d, want 2", len(got))
 	}
 	if got[0].Label != "loop" || got[1].Label != "check" {
-		t.Fatalf("order not preserved: %v", got.Labels())
+		t.Fatalf("order not preserved: %q, %q", got[0].Label, got[1].Label)
 	}
 	if got[0].Count != 3 || got[1].Count != 1 {
 		t.Fatalf("counts = %d,%d", got[0].Count, got[1].Count)
@@ -98,10 +98,10 @@ func TestRelevantFiltersByVariableOverlap(t *testing.T) {
 	}
 	got := Relevant(p, beta)
 	if len(got) != 2 {
-		t.Fatalf("relevant kept %d entries, want 2: %v", len(got), got.Labels())
+		t.Fatalf("relevant kept %d entries, want 2", len(got))
 	}
 	if got[0].Label != "widthcheck" || got[1].Label != "heightcheck" {
-		t.Fatalf("labels = %v", got.Labels())
+		t.Fatalf("labels = %q, %q", got[0].Label, got[1].Label)
 	}
 }
 
