@@ -326,8 +326,8 @@ func (m *Machine) exec() error {
 			nf := &m.frames[m.fp]
 			nf.ensure(callee.numSlots)
 			// Argument i binds frame slot i (lang's parameter slots).
-			copy(nf.vals, stack[base:sp])
 			for i := range nargs {
+				nf.vals[i] = stack[base+i]
 				nf.set[i] = true
 			}
 			sp = base
