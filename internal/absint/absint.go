@@ -1,8 +1,10 @@
 package absint
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"diode/internal/lang"
 )
@@ -15,11 +17,31 @@ import (
 // of which guards held — which is what makes a fold to "unsatisfiable"
 // sound for any seed path.
 type Analysis struct {
-	guarded, unguarded map[point]Value
+	guarded, unguarded points
 }
 
-// point is a recorded position: a function and a node path in it.
-type point struct{ fn, path string }
+// points holds one pass's recorded values by function name.
+type points map[string]*fnPoints
+
+// fnPoints holds one function's recorded values: at maps a node path to
+// its index in vals.
+type fnPoints struct {
+	at   map[string]int
+	vals []Value
+}
+
+func (p points) value(fn, path string) (Value, bool) {
+	fp := p[fn]
+	if fp == nil {
+		return Value{}, false
+	}
+	i, ok := fp.at[path]
+	if !ok {
+		return Value{}, false
+	}
+	v := fp.vals[i]
+	return v, !v.Bot
+}
 
 // Analyze runs both fixpoints over the program (finalizing it first if
 // needed) and returns the recorded per-point values. The analysis is
@@ -45,15 +67,13 @@ func Analyze(p *lang.Program) (*Analysis, error) {
 // segments, e.g. "s3.size.a"). ok is false when no execution reaches the
 // point — vacuously safe, since no concrete value ever exists there.
 func (a *Analysis) ValueAt(fn, path string) (Value, bool) {
-	v, ok := a.guarded[point{fn, path}]
-	return v, ok && !v.Bot
+	return a.guarded.value(fn, path)
 }
 
 // ValueAtNoGuards is ValueAt for the unguarded pass, whose joins ignore
 // branch conditions entirely.
 func (a *Analysis) ValueAtNoGuards(fn, path string) (Value, bool) {
-	v, ok := a.unguarded[point{fn, path}]
-	return v, ok && !v.Bot
+	return a.unguarded.value(fn, path)
 }
 
 const (
@@ -62,11 +82,14 @@ const (
 	summaryWidenAfter = 3
 	// loopWidenAfter bounds the plain join iterations at a While head.
 	loopWidenAfter = 2
-	// maxLoopIters and maxRounds are safety nets; widening guarantees
-	// convergence well below them.
-	maxLoopIters = 200
-	maxRounds    = 1000
+	// maxRounds is a safety net; widening guarantees convergence well
+	// below it.
+	maxRounds = 1000
 )
+
+// maxLoopIters is the While counterpart of maxRounds. It is a variable
+// only so a test can force a loop to diverge.
+var maxLoopIters = 200
 
 // interpreter holds one fixpoint computation: flow-sensitive local states,
 // flow-insensitive summaries for globals, parameters and returns, and the
@@ -80,8 +103,18 @@ type interpreter struct {
 	fns     map[string]*fnSummary
 	changed bool
 
+	// free holds state storage for reuse: function entries, If arms and
+	// loop bodies take a state from it and give it back, so a warm pass
+	// allocates none.
+	free []*state
+
+	// During the recording pass, path holds the current node's path
+	// (statement segments, then expression segments) and cur the
+	// function's recorded values; no other pass builds a path.
 	recording bool
-	points    map[point]Value
+	path      []byte
+	cur       *fnPoints
+	points    points
 }
 
 // summary is a flow-insensitive value and the number of times it has
@@ -98,13 +131,13 @@ type fnSummary struct {
 	reached bool
 }
 
-func run(p *lang.Program, refine bool) (map[point]Value, error) {
+func newInterpreter(p *lang.Program, refine bool) *interpreter {
 	z := &interpreter{
 		p:       p,
 		refine:  refine,
 		globals: summaries(len(p.Globals())),
 		fns:     make(map[string]*fnSummary, len(p.Funcs)),
-		points:  make(map[point]Value),
+		points:  make(points, len(p.Funcs)),
 	}
 	for n, f := range p.Funcs {
 		z.names = append(z.names, n)
@@ -112,17 +145,13 @@ func run(p *lang.Program, refine bool) (map[point]Value, error) {
 	}
 	z.fns["main"].reached = true
 	sortStrings(z.names)
-	for round := 0; ; round++ {
-		if round > maxRounds {
-			return nil, fmt.Errorf("absint: fixpoint did not converge after %d rounds", maxRounds)
-		}
-		z.changed = false
-		if err := z.pass(); err != nil {
-			return nil, err
-		}
-		if !z.changed {
-			break
-		}
+	return z
+}
+
+func run(p *lang.Program, refine bool) (points, error) {
+	z := newInterpreter(p, refine)
+	if err := z.fixpoint(); err != nil {
+		return nil, err
 	}
 	// One more pass at the fixpoint records the per-point values.
 	z.recording = true
@@ -130,6 +159,22 @@ func run(p *lang.Program, refine bool) (map[point]Value, error) {
 		return nil, err
 	}
 	return z.points, nil
+}
+
+// fixpoint repeats passes until one changes no summary.
+func (z *interpreter) fixpoint() error {
+	for round := 0; ; round++ {
+		if round > maxRounds {
+			return fmt.Errorf("absint: fixpoint did not converge after %d rounds", maxRounds)
+		}
+		z.changed = false
+		if err := z.pass(); err != nil {
+			return err
+		}
+		if !z.changed {
+			return nil
+		}
+	}
 }
 
 func summaries(n int) []summary {
@@ -153,23 +198,23 @@ func (z *interpreter) pass() error {
 
 func (z *interpreter) function(name string) error {
 	f := z.p.Funcs[name]
-	n := len(f.Locals())
-	st := &state{vals: make([]Value, n), set: make([]bool, n)}
-	for i := range st.vals {
-		st.vals[i] = bottom()
+	if z.recording {
+		z.cur = &fnPoints{at: make(map[string]int)}
+		z.points[name] = z.cur
 	}
+	st := z.alloc()
+	st.reset(len(f.Locals()))
 	for i, p := range z.fns[name].params {
 		st.vals[i], st.set[i] = p.v, true
 	}
-	if err := z.block(f, f.Body, st, ""); err != nil {
-		return err
-	}
-	if !st.bot {
+	err := z.block(f, f.Body, st)
+	if err == nil && !st.bot {
 		// Falling off the end of a procedure returns the zero 32-bit
 		// value (interp's call fallthrough).
 		z.join(&z.fns[name].ret, Const(32, 0))
 	}
-	return nil
+	z.give(st)
+	return err
 }
 
 // state is the abstract store of one function activation: local variables
@@ -181,41 +226,79 @@ type state struct {
 	bot  bool
 }
 
-func (s *state) clone() *state {
-	return &state{vals: slices.Clone(s.vals), set: slices.Clone(s.set), bot: s.bot}
+// alloc returns a state from the free list, or a new one; its contents
+// are stale until reset or copyFrom.
+func (z *interpreter) alloc() *state {
+	n := len(z.free)
+	if n == 0 {
+		return new(state)
+	}
+	s := z.free[n-1]
+	z.free = z.free[:n-1]
+	return s
 }
 
-func joinStates(a, b *state) *state {
+// take returns a state from the free list holding a copy of src.
+func (z *interpreter) take(src *state) *state {
+	s := z.alloc()
+	s.copyFrom(src)
+	return s
+}
+
+// give returns s's storage to the free list; s must not be used after.
+func (z *interpreter) give(s *state) { z.free = append(z.free, s) }
+
+// reset makes s the entry state of a function with n slots: reachable,
+// every slot unassigned.
+func (s *state) reset(n int) {
+	s.vals = slices.Grow(s.vals[:0], n)[:n]
+	s.set = slices.Grow(s.set[:0], n)[:n]
+	for i := range s.vals {
+		s.vals[i], s.set[i] = bottom(), false
+	}
+	s.bot = false
+}
+
+func (s *state) copyFrom(src *state) {
+	s.vals = append(s.vals[:0], src.vals...)
+	s.set = append(s.set[:0], src.set...)
+	s.bot = src.bot
+}
+
+// joinInto sets b to the join of a and b.
+func joinInto(a, b *state) {
 	if a.bot {
-		return b.clone()
+		return
 	}
 	if b.bot {
-		return a.clone()
+		b.copyFrom(a)
+		return
 	}
-	out := a.clone()
 	for i, ok := range b.set {
 		if ok {
-			out.vals[i] = Join(out.vals[i], b.vals[i])
-			out.set[i] = true
+			b.vals[i] = Join(a.vals[i], b.vals[i])
+		} else {
+			b.vals[i], b.set[i] = a.vals[i], a.set[i]
 		}
 	}
-	return out
 }
 
-// widenStates widens the slots both states assigned and keeps next's
-// others; a slot only old assigned drops out.
-func widenStates(old, next *state) *state {
+// widenInto sets next to the widening of old by next: slots both assigned
+// widen, next's others stay, and a slot only old assigned drops out.
+func widenInto(old, next *state) {
 	if old.bot || next.bot {
-		return joinStates(old, next)
+		joinInto(old, next)
+		return
 	}
-	out := next.clone()
-	for i, ok := range out.set {
+	for i, ok := range next.set {
 		if ok && old.set[i] {
-			out.vals[i] = Widen(old.vals[i], out.vals[i])
+			next.vals[i] = Widen(old.vals[i], next.vals[i])
 		}
 	}
-	return out
 }
+
+// swap exchanges the storage of a and b.
+func swap(a, b *state) { *a, *b = *b, *a }
 
 func statesEqual(a, b *state) bool {
 	if a.bot || b.bot {
@@ -258,58 +341,121 @@ func (z *interpreter) join(s *summary, v Value) {
 	z.changed = true
 }
 
-func joinPath(prefix, seg string) string {
-	if prefix == "" {
-		return seg
-	}
-	return prefix + "." + seg
+// loopError reports a While that did not converge. Its path is built
+// only on this failure, one segment per enclosing block as the error
+// propagates out (see under).
+type loopError struct{ fn, path string }
+
+func (e *loopError) Error() string {
+	return fmt.Sprintf("absint: loop %s.%s did not converge", e.fn, e.path)
 }
 
-func (z *interpreter) block(f *lang.Func, b lang.Block, st *state, prefix string) error {
+// under prefixes a loopError's path with the segment naming the node that
+// encloses it; any other error passes through.
+func under(err error, seg string) error {
+	var e *loopError
+	if errors.As(err, &e) {
+		if e.path == "" {
+			e.path = seg
+		} else {
+			e.path = seg + "." + e.path
+		}
+	}
+	return err
+}
+
+// push appends one segment to the recording path and returns the length
+// that restores it.
+func (z *interpreter) push(seg string) int {
+	n := len(z.path)
+	if n > 0 {
+		z.path = append(z.path, '.')
+	}
+	z.path = append(z.path, seg...)
+	return n
+}
+
+// record joins v into the value recorded at the current path, allocating
+// the path's key only the first time the point is recorded.
+func (z *interpreter) record(v Value) {
+	pts := z.cur
+	if i, ok := pts.at[string(z.path)]; ok {
+		pts.vals[i] = Join(pts.vals[i], v)
+		return
+	}
+	pts.at[string(z.path)] = len(pts.vals)
+	pts.vals = append(pts.vals, v)
+}
+
+func (z *interpreter) block(f *lang.Func, b lang.Block, st *state) error {
 	for i, s := range b {
 		if st.bot {
 			return nil
 		}
-		if err := z.stmt(f, s, st, joinPath(prefix, fmt.Sprintf("s%d", i))); err != nil {
-			return err
+		n := len(z.path)
+		if z.recording {
+			z.push("s")
+			z.path = strconv.AppendInt(z.path, int64(i), 10)
+		}
+		err := z.stmt(f, s, st)
+		z.path = z.path[:n]
+		if err != nil {
+			return under(err, "s"+strconv.Itoa(i))
 		}
 	}
 	return nil
 }
 
-func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state, path string) error {
+// nested runs a nested block (an If arm or a loop body) at path segment
+// seg below the current statement.
+func (z *interpreter) nested(f *lang.Func, b lang.Block, st *state, seg string) error {
+	n := len(z.path)
+	if z.recording {
+		z.push(seg)
+	}
+	err := z.block(f, b, st)
+	z.path = z.path[:n]
+	if err != nil {
+		return under(err, seg)
+	}
+	return nil
+}
+
+func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state) error {
+	rec := z.recording
 	switch x := s.(type) {
 	case lang.Assign:
-		z.setVar(f, st, x.Var, z.eval(f, st, x.E, path, "e", true))
+		z.setVar(f, st, x.Var, z.sub(f, st, x.E, "e", rec))
 	case lang.Alloc:
-		z.eval(f, st, x.Size, path, "size", true)
+		z.sub(f, st, x.Size, "size", rec)
 		// The allocated pointer is an arbitrary unwrapped 64-bit address.
 		z.setVar(f, st, x.Var, Value{W: 64, Hi: ^uint64(0)})
 	case lang.Store:
-		z.eval(f, st, x.Ptr, path, "ptr", true)
-		z.eval(f, st, x.Off, path, "off", true)
-		z.eval(f, st, x.Val, path, "val", true)
+		z.sub(f, st, x.Ptr, "ptr", rec)
+		z.sub(f, st, x.Off, "off", rec)
+		z.sub(f, st, x.Val, "val", rec)
 	case lang.If:
-		z.evalBool(f, st, x.Cond, path, "cond", true)
-		thenSt, elseSt := st.clone(), st.clone()
+		z.subBool(f, st, x.Cond, "cond", rec)
+		// The else arm runs on st itself; the then arm on a copy.
+		then := z.take(st)
 		if z.refine {
-			z.refineBool(f, thenSt, x.Cond, true)
-			z.refineBool(f, elseSt, x.Cond, false)
+			z.refineBool(f, then, x.Cond, true)
+			z.refineBool(f, st, x.Cond, false)
 		}
-		if err := z.block(f, x.Then, thenSt, path+".then"); err != nil {
-			return err
+		err := z.nested(f, x.Then, then, "then")
+		if err == nil {
+			err = z.nested(f, x.Else, st, "else")
 		}
-		if err := z.block(f, x.Else, elseSt, path+".else"); err != nil {
-			return err
-		}
-		*st = *joinStates(thenSt, elseSt)
+		joinInto(then, st)
+		z.give(then)
+		return err
 	case lang.While:
-		return z.while(f, x, st, path)
+		return z.while(f, x, st)
 	case lang.ExprStmt:
-		z.eval(f, st, x.E, path, "e", true)
+		z.sub(f, st, x.E, "e", rec)
 	case lang.Return:
 		if x.E != nil {
-			z.join(&z.fns[f.Name].ret, z.eval(f, st, x.E, path, "ret", true))
+			z.join(&z.fns[f.Name].ret, z.sub(f, st, x.E, "ret", rec))
 		} else {
 			// A bare return yields the caller's zero 32-bit value.
 			z.join(&z.fns[f.Name].ret, Const(32, 0))
@@ -323,42 +469,68 @@ func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state, path string) er
 }
 
 // while iterates the loop body to a local fixpoint: plain joins at the head
-// for the first loopWidenAfter rounds, widening after. The exit state is
-// the head invariant, met with the negated condition in the guarded pass.
-func (z *interpreter) while(f *lang.Func, x lang.While, st *state, path string) error {
-	head := st.clone()
+// for the first loopWidenAfter rounds, widening after. st is the head
+// state throughout; the exit state is the head invariant, met with the
+// negated condition in the guarded pass.
+func (z *interpreter) while(f *lang.Func, x lang.While, st *state) error {
+	body := z.alloc()
+	defer z.give(body)
 	for iter := 0; ; iter++ {
 		if iter > maxLoopIters {
-			return fmt.Errorf("absint: loop %s.%s did not converge", f.Name, path)
+			return &loopError{fn: f.Name}
 		}
-		z.evalBool(f, head, x.Cond, path, "cond", true)
-		body := head.clone()
+		z.subBool(f, st, x.Cond, "cond", z.recording)
+		body.copyFrom(st)
 		if z.refine {
 			z.refineBool(f, body, x.Cond, true)
 		}
-		if err := z.block(f, x.Body, body, path+".body"); err != nil {
+		if err := z.nested(f, x.Body, body, "body"); err != nil {
 			return err
 		}
-		next := joinStates(head, body)
+		// body becomes the next head: the join of head and body, widened
+		// by the head after loopWidenAfter rounds.
+		joinInto(st, body)
 		if iter >= loopWidenAfter {
-			next = widenStates(head, next)
+			widenInto(st, body)
 		}
-		if statesEqual(head, next) {
+		if statesEqual(st, body) {
 			break
 		}
-		head = next
+		swap(st, body)
 	}
-	*st = *head
 	if z.refine {
 		z.refineBool(f, st, x.Cond, false)
 	}
 	return nil
 }
 
+// sub evaluates e at path segment seg below the current node, recording
+// when rec is set (which implies the recording pass).
+func (z *interpreter) sub(f *lang.Func, st *state, e lang.Expr, seg string, rec bool) Value {
+	if !rec {
+		return z.eval(f, st, e, false)
+	}
+	n := z.push(seg)
+	v := z.eval(f, st, e, true)
+	z.path = z.path[:n]
+	return v
+}
+
+// subBool is sub for a boolean expression.
+func (z *interpreter) subBool(f *lang.Func, st *state, b lang.BoolExpr, seg string, rec bool) {
+	if !rec {
+		z.evalBool(f, st, b, false)
+		return
+	}
+	n := z.push(seg)
+	z.evalBool(f, st, b, true)
+	z.path = z.path[:n]
+}
+
 // eval computes the abstract value of an expression, joining call arguments
-// into callee summaries as a side effect, and records the value at the
-// point's discover-vocabulary path during the recording pass.
-func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, sp, ep string, rec bool) Value {
+// into callee summaries as a side effect, and when rec is set records the
+// value at the current path, the point's discover-vocabulary path.
+func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, rec bool) Value {
 	var v Value
 	switch x := e.(type) {
 	case lang.Lit:
@@ -366,28 +538,28 @@ func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, sp, ep string, 
 	case lang.VarRef:
 		v = z.getVar(f, st, x.Name)
 	case lang.Bin:
-		a := z.eval(f, st, x.A, sp, ep+".a", rec)
-		b := z.eval(f, st, x.B, sp, ep+".b", rec)
+		a := z.sub(f, st, x.A, "a", rec)
+		b := z.sub(f, st, x.B, "b", rec)
 		v = binOp(x.Op, a, b)
 	case lang.Un:
-		v = unOp(x.Neg, z.eval(f, st, x.A, sp, ep+".a", rec))
+		v = unOp(x.Neg, z.sub(f, st, x.A, "a", rec))
 	case lang.Cvt:
-		v = cvt(x.W, x.Signed, z.eval(f, st, x.A, sp, ep+".a", rec))
+		v = cvt(x.W, x.Signed, z.sub(f, st, x.A, "a", rec))
 	case lang.InByte:
-		z.eval(f, st, x.Idx, sp, ep+".idx", rec)
+		z.sub(f, st, x.Idx, "idx", rec)
 		// In- and out-of-range reads both yield a plain unwrapped byte.
 		v = Range(8, 0, 255)
 	case lang.InLen:
 		v = Range(32, 0, Mask(32))
 	case lang.LoadExpr:
-		z.eval(f, st, x.Ptr, sp, ep+".ptr", rec)
-		z.eval(f, st, x.Off, sp, ep+".off", rec)
+		z.sub(f, st, x.Ptr, "ptr", rec)
+		z.sub(f, st, x.Off, "off", rec)
 		// Stored cells keep their width and wrapped flag verbatim.
 		v = anyTop()
 	case lang.CallExpr:
 		callee := z.fns[x.Fn]
 		for i, arg := range x.Args {
-			av := z.eval(f, st, arg, sp, fmt.Sprintf("%s.%d", ep, i), rec)
+			av := z.sub(f, st, arg, strconv.Itoa(i), rec)
 			if !st.bot {
 				z.join(&callee.params[i], av)
 			}
@@ -400,31 +572,26 @@ func (z *interpreter) eval(f *lang.Func, st *state, e lang.Expr, sp, ep string, 
 		// returns): the continuation is unreachable until one appears.
 		v = callee.ret.v
 	}
-	if z.recording && rec && !st.bot {
-		k := point{f.Name, sp + "." + ep}
-		if old, ok := z.points[k]; ok {
-			z.points[k] = Join(old, v)
-		} else {
-			z.points[k] = v
-		}
+	if rec && !st.bot {
+		z.record(v)
 	}
 	return v
 }
 
 // evalBool walks a boolean expression for its recording and call side
 // effects, mirroring discover's emitBool path vocabulary.
-func (z *interpreter) evalBool(f *lang.Func, st *state, b lang.BoolExpr, sp, ep string, rec bool) {
+func (z *interpreter) evalBool(f *lang.Func, st *state, b lang.BoolExpr, rec bool) {
 	switch x := b.(type) {
 	case lang.Cmp:
-		z.eval(f, st, x.A, sp, ep+".a", rec)
-		z.eval(f, st, x.B, sp, ep+".b", rec)
+		z.sub(f, st, x.A, "a", rec)
+		z.sub(f, st, x.B, "b", rec)
 	case lang.NotE:
-		z.evalBool(f, st, x.A, sp, ep+".a", rec)
+		z.subBool(f, st, x.A, "a", rec)
 	case lang.AndE:
-		z.evalBool(f, st, x.A, sp, ep+".a", rec)
-		z.evalBool(f, st, x.B, sp, ep+".b", rec)
+		z.subBool(f, st, x.A, "a", rec)
+		z.subBool(f, st, x.B, "b", rec)
 	case lang.OrE:
-		z.evalBool(f, st, x.A, sp, ep+".a", rec)
-		z.evalBool(f, st, x.B, sp, ep+".b", rec)
+		z.subBool(f, st, x.A, "a", rec)
+		z.subBool(f, st, x.B, "b", rec)
 	}
 }

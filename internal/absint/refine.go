@@ -37,8 +37,8 @@ func (z *interpreter) refineCmp(f *lang.Func, st *state, x lang.Cmp, want bool) 
 	if !want {
 		op = negateCmp(op)
 	}
-	va := z.eval(f, st, x.A, "", "", false)
-	vb := z.eval(f, st, x.B, "", "", false)
+	va := z.eval(f, st, x.A, false)
+	vb := z.eval(f, st, x.B, false)
 	if va.Bot || vb.Bot {
 		st.bot = true
 		return
@@ -182,7 +182,7 @@ func (z *interpreter) applyRefined(f *lang.Func, st *state, e lang.Expr, c Value
 		}
 		st.vals[slot] = nv
 	case lang.Cvt:
-		inner := z.eval(f, st, t.A, "", "", false)
+		inner := z.eval(f, st, t.A, false)
 		if inner.Bot || inner.W == 0 || t.W < inner.W {
 			return
 		}
