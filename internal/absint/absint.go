@@ -238,13 +238,6 @@ func (z *interpreter) alloc() *state {
 	return s
 }
 
-// take returns a state from the free list holding a copy of src.
-func (z *interpreter) take(src *state) *state {
-	s := z.alloc()
-	s.copyFrom(src)
-	return s
-}
-
 // give returns s's storage to the free list; s must not be used after.
 func (z *interpreter) give(s *state) { z.free = append(z.free, s) }
 
@@ -296,9 +289,6 @@ func widenInto(old, next *state) {
 		}
 	}
 }
-
-// swap exchanges the storage of a and b.
-func swap(a, b *state) { *a, *b = *b, *a }
 
 func statesEqual(a, b *state) bool {
 	if a.bot || b.bot {
@@ -437,7 +427,8 @@ func (z *interpreter) stmt(f *lang.Func, s lang.Stmt, st *state) error {
 	case lang.If:
 		z.subBool(f, st, x.Cond, "cond", rec)
 		// The else arm runs on st itself; the then arm on a copy.
-		then := z.take(st)
+		then := z.alloc()
+		then.copyFrom(st)
 		if z.refine {
 			z.refineBool(f, then, x.Cond, true)
 			z.refineBool(f, st, x.Cond, false)
@@ -496,7 +487,9 @@ func (z *interpreter) while(f *lang.Func, x lang.While, st *state) error {
 		if statesEqual(st, body) {
 			break
 		}
-		swap(st, body)
+		// The head moves: st takes body's storage, and the old head's
+		// storage holds the next iteration's body.
+		*st, *body = *body, *st
 	}
 	if z.refine {
 		z.refineBool(f, st, x.Cond, false)
