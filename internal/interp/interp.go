@@ -137,16 +137,20 @@ func (x value) term() *bv.Term {
 type block struct {
 	site   string
 	size   uint64
-	cells  map[uint64]value // every cell (tree-walker); cells past dense (Machine)
+	cells  map[uint64]value // every cell (tree-walker); cells at or past split (Machine)
 	canary bool             // true once an out-of-bounds write clobbered the red zone
 
 	// Machine-only cell storage (the tree-walking interpreter leaves all of
-	// this zero and uses the cells map alone). Offsets below len(dense) live
-	// in the dense prefix, whose generation stamp marks which entries the
-	// current run wrote — an unstamped entry reads as the zero-initialized
-	// cell — so recycling the prefix costs one generation bump instead of
-	// clearing it. Higher offsets go through far's write logs into cells,
-	// which recycling clears.
+	// this zero and uses the cells map alone). Offsets below split are dense
+	// cells; the dense prefix holds the first len(dense) of them and is
+	// materialized by writes: it starts empty, and a store at or past its
+	// length grows it by doubling, up to split (growDense). A dense cell the
+	// prefix does not reach yet, or whose generation stamp is not the
+	// current run's, reads as the zero-initialized cell, so recycling the
+	// prefix costs one generation bump instead of clearing it. Offsets at
+	// or past split go through far's write logs into cells, which recycling
+	// clears.
+	split uint64
 	dense []value
 	stamp []uint32
 	far   farLogs
@@ -156,15 +160,21 @@ type block struct {
 const (
 	// denseLimit bounds the dense-cell prefix per block.
 	denseLimit = 4096
+	// minDense is the dense prefix a block's first dense write materializes.
+	minDense = 16
 	// blockPoolCap bounds how many blocks a Machine recycles across runs.
 	blockPoolCap = 64
 )
 
-// storeCell writes a cell through the Machine's dense/far storage. plain is
-// true when the run tracks neither taint nor symbolic state, so the value is
-// pointer-free and can go to the GC-invisible log.
+// storeCell writes a cell through the Machine's dense/far storage, first
+// growing the dense prefix over a dense offset it does not reach yet. plain
+// is true when the run tracks neither taint nor symbolic state, so the value
+// is pointer-free and can go to the GC-invisible log.
 func (b *block) storeCell(off uint64, v value, plain bool) {
-	if off < uint64(len(b.dense)) {
+	if off < b.split {
+		if off >= uint64(len(b.dense)) {
+			b.growDense(off)
+		}
 		b.dense[off] = v
 		b.stamp[off] = b.gen
 		return
@@ -172,8 +182,25 @@ func (b *block) storeCell(off uint64, v value, plain bool) {
 	b.storeFar(off, v, plain)
 }
 
+// growDense materializes the dense prefix through offset off, which lies
+// below split: the length doubles from at least minDense until it covers
+// off, and stops at split. The copied stamps keep every cell's state; the
+// new entries are zero, which no run's generation equals.
+func (b *block) growDense(off uint64) {
+	n := max(2*uint64(len(b.dense)), minDense)
+	for n <= off {
+		n *= 2
+	}
+	n = min(n, b.split)
+	dense, stamp := make([]value, n), make([]uint32, n)
+	copy(dense, b.dense)
+	copy(stamp, b.stamp)
+	b.dense, b.stamp = dense, stamp
+}
+
 // loadCell reads a cell through the Machine's dense/far storage; untouched
-// cells read as the zero-initialized value (Figure 5).
+// cells, dense ones the prefix does not reach included, read as the
+// zero-initialized value (Figure 5).
 func (b *block) loadCell(off uint64) value {
 	if off < uint64(len(b.dense)) {
 		if b.stamp[off] == b.gen {
@@ -181,8 +208,10 @@ func (b *block) loadCell(off uint64) value {
 		}
 		return value{v: 0, w: 8}
 	}
-	if v, ok := b.loadFar(off); ok {
-		return v
+	if off >= b.split {
+		if v, ok := b.loadFar(off); ok {
+			return v
+		}
 	}
 	return value{v: 0, w: 8}
 }

@@ -115,14 +115,14 @@ func (m *Machine) Reset(input []byte, opts Options) {
 	m.globals.ensure(len(m.code.prog.Globals()))
 	// Recycle a bounded number of blocks in allocation order (block IDs are
 	// dense, so this is deterministic — map iteration order would recycle a
-	// random subset and defeat the capacity-aware reuse in newBlock); a
+	// random subset and defeat the split-aware reuse in newBlock); a
 	// pathological run that allocated thousands (a fuel-burning allocation
-	// loop) must not leave the machine holding their dense-cell storage
-	// forever — the GC scan cost of an unbounded pointer-laden pool would
-	// tax every later run. The recycled blocks are queued in reverse, so
-	// newBlock, which takes from the end, hands a repeated allocation
+	// loop) must not leave the machine holding their materialized dense
+	// prefixes forever — the GC scan cost of an unbounded pointer-laden pool
+	// would tax every later run. The recycled blocks are queued in reverse,
+	// so newBlock, which takes from the end, hands a repeated allocation
 	// sequence the same block per allocation as last run, together with the
-	// far-log capacity that allocation grew.
+	// dense prefix and far-log capacity that allocation grew.
 	recycled := len(m.freeBlocks)
 	for id := uint64(1); id <= m.nextID && len(m.freeBlocks) < blockPoolCap; id++ {
 		b, ok := m.blocks[id<<32]
@@ -178,36 +178,40 @@ func (m *Machine) pushFrame(fn *cFunc) *cframe {
 	return f
 }
 
+// newBlock returns a block for a fresh allocation of size cells. Its
+// dense/far split is min(size+RedZone, denseLimit), or a recycled block's
+// existing split if that is larger; its dense prefix materializes only as
+// the run writes it (block.storeCell).
 func (m *Machine) newBlock(site string, size uint64) *block {
 	want := size + RedZone
 	if want > denseLimit || want < size { // cap, and guard size overflow
 		want = denseLimit
 	}
-	var b *block
-	if n := len(m.freeBlocks); n > 0 {
-		// Prefer a recycled block whose dense storage already fits, so a
-		// steady state mixing allocation sizes reuses without reallocating.
-		pick := n - 1
-		for i := n - 1; i >= 0; i-- {
-			if uint64(len(m.freeBlocks[i].dense)) >= want {
-				pick = i
-				break
-			}
-		}
-		b = m.freeBlocks[pick]
-		m.freeBlocks = append(m.freeBlocks[:pick], m.freeBlocks[pick+1:]...)
-		b.site, b.size, b.canary = site, size, false
-		b.gen++
-		if b.gen == 0 { // stamp wraparound: invalidate explicitly
-			clear(b.stamp)
-			b.gen = 1
-		}
-	} else {
-		b = &block{site: site, size: size, gen: 1}
+	n := len(m.freeBlocks)
+	if n == 0 {
+		return &block{site: site, size: size, split: want, gen: 1}
 	}
-	if uint64(len(b.dense)) < want {
-		b.dense = make([]value, want)
-		b.stamp = make([]uint32, want)
+	// Take the last recycled block whose split already covers want, else
+	// the last one. The pick reads the split, not the materialized length:
+	// a run repeating the last run's allocation sequence then gets each
+	// allocation's block from last time, with the dense prefix and far-log
+	// capacity that allocation grew. Picking by materialized length would
+	// hand the one grown block to the first allocation it fits and leave
+	// the allocation that grew it to grow another.
+	pick := n - 1
+	for i := n - 1; i >= 0; i-- {
+		if m.freeBlocks[i].split >= want {
+			pick = i
+			break
+		}
+	}
+	b := m.freeBlocks[pick]
+	m.freeBlocks = append(m.freeBlocks[:pick], m.freeBlocks[pick+1:]...)
+	b.site, b.size, b.canary = site, size, false
+	b.split = max(b.split, want)
+	b.gen++
+	if b.gen == 0 { // stamp wraparound: invalidate explicitly
+		clear(b.stamp)
 		b.gen = 1
 	}
 	return b

@@ -733,7 +733,7 @@ func TestMachineRunRequiresReset(t *testing.T) {
 	m.Run() // second Run without Reset
 }
 
-func mustProg(t *testing.T, fns ...*lang.Func) *lang.Program {
+func mustProg(t testing.TB, fns ...*lang.Func) *lang.Program {
 	t.Helper()
 	p := lang.NewProgram("parity")
 	for _, f := range fns {

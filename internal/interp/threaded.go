@@ -837,7 +837,10 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			b.dense[ov] = val
 			b.stamp[ov] = b.gen
 		} else {
-			b.storeFar(ov, val, true) // storeCell's plain far write
+			// storeCell grows the dense prefix before a dense write past
+			// it, or makes the plain far write.
+			b.storeCell(ov, val, true)
+			dense = uint64(len(b.dense))
 		}
 		if lp.sub {
 			if lp.k > iv {
