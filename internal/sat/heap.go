@@ -17,6 +17,9 @@ func (h *varHeap) less(a, b Var) bool {
 }
 
 func (h *varHeap) grow(n int) {
+	if n > len(h.indices) {
+		h.indices = reserve(h.indices, n-len(h.indices))
+	}
 	for len(h.indices) < n {
 		h.indices = append(h.indices, -1)
 	}
@@ -34,7 +37,7 @@ func (h *varHeap) insert(v Var) {
 		return
 	}
 	h.indices[v] = len(h.heap)
-	h.heap = append(h.heap, v)
+	h.heap = append(reserve(h.heap, 1), v)
 	h.up(len(h.heap) - 1)
 }
 

@@ -137,15 +137,27 @@ func New(opts Options) *Solver {
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, crefUndef)
-	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.vals = append(reserve(s.vals, 2), lUndef, lUndef)
+	s.level = append(reserve(s.level, 1), 0)
+	s.reason = append(reserve(s.reason, 1), crefUndef)
+	s.phase = append(reserve(s.phase, 1), false)
+	s.activity = append(reserve(s.activity, 1), 0)
+	s.seen = append(reserve(s.seen, 1), false)
+	s.watches = append(reserve(s.watches, 2), nil, nil)
 	s.order.insert(v)
 	return v
+}
+
+// reserve returns s with room for n more elements. When s has to
+// reallocate, its capacity at least doubles: append grows a long slice by
+// about 1.25x, so a slice built one element at a time allocates about five
+// times its final size, against about twice under doubling. Capacity never
+// enters a decision, so the growth policy leaves every search unchanged.
+func reserve[S ~[]E, E any](s S, n int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, 2*cap(s)-len(s)))
 }
 
 // NumVars returns the number of variables created so far.
@@ -209,7 +221,7 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 		panic(fmt.Sprintf("sat: clause arena full: a %d-literal clause at word %d would pass the 2^32-word limit of a clause reference", len(lits), len(s.arena)))
 	}
 	c := cref(len(s.arena))
-	s.arena = append(s.arena, Lit(hdr))
+	s.arena = append(reserve(s.arena, n), Lit(hdr))
 	s.arena = append(s.arena, lits...)
 	if learnt {
 		s.arena = append(s.arena, 0, 0)
