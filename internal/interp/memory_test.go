@@ -94,8 +94,8 @@ var lazyCellsRuns = [][]byte{
 
 // TestMachineBlockBytes pins that a block's storage follows the cells a
 // run writes: a plain run on a fresh Machine that allocates 64 blocks of
-// 1 MiB and writes one cell of each allocates well under one eager
-// 4096-cell dense prefix per block (about 147 KiB).
+// 1 MiB and writes one cell of each allocates at most 4 KiB per block. An
+// eager 4096-cell dense prefix took 144 KiB per block, 9.5 MB in all.
 func TestMachineBlockBytes(t *testing.T) {
 	m := interp.NewMachine(interp.Compile(allocLoopProg(t)))
 	input := []byte{64, 255, 0, 0}
@@ -109,7 +109,9 @@ func TestMachineBlockBytes(t *testing.T) {
 		t.Fatalf("run did not allocate 64 blocks of 1 MiB:\n%s", dumpOutcome(out))
 	}
 	const limit = 64 * 4096
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("64 one-cell blocks allocated %d bytes", got)
+	if got > limit {
 		t.Fatalf("64 one-cell blocks allocated %d bytes, want at most %d", got, limit)
 	}
 }
@@ -118,18 +120,17 @@ func TestMachineBlockBytes(t *testing.T) {
 // Machine under every instrumentation mode, and the allocation loop at a
 // few shapes, against the tree-walker.
 func TestCompiledParityLazyCells(t *testing.T) {
+	lazy, loop := lazyCellsProg(t), allocLoopProg(t)
 	for name, opts := range parityModes() {
-		prog := lazyCellsProg(t)
-		m := interp.NewMachine(interp.Compile(prog))
+		m := interp.NewMachine(interp.Compile(lazy))
 		for round := 0; round < 2; round++ {
 			for i, input := range lazyCellsRuns {
-				checkParity(t, fmt.Sprintf("lazy-cells %s round=%d run=%d", name, round, i), prog, m, input, opts)
+				checkParity(t, fmt.Sprintf("lazy-cells %s round=%d run=%d", name, round, i), lazy, m, input, opts)
 			}
 		}
-		prog = allocLoopProg(t)
-		m = interp.NewMachine(interp.Compile(prog))
+		m = interp.NewMachine(interp.Compile(loop))
 		for _, input := range [][]byte{{64, 255, 0, 0}, {3, 0, 60, 60}, {70, 1, 0, 65}, {2, 0, 65, 64}} {
-			checkParity(t, fmt.Sprintf("alloc-loop %s input=%v", name, input), prog, m, input, opts)
+			checkParity(t, fmt.Sprintf("alloc-loop %s input=%v", name, input), loop, m, input, opts)
 		}
 	}
 }

@@ -17,9 +17,7 @@ func (h *varHeap) less(a, b Var) bool {
 }
 
 func (h *varHeap) grow(n int) {
-	if n > len(h.indices) {
-		h.indices = reserve(h.indices, n-len(h.indices))
-	}
+	h.indices = reserve(h.indices, n-len(h.indices))
 	for len(h.indices) < n {
 		h.indices = append(h.indices, -1)
 	}
