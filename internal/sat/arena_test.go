@@ -21,8 +21,8 @@ func TestCompactionKeepsTrajectory(t *testing.T) {
 	for _, tc := range trajectoryCases {
 		for seed := int64(1); seed <= 3; seed++ {
 			var last *Solver
-			got := trajectory(trajectoryCase{tc.name, func(seed int64, rec func(*Solver, Result)) {
-				tc.run(seed, func(s *Solver, res Result) {
+			got := trajectory(trajectoryCase{tc.name, func(s *Solver, seed int64, rec func(*Solver, Result)) {
+				tc.run(s, seed, func(s *Solver, res Result) {
 					last = s
 					rec(s, res)
 				})

@@ -4,12 +4,13 @@ package sat
 // index table for decrease/increase-key.
 type varHeap struct {
 	heap     []Var
-	indices  []int // position of each var in heap, -1 if absent
+	indices  []int32 // position of each var in heap, -1 if absent
 	activity *[]float64
 }
 
-func newVarHeap(activity *[]float64) *varHeap {
-	return &varHeap{activity: activity}
+// reset empties the heap, keeping its storage, and orders it by activity.
+func (h *varHeap) reset(activity *[]float64) {
+	h.heap, h.indices, h.activity = h.heap[:0], h.indices[:0], activity
 }
 
 func (h *varHeap) less(a, b Var) bool {
@@ -30,11 +31,12 @@ func (h *varHeap) contains(v Var) bool {
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
 func (h *varHeap) insert(v Var) {
-	h.grow(int(v) + 1)
-	if h.contains(v) {
+	if int(v) >= len(h.indices) {
+		h.grow(int(v) + 1)
+	} else if h.indices[v] >= 0 {
 		return
 	}
-	h.indices[v] = len(h.heap)
+	h.indices[v] = int32(len(h.heap))
 	h.heap = append(reserve(h.heap, 1), v)
 	h.up(len(h.heap) - 1)
 }
@@ -57,9 +59,8 @@ func (h *varHeap) update(v Var) {
 	if !h.contains(v) {
 		return
 	}
-	i := h.indices[v]
-	h.up(i)
-	h.down(h.indices[v])
+	h.up(int(h.indices[v]))
+	h.down(int(h.indices[v]))
 }
 
 func (h *varHeap) up(i int) {
@@ -70,11 +71,11 @@ func (h *varHeap) up(i int) {
 			break
 		}
 		h.heap[i] = h.heap[parent]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = parent
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
@@ -92,9 +93,9 @@ func (h *varHeap) down(i int) {
 			break
 		}
 		h.heap[i] = h.heap[child]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = child
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }

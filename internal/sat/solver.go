@@ -66,7 +66,8 @@ type Options struct {
 	Stop *atomic.Bool
 }
 
-// Solver is a CDCL SAT solver. The zero value is not usable; call New.
+// Solver is a CDCL SAT solver. The zero value is not usable; call New, or
+// Reset to recycle a solver's storage for a new instance.
 type Solver struct {
 	opts        Options
 	rng         *rand.Rand
@@ -124,14 +125,51 @@ const (
 
 // New returns a solver with the given options.
 func New(opts Options) *Solver {
-	s := &Solver{
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		varInc: 1.0,
-		claInc: 1.0,
-	}
-	s.order = newVarHeap(&s.activity)
+	s := new(Solver)
+	s.Reset(opts)
 	return s
+}
+
+// Reset returns s to the state New(opts) gives: no variables, no clauses,
+// zeroed counters, and a random stream reseeded to the one a fresh solver
+// draws. It keeps the capacity of every slice, each literal's watch list
+// included, so a recycled solver reaches its next instance's size without
+// growing. Capacity never enters a decision, so a Reset solver runs every
+// instance exactly as a fresh one does.
+func (s *Solver) Reset(opts Options) {
+	rng, order := s.rng, s.order
+	if rng == nil {
+		rng = rand.New(rand.NewSource(opts.Seed))
+	} else {
+		rng.Seed(opts.Seed)
+	}
+	if order == nil {
+		order = new(varHeap)
+	}
+	// Every field not named here returns to its zero value: the counters,
+	// the arena's waste and compaction count, the decision focus and the
+	// root-conflict flag.
+	*s = Solver{
+		opts:     opts,
+		rng:      rng,
+		arena:    s.arena[:0],
+		learnts:  s.learnts[:0],
+		watches:  s.watches[:0],
+		vals:     s.vals[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		phase:    s.phase[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		activity: s.activity[:0],
+		varInc:   1.0,
+		order:    order,
+		claInc:   1.0,
+		seen:     s.seen[:0],
+		scratch:  s.scratch[:0],
+		learnt:   s.learnt[:0],
+	}
+	order.reset(&s.activity)
 }
 
 // NewVar introduces a fresh variable and returns it.
@@ -143,7 +181,12 @@ func (s *Solver) NewVar() Var {
 	s.phase = append(reserve(s.phase, 1), false)
 	s.activity = append(reserve(s.activity, 1), 0)
 	s.seen = append(reserve(s.seen, 1), false)
-	s.watches = append(reserve(s.watches, 2), nil, nil)
+	// The watch lists past len(s.watches) are those of an instance before
+	// Reset: reuse their storage, emptied, rather than start from nil.
+	s.watches = reserve(s.watches, 2)
+	n := len(s.watches)
+	s.watches = s.watches[:n+2]
+	s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
 	s.order.insert(v)
 	return v
 }

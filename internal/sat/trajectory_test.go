@@ -14,11 +14,17 @@ import (
 var updateTrajectory = flag.Bool("update-trajectory", false,
 	"rewrite the golden search trajectories in testdata/trajectory.golden")
 
-// trajectoryCase is one scripted workload: run drives a fresh solver built
-// for seed and calls rec after every solve call.
+// trajectoryCase is one scripted workload: run drives s, a solver in the
+// state New(trajectoryOptions(seed)) gives, and calls rec after every solve
+// call.
 type trajectoryCase struct {
 	name string
-	run  func(seed int64, rec func(*Solver, Result))
+	run  func(s *Solver, seed int64, rec func(*Solver, Result))
+}
+
+// trajectoryOptions are the options of every trajectory case's solver.
+func trajectoryOptions(seed int64) Options {
+	return Options{Seed: seed, RandomPolarity: 0.02}
 }
 
 // trajectoryCases cover the engine's four call shapes: a single hard solve,
@@ -26,20 +32,17 @@ type trajectoryCase struct {
 // times, an incremental assumption sequence with clauses added between
 // solves, and the restart-sampling loop the solver package runs.
 var trajectoryCases = []trajectoryCase{
-	{"rand3cnf", func(seed int64, rec func(*Solver, Result)) {
+	{"rand3cnf", func(s *Solver, seed int64, rec func(*Solver, Result)) {
 		rng := rand.New(rand.NewSource(seed))
-		s := New(Options{Seed: seed, RandomPolarity: 0.02})
 		load3CNF(s, rng, 150, 639) // clause/variable ratio 4.26
 		rec(s, s.SolveUnderAssumptions(nil))
 	}},
-	{"php8-7", func(seed int64, rec func(*Solver, Result)) {
-		s := New(Options{Seed: seed, RandomPolarity: 0.02})
+	{"php8-7", func(s *Solver, seed int64, rec func(*Solver, Result)) {
 		addPigeonhole(s, 8, 7)
 		rec(s, s.SolveUnderAssumptions(nil))
 	}},
-	{"assumptions", func(seed int64, rec func(*Solver, Result)) {
+	{"assumptions", func(s *Solver, seed int64, rec func(*Solver, Result)) {
 		rng := rand.New(rand.NewSource(seed))
-		s := New(Options{Seed: seed, RandomPolarity: 0.02})
 		const nVars = 120
 		load3CNF(s, rng, nVars, 468) // ratio 3.9
 		for call := 0; call < 24; call++ {
@@ -58,9 +61,8 @@ var trajectoryCases = []trajectoryCase{
 			}
 		}
 	}},
-	{"sampling", func(seed int64, rec func(*Solver, Result)) {
+	{"sampling", func(s *Solver, seed int64, rec func(*Solver, Result)) {
 		rng := rand.New(rand.NewSource(seed))
-		s := New(Options{Seed: seed, RandomPolarity: 0.02})
 		load3CNF(s, rng, 120, 456) // ratio 3.8
 		bits := make([]Var, 32)
 		for i := range bits {
@@ -122,9 +124,15 @@ func modelHash(m []bool) uint64 {
 // trajectory runs one case at one seed and returns its golden lines: the
 // result, the cumulative work counters and the model hash after every call.
 func trajectory(tc trajectoryCase, seed int64) string {
+	return replay(tc, seed, New(trajectoryOptions(seed)))
+}
+
+// replay is trajectory on s, which must be in the state
+// New(trajectoryOptions(seed)) gives.
+func replay(tc trajectoryCase, seed int64, s *Solver) string {
 	var b strings.Builder
 	call := 0
-	tc.run(seed, func(s *Solver, res Result) {
+	tc.run(s, seed, func(s *Solver, res Result) {
 		model := "-"
 		if res == Sat {
 			model = fmt.Sprintf("%016x", modelHash(s.Model()))
