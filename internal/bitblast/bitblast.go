@@ -46,20 +46,36 @@ const (
 
 // New returns a Blaster that adds clauses to s.
 func New(s *sat.Solver) *Blaster {
-	b := &Blaster{
-		s:        s,
-		termBits: make(map[*bv.Term][]sat.Lit),
-		boolLit:  make(map[*bv.Bool]sat.Lit),
-		asserted: make(map[*bv.Bool]bool),
-		varBits:  make(map[string][]sat.Lit),
-		varTerm:  make(map[string]*bv.Term),
-		gates:    make(map[gateKey]sat.Lit),
-	}
+	b := new(Blaster)
+	b.Reset(s)
+	return b
+}
+
+// Reset returns b to the state New(s) gives, encoding into s from its
+// next variable on: every cache is emptied, keeping its storage. s is
+// normally a solver just Reset, so a recycled blaster and solver encode a
+// formula exactly as a fresh pair does.
+func (b *Blaster) Reset(s *sat.Solver) {
+	b.s = s
+	resetMap(&b.termBits)
+	resetMap(&b.boolLit)
+	resetMap(&b.asserted)
+	resetMap(&b.varBits)
+	resetMap(&b.varTerm)
+	resetMap(&b.gates)
 	tv := s.NewVar()
 	b.t = sat.PosLit(tv)
 	b.f = b.t.Neg()
 	s.AddClause(b.t)
-	return b
+}
+
+// resetMap empties *m, or makes it when it is nil.
+func resetMap[K comparable, V any](m *map[K]V) {
+	if *m == nil {
+		*m = make(map[K]V)
+		return
+	}
+	clear(*m)
 }
 
 // Assert adds the constraint that formula holds. It reports whether the
