@@ -86,6 +86,7 @@ func (h *Hunter) HuntContext(ctx context.Context, t *Target) *SiteResult {
 	// conjunct and the CDCL engine keeps everything it learned refuting
 	// earlier iterations.
 	sess := h.sol.NewSession(t.Beta)
+	defer sess.Close()
 
 	// Lines 3–6: the target constraint alone. No models means β itself is
 	// unsatisfiable — unless sampling ran out of conflicts first, which
@@ -279,6 +280,7 @@ func reachedSite(t *Target, out *interp.Outcome) bool {
 // opened on β with the full seed path asserted at once.
 func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
 	sess := h.sol.NewSession(t.Beta)
+	defer sess.Close()
 	sess.Assert(t.SeedPath.Conds())
 	_, v := sess.Solve()
 	return v
@@ -306,7 +308,9 @@ func (h *Hunter) SamePathSatisfiable(t *Target) solver.Verdict {
 // far are returned; callers detect the truncation via ctx.Err().
 func (h *Hunter) SuccessRateContext(ctx context.Context, t *Target, constraint *bv.Bool, n int) (hits, total int) {
 	defer h.sol.StopOn(ctx)()
-	models, _ := h.sol.NewSession(constraint).SampleModels(n)
+	sess := h.sol.NewSession(constraint)
+	models, _ := sess.SampleModels(n)
+	sess.Close()
 	for _, m := range models {
 		if ctx.Err() != nil {
 			return hits, total

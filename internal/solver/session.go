@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"sync"
 
 	"diode/internal/bitblast"
 	"diode/internal/bv"
@@ -38,7 +39,8 @@ import (
 // assumptions, so they evaporate after the call.
 //
 // A Session is not safe for concurrent use; create one per goroutine (the
-// core Hunter opens one per hunt).
+// core Hunter opens one per hunt). Close hands its engine on to a later
+// session.
 type Session struct {
 	sol   *Solver
 	rng   *rand.Rand        // private stream: sessionSeed(parent seed, ordinal)
@@ -389,18 +391,55 @@ func (ss *Session) remember(m bv.Assignment) {
 	ss.cache = append(ss.cache, cachedModel{m: m, gen: len(ss.conj)})
 }
 
-// ensureEngine creates the persistent engine and blaster on first use and
-// sets the decision polarity for the upcoming call (low for model finding,
-// high for diverse sampling). The engine polls the solver's stop flag.
+// enginePair is a CDCL engine and the blaster that encodes into it, as
+// enginePool holds them.
+type enginePair struct {
+	s  *sat.Solver
+	bl *bitblast.Blaster
+}
+
+// enginePool recycles the engines of closed sessions: a session Resets the
+// one it draws, which keeps the clause arena, the per-variable slices, the
+// watch lists and the blaster's maps it grew for an earlier session. A
+// Reset engine makes the same decisions as a new one, so which engine a
+// session draws never shows in its results.
+var enginePool = sync.Pool{New: func() any {
+	s := sat.New(sat.Options{})
+	return &enginePair{s, bitblast.New(s)}
+}}
+
+// enginePoolMaxVars is the largest engine, in variables, Close returns to
+// enginePool. A pooled engine keeps all of its storage, so without a bound
+// the rare engine of tens of thousands of variables would stay live in the
+// pool for every later small session; DESIGN.md "Engine recycling" has the
+// measured engine sizes the bound is chosen from.
+const enginePoolMaxVars = 8192
+
+// Close ends the session and hands its engine to a later session. Models
+// the session returned stay valid; the session itself must not be used
+// again. A session that is never closed only forgoes the reuse.
+func (ss *Session) Close() {
+	if ss.engine != nil && ss.engine.NumVars() <= enginePoolMaxVars {
+		enginePool.Put(&enginePair{ss.engine, ss.bl})
+	}
+	ss.engine, ss.bl = nil, nil
+}
+
+// ensureEngine takes the persistent engine and blaster on first use, Reset
+// from enginePool, and sets the decision polarity for the upcoming call
+// (low for model finding, high for diverse sampling). The engine polls the
+// solver's stop flag.
 func (ss *Session) ensureEngine(polarity float64) {
 	if ss.engine == nil {
-		ss.engine = sat.New(sat.Options{
+		e := enginePool.Get().(*enginePair)
+		e.s.Reset(sat.Options{
 			Seed:           ss.rng.Int63(),
 			RandomPolarity: polarity,
 			MaxConflicts:   ss.sol.opts.MaxConflicts,
 			Stop:           &ss.sol.stop,
 		})
-		ss.bl = bitblast.New(ss.engine)
+		e.bl.Reset(e.s)
+		ss.engine, ss.bl = e.s, e.bl
 		return
 	}
 	ss.engine.SetRandomPolarity(polarity)
