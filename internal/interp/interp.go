@@ -25,6 +25,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"diode/internal/bv"
 	"diode/internal/lang"
@@ -222,7 +223,9 @@ func (b *block) loadCell(off uint64) value {
 // hashing — and the log is folded into the block's cells map only if the
 // run ever loads a far cell. Later entries overwrite earlier ones during the
 // fold, preserving store order. Plain-mode runs (no taint, no symbolic
-// state) append to a pointer-free log the GC never scans; a run is entirely
+// state) append to a pointer-free log the GC never scans, and a write that
+// continues the last entry's arithmetic run of one value extends that entry
+// instead, so a memset loop over far cells logs one entry; a run is entirely
 // in one mode, so at most one log is populated per run.
 type farLogs struct {
 	log      []farWrite      // taint/symbolic-mode writes (pointer-carrying)
@@ -235,11 +238,15 @@ type farWrite struct {
 	val value
 }
 
+// farPlainWrite is a run of n plain writes of one value, in order: the
+// k-th wrote the cell at off + k*step, wrapping at 2^64. A lone write
+// (n = 1) reads only off; the second write of a run sets step.
 type farPlainWrite struct {
-	off     uint64
-	v       uint64
-	w       uint8
-	wrapped bool
+	off, step uint64
+	v         uint64
+	n         uint32
+	w         uint8
+	wrapped   bool
 }
 
 func (b *block) storeFar(off uint64, v value, plain bool) {
@@ -249,10 +256,32 @@ func (b *block) storeFar(off uint64, v value, plain bool) {
 		return
 	}
 	if plain {
-		f.plainLog = append(f.plainLog, farPlainWrite{off: off, v: v.v, w: v.w, wrapped: v.wrapped})
+		if !f.extend(off, &v) {
+			f.plainLog = append(f.plainLog, farPlainWrite{off: off, v: v.v, n: 1, w: v.w, wrapped: v.wrapped})
+		}
 		return
 	}
 	f.log = append(f.log, farWrite{off: off, val: v})
+}
+
+// extend logs a plain write of *v at off by extending the plain log's last
+// entry, and reports whether that entry's run takes it: the value must be
+// the entry's, and off the next offset of its run. A folded log is empty,
+// so extend never takes a write that belongs in cells.
+func (f *farLogs) extend(off uint64, v *value) bool {
+	k := len(f.plainLog) - 1
+	if k < 0 {
+		return false
+	}
+	e := &f.plainLog[k]
+	if e.n == 1 {
+		e.step = off - e.off // a lone write's step is free: this write fixes it
+	}
+	if off != e.off+uint64(e.n)*e.step || e.v != v.v || e.w != v.w || e.wrapped != v.wrapped || e.n == math.MaxUint32 {
+		return false
+	}
+	e.n++
+	return true
 }
 
 func (b *block) loadFar(off uint64) (value, bool) {
@@ -263,7 +292,11 @@ func (b *block) loadFar(off uint64) (value, bool) {
 		}
 		for i := range f.plainLog {
 			e := &f.plainLog[i]
-			b.cells[e.off] = value{v: e.v, w: e.w, wrapped: e.wrapped}
+			v, off := value{v: e.v, w: e.w, wrapped: e.wrapped}, e.off
+			for k := uint32(0); k < e.n; k++ {
+				b.cells[off] = v
+				off += e.step
+			}
 		}
 		f.plainLog = f.plainLog[:0]
 		for i := range f.log {

@@ -57,10 +57,76 @@ func lazyCellsProg(tb testing.TB) *lang.Program {
 	))
 }
 
+// farRunsProg fills far cells of one 8192-byte block (split at 4096) in
+// one of four shapes, then overwrites part of the fill, makes a lone
+// store and reads four cells back into the size of a second allocation.
+// Offsets are relative to 4096. Input bytes:
+//
+//	0 lo, 1 n: the fill covers [lo, lo+n)
+//	2 v: the fill's value
+//	3 shape: 0 ascending, 1 descending over (lo, lo+n], 2 the strided
+//	  cells 3k for k < n, 3 ascending through the generic loop, loading
+//	  cell lo after storing cell lo+In(4)
+//	5, 6, 7: a bulk refill of In(6) cells from lo+In(5) with value In(7)
+//	8: a lone store of v at In(8)
+//	9-12: the cells read back
+func farRunsProg(tb testing.TB) *lang.Program {
+	at := func(e lang.Expr) lang.Expr { return lang.Add(lang.U32(4096), lang.ZX(32, e)) }
+	in32 := func(i uint64) lang.Expr { return lang.ZX(32, lang.InAt(i)) }
+	read := func(i uint64) lang.Expr { return lang.ZX(32, lang.Load(lang.V("buf"), at(lang.InAt(i)))) }
+	shape := func(k uint64) lang.BoolExpr { return lang.Eq(in32(3), lang.U32(k)) }
+	return mustProg(tb, lang.Fn("main", nil,
+		lang.AllocAt("buf", "m@1", lang.U32(8192)),
+		lang.Let("lo", at(lang.InAt(0))),
+		lang.Let("n", in32(1)),
+		lang.Let("hi", lang.Add(lang.V("lo"), lang.V("n"))),
+		lang.Let("v", lang.InAt(2)),
+		lang.Let("sum", lang.U32(0)),
+		lang.IfElse("asc", shape(0), lang.Block{
+			lang.Let("i", lang.V("lo")),
+			lang.Loop("up", lang.Ult(lang.V("i"), lang.V("hi")),
+				lang.Put(lang.V("buf"), lang.V("i"), lang.V("v")),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+		}, lang.Block{lang.IfElse("desc", shape(1), lang.Block{
+			lang.Let("i", lang.V("hi")),
+			lang.Loop("down", lang.Ugt(lang.V("i"), lang.V("lo")),
+				lang.Put(lang.V("buf"), lang.V("i"), lang.V("v")),
+				lang.Let("i", lang.Sub(lang.V("i"), lang.U32(1))),
+			),
+		}, lang.Block{lang.IfElse("stride", shape(2), lang.Block{
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("strided", lang.Ult(lang.V("i"), lang.V("n")),
+				lang.Put(lang.V("buf"), lang.Add(lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(3))), lang.U64(4096)), lang.V("v")),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+		}, lang.Block{
+			lang.Let("i", lang.V("lo")),
+			lang.Loop("probe", lang.Ult(lang.V("i"), lang.V("hi")),
+				lang.Put(lang.V("buf"), lang.V("i"), lang.V("v")),
+				lang.IfThen("mid", lang.Eq(lang.V("i"), lang.Add(lang.V("lo"), in32(4))),
+					lang.Let("sum", lang.Add(lang.V("sum"), lang.ZX(32, lang.Load(lang.V("buf"), lang.V("lo"))))),
+				),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+		})})}),
+		lang.Let("j", lang.Add(lang.V("lo"), in32(5))),
+		lang.Let("jhi", lang.Add(lang.V("j"), in32(6))),
+		lang.Let("w", lang.InAt(7)),
+		lang.Loop("refill", lang.Ult(lang.V("j"), lang.V("jhi")),
+			lang.Put(lang.V("buf"), lang.V("j"), lang.V("w")),
+			lang.Let("j", lang.Add(lang.V("j"), lang.U32(1))),
+		),
+		lang.Put(lang.V("buf"), at(lang.InAt(8)), lang.V("v")),
+		lang.Let("sum", lang.Add(lang.V("sum"), lang.Add(lang.Add(read(9), read(10)), lang.Add(read(11), read(12))))),
+		lang.AllocAt("out", "m@2", lang.Add(lang.V("sum"), lang.U32(1))),
+	))
+}
+
 // guestMemProgs are the block-storage programs, in the order
 // FuzzMachineParity numbers them after the applications.
 func guestMemProgs(tb testing.TB) []*lang.Program {
-	return []*lang.Program{allocLoopProg(tb), lazyCellsProg(tb)}
+	return []*lang.Program{allocLoopProg(tb), lazyCellsProg(tb), farRunsProg(tb)}
 }
 
 // lazyCellsInput encodes a lazyCellsProg run: block size, fill length and
@@ -156,5 +222,83 @@ func TestCompiledParityFuelSweepLazyCells(t *testing.T) {
 			}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, input, opts)
 		}
+	}
+}
+
+// farRunsCases are farRunsProg runs, one per shape of far-write run; the
+// fuzz corpus holds each as a mem-far-runs-* seed.
+var farRunsCases = []struct {
+	name  string
+	input []byte
+}{
+	// A lone store at 50 continues the ascending run; the reads hit
+	// before it, its ends and the lone store.
+	{"ascending", []byte{10, 40, 9, 0, 0, 0, 0, 0, 50, 9, 10, 49, 50}},
+	// Descending over 50..11; the lone store at 10 continues the run.
+	{"descending", []byte{10, 40, 9, 1, 0, 0, 0, 0, 10, 10, 11, 50, 51}},
+	// Cells 0, 3, ..., 87; the lone store at 90 continues the stride.
+	{"strided", []byte{0, 30, 9, 2, 0, 0, 0, 0, 90, 87, 88, 90, 93}},
+	// A refill of 7s over 40..49 continues the offsets of a fill of 9s
+	// over 0..39 with another value.
+	{"value-change", []byte{0, 40, 9, 0, 0, 40, 10, 7, 50, 39, 40, 49, 50}},
+	// A refill of 7s over 20..29 overwrites the middle of the 9s, and the
+	// lone store at 200 starts a run of its own.
+	{"overwrite-middle", []byte{0, 60, 9, 0, 0, 20, 10, 7, 200, 19, 20, 29, 30}},
+	// A refill of 9s over 20..29 continues a fill of 9s over 0..19.
+	{"refill-continues", []byte{0, 20, 9, 0, 0, 20, 10, 9, 30, 19, 20, 29, 31}},
+	// The generic loop loads cell 5 after storing cell 30 of its fill,
+	// and the reads after the loop see the rest of the fill.
+	{"load-mid-run", []byte{5, 50, 9, 3, 25, 0, 0, 0, 55, 5, 29, 31, 54}},
+}
+
+// TestCompiledParityFuelSweepFarRuns runs every far-write run shape at
+// every fuel cutoff on one reused Machine, in plain mode, where far writes
+// are logged as runs, and in symbolic mode, against the tree-walker.
+func TestCompiledParityFuelSweepFarRuns(t *testing.T) {
+	prog := farRunsProg(t)
+	m := interp.NewMachine(interp.Compile(prog))
+	for _, tc := range farRunsCases {
+		full := interp.RunTree(prog, tc.input, interp.Options{})
+		if full.Kind != interp.OutOK || len(full.Allocs) != 2 || full.Allocs[1].Size < 2 {
+			t.Fatalf("%s: run did not read its writes back:\n%s", tc.name, dumpOutcome(full))
+		}
+		for _, mode := range []string{"plain", "symbolic"} {
+			for fuel := int64(1); fuel <= full.Steps+2; fuel++ {
+				opts := interp.Options{Fuel: fuel}
+				if mode == "symbolic" {
+					opts.Symbolic = everyByte
+				}
+				checkParity(t, fmt.Sprintf("%s fuel=%d mode=%s", tc.name, fuel, mode), prog, m, tc.input, opts)
+			}
+		}
+	}
+}
+
+// TestMachineFarRunBytes pins that a far fill is logged as a run: a plain
+// run on a fresh Machine that fills 195,904 far cells of one block, one
+// bulk loop, allocates at most 64 KiB. Logged one entry per write, the
+// fill allocated about 28 MB as the log grew.
+func TestMachineFarRunBytes(t *testing.T) {
+	prog := mustProg(t, lang.Fn("main", nil,
+		lang.AllocAt("row", "t@1", lang.U32(200000)),
+		lang.Let("i", lang.U32(4096)),
+		lang.Loop("fill", lang.Ult(lang.V("i"), lang.U32(200000)),
+			lang.Put(lang.V("row"), lang.V("i"), lang.U8(1)),
+			lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+		),
+	))
+	m := interp.NewMachine(interp.Compile(prog))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m.Reset(nil, interp.Options{})
+	out := m.Run()
+	runtime.ReadMemStats(&after)
+	if out.Kind != interp.OutOK || out.Steps < 195_904 {
+		t.Fatalf("run did not fill the row:\n%s", dumpOutcome(out))
+	}
+	const limit = 64 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("a far fill allocated %d bytes, want at most %d", got, limit)
 	}
 }

@@ -836,9 +836,9 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 		if ov < dense {
 			b.dense[ov] = val
 			b.stamp[ov] = b.gen
-		} else {
+		} else if ov < b.split || !b.far.extend(ov, &val) {
 			// storeCell grows the dense prefix before a dense write past
-			// it, or makes the plain far write.
+			// it, or makes a far write that starts a new log entry.
 			b.storeCell(ov, val, true)
 			dense = uint64(len(b.dense))
 		}
