@@ -227,8 +227,10 @@ traffic-cover:
 # perfbench PAIRS times in the export and in the checkout, alternating which
 # side goes first. It prints each run's digest and end-to-end metrics, then
 # per metric the medians, the base quartile spread and how many pairs the
-# change read lower. Runs use seed 1. Not a CI step; everything it writes
-# stays under .bench_build/.
+# change read lower. Runs use workload seed 1, or SEED=<n>. TRACE=1 adds
+# one traced run per side and prints runtime.alloc_mb, runtime.mallocs,
+# runtime.gc_cycles, cpu.runtime_gc and cpu.runtime_malloc side by side.
+# Not a CI step; everything it writes stays under .bench_build/.
 WORKLOAD ?= paper-sweep
 PAIRS ?= 5
 SECONDS ?= 30

@@ -5,12 +5,14 @@
 #
 # (or `make bench-pairs BASE=<rev> WORKLOAD=<name> PAIRS=<n> SECONDS=<s>`).
 # BASE is exported with `git archive` into .bench_build/base-<rev>, then
-# each pair runs `bash perfbench/run.sh` at seed 1 once in the export
-# ("base") and once in the checkout ("change"), alternating which side goes
-# first. It
+# each pair runs `bash perfbench/run.sh` at workload seed $SEED (default 1)
+# once in the export ("base") and once in the checkout ("change"),
+# alternating which side goes first. It
 # prints one line per run (side, verdict digest, the six end-to-end
 # metrics), then per metric the base median, the base quartiles and their
 # spread, the change median, and in how many pairs the change read lower.
+# With TRACE=1 it then makes one traced run (--trace 1) per side and prints
+# their allocation and runtime metrics side by side.
 # Everything it writes stays under .bench_build/.
 set -euo pipefail
 if [ $# -lt 4 ]; then
@@ -18,6 +20,7 @@ if [ $# -lt 4 ]; then
 	exit 2
 fi
 base=$1 workload=$2 pairs=$3 seconds=$4
+seed=${SEED:-1} trace=${TRACE:-0}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 rev=$(git rev-parse --short "$base^{commit}")
@@ -28,13 +31,13 @@ if [ ! -d "$export_dir" ]; then
 	mv "$export_dir.tmp" "$export_dir"
 fi
 metrics="setup_s sweep_s cpu_s peak_rss_mb exposed decided_frac"
-results="$root/.bench_build/pairs-$rev-$workload.txt"
+results="$root/.bench_build/pairs-$rev-$workload-$seed.txt"
 : >"$results"
 
 # one SIDE DIR runs the workload in DIR and appends "SIDE DIGEST m1..m6".
 one() {
 	local side=$1 dir=$2 out
-	out=$(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 2>&1) || {
+	out=$(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>&1) || {
 		printf '%s\n' "$out" >&2
 		echo "bench-pairs: $side run failed" >&2
 		exit 1
@@ -92,3 +95,26 @@ awk -v names="$metrics" '
 		}
 		print "distinct digests: base" digests["base"] ", change" digests["change"]
 	}' "$results"
+
+# With TRACE=1: one traced run per side, then the metrics that show where
+# allocation work went, base beside change.
+if [ "$trace" = 1 ]; then
+	traced="$root/.bench_build/traced-$rev-$workload-$seed"
+	for side in base change; do
+		dir=$export_dir
+		[ "$side" = change ] && dir=$root
+		(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 1) >"$traced-$side.txt" 2>&1 || {
+			cat "$traced-$side.txt" >&2
+			echo "bench-pairs: traced $side run failed" >&2
+			exit 1
+		}
+	done
+	awk '
+		FNR == 1 { side++ }
+		$1 == "metric" { val[side, $2] = $3 }
+		END {
+			n = split("runtime.alloc_mb runtime.mallocs runtime.gc_cycles cpu.runtime_gc cpu.runtime_malloc", m, " ")
+			printf "%-20s %12s %12s\n", "traced", "base", "change"
+			for (i = 1; i <= n; i++) printf "%-20s %12s %12s\n", m[i], val[1, m[i]], val[2, m[i]]
+		}' "$traced-base.txt" "$traced-change.txt"
+fi
